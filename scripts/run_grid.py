@@ -47,7 +47,7 @@ def main() -> int:
     csv_path, json_path = write_outputs(result, cfg.out_dir)
     print(report_text(result.rows), end="")
     print(f"records: {csv_path}")
-    print(f"round logs: {json_path}")
+    print(f"per-record comparisons: {json_path}")
     return 2 if result.any_incomparable else 0
 
 

@@ -233,7 +233,32 @@ def records_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: How records.json spells the floats that strict JSON has no literal for;
+#: each is ``repr`` of the float and is read back by ``float``.
+_NON_FINITE = ("inf", "-inf", "nan")
+
+
+def _spell_non_finite(data):
+    """``data`` with every non-finite float replaced by its name in
+    :data:`_NON_FINITE`, so that the document is strict JSON."""
+    if isinstance(data, float) and not math.isfinite(data):
+        return repr(data)
+    if isinstance(data, dict):
+        return {key: _spell_non_finite(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_spell_non_finite(value) for value in data]
+    return data
+
+
+def _float_from_json(value) -> float:
+    if isinstance(value, str) and value not in _NON_FINITE:
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def records_json(result: ExperimentResult) -> str:
+    """The config and every record as strict JSON (RFC 8259); a non-finite
+    float is written as the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
     cfg = result.config
     cfg_data = asdict(cfg)
     cfg_data["cells"] = [c.key for c in cfg.cells]
@@ -251,9 +276,8 @@ def records_json(result: ExperimentResult) -> str:
         if row.record is not None:
             entry.update(asdict(row.record))
         records.append(entry)
-    return json.dumps(
-        {"config": cfg_data, "records": records}, sort_keys=True, indent=1
-    ) + "\n"
+    document = _spell_non_finite({"config": cfg_data, "records": records})
+    return json.dumps(document, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, Path]:
@@ -369,7 +393,8 @@ def scatter_csv(rows: Iterable[RecordRow]) -> str:
 
 
 def rows_from_json(text: str) -> list[RecordRow]:
-    """Rebuild record rows from a records.json document."""
+    """Rebuild record rows from a records.json document, reading the strings
+    ``"inf"``, ``"-inf"`` and ``"nan"`` back as floats."""
     data = json.loads(text)
     rows = []
     for entry in data["records"]:
@@ -381,12 +406,12 @@ def rows_from_json(text: str) -> list[RecordRow]:
             )
             continue
         record = ComparisonRecord(
-            value_loss_auction=entry["value_loss_auction"],
-            value_loss_optimal=entry["value_loss_optimal"],
-            value_loss_ratio=entry["value_loss_ratio"],
-            cost_auction=entry["cost_auction"],
-            cost_vcg=entry["cost_vcg"],
-            cost_fraction=entry["cost_fraction"],
+            value_loss_auction=_float_from_json(entry["value_loss_auction"]),
+            value_loss_optimal=_float_from_json(entry["value_loss_optimal"]),
+            value_loss_ratio=_float_from_json(entry["value_loss_ratio"]),
+            cost_auction=_float_from_json(entry["cost_auction"]),
+            cost_vcg=_float_from_json(entry["cost_vcg"]),
+            cost_fraction=_float_from_json(entry["cost_fraction"]),
             checker_timeout_count=entry["checker_timeout_count"],
             rounds=entry["rounds"],
         )

@@ -192,6 +192,8 @@ def parse_values(text: str) -> ValueProfile:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if sid in values:
             raise ParseError(f"line {lineno}: duplicate value for station {sid}")
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value for station {sid}")
         if value < 0:
             raise ParseError(f"line {lineno}: negative value for station {sid}")
         values[sid] = value

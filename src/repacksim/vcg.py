@@ -5,11 +5,19 @@ on air, subject to the forbidden pairs, at most one channel per station, and
 exactly one channel for every non-participating station. It is solved exactly
 by depth-first branch and bound, decomposed over connected components of the
 interference graph, with the sum of undecided station values as the bound.
+The search keeps each station's remaining channels as a bit mask and starts
+from a greedy packing as its incumbent.
 
 A winner's price is the drop in everyone else's optimal value caused by
 taking it off the air: optimal value minus the optimal value when the winner
 is forced to stay on air (its own value excluded). Losing stations are paid
-nothing.
+nothing. :func:`vcg_outcome` re-solves only the winner's component for each
+price, and warm-starts that search from the base optimum: the winner goes on
+air on each of its channels in turn, the stations it conflicts with are
+evicted and re-placed greedily, and the best such packing becomes the
+incumbent when it beats the greedy one. A better incumbent prunes more and
+never changes the optimum. :func:`vcg_price` prices one winner by a full,
+cold re-solve, an independent reference for the same number.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ class VcgOutcome:
     winners: tuple[StationId, ...]
     prices: dict[StationId, float]
     restricted_values: dict[StationId, float]
+    #: Search nodes spent by the base solve and all the per-winner re-solves;
+    #: each of those solves alone may spend at most the node budget.
+    nodes: int
 
 
 def _partition_check(
@@ -82,10 +93,15 @@ def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
 
 
 class _NodeCounter:
-    __slots__ = ("remaining",)
+    __slots__ = ("budget", "remaining")
 
     def __init__(self, budget: int) -> None:
+        self.budget = budget
         self.remaining = budget
+
+    @property
+    def spent(self) -> int:
+        return self.budget - self.remaining
 
     def spend(self) -> None:
         self.remaining -= 1
@@ -103,6 +119,7 @@ def _solve_component(
     inst: Instance,
     ct: ClearingTarget,
     counter: _NodeCounter,
+    warm_start: tuple[Assignment, StationId] | None = None,
 ) -> tuple[Assignment, float] | None:
     """Exact max-value packing of one component; None if the forced stations
     cannot all be placed.
@@ -112,98 +129,163 @@ def _solve_component(
     station to decide is always the one with the fewest channels left (forced
     stations and high values break ties). The bound is the value decided so
     far plus everything still undecided.
+
+    The incumbent is a greedy packing. ``warm_start`` is ``(start, entrant)``:
+    ``start`` packs the component with ``entrant`` off the air, as the base
+    optimum does. The entrant is put on air on each of its channels in turn,
+    the stations it conflicts with are evicted and re-placed greedily, and
+    the best packing found this way replaces the greedy one when it is worth
+    more.
     """
     conflicts = inst.conflicts_in_band(ct)
-    gain = {sid: (0.0 if sid in forced else values[sid]) for sid in comp}
-    domains = {sid: sorted(reduced_domain(inst.station(sid), ct)) for sid in comp}
+    gain_of = {sid: (0.0 if sid in forced else values[sid]) for sid in comp}
+    # Stations are numbered by their static rank: forced first, then by value.
+    # Rank breaks ties in the fewest-channels-left rule, so the next station
+    # is the undecided one with the least score = channels left * n + rank.
+    order = sorted(comp, key=lambda s: (s not in forced, -gain_of[s], s))
+    n = len(order)
+    local = {sid: i for i, sid in enumerate(order)}
+    gain = [gain_of[sid] for sid in order]
+    is_forced = [sid in forced for sid in order]
+    # A station's remaining channels are a bit mask, with bit k for the k-th
+    # channel of the universe; masks of a few bits are cached small ints, so
+    # updating them allocates nothing. Each option of a station is one of its
+    # channels, ascending, with the (station, bit) pairs that channel rules
+    # out for the other stations of the component.
+    bit_of = {ch: 1 << k for k, ch in enumerate(inst.channel_universe)}
+    channel_of = {bit: ch for ch, bit in bit_of.items()}
+    options = [
+        [
+            (
+                bit_of[ch],
+                ch,
+                tuple(
+                    (local[osid], bit_of[och])
+                    for osid, och in conflicts.get((sid, ch), ())
+                    if osid != sid
+                ),
+            )
+            for ch in sorted(reduced_domain(inst.station(sid), ct))
+        ]
+        for sid in order
+    ]
 
-    chosen: Assignment = {}
+    def place(on_air: list[int], pending: Iterable[int]) -> bool:
+        """Put each pending station, in order, on its lowest channel that fits
+        ``on_air``; False when a forced station fits nowhere."""
+        for i in pending:
+            for bit, _, clash in options[i]:
+                if all(on_air[j] != b for j, b in clash):
+                    on_air[i] = bit
+                    break
+            else:
+                if is_forced[i]:
+                    return False
+        return True
 
-    def fits(sid: StationId, ch: int) -> bool:
-        return all(
-            chosen.get(osid) != och for osid, och in conflicts.get((sid, ch), ())
-        )
+    def worth(on_air: list[int]) -> float:
+        # left to right in rank order; sum() of floats rounds differently
+        # from Python 3.12 on, which would move the incumbent and the pruning
+        total = 0.0
+        for i in range(n):
+            if on_air[i]:
+                total += gain[i]
+        return total
 
-    # Greedy incumbent over a static order: forced first, then by value.
+    def packing(on_air: list[int]) -> Assignment:
+        return {order[i]: channel_of[bit] for i, bit in enumerate(on_air) if bit}
+
     best_value = -1.0
     best_assign: Assignment | None = None
-    static_order = sorted(comp, key=lambda s: (s not in forced, -gain[s], s))
-    greedy_value = 0.0
-    feasible_greedy = True
-    for sid in static_order:
-        placed = False
-        for ch in domains[sid]:
-            if fits(sid, ch):
-                chosen[sid] = ch
-                greedy_value += gain[sid]
-                placed = True
-                break
-        if not placed and sid in forced:
-            feasible_greedy = False
-            break
-    if feasible_greedy:
-        best_value = greedy_value
-        best_assign = dict(chosen)
-    chosen.clear()
+    greedy = [0] * n
+    if place(greedy, range(n)):
+        best_value = worth(greedy)
+        best_assign = packing(greedy)
 
-    avail: dict[StationId, set[int]] = {sid: set(domains[sid]) for sid in comp}
-    undecided = set(comp)
-    comp_set = frozenset(comp)
+    if warm_start is not None:
+        start, entrant = warm_start
+        e = local[entrant]
+        started = [0] * n
+        for sid, ch in start.items():
+            if sid in local:
+                started[local[sid]] = bit_of[ch]
+        for bit, _, clash in options[e]:
+            on_air = list(started)
+            on_air[e] = bit
+            evicted = [j for j, b in clash if on_air[j] == b]
+            for j in evicted:
+                on_air[j] = 0
+            if not place(on_air, sorted(evicted)):
+                continue
+            value = worth(on_air)
+            if value > best_value:
+                best_value = value
+                best_assign = packing(on_air)
 
-    def pick() -> StationId:
-        return min(
-            undecided,
-            key=lambda s: (len(avail[s]), s not in forced, -gain[s], s),
-        )
-
-    def restrict(sid: StationId, ch: int) -> tuple[list[tuple[StationId, int]], float, bool]:
-        """Remove channels conflicting with (sid, ch) from undecided neighbors.
-        Returns the removals, the value of stations that just lost their last
-        channel (they can no longer contribute), and whether a forced station
-        was starved (the subtree is dead)."""
-        removed = []
-        lost = 0.0
-        dead = False
-        for osid, och in conflicts.get((sid, ch), ()):
-            if osid != sid and osid in comp_set and osid in undecided:
-                channels = avail[osid]
-                if och in channels:
-                    channels.discard(och)
-                    removed.append((osid, och))
-                    if not channels:
-                        lost += gain[osid]
-                        if osid in forced:
-                            dead = True
-        return removed, lost, dead
+    avail = [sum(bit for bit, _, _ in opts) for opts in options]
+    score = [avail[i].bit_count() * n + i for i in range(n)]
+    undecided = set(range(n))
+    path: list[tuple[StationId, int]] = []
 
     def descend(acc: float, undecided_value: float) -> None:
         nonlocal best_value, best_assign
         if not undecided:
             if acc > best_value:
                 best_value = acc
-                best_assign = dict(chosen)
+                best_assign = dict(path)
             return
         if acc + undecided_value <= best_value:
             return
-        sid = pick()
-        undecided.discard(sid)
-        # stations starved of channels were already deducted by restrict()
-        remaining = undecided_value - (gain[sid] if avail[sid] else 0.0)
-        for ch in sorted(avail[sid]):
+        i = min(map(score.__getitem__, undecided)) % n
+        undecided.discard(i)
+        mask = avail[i]
+        g = gain[i]
+        # stations starved of channels were already deducted when starved
+        remaining = undecided_value - (g if mask else 0.0)
+        # A decided station shows no channels, so restricting skips it.
+        avail[i] = 0
+        sid = order[i]
+        for bit, ch, clash in options[i]:
+            if not mask & bit:
+                continue
             counter.spend()
-            chosen[sid] = ch
-            removed, lost, dead = restrict(sid, ch)
+            # Remove the channels conflicting with (sid, ch) from undecided
+            # stations, totting up the value of those left with none; a
+            # starved forced station kills the subtree.
+            removed = []
+            lost = 0.0
+            dead = False
+            for j, b in clash:
+                left = avail[j]
+                if left & b:
+                    left ^= b
+                    avail[j] = left
+                    score[j] -= n
+                    removed.append((j, b))
+                    if not left:
+                        if is_forced[j]:
+                            dead = True
+                            break
+                        lost += gain[j]
             if not dead:
-                descend(acc + gain[sid], remaining - lost)
-            for osid, och in removed:
-                avail[osid].add(och)
-            del chosen[sid]
-        if sid not in forced:
+                path.append((sid, ch))
+                descend(acc + g, remaining - lost)
+                path.pop()
+            for j, b in removed:
+                avail[j] |= b
+                score[j] += n
+        if not is_forced[i]:
             counter.spend()
             descend(acc, remaining)
-        undecided.add(sid)
+        avail[i] = mask
+        undecided.add(i)
 
-    descend(0.0, sum(gain[sid] for sid in comp))
+    try:
+        descend(0.0, sum(gain_of[sid] for sid in comp))
+    finally:
+        # descend refers to itself, and that cycle holds the search state;
+        # break it so the state is freed now, not at some later collection
+        del descend
     if best_assign is None:
         return None
     return best_assign, best_value
@@ -298,7 +380,9 @@ def vcg_outcome(
     order so the result never depends on scheduling. Forcing one winner on
     air only perturbs its own interference component, so each subproblem
     re-solves just that component; the answers are identical to a full
-    re-solve because the other components' subproblems are unchanged.
+    re-solve because the other components' subproblems are unchanged. Each
+    re-solve is warm-started from the base optimum (see the module
+    docstring) and has a node budget of its own.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
     components = _components(inst, ct)
@@ -319,16 +403,20 @@ def vcg_outcome(
     winners = tuple(sorted(parts - set(assignment)))
     prices: dict[StationId, float] = {}
     restricted: dict[StationId, float] = {}
+    nodes = counter.spent
     for sid in winners:
         index = comp_of[sid]
+        resolve_counter = _NodeCounter(node_budget)
         solved = _solve_component(
             components[index],
             frozenset(nons | {sid}),
             values,
             inst,
             ct,
-            _NodeCounter(node_budget),
+            resolve_counter,
+            warm_start=(assignment, sid),
         )
+        nodes += resolve_counter.spent
         if solved is None:
             # Forcing the winner on air is infeasible: its price degenerates
             # to the full optimal value.
@@ -340,7 +428,7 @@ def vcg_outcome(
             merged.update(solved[0])
             restricted[sid] = _canonical_value(merged, parts - {sid}, values)
         prices[sid] = value - restricted[sid]
-    return VcgOutcome(assignment, value, winners, prices, restricted)
+    return VcgOutcome(assignment, value, winners, prices, restricted, nodes)
 
 
 def packing_problem_lp(

@@ -9,6 +9,7 @@ from repacksim.experiment import (
     Cell,
     DEFAULT_CELLS,
     ExperimentConfig,
+    ExperimentResult,
     config_from_mapping,
     records_csv,
     records_json,
@@ -96,6 +97,45 @@ def test_records_round_trip_through_json():
     result = run_experiment(small_config())
     rows = rows_from_json(records_json(result))
     assert rows == list(result.rows)
+
+
+def test_records_json_is_strict_and_keeps_non_finite_ratios():
+    # an auction that lost value where the optimum lost none has an infinite
+    # value loss ratio; strict JSON has no literal for it
+    record = ComparisonRecord(
+        value_loss_auction=2.5,
+        value_loss_optimal=0.0,
+        value_loss_ratio=math.inf,
+        cost_auction=4.0,
+        cost_vcg=0.0,
+        cost_fraction=math.nan,
+        checker_timeout_count=0,
+        rounds=7,
+    )
+    rows = (RecordRow("fcc:sat", 0, record), RecordRow("fcc:sat", 1, _rec(0.5, 1.25)))
+    text = records_json(ExperimentResult(small_config(), rows))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = json.loads(text, parse_constant=reject)
+    assert data["records"][0]["value_loss_ratio"] == "inf"
+    assert data["records"][0]["cost_fraction"] == "nan"
+    back = rows_from_json(text)
+    assert back[1] == rows[1]
+    got = back[0].record
+    assert got.value_loss_ratio == math.inf
+    assert math.isnan(got.cost_fraction)
+    assert (got.value_loss_auction, got.cost_auction, got.rounds) == (2.5, 4.0, 7)
+    assert "infinite_ratios=1" in report_text(back)
+
+
+def test_rows_from_json_rejects_other_strings_for_numbers():
+    row = RecordRow("fcc:sat", 0, _rec(0.5, 1.0))
+    text = records_json(ExperimentResult(small_config(), (row,)))
+    bad = text.replace('"value_loss_ratio": 1.0', '"value_loss_ratio": "Infinity"')
+    with pytest.raises(ValueError, match="not a number"):
+        rows_from_json(bad)
 
 
 def test_vcg_node_budget_marks_incomparable():

@@ -71,6 +71,12 @@ def test_value_profile_round_trip():
         parse_values("1 3\n1 4\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_values_must_be_finite(token):
+    with pytest.raises(ParseError, match="line 2: non-finite value for station 4"):
+        parse_values(f"1 3\n4 {token}\n")
+
+
 def test_generate_empty_and_unconstrained():
     empty = generate_instance(GeneratorParams(n_stations=0, seed=1))
     assert empty.stations == ()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from repacksim import vcg
+from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, UnpackableError, reduced_domain, validate_assignment
+from repacksim.pricing import ScoringRule, default_initial_clock_price, volumes_for
 from repacksim.vcg import (
     ResourceLimitError,
     optimal_packing,
@@ -168,6 +171,96 @@ def test_optimal_matches_enumeration_and_prices_rational(seed):
         assert out.prices[sid] >= 0.0
         # component-local pricing agrees bitwise with a full re-solve
         assert vcg_price(sid, out, inst, values, participants, (), ct) == out.prices[sid]
+
+
+def _grid_sized_case(seed):
+    """A draw shaped like the acceptance directional grid: 25-34 stations,
+    channels 14-16 under ``bar_c=17``, its radii and value sampler, and the
+    scored rule's participation. Forcing a winner on air there evicts
+    neighbors that the warm start has to re-place."""
+    rng = np.random.default_rng(seed)
+    ct = ClearingTarget(17)
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=int(rng.integers(25, 35)),
+            channel_lo=14,
+            channel_hi=16,
+            co_channel_radius=0.26,
+            adjacent_channel_radius=0.065,
+            seed=int(rng.integers(0, 2**32)),
+        )
+    )
+    values = sample_values(
+        inst,
+        ValueSamplerParams(
+            log_mean=8.0,
+            log_sd=1.0,
+            population_exponent=0.7,
+            seed=int(rng.integers(0, 2**32)),
+        ),
+    )
+    participants, non_participants = determine_participants(
+        inst,
+        values,
+        volumes_for(inst, ct, ScoringRule.FCC),
+        default_initial_clock_price(ScoringRule.FCC),
+    )
+    return inst, values, participants, non_participants, ct
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grid_sized_prices_match_cold_resolves(seed):
+    inst, values, parts, nons, ct = _grid_sized_case(seed)
+    out = vcg_outcome(inst, values, parts, nons, ct)
+    assert validate_assignment(out.optimal_assignment, inst, ct)
+    assert out.winners
+    for sid in out.winners:
+        assert out.prices[sid] >= values[sid]
+        # the warm-started re-solve agrees bitwise with a cold full re-solve
+        assert vcg_price(sid, out, inst, values, parts, nons, ct) == out.prices[sid]
+
+
+def test_warm_start_fires_and_never_adds_nodes():
+    fired = 0
+    for seed in range(3):
+        inst, values, parts, nons, ct = _grid_sized_case(seed)
+        out = vcg_outcome(inst, values, parts, nons, ct)
+        components = vcg._components(inst, ct)
+        for sid in out.winners:
+            comp = next(c for c in components if sid in c)
+            forced = frozenset(nons) | {sid}
+            cold = vcg._NodeCounter(vcg.DEFAULT_NODE_BUDGET)
+            warm = vcg._NodeCounter(vcg.DEFAULT_NODE_BUDGET)
+            cold_solved = vcg._solve_component(comp, forced, values, inst, ct, cold)
+            warm_solved = vcg._solve_component(
+                comp, forced, values, inst, ct, warm, warm_start=(out.optimal_assignment, sid)
+            )
+            assert warm.spent <= cold.spent
+            # the packings may differ in the order their values were added
+            assert warm_solved[1] == pytest.approx(cold_solved[1], rel=1e-12)
+            fired += warm.spent < cold.spent
+    assert fired >= 10
+
+
+def test_node_budget_runs_out_in_a_resolve():
+    inst, values, parts, nons, ct = _grid_sized_case(1)
+    out = vcg_outcome(inst, values, parts, nons, ct)
+    # the base solve alone needs exactly `base` nodes: the least budget
+    # under which the plain optimum is found
+    low, high = 0, out.nodes
+    while low < high:
+        middle = (low + high) // 2
+        try:
+            optimal_packing(inst, values, parts, nons, ct, node_budget=middle)
+            high = middle
+        except ResourceLimitError:
+            low = middle + 1
+    base = low
+    assert 0 < base < out.nodes
+    # the base solve fits that budget, so this raise comes from a re-solve
+    with pytest.raises(ResourceLimitError):
+        vcg_outcome(inst, values, parts, nons, ct, node_budget=base)
+    assert vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes) == out
 
 
 def test_winner_reporting_above_price_stops_winning():
