@@ -9,8 +9,8 @@ does, an exit permanently packs it and an accept just lowers its standing
 price; if it does not (or the checker times out), the station freezes and is
 owed the last price it accepted. Frozen stations are the auction's winners.
 
-Given an instance, a value profile, and a config with a step-limited budget,
-the whole run is deterministic.
+Given an instance, a value profile and a config, the whole run is
+deterministic: checker budgets count search steps, not seconds.
 """
 
 from __future__ import annotations
@@ -90,13 +90,10 @@ class AuctionConfig:
     checker: CheckerKind = CheckerKind.SAT
     budget: Budget = Budget(step_limit=50_000)
     seed: int = 0
-    bid_order: str = "descending"  # or "ascending", on price reduction
 
     def __post_init__(self) -> None:
         if self.c0 is not None and self.c0 <= 0:
             raise ValueError("c0 must be positive")
-        if self.bid_order not in ("descending", "ascending"):
-            raise ValueError("bid_order must be 'descending' or 'ascending'")
 
     def initial_price(self) -> float:
         return self.c0 if self.c0 is not None else default_initial_clock_price(self.scoring)
@@ -190,8 +187,8 @@ def _whole_set_pack(
     """Single joint solve used when station-by-station packing fails."""
     sids = sorted(sids)
     formula = encode_stations(inst, ct, sids)
-    steps = max(_FALLBACK_STEP_FLOOR, 20 * (budget.step_limit or 0))
-    result = solve(formula, Budget(step_limit=steps, deadline_s=budget.deadline_s))
+    steps = max(_FALLBACK_STEP_FLOOR, 20 * budget.step_limit)
+    result = solve(formula, Budget(step_limit=steps))
     if result.status == "sat":
         assert result.model is not None
         return decode_model(formula, result.model)
@@ -268,34 +265,25 @@ class AuctionState:
         return verdict
 
 
-def _processing_order(
-    bids: list[Bid], seed: int, round_index: int, bid_order: str
-) -> list[Bid]:
-    """Sort bids by price reduction (descending by default), breaking ties
-    with a shuffle drawn per round index so the order never depends on map
-    iteration order."""
+def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]:
+    """Sort bids by descending price reduction, breaking ties with a shuffle
+    drawn per round index so the order never depends on map iteration
+    order."""
     ordered = sorted(bids, key=lambda b: b.station)
     rng = np.random.default_rng([seed, _TIEBREAK_STREAM, round_index])
     ranks = rng.permutation(len(ordered))
-    sign = -1.0 if bid_order == "descending" else 1.0
-    keyed = sorted(
-        zip(ordered, ranks), key=lambda br: (sign * br[0].price_reduction, br[1])
-    )
+    keyed = sorted(zip(ordered, ranks), key=lambda br: (-br[0].price_reduction, br[1]))
     return [b for b, _ in keyed]
 
 
 def process_bids(
-    state: AuctionState,
-    bids: list[Bid],
-    seed: int,
-    round_index: int,
-    bid_order: str = "descending",
+    state: AuctionState, bids: list[Bid], seed: int, round_index: int
 ) -> tuple[ProcessedBid, ...]:
     """Process one round's bids in order. Each bid is checked against the
     packed set as it stands at that moment: exits repack immediately, so a
     later bid in the same round sees the updated assignment."""
     log: list[ProcessedBid] = []
-    for bid in _processing_order(bids, seed, round_index, bid_order):
+    for bid in _processing_order(bids, seed, round_index):
         sid = bid.station
         verdict = state.check(sid)
         if isinstance(verdict, Feasible):
@@ -333,7 +321,7 @@ def process_bids(
 
 
 def _resolve_stalled(
-    state: AuctionState, round_index: int, seed: int, bid_order: str
+    state: AuctionState, round_index: int, seed: int
 ) -> tuple[ProcessedBid, ...]:
     """Close out the absorbing state at clock zero.
 
@@ -346,7 +334,7 @@ def _resolve_stalled(
     bids = [
         Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in state.active_stations()
     ]
-    return process_bids(state, bids, seed, round_index, bid_order)
+    return process_bids(state, bids, seed, round_index)
 
 
 def run_auction(
@@ -395,9 +383,7 @@ def run_auction(
             state.last_accepted[sid] == 0.0 for sid in active
         ):
             round_index = clock.round_index + 1
-            processed = _resolve_stalled(
-                state, round_index, config.seed, config.bid_order
-            )
+            processed = _resolve_stalled(state, round_index, config.seed)
             log.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
             break
 
@@ -414,9 +400,7 @@ def run_auction(
             else:
                 decision = truthful_bid(values[sid], offer)
             bids.append(Bid(sid, decision, reduction, offer))
-        processed = process_bids(
-            state, bids, config.seed, clock.round_index, config.bid_order
-        )
+        processed = process_bids(state, bids, config.seed, clock.round_index)
         log.append(RoundRecord(clock.round_index, clock.current, processed))
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}

@@ -118,10 +118,13 @@ def values(instance_path, log_mean, log_sd, pop_exponent, seed, out):
 def run(config_path, seed, out, cells, budget_steps, instance_path):
     """Run the experiment grid described by a config file.
 
-    Emits records.csv and records.json into the output directory. Exits
-    nonzero when any benchmark was abandoned at its node budget.
+    Emits records.csv and records.json into the output directory. Exits 1
+    on an invalid config, 2 when any benchmark hit its node budget.
     """
-    cfg = config_from_mapping(json.loads(Path(config_path).read_text()))
+    try:
+        cfg = config_from_mapping(json.loads(Path(config_path).read_text()))
+    except ValueError as exc:
+        raise click.ClickException(f"invalid config {config_path}: {exc}") from exc
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
     if out is not None:

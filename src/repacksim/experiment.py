@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -109,22 +109,30 @@ class ExperimentConfig:
         return generate_instance(self.generator)
 
 
+def _check_keys(where: str, data: dict, known: Iterable[str]) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
 def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON; see the module docstring of
-    :mod:`repacksim.cli` for the schema."""
+    :mod:`repacksim.cli` for the schema. A key outside it raises
+    ``ValueError``."""
     known = dict(data)
     generator = known.pop("generator", None)
     cells = known.pop("cells", None)
     sampler = known.pop("sampler", None)
+    _check_keys("config", known, [f.name for f in fields(ExperimentConfig)])
     kwargs: dict = {}
     if generator is not None:
+        _check_keys("generator", generator, [f.name for f in fields(GeneratorParams)])
         kwargs["generator"] = GeneratorParams(**generator)
     if cells is not None:
         kwargs["cells"] = tuple(Cell.parse(c) for c in cells)
     if sampler is not None:
-        for key in ("log_mean", "log_sd", "population_exponent"):
-            if key in sampler:
-                kwargs[key] = sampler[key]
+        _check_keys("sampler", sampler, ("log_mean", "log_sd", "population_exponent"))
+        kwargs.update(sampler)
     kwargs.update(known)
     return ExperimentConfig(**kwargs)
 
@@ -215,22 +223,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, tuple(rows))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_lines(rows: Iterable[RecordRow]) -> list[str]:
+    """The header and one line per row; an incomparable row reads
+    ``nan,nan,0,0``."""
+    lines = [CSV_HEADER]
+    for row in rows:
+        r = row.record
+        if r is None:
+            lines.append(f"{row.cell},{row.profile},nan,nan,0,0")
+        else:
+            lines.append(
+                f"{row.cell},{row.profile},{float(r.cost_fraction)!r},"
+                f"{float(r.value_loss_ratio)!r},{r.checker_timeout_count},{r.rounds}"
+            )
+    return lines
 
 
 def records_csv(result: ExperimentResult) -> str:
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        if row.record is None:
-            lines.append(f"{row.cell},{row.profile},nan,nan,0,0")
-        else:
-            r = row.record
-            lines.append(
-                f"{row.cell},{row.profile},{_fmt(r.cost_fraction)},"
-                f"{_fmt(r.value_loss_ratio)},{r.checker_timeout_count},{r.rounds}"
-            )
-    return "\n".join(lines) + "\n"
+    return "\n".join(_csv_lines(result.rows)) + "\n"
 
 
 #: How records.json spells the floats that strict JSON has no literal for;
@@ -376,18 +386,8 @@ def scatter_csv(rows: Iterable[RecordRow]) -> str:
     """Per-record scatter points plus the benchmark reference, which sits at
     (1, 1) by construction for every profile."""
     rows = list(rows)
-    lines = [CSV_HEADER]
-    profiles = sorted({r.profile for r in rows})
-    for row in rows:
-        if row.record is None:
-            lines.append(f"{row.cell},{row.profile},nan,nan,0,0")
-        else:
-            r = row.record
-            lines.append(
-                f"{row.cell},{row.profile},{_fmt(r.cost_fraction)},"
-                f"{_fmt(r.value_loss_ratio)},{r.checker_timeout_count},{r.rounds}"
-            )
-    for profile in profiles:
+    lines = _csv_lines(rows)
+    for profile in sorted({r.profile for r in rows}):
         lines.append(f"vcg,{profile},1.0,1.0,0,0")
     return "\n".join(lines) + "\n"
 

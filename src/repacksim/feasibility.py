@@ -16,7 +16,6 @@ Three checkers share one verdict contract:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -46,19 +45,13 @@ class SearchSpaceError(RuntimeError):
 @dataclass(frozen=True)
 class Budget:
     """Limit on one feasibility check. ``step_limit`` counts branching
-    decisions and is the deterministic default; ``deadline_s`` is wall-clock
-    seconds for realism. At least one limit must be set."""
+    decisions, so a verdict never depends on the speed of the machine."""
 
-    step_limit: int | None = None
-    deadline_s: float | None = None
+    step_limit: int
 
     def __post_init__(self) -> None:
-        if self.step_limit is None and self.deadline_s is None:
-            raise ValueError("budget needs a step limit or a deadline")
-        if self.step_limit is not None and self.step_limit <= 0:
+        if self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -203,8 +196,8 @@ def solve(
     Branching always picks the lowest-index unassigned variable and tries the
     hinted polarity first: a variable for (s, c) starts true exactly when the
     hint assigns s to c, false for other channels of a hinted station, and
-    true for unhinted stations. With a step-only budget the outcome is a pure
-    function of the formula and hint.
+    true for unhinted stations. The outcome is a pure function of the
+    formula, budget and hint.
     """
     n = len(formula.pair_of)
 
@@ -304,9 +297,6 @@ def solve(
     # Decision stack entries: [variable, trail mark, already flipped].
     decisions: list[list] = []
     steps = 0
-    deadline = (
-        time.monotonic() + budget.deadline_s if budget.deadline_s is not None else None
-    )
 
     while True:
         while next_var <= n and assign[next_var] != 0:
@@ -316,9 +306,7 @@ def solve(
             return SolveResult("sat", model, steps)
 
         steps += 1
-        if budget.step_limit is not None and steps > budget.step_limit:
-            return SolveResult("timeout", None, steps)
-        if deadline is not None and steps % 64 == 0 and time.monotonic() > deadline:
+        if steps > budget.step_limit:
             return SolveResult("timeout", None, steps)
 
         var = next_var

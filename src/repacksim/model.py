@@ -205,9 +205,6 @@ def interference_graph(
     """Undirected graph with an edge per station pair sharing at least one
     forbidden pair whose channels both survive the clearing target."""
     graph: dict[StationId, set[StationId]] = {s.id: set() for s in inst.stations}
-    for con in inst.constraints:
-        (s1, c1), (s2, c2) = con.first, con.second
-        if s1 != s2 and c1 < ct.bar_c and c2 < ct.bar_c:
-            graph[s1].add(s2)
-            graph[s2].add(s1)
+    for (sid, _), partners in inst.conflicts_in_band(ct).items():
+        graph[sid].update(osid for osid, _ in partners if osid != sid)
     return graph

@@ -26,18 +26,6 @@ class ScoringRule(str, Enum):
     UNSCORED = "unscored"
 
 
-class InterferenceMeasure(str, Enum):
-    """How a station's interference weight is counted for the scored rule.
-
-    The count restricts to constraints whose channels both survive the
-    clearing target. Counting constraints is the default; counting distinct
-    neighbor stations is the alternative reading.
-    """
-
-    CONSTRAINT_COUNT = "constraints"
-    NEIGHBOR_COUNT = "neighbors"
-
-
 class DegenerateInstanceError(ValueError):
     """Every station has zero interference-population weight, so scored
     volumes cannot be normalized."""
@@ -57,30 +45,18 @@ class VolumeTable:
         return self.volumes[sid]
 
 
-def fcc_volumes(
-    inst: Instance,
-    ct: ClearingTarget,
-    measure: InterferenceMeasure = InterferenceMeasure.CONSTRAINT_COUNT,
-) -> VolumeTable:
+def fcc_volumes(inst: Instance, ct: ClearingTarget) -> VolumeTable:
     """Volume(s) = A * sqrt(interference(s)) * sqrt(population(s)), with A
-    chosen so the maximum volume is exactly one million (to one ulp)."""
+    chosen so the maximum volume is exactly one million (to one ulp), where
+    interference(s) counts the constraints on s within the reduced band."""
     counts: dict[StationId, int] = {s.id: 0 for s in inst.stations}
-    if measure is InterferenceMeasure.NEIGHBOR_COUNT:
-        neighbors: dict[StationId, set[StationId]] = {s.id: set() for s in inst.stations}
-        for con in inst.constraints:
-            (s1, c1), (s2, c2) = con.first, con.second
-            if s1 != s2 and c1 < ct.bar_c and c2 < ct.bar_c:
-                neighbors[s1].add(s2)
-                neighbors[s2].add(s1)
-        counts = {sid: len(adj) for sid, adj in neighbors.items()}
-    else:
-        for con in inst.constraints:
-            (s1, c1), (s2, c2) = con.first, con.second
-            if c1 >= ct.bar_c or c2 >= ct.bar_c:
-                continue
-            counts[s1] += 1
-            if s2 != s1:
-                counts[s2] += 1
+    for con in inst.constraints:
+        (s1, c1), (s2, c2) = con.first, con.second
+        if c1 >= ct.bar_c or c2 >= ct.bar_c:
+            continue
+        counts[s1] += 1
+        if s2 != s1:
+            counts[s2] += 1
 
     raw = {
         st.id: math.sqrt(counts[st.id]) * math.sqrt(st.population)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .feasibility import encode_stations
 from .model import (
     Assignment,
     ClearingTarget,
@@ -299,6 +300,28 @@ def _canonical_value(
     return sum(values[sid] for sid in sorted(assignment) if sid in parts)
 
 
+def _solve_all(
+    components: list[list[StationId]],
+    nons: frozenset[StationId],
+    values: ValueProfile,
+    inst: Instance,
+    ct: ClearingTarget,
+    counter: _NodeCounter,
+) -> Assignment:
+    """Optimal packing of every component in turn, all spending ``counter``.
+    Raises :class:`UnpackableError` for the first component whose
+    non-participants cannot all be placed."""
+    assignment: Assignment = {}
+    for comp in components:
+        solved = _solve_component(comp, nons, values, inst, ct, counter)
+        if solved is None:
+            raise UnpackableError(
+                f"non-participating stations in component {comp} cannot be packed"
+            )
+        assignment.update(solved[0])
+    return assignment
+
+
 def optimal_packing(
     inst: Instance,
     values: ValueProfile,
@@ -313,14 +336,7 @@ def optimal_packing(
     when the node budget runs out."""
     parts, nons = _partition_check(inst, participants, non_participants)
     counter = _NodeCounter(node_budget)
-    assignment: Assignment = {}
-    for comp in _components(inst, ct):
-        solved = _solve_component(comp, nons, values, inst, ct, counter)
-        if solved is None:
-            raise UnpackableError(
-                f"non-participating stations in component {comp} cannot be packed"
-            )
-        assignment.update(solved[0])
+    assignment = _solve_all(_components(inst, ct), nons, values, inst, ct, counter)
     return assignment, _canonical_value(assignment, parts, values)
 
 
@@ -387,18 +403,9 @@ def vcg_outcome(
     parts, nons = _partition_check(inst, participants, non_participants)
     components = _components(inst, ct)
     counter = _NodeCounter(node_budget)
-    comp_of: dict[StationId, int] = {}
-    assignment: Assignment = {}
-    for index, comp in enumerate(components):
-        solved = _solve_component(comp, nons, values, inst, ct, counter)
-        if solved is None:
-            raise UnpackableError(
-                f"non-participating stations in component {comp} cannot be packed"
-            )
-        for sid in comp:
-            comp_of[sid] = index
-        assignment.update(solved[0])
+    assignment = _solve_all(components, nons, values, inst, ct, counter)
     value = _canonical_value(assignment, parts, values)
+    comp_of = {sid: index for index, comp in enumerate(components) for sid in comp}
 
     winners = tuple(sorted(parts - set(assignment)))
     prices: dict[StationId, float] = {}
@@ -438,43 +445,33 @@ def packing_problem_lp(
     non_participants: Iterable[StationId],
     ct: ClearingTarget,
 ) -> str:
-    """The packing problem as LP-format text for external verification."""
+    """The packing problem as LP-format text for external verification: the
+    CNF of :func:`encode_stations` over every station, with a station's channel
+    clause as ``= 1`` for a non-participant and ``<= 1`` for a participant."""
     parts, nons = _partition_check(inst, participants, non_participants)
-
-    def var(sid: StationId, ch: int) -> str:
-        return f"x_{sid}_{ch}"
-
-    admissible = {
-        st.id: sorted(reduced_domain(st, ct)) for st in inst.stations
-    }
+    sids = inst.station_ids()
+    formula = encode_stations(inst, ct, list(sids))
+    names = [f"x_{sid}_{ch}" for sid, ch in formula.pair_of]
     objective_terms = [
-        f"{values[sid]!r} {var(sid, ch)}"
-        for sid in sorted(parts)
-        for ch in admissible[sid]
+        f"{values[sid]!r} {name}"
+        for (sid, _), name in zip(formula.pair_of, names)
+        if sid in parts
     ]
     lines = ["Maximize", " obj: " + (" + ".join(objective_terms) or "0"), "Subject To"]
-    cnum = 0
-    for con in sorted(inst.constraints):
-        (s1, c1), (s2, c2) = con.first, con.second
-        if c1 >= ct.bar_c or c2 >= ct.bar_c:
-            continue
-        cnum += 1
-        lines.append(f" pair{cnum}: {var(s1, c1)} + {var(s2, c2)} <= 1")
-    for sid in sorted(parts | nons):
-        chans = admissible[sid]
-        if not chans and sid in nons:
+    # one channel clause per station comes first, then one clause per pair
+    for cnum, (a, b) in enumerate(formula.clauses[len(sids) :], start=1):
+        lines.append(f" pair{cnum}: {names[-a - 1]} + {names[-b - 1]} <= 1")
+    for sid, clause in zip(sids, formula.clauses):
+        if clause:
+            total = " + ".join(names[v - 1] for v in clause)
+            relation = "=" if sid in nons else "<="
+            lines.append(f" assign_{sid}: {total} {relation} 1")
+        elif sid in nons:
             # no admissible channel for a station that must be packed: keep
             # the export equivalent by making the model overtly infeasible
             lines.append(f"\\ station {sid} must be packed but has no admissible channel")
             lines.append(f" assign_{sid}: 0 = 1")
-            continue
-        if not chans:
-            continue
-        total = " + ".join(var(sid, ch) for ch in chans)
-        relation = "=" if sid in nons else "<="
-        lines.append(f" assign_{sid}: {total} {relation} 1")
     lines.append("Binaries")
-    names = [var(sid, ch) for sid in sorted(admissible) for ch in admissible[sid]]
     lines.append(" " + " ".join(names))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -367,3 +367,47 @@ def test_config_from_mapping_round_trip():
     assert cfg.cells[0].key == "fcc:greedy"
     assert cfg.log_mean == 2.0
     assert cfg.log_sd == 1.0
+
+
+def test_config_from_mapping_rejects_unknown_sampler_key():
+    data = {"bar_c": 16, "generator": {"n_stations": 4}, "sampler": {"log_meen": 3.0}}
+    with pytest.raises(ValueError, match="unknown sampler key 'log_meen'"):
+        config_from_mapping(data)
+
+
+def test_config_from_mapping_rejects_unknown_generator_key():
+    data = {"bar_c": 16, "generator": {"n_stations": 4, "sed": 2}}
+    with pytest.raises(ValueError, match="unknown generator key 'sed'"):
+        config_from_mapping(data)
+
+
+def test_config_from_mapping_rejects_unknown_top_level_key():
+    data = {"bar_c": 16, "generator": {"n_stations": 4}, "master_sed": 3}
+    with pytest.raises(ValueError, match="unknown config key 'master_sed'"):
+        config_from_mapping(data)
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"sampler": {"log_meen": 3.0}}, "sampler key 'log_meen'"),
+        ({"generator": {"n_stations": 4, "sed": 2}}, "generator key 'sed'"),
+        ({"master_sed": 3}, "config key 'master_sed'"),
+    ],
+)
+def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
+    data = {
+        "bar_c": 16,
+        "generator": {"n_stations": 4},
+        "out_dir": str(tmp_path / "out"),
+        **config,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    # exit code 2 is kept for runs whose records are incomparable
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        f"Error: invalid config {config_path}: unknown {key}"
+    ]
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repacksim.model import ClearingTarget
 from repacksim.pricing import (
     DegenerateInstanceError,
-    InterferenceMeasure,
     MAX_SCORED_VOLUME,
     ClockState,
     ScoringRule,
@@ -71,20 +70,6 @@ def test_constraints_above_target_do_not_count():
     with pytest.raises(DegenerateInstanceError):
         # bar_c=14 leaves no countable constraint at all
         fcc_volumes(inst, ClearingTarget(14))
-
-
-def test_neighbor_measure_counts_stations_not_constraints():
-    inst = mk_instance(
-        [(1, {14, 15}, 100, 14), (2, {14, 15}, 100, 14)],
-        [(1, 14, 2, 14), (1, 15, 2, 15)],
-    )
-    ct = ClearingTarget(16)
-    by_constraints = fcc_volumes(inst, ct)
-    by_neighbors = fcc_volumes(inst, ct, measure=InterferenceMeasure.NEIGHBOR_COUNT)
-    assert within_one_ulp(by_constraints.volumes[1], MAX_SCORED_VOLUME)
-    assert within_one_ulp(by_neighbors.volumes[1], MAX_SCORED_VOLUME)
-    # equal populations: ratios match, absolute scaling differs (2 vs 1 counts)
-    assert by_constraints.scaling != by_neighbors.scaling
 
 
 @given(st.integers(min_value=1, max_value=2**32 - 1))

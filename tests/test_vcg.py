@@ -309,6 +309,44 @@ def test_lp_export_shape(triangle_one_channel):
     assert lines[-1] == "End"
 
 
+def test_lp_export_full_text():
+    # station 1 has a constraint between two of its own channels; channel 17
+    # is cleared, which leaves participant 3 and non-participant 4 with no
+    # admissible channel and drops the two constraints that use it
+    inst = mk_instance(
+        [(1, {14, 15, 16}), (2, {14, 15}), (3, {17}), (4, {17}), (5, {14, 16})],
+        [
+            (1, 14, 1, 15),
+            (1, 14, 2, 14),
+            (1, 16, 5, 16),
+            (2, 15, 1, 16),
+            (5, 14, 2, 14),
+            (2, 15, 3, 17),
+            (3, 17, 4, 17),
+        ],
+    )
+    values = {1: 2.5, 2: 0.1, 3: 7.0, 4: 4.0, 5: 1.0}
+    text = packing_problem_lp(inst, values, (1, 2, 3), (4, 5), ClearingTarget(17))
+    assert text == (
+        "Maximize\n"
+        " obj: 2.5 x_1_14 + 2.5 x_1_15 + 2.5 x_1_16 + 0.1 x_2_14 + 0.1 x_2_15\n"
+        "Subject To\n"
+        " pair1: x_1_14 + x_1_15 <= 1\n"
+        " pair2: x_1_14 + x_2_14 <= 1\n"
+        " pair3: x_1_16 + x_2_15 <= 1\n"
+        " pair4: x_1_16 + x_5_16 <= 1\n"
+        " pair5: x_2_14 + x_5_14 <= 1\n"
+        " assign_1: x_1_14 + x_1_15 + x_1_16 <= 1\n"
+        " assign_2: x_2_14 + x_2_15 <= 1\n"
+        "\\ station 4 must be packed but has no admissible channel\n"
+        " assign_4: 0 = 1\n"
+        " assign_5: x_5_14 + x_5_16 = 1\n"
+        "Binaries\n"
+        " x_1_14 x_1_15 x_1_16 x_2_14 x_2_15 x_5_14 x_5_16\n"
+        "End\n"
+    )
+
+
 def test_lp_export_marks_unpackable_forced_station():
     inst = mk_instance([(1, {20}), (2, {14})], universe=(14, 20))
     text = packing_problem_lp(inst, {1: 3.0, 2: 9.0}, (2,), (1,), ClearingTarget(15))
