@@ -11,12 +11,21 @@ owed the last price it accepted. Frozen stations are the auction's winners.
 
 Given an instance, a value profile and a config, the whole run is
 deterministic: checker budgets count search steps, not seconds.
+
+Auctions on one instance repeat most of each other's work, so two pure
+computations are memoized in-process and shared across auctions: the
+tie-break ranks of a (seed, round, bid count) and the checker verdict for a
+(clearing target, checker, step limit, target, packed assignment) on the
+most recent instance. A memo hit returns what the computation would have
+returned, so outcomes do not depend on which auctions ran before.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -54,6 +63,12 @@ from .pricing import (
 )
 
 _TIEBREAK_STREAM = 3
+
+# Memo bounds. Each holds one instance's working set in criterion 5, whose
+# auctions on an instance run back to back: over its 20 instances it draws
+# about 3,000 distinct tie-break keys and checks about 1,300 distinct problems.
+_TIEBREAK_MEMO_SIZE = 256
+_VERDICT_MEMO_SIZE = 512
 
 # The whole-set fallback in initial packing gets a larger deterministic budget
 # than a single in-auction check.
@@ -230,6 +245,45 @@ def truthful_bid(value: float, new_offer: float) -> BidDecision:
     return BidDecision.ACCEPT if new_offer >= value else BidDecision.EXIT
 
 
+class _VerdictMemo:
+    """Verdicts of the most recent instance's checks, shared across auctions.
+
+    A checker is a pure function of the instance, the clearing target, its
+    kind and budget, the target station and the packed assignment, so a hit
+    returns the verdict it would have computed. The packed assignment keys
+    as its ordered items: the greedy certificate keeps the packed order, so
+    an equal dict in another order is another problem. Instances match by
+    identity; a different one clears the memo.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.inst: Instance | None = None
+        self.verdicts: OrderedDict[tuple, FeasibilityVerdict] = OrderedDict()
+
+    def clear(self) -> None:
+        self.inst = None
+        self.verdicts.clear()
+
+    def get(self, inst: Instance, key: tuple) -> FeasibilityVerdict | None:
+        if inst is not self.inst:
+            self.clear()
+            self.inst = inst
+            return None
+        verdict = self.verdicts.get(key)
+        if verdict is not None:
+            self.verdicts.move_to_end(key)
+        return verdict
+
+    def put(self, key: tuple, verdict: FeasibilityVerdict) -> None:
+        self.verdicts[key] = verdict
+        if len(self.verdicts) > self.size:
+            self.verdicts.popitem(last=False)
+
+
+_VERDICTS = _VerdictMemo(_VERDICT_MEMO_SIZE)
+
+
 @dataclass
 class AuctionState:
     """Mutable per-run state shared by the round loop and bid processing."""
@@ -242,11 +296,10 @@ class AuctionState:
     last_accepted: dict[StationId, float]
     payments: dict[StationId, float] = field(default_factory=dict)
     packed: Assignment = field(default_factory=dict)
-    packed_version: int = 0
     timeout_count: int = 0
-    _verdicts: dict[StationId, tuple[int, FeasibilityVerdict]] = field(
-        default_factory=dict
-    )
+    # memo key of ``packed``, rebuilt only when ``packed`` is replaced
+    _keyed: Assignment | None = field(default=None, init=False, repr=False)
+    _packed_key: tuple = field(default=(), init=False, repr=False)
 
     def active_stations(self) -> list[StationId]:
         return sorted(
@@ -254,24 +307,37 @@ class AuctionState:
         )
 
     def check(self, sid: StationId) -> FeasibilityVerdict:
-        """Feasibility of packing ``sid`` with the current packed set. Checkers
-        are pure, so verdicts are cached until the packed set changes."""
-        cached = self._verdicts.get(sid)
-        if cached is not None and cached[0] == self.packed_version:
-            return cached[1]
-        problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
-        verdict = _run_checker(self.checker, problem, self.budget)
-        self._verdicts[sid] = (self.packed_version, verdict)
+        """Feasibility of packing ``sid`` with the current packed set, from the
+        shared verdict memo. A certificate is returned as a copy, since the
+        memo hands the same verdict to later auctions."""
+        if self._keyed is not self.packed:
+            self._keyed, self._packed_key = self.packed, tuple(self.packed.items())
+        key = (self.ct.bar_c, self.checker, self.budget.step_limit, sid, self._packed_key)
+        verdict = _VERDICTS.get(self.inst, key)
+        if verdict is None:
+            problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
+            verdict = _run_checker(self.checker, problem, self.budget)
+            _VERDICTS.put(key, verdict)
+        if isinstance(verdict, Feasible):
+            return Feasible(dict(verdict.certificate))
         return verdict
+
+
+@lru_cache(maxsize=_TIEBREAK_MEMO_SIZE)
+def _tiebreak_ranks(seed: int, round_index: int, n: int) -> tuple[int, ...]:
+    rng = np.random.default_rng([seed, _TIEBREAK_STREAM, round_index])
+    return tuple(rng.permutation(n).tolist())
 
 
 def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]:
     """Sort bids by descending price reduction, breaking ties with a shuffle
     drawn per round index so the order never depends on map iteration
-    order."""
+    order. A round without ties needs no shuffle: ranks could not change
+    its order."""
     ordered = sorted(bids, key=lambda b: b.station)
-    rng = np.random.default_rng([seed, _TIEBREAK_STREAM, round_index])
-    ranks = rng.permutation(len(ordered))
+    if len({b.price_reduction for b in ordered}) == len(ordered):
+        return sorted(ordered, key=lambda b: -b.price_reduction)
+    ranks = _tiebreak_ranks(seed, round_index, len(ordered))
     keyed = sorted(zip(ordered, ranks), key=lambda br: (-br[0].price_reduction, br[1]))
     return [b for b, _ in keyed]
 
@@ -291,7 +357,6 @@ def process_bids(
             if bid.decision is BidDecision.EXIT:
                 state.status[sid] = StationStatus.EXITED
                 state.packed = verdict.certificate
-                state.packed_version += 1
                 new_status = StationStatus.EXITED.value
                 payment = None
             else:

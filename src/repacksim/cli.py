@@ -45,6 +45,7 @@ from .experiment import (
 )
 from .instances import (
     GeneratorParams,
+    ParseError,
     ValueSamplerParams,
     generate_instance,
     parse_instance,
@@ -119,24 +120,31 @@ def run(config_path, seed, out, cells, budget_steps, instance_path):
     """Run the experiment grid described by a config file.
 
     Emits records.csv and records.json into the output directory. Exits 1
-    on an invalid config, 2 when any benchmark hit its node budget.
+    on an invalid config, option or instance file, 2 when any benchmark hit
+    its node budget.
     """
     try:
         cfg = config_from_mapping(json.loads(Path(config_path).read_text()))
     except ValueError as exc:
         raise click.ClickException(f"invalid config {config_path}: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
-    if out is not None:
-        cfg = replace(cfg, out_dir=out)
-    if cells is not None:
-        cfg = replace(cfg, cells=tuple(Cell.parse(c) for c in cells.split(",")))
-    if budget_steps is not None:
-        cfg = replace(cfg, budget_steps=budget_steps)
-    if instance_path is not None:
-        cfg = replace(cfg, instance_path=instance_path, generator=None)
+    try:
+        if seed is not None:
+            cfg = replace(cfg, master_seed=seed)
+        if out is not None:
+            cfg = replace(cfg, out_dir=out)
+        if cells is not None:
+            cfg = replace(cfg, cells=tuple(Cell.parse(c) for c in cells.split(",")))
+        if budget_steps is not None:
+            cfg = replace(cfg, budget_steps=budget_steps)
+        if instance_path is not None:
+            cfg = replace(cfg, instance_path=instance_path, generator=None)
+    except ValueError as exc:
+        raise click.ClickException(f"invalid option: {exc}") from exc
 
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except (OSError, ParseError) as exc:
+        raise click.ClickException(f"invalid instance {cfg.instance_path}: {exc}") from exc
     csv_path, json_path = write_outputs(result, cfg.out_dir)
     click.echo(f"wrote {csv_path} and {json_path}")
     if result.any_incomparable:

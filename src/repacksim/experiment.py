@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_args, get_type_hints
 
 import numpy as np
 
@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ValueError("need at least one value profile")
         if not self.cells:
             raise ValueError("need at least one cell")
+        if self.budget_steps < 1:
+            raise ValueError("budget_steps must be positive")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be a non-negative integer")
 
     def c0_for(self, scoring: ScoringRule) -> float:
         return self.c0_fcc if scoring is ScoringRule.FCC else self.c0_unscored
@@ -109,29 +113,54 @@ class ExperimentConfig:
         return generate_instance(self.generator)
 
 
-def _check_keys(where: str, data: dict, known: Iterable[str]) -> None:
+def _check_fields(where: str, data: object, cls: type, known: Iterable[str]) -> None:
+    """Reject a ``data`` that is not a JSON object, has a key outside
+    ``known``, or has a value whose JSON type does not fit the field of
+    ``cls`` it sets (an integer fits a float field; a boolean fits no
+    number field)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, not {type(data).__name__}")
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        allowed = get_args(hints[key]) or (hints[key],)
+        fits = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+        if isinstance(value, bool) or not fits:
+            expected = " or ".join(
+                "null" if t is type(None) else t.__name__ for t in allowed
+            )
+            raise ValueError(
+                f"{where} key {key!r} must be {expected}, not {type(value).__name__}"
+            )
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON; see the module docstring of
-    :mod:`repacksim.cli` for the schema. A key outside it raises
-    ``ValueError``."""
+    :mod:`repacksim.cli` for the schema. A key outside it, or a value of the
+    wrong JSON type, raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be an object, not {type(data).__name__}")
     known = dict(data)
     generator = known.pop("generator", None)
     cells = known.pop("cells", None)
     sampler = known.pop("sampler", None)
-    _check_keys("config", known, [f.name for f in fields(ExperimentConfig)])
+    _check_fields("config", known, ExperimentConfig, [f.name for f in fields(ExperimentConfig)])
     kwargs: dict = {}
     if generator is not None:
-        _check_keys("generator", generator, [f.name for f in fields(GeneratorParams)])
+        _check_fields(
+            "generator", generator, GeneratorParams, [f.name for f in fields(GeneratorParams)]
+        )
         kwargs["generator"] = GeneratorParams(**generator)
     if cells is not None:
+        if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
+            raise ValueError("cells must be a list of strings")
         kwargs["cells"] = tuple(Cell.parse(c) for c in cells)
     if sampler is not None:
-        _check_keys("sampler", sampler, ("log_mean", "log_sd", "population_exponent"))
+        _check_fields(
+            "sampler", sampler, ExperimentConfig, ("log_mean", "log_sd", "population_exponent")
+        )
         kwargs.update(sampler)
     kwargs.update(known)
     return ExperimentConfig(**kwargs)

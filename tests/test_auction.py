@@ -1,19 +1,36 @@
 import dataclasses
+import hashlib
 
+import numpy as np
 import pytest
 
+from repacksim import auction
 from repacksim.auction import (
     AuctionConfig,
+    AuctionState,
+    Bid,
     BidDecision,
     CheckerKind,
     StationStatus,
+    _processing_order,
     determine_participants,
     initial_assignment,
     run_auction,
     truthful_bid,
 )
-from repacksim.feasibility import Budget
-from repacksim.model import ClearingTarget, UnpackableError, validate_assignment
+from repacksim.feasibility import Budget, Feasible
+from repacksim.instances import (
+    GeneratorParams,
+    ValueSamplerParams,
+    generate_instance,
+    sample_values,
+)
+from repacksim.model import (
+    ClearingTarget,
+    Instance,
+    UnpackableError,
+    validate_assignment,
+)
 from repacksim.pricing import ScoringRule, offer_price, unscored_volumes, volumes_for
 
 from conftest import mk_instance
@@ -298,3 +315,180 @@ def test_config_validation():
         AuctionConfig(ct=ct, scoring=ScoringRule.UNSCORED).initial_price()
         == 900_000_000.0
     )
+
+
+# ------------------------------------------------------- memoized work
+
+# sha256 over ``repr`` of every outcome of ``_pinned_batch``, computed before
+# tie-break ranks and verdicts were memoized across auctions
+PINNED_BATCH_DIGEST = "fc903e4972a3f40a8d95b9b1f5bcc913e19c79117ef54de6530734203e8e7236"
+
+PINNED_CHECKERS = (
+    (CheckerKind.SAT, 50_000),
+    (CheckerKind.SAT, 2),  # times out on some checks the full budget decides
+    (CheckerKind.GREEDY, 50_000),
+    (CheckerKind.EXHAUSTIVE, 50_000),
+)
+
+
+def _pinned_instances():
+    pairs = []
+    for k in range(3):
+        inst = generate_instance(
+            GeneratorParams(
+                n_stations=7,
+                channel_lo=14,
+                channel_hi=17,
+                co_channel_radius=0.45,
+                adjacent_channel_radius=0.1,
+                seed=600 + k,
+            )
+        )
+        values = sample_values(
+            inst,
+            ValueSamplerParams(
+                log_mean=2.5, log_sd=0.8, population_exponent=0.3, seed=60 + k
+            ),
+        )
+        pairs.append((inst, values))
+    return pairs
+
+
+def _exit_at(r):
+    return lambda round_index, offer, value: (
+        BidDecision.EXIT if round_index >= r else BidDecision.ACCEPT
+    )
+
+
+def _pinned_batch(pairs, twins=None):
+    """Every instance x {FCC, unscored} x checker, each run truthfully and
+    with every participant exiting at round 1 and at round 4. With ``twins``,
+    every other auction runs on the twin of its instance instead."""
+    outcomes = []
+    for k, (inst, values) in enumerate(pairs):
+        unscored_c0 = max(values.values()) * 1.5
+        for scoring, c0 in ((ScoringRule.FCC, None), (ScoringRule.UNSCORED, unscored_c0)):
+            for checker, steps in PINNED_CHECKERS:
+                cfg = AuctionConfig(
+                    ct=ClearingTarget(16),
+                    scoring=scoring,
+                    c0=c0,
+                    checker=checker,
+                    budget=Budget(step_limit=steps),
+                    seed=k,
+                )
+
+                def run(strategies=None):
+                    on = twins[k] if twins and len(outcomes) % 2 else inst
+                    outcomes.append(run_auction(on, values, cfg, strategies))
+                    return outcomes[-1]
+
+                for sid in run().participants:
+                    for r in (1, 4):
+                        run({sid: _exit_at(r)})
+    return outcomes
+
+
+def _digest(outcomes):
+    h = hashlib.sha256()
+    for out in outcomes:
+        h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+def _forget_memoized_work():
+    auction._VERDICTS.clear()
+    auction._tiebreak_ranks.cache_clear()
+
+
+def test_pinned_outcomes_do_not_depend_on_memoized_work():
+    pairs = _pinned_instances()
+    twins = [Instance(i.stations, i.constraints, i.channel_universe) for i, _ in pairs]
+    assert all(t == i and t is not i for t, (i, _) in zip(twins, pairs))
+    _forget_memoized_work()
+    cold = _digest(_pinned_batch(pairs))
+    warm = _digest(_pinned_batch(pairs))
+    interleaved = _digest(_pinned_batch(pairs, twins))
+    assert cold == warm == interleaved == PINNED_BATCH_DIGEST
+
+
+def test_mutating_returned_assignments_cannot_change_later_auctions():
+    pairs = _pinned_instances()
+    _forget_memoized_work()
+    first = _pinned_batch(pairs)
+    assert _digest(first) == PINNED_BATCH_DIGEST
+    for out in first:
+        out.final_assignment.clear()
+    # certificates handed out by AuctionState.check come from the same memo
+    inst, _ = pairs[0]
+    for checker, steps in PINNED_CHECKERS:
+        state = AuctionState(
+            inst=inst,
+            ct=ClearingTarget(16),
+            checker=checker,
+            budget=Budget(step_limit=steps),
+            status={},
+            last_accepted={},
+        )
+        for sid in inst.station_ids():
+            for _ in range(2):  # a miss, then a hit
+                verdict = state.check(sid)
+                if isinstance(verdict, Feasible):
+                    verdict.certificate.clear()
+                    verdict.certificate[-1] = 99
+    assert _digest(_pinned_batch(pairs)) == PINNED_BATCH_DIGEST
+
+
+def _reference_order(bids, seed, round_index):
+    ordered = sorted(bids, key=lambda b: b.station)
+    ranks = np.random.default_rng([seed, 3, round_index]).permutation(len(ordered))
+    keyed = sorted(zip(ordered, ranks), key=lambda br: (-br[0].price_reduction, br[1]))
+    return [b for b, _ in keyed]
+
+
+def _bids(reductions):
+    # station ids out of order, so the order cannot come from the input
+    sids = [(7 * i + 3) % 17 for i in range(len(reductions))]
+    return [
+        Bid(sid, BidDecision.ACCEPT, red, 1.0) for sid, red in zip(sids, reductions)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        lambda n: [2.5] * n,  # all ties
+        lambda n: [float(n - i) for i in range(n)],  # no ties
+        lambda n: [float(i % 3) for i in range(n)],  # mixed ties
+        lambda n: [0.0, -0.0, 1.0, 0.0, 3.0, -0.0, 0.5, 1.0, 2.0][:n],  # signed zeros
+    ],
+    ids=["all-ties", "no-ties", "mixed-ties", "signed-zeros"],
+)
+def test_processing_order_matches_a_fresh_draw(pattern):
+    _forget_memoized_work()
+    for n in (0, 1, 2, 3, 6, 9):
+        bids = _bids(pattern(n))
+        for seed in (0, 1, 7, 2**31 + 5):
+            for round_index in (0, 1, 5, 60):
+                expected = _reference_order(bids, seed, round_index)
+                assert _processing_order(bids, seed, round_index) == expected
+                # a second call is served from the memo
+                assert _processing_order(bids, seed, round_index) == expected
+
+
+def test_processing_order_draws_only_for_uncached_ties(monkeypatch):
+    _forget_memoized_work()
+    tied = _bids([1.0, 1.0, 2.0])
+    first = _processing_order(tied, 4, 2)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew tie-break ranks")
+
+    monkeypatch.setattr(auction.np.random, "default_rng", no_draw)
+    assert _processing_order(tied, 4, 2) == first  # memo hit
+    distinct = _bids([3.0, 1.0, 2.0, 0.0])
+    assert [b.price_reduction for b in _processing_order(distinct, 4, 3)] == [
+        3.0, 2.0, 1.0, 0.0
+    ]
+    with pytest.raises(AssertionError, match="drew"):
+        _processing_order(tied, 4, 3)

@@ -411,3 +411,93 @@ def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
         f"Error: invalid config {config_path}: unknown {key}"
     ]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, reason",
+    [
+        ({"n_value_profiles": "5"}, "config key 'n_value_profiles' must be int, not str"),
+        ({"generator": 4}, "generator must be an object, not int"),
+        ({"bar_c": True}, "config key 'bar_c' must be int, not bool"),
+        ({"sampler": {"log_mean": "3"}}, "sampler key 'log_mean' must be float, not str"),
+        ({"cells": "fcc:sat"}, "cells must be a list of strings"),
+    ],
+    ids=["str-for-int", "int-for-generator", "bool-for-int", "str-for-float", "str-for-cells"],
+)
+def test_cli_run_reports_a_wrongly_typed_value_in_one_line(tmp_path, config, reason):
+    data = {
+        "bar_c": 16,
+        "generator": {"n_stations": 4},
+        "out_dir": str(tmp_path / "out"),
+        **config,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [f"Error: invalid config {config_path}: {reason}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_from_mapping_accepts_an_integer_for_a_float_field():
+    data = {"bar_c": 16, "generator": {"n_stations": 4}, "c0_fcc": 900}
+    assert config_from_mapping(data).c0_fcc == 900
+
+
+def test_config_from_mapping_rejects_a_config_that_is_not_an_object():
+    with pytest.raises(ValueError, match="config must be an object, not list"):
+        config_from_mapping([{"bar_c": 16}])
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (
+            ["--cells", "bogus"],
+            "Error: invalid option: cell 'bogus' must look like 'fcc:sat' with a "
+            "known scoring rule and checker",
+        ),
+        (["--budget-steps", "0"], "Error: invalid option: budget_steps must be positive"),
+        (
+            ["--seed", "-1"],
+            "Error: invalid option: master_seed must be a non-negative integer",
+        ),
+    ],
+    ids=["cells", "budget-steps", "seed"],
+)
+def test_cli_run_reports_an_invalid_flag_in_one_line(tmp_path, flags, line):
+    data = {"bar_c": 16, "generator": {"n_stations": 4}, "out_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["run", "--config", str(config_path), *flags])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [line]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_reports_a_malformed_instance_in_one_line(tmp_path):
+    inst_path = tmp_path / "inst.txt"
+    inst_path.write_text("CHANNELS 14 16\nSTATION 1 14\n")
+    data = {"bar_c": 16, "generator": {"n_stations": 4}, "out_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    res = CliRunner().invoke(
+        main, ["run", "--config", str(config_path), "--instance", str(inst_path)]
+    )
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        f"Error: invalid instance {inst_path}: line 2: STATION expects four fields"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_reports_a_missing_instance_file_in_one_line(tmp_path):
+    missing = tmp_path / "nowhere.txt"
+    data = {"bar_c": 16, "instance_path": str(missing), "out_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert res.exit_code == 1
+    [line] = res.output.splitlines()
+    assert line.startswith(f"Error: invalid instance {missing}: ")
+    assert "No such file or directory" in line
