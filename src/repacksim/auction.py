@@ -12,6 +12,12 @@ owed the last price it accepted. Frozen stations are the auction's winners.
 Given an instance, a value profile and a config, the whole run is
 deterministic: checker budgets count search steps, not seconds.
 
+Every processed bid goes into the round log as an immutable named tuple
+(``ProcessedBid``, grouped per round in ``RoundRecord``) holding plain
+strings. The round loop keeps the active stations in station order and drops
+each one as it exits or freezes. An active station accepted every offer so
+far, so its price reduction is its last accepted price minus its new offer.
+
 Auctions on one instance repeat most of each other's work, so two pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count) and the checker verdict for a
@@ -26,7 +32,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -96,6 +103,16 @@ class BidDecision(str, Enum):
 #: Bidder hook: (round index, offered price, on-air value) -> decision.
 BidStrategy = Callable[[int, float, float], BidDecision]
 
+# Round-log strings, read once here: an enum member's ``.value`` is a
+# descriptor call, and the round log records several per bid.
+_ACCEPT, _EXIT = BidDecision.ACCEPT.value, BidDecision.EXIT.value
+_ACTIVE, _EXITED, _FROZEN = (
+    StationStatus.ACTIVE.value,
+    StationStatus.EXITED.value,
+    StationStatus.FROZEN.value,
+)
+_FEASIBLE, _INFEASIBLE, _TIMEOUT = "feasible", "infeasible", "timeout"
+
 
 @dataclass(frozen=True)
 class AuctionConfig:
@@ -126,8 +143,7 @@ class Bid:
             raise ValueError("price reduction must be non-negative")
 
 
-@dataclass(frozen=True)
-class ProcessedBid:
+class ProcessedBid(NamedTuple):
     """Round-log entry for one processed bid."""
 
     station: StationId
@@ -139,8 +155,7 @@ class ProcessedBid:
     payment: float | None = None
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round_index: int
     clock: float
     bids: tuple[ProcessedBid, ...]
@@ -301,11 +316,6 @@ class AuctionState:
     _keyed: Assignment | None = field(default=None, init=False, repr=False)
     _packed_key: tuple = field(default=(), init=False, repr=False)
 
-    def active_stations(self) -> list[StationId]:
-        return sorted(
-            sid for sid, st in self.status.items() if st is StationStatus.ACTIVE
-        )
-
     def check(self, sid: StationId) -> FeasibilityVerdict:
         """Feasibility of packing ``sid`` with the current packed set, from the
         shared verdict memo. A certificate is returned as a copy, since the
@@ -329,17 +339,22 @@ def _tiebreak_ranks(seed: int, round_index: int, n: int) -> tuple[int, ...]:
     return tuple(rng.permutation(n).tolist())
 
 
+_station = attrgetter("station")
+_reduction = attrgetter("price_reduction")
+
+
 def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]:
     """Sort bids by descending price reduction, breaking ties with a shuffle
     drawn per round index so the order never depends on map iteration
     order. A round without ties needs no shuffle: ranks could not change
-    its order."""
-    ordered = sorted(bids, key=lambda b: b.station)
-    if len({b.price_reduction for b in ordered}) == len(ordered):
-        return sorted(ordered, key=lambda b: -b.price_reduction)
+    its order, and the reverse of ascending order is descending."""
+    if len({b.price_reduction for b in bids}) == len(bids):
+        return sorted(bids, key=_reduction, reverse=True)
+    ordered = sorted(bids, key=_station)
     ranks = _tiebreak_ranks(seed, round_index, len(ordered))
-    keyed = sorted(zip(ordered, ranks), key=lambda br: (-br[0].price_reduction, br[1]))
-    return [b for b, _ in keyed]
+    # ranks are distinct, so two bids are never compared
+    keyed = sorted((-b.price_reduction, rank, b) for b, rank in zip(ordered, ranks))
+    return [b for _, _, b in keyed]
 
 
 def process_bids(
@@ -348,45 +363,48 @@ def process_bids(
     """Process one round's bids in order. Each bid is checked against the
     packed set as it stands at that moment: exits repack immediately, so a
     later bid in the same round sees the updated assignment."""
+    status, last_accepted = state.status, state.last_accepted
     log: list[ProcessedBid] = []
     for bid in _processing_order(bids, seed, round_index):
         sid = bid.station
         verdict = state.check(sid)
+        exiting = bid.decision is BidDecision.EXIT
+        payment = None
         if isinstance(verdict, Feasible):
-            verdict_name = "feasible"
-            if bid.decision is BidDecision.EXIT:
-                state.status[sid] = StationStatus.EXITED
+            verdict_name = _FEASIBLE
+            if exiting:
+                status[sid] = StationStatus.EXITED
                 state.packed = verdict.certificate
-                new_status = StationStatus.EXITED.value
-                payment = None
+                new_status = _EXITED
             else:
-                state.last_accepted[sid] = bid.offer
-                new_status = StationStatus.ACTIVE.value
-                payment = None
+                last_accepted[sid] = bid.offer
+                new_status = _ACTIVE
         else:
-            verdict_name = "timeout" if isinstance(verdict, Timeout) else "infeasible"
             if isinstance(verdict, Timeout):
+                verdict_name = _TIMEOUT
                 state.timeout_count += 1
-            state.status[sid] = StationStatus.FROZEN
-            payment = state.last_accepted[sid]
+            else:
+                verdict_name = _INFEASIBLE
+            status[sid] = StationStatus.FROZEN
+            payment = last_accepted[sid]
             state.payments[sid] = payment
-            new_status = StationStatus.FROZEN.value
+            new_status = _FROZEN
         log.append(
             ProcessedBid(
-                station=sid,
-                decision=bid.decision.value,
-                price_reduction=bid.price_reduction,
-                offer=bid.offer,
-                verdict=verdict_name,
-                new_status=new_status,
-                payment=payment,
+                sid,
+                _EXIT if exiting else _ACCEPT,
+                bid.price_reduction,
+                bid.offer,
+                verdict_name,
+                new_status,
+                payment,
             )
         )
     return tuple(log)
 
 
 def _resolve_stalled(
-    state: AuctionState, round_index: int, seed: int
+    state: AuctionState, active: list[StationId], round_index: int, seed: int
 ) -> tuple[ProcessedBid, ...]:
     """Close out the absorbing state at clock zero.
 
@@ -396,9 +414,7 @@ def _resolve_stalled(
     zero and exiting, and each is still re-checked in order: the packable ones
     exit into the assignment, the rest freeze at their accepted price of zero.
     """
-    bids = [
-        Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in state.active_stations()
-    ]
+    bids = [Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in active]
     return process_bids(state, bids, seed, round_index)
 
 
@@ -431,42 +447,41 @@ def run_auction(
         last_accepted={},
         packed=packed0,
     )
+    status, last_accepted, vols = state.status, state.last_accepted, volumes.volumes
     for sid in participants:
-        state.status[sid] = StationStatus.ACTIVE
+        status[sid] = StationStatus.ACTIVE
         # The opening price counts as accepted: participation implies the
         # station took the round-zero offer.
-        state.last_accepted[sid] = offer_price(volumes.volume(sid), c0)
+        last_accepted[sid] = offer_price(vols[sid], c0)
 
+    # active stations in station order; a station leaves once it exits or freezes
+    active = sorted(participants)
     clock = initial_clock(c0)
     log: list[RoundRecord] = []
 
-    while True:
-        active = state.active_stations()
-        if not active:
-            break
-        if clock.current == 0.0 and all(
-            state.last_accepted[sid] == 0.0 for sid in active
-        ):
+    while active:
+        if clock.current == 0.0 and all(last_accepted[sid] == 0.0 for sid in active):
             round_index = clock.round_index + 1
-            processed = _resolve_stalled(state, round_index, config.seed)
+            processed = _resolve_stalled(state, active, round_index, config.seed)
             log.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
             break
 
-        previous = clock.current
         clock = next_clock(clock)
+        round_index, current = clock.round_index, clock.current
         bids = []
+        # A station still active accepted the previous round's offer, so its
+        # last accepted price is its offer at the previous clock.
         for sid in active:
-            vol = volumes.volume(sid)
-            offer = offer_price(vol, clock.current)
-            reduction = offer_price(vol, previous) - offer
+            offer = offer_price(vols[sid], current)
             strategy = strategies.get(sid) if strategies else None
             if strategy is not None:
-                decision = strategy(clock.round_index, offer, values[sid])
+                decision = strategy(round_index, offer, values[sid])
             else:
                 decision = truthful_bid(values[sid], offer)
-            bids.append(Bid(sid, decision, reduction, offer))
-        processed = process_bids(state, bids, config.seed, clock.round_index)
-        log.append(RoundRecord(clock.round_index, clock.current, processed))
+            bids.append(Bid(sid, decision, last_accepted[sid] - offer, offer))
+        processed = process_bids(state, bids, config.seed, round_index)
+        log.append(RoundRecord(round_index, current, processed))
+        active = [sid for sid in active if status[sid] is StationStatus.ACTIVE]
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
     return AuctionOutcome(

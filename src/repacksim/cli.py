@@ -64,6 +64,16 @@ def main() -> None:
     """Clock auction repacking simulator."""
 
 
+def _parse_file(parse, path: str, kind: str):
+    """Parse an input file, reporting an unreadable or malformed one as a
+    one-line error. The parsers raise ``ValueError`` (``ParseError``, or
+    ``json.JSONDecodeError`` for records) on malformed text."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"invalid {kind} {path}: {exc}") from exc
+
+
 @main.command()
 @click.option("--n-stations", type=int, required=True)
 @click.option("--channel-lo", type=int, default=14, show_default=True)
@@ -98,7 +108,7 @@ def generate(n_stations, channel_lo, channel_hi, co_radius, adj_radius, seed, ou
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def values(instance_path, log_mean, log_sd, pop_exponent, seed, out):
     """Sample a value profile for an instance."""
-    inst = parse_instance(Path(instance_path).read_text())
+    inst = _parse_file(parse_instance, instance_path, "instance")
     params = ValueSamplerParams(
         log_mean=log_mean, log_sd=log_sd, population_exponent=pop_exponent, seed=seed
     )
@@ -167,15 +177,18 @@ def run(config_path, seed, out, cells, budget_steps, instance_path):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def vcg(instance_path, values_path, bar_c, scoring, c0, out):
     """Compute the exact benchmark outcome for an instance and value profile."""
-    inst = parse_instance(Path(instance_path).read_text())
-    profile = parse_values(Path(values_path).read_text())
+    inst = _parse_file(parse_instance, instance_path, "instance")
+    profile = _parse_file(parse_values, values_path, "values")
     rule = ScoringRule(scoring)
     ct = ClearingTarget(bar_c)
     opening = c0 if c0 is not None else default_initial_clock_price(rule)
-    volumes = volumes_for(inst, ct, rule)
-    participants, non_participants = determine_participants(
-        inst, profile, volumes, opening
-    )
+    try:
+        volumes = volumes_for(inst, ct, rule)
+        participants, non_participants = determine_participants(
+            inst, profile, volumes, opening
+        )
+    except ValueError as exc:  # a degenerate instance or a short value profile
+        raise click.ClickException(str(exc)) from exc
     outcome = vcg_outcome(inst, profile, participants, non_participants, ct)
     payload = {
         "optimal_value": outcome.optimal_value,
@@ -199,7 +212,7 @@ def vcg(instance_path, values_path, bar_c, scoring, c0, out):
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def report(records_path, out):
     """Summarize a run: per-cell means, cross-cell ratios, and scatter data."""
-    rows = rows_from_json(Path(records_path).read_text())
+    rows = _parse_file(rows_from_json, records_path, "records")
     summary = report_text(rows)
     scatter = scatter_csv(rows)
     click.echo(summary, nl=False)

@@ -11,6 +11,8 @@ from repacksim.auction import (
     Bid,
     BidDecision,
     CheckerKind,
+    ProcessedBid,
+    RoundRecord,
     StationStatus,
     _processing_order,
     determine_participants,
@@ -239,10 +241,13 @@ def test_deterministic_outcomes():
     a = run_auction(inst, values, cfg)
     b = run_auction(inst, values, cfg)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
-    shifted = run_auction(
-        inst, values, unscored_config(ClearingTarget(16), 12.0, seed=10)
-    )
-    assert dataclasses.asdict(shifted) != dataclasses.asdict(a) or True  # may tie
+    cfg10 = unscored_config(ClearingTarget(16), 12.0, seed=10)
+    shifted = run_auction(inst, values, cfg10)
+    assert dataclasses.asdict(run_auction(inst, values, cfg10)) == dataclasses.asdict(shifted)
+    # unscored bids all tie, so seed 10's first draw alone orders round one
+    ranks = np.random.default_rng([10, 3, 1]).permutation(5)
+    expected = [sid for _, sid in sorted(zip(ranks, range(5)))]
+    assert [b.station for b in shifted.round_log[0].bids] == expected
 
 
 def test_zero_value_station_resolves_at_clock_zero():
@@ -492,3 +497,174 @@ def test_processing_order_draws_only_for_uncached_ties(monkeypatch):
     ]
     with pytest.raises(AssertionError, match="drew"):
         _processing_order(tied, 4, 3)
+
+
+# ------------------------------------------------------- round log
+
+# ``repr`` of the round log of ``_logged_auction`` under the SAT checker,
+# computed before the round log became named tuples. Station 3 has no channel
+# below ``bar_c`` and freezes at once, station 1 exits when its offer falls
+# below 6, which freezes station 2, and station 4 rides to clock zero and
+# exits in the final resolution.
+PINNED_ROUND_LOG = (
+    '(RoundRecord(round_index=1, clock=9.5, bids=('
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.5, offer=9.5, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.5, offer=9.5, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.5, offer=9.5, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=3, decision='accept', price_reduction=0.5, offer=9.5, verdict='infeasible', new_status='frozen', payment=10.0)), final_resolution=False), "
+    'RoundRecord(round_index=2, clock=9.025, bids=('
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.47499999999999964, offer=9.025, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.47499999999999964, offer=9.025, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.47499999999999964, offer=9.025, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=3, clock=8.57375, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.45124999999999993, offer=8.57375, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.45124999999999993, offer=8.57375, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.45124999999999993, offer=8.57375, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=4, clock=8.1450625, bids=('
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.42868750000000055, offer=8.1450625, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.42868750000000055, offer=8.1450625, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.42868750000000055, offer=8.1450625, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=5, clock=7.737809374999999, bids=('
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.40725312500000044, offer=7.737809374999999, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.40725312500000044, offer=7.737809374999999, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.40725312500000044, offer=7.737809374999999, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=6, clock=7.3509189062499996, bids=('
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.3868904687499999, offer=7.3509189062499996, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.3868904687499999, offer=7.3509189062499996, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.3868904687499999, offer=7.3509189062499996, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=7, clock=6.9833729609374995, bids=('
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.36754594531250007, offer=6.9833729609374995, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.36754594531250007, offer=6.9833729609374995, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.36754594531250007, offer=6.9833729609374995, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=8, clock=6.634204312890624, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.3491686480468754, offer=6.634204312890624, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.3491686480468754, offer=6.634204312890624, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.3491686480468754, offer=6.634204312890624, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=9, clock=6.302494097246093, bids=('
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.33171021564453085, offer=6.302494097246093, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.33171021564453085, offer=6.302494097246093, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=1, decision='accept', price_reduction=0.33171021564453085, offer=6.302494097246093, verdict='feasible', new_status='active', payment=None)), final_resolution=False), "
+    'RoundRecord(round_index=10, clock=5.987369392383789, bids=('
+    "ProcessedBid(station=1, decision='exit', price_reduction=0.3151247048623045, offer=5.987369392383789, verdict='feasible', new_status='exited', payment=None), "
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.3151247048623045, offer=5.987369392383789, verdict='feasible', new_status='active', payment=None), "
+    "ProcessedBid(station=2, decision='accept', price_reduction=0.3151247048623045, offer=5.987369392383789, verdict='infeasible', new_status='frozen', payment=6.302494097246093)), final_resolution=False), "
+    'RoundRecord(round_index=11, clock=5.6880009227646, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.29936846961918917, offer=5.6880009227646, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=12, clock=5.40360087662637, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.2844000461382299, offer=5.40360087662637, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=13, clock=5.133420832795051, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.2701800438313189, offer=5.133420832795051, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=14, clock=4.876749791155298, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.25667104163975285, offer=4.876749791155298, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=15, clock=4.632912301597533, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.24383748955776507, offer=4.632912301597533, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=16, clock=4.401266686517657, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.23164561507987624, offer=4.401266686517657, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=17, clock=4.1812033521917735, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.2200633343258831, offer=4.1812033521917735, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=18, clock=3.972143184582185, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.20906016760958845, offer=3.972143184582185, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=19, clock=3.7735360253530756, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.19860715922910943, offer=3.7735360253530756, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=20, clock=3.584859224085422, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.18867680126765363, offer=3.584859224085422, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=21, clock=3.405616262881151, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.1792429612042712, offer=3.405616262881151, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=22, clock=3.2353354497370934, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.1702808131440574, offer=3.2353354497370934, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=23, clock=3.073568677250239, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.16176677248685456, offer=3.073568677250239, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=24, clock=2.919890243387727, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.1536784338625119, offer=2.919890243387727, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=25, clock=2.7738957312183405, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.14599451216938641, offer=2.7738957312183405, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=26, clock=2.6352009446574236, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.13869478656091694, offer=2.6352009446574236, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=27, clock=2.5034408974245523, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.13176004723287127, offer=2.5034408974245523, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=28, clock=2.3782688525533247, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.12517204487122768, offer=2.3782688525533247, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=29, clock=2.2593554099256585, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.11891344262766612, offer=2.2593554099256585, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=30, clock=2.1463876394293755, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.11296777049628304, offer=2.1463876394293755, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=31, clock=2.039068257457907, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10731938197146862, offer=2.039068257457907, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=32, clock=1.9371148445850115, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10195341287289539, offer=1.9371148445850115, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=33, clock=1.8371148445850114, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.8371148445850114, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=34, clock=1.7371148445850113, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.7371148445850113, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=35, clock=1.6371148445850112, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.6371148445850112, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=36, clock=1.5371148445850111, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.5371148445850111, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=37, clock=1.437114844585011, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.437114844585011, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=38, clock=1.337114844585011, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.337114844585011, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=39, clock=1.2371148445850109, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.2371148445850109, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=40, clock=1.1371148445850108, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.1371148445850108, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=41, clock=1.0371148445850107, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.10000000000000009, offer=1.0371148445850107, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=42, clock=0.9371148445850107, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.9371148445850107, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=43, clock=0.8371148445850107, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.8371148445850107, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=44, clock=0.7371148445850108, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.7371148445850108, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=45, clock=0.6371148445850108, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.6371148445850108, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=46, clock=0.5371148445850108, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.5371148445850108, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=47, clock=0.4371148445850108, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.4371148445850108, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=48, clock=0.33711484458501084, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.09999999999999998, offer=0.33711484458501084, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=49, clock=0.23711484458501084, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.1, offer=0.23711484458501084, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=50, clock=0.13711484458501083, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.1, offer=0.13711484458501083, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=51, clock=0.037114844585010826, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.1, offer=0.037114844585010826, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=52, clock=0.0, bids=('
+    "ProcessedBid(station=4, decision='accept', price_reduction=0.037114844585010826, offer=0.0, verdict='feasible', new_status='active', payment=None),), final_resolution=False), "
+    'RoundRecord(round_index=53, clock=0.0, bids=('
+    "ProcessedBid(station=4, decision='exit', price_reduction=0.0, offer=0.0, verdict='feasible', new_status='exited', payment=None),), final_resolution=True))"
+)
+
+
+def _logged_auction(checker):
+    inst = mk_instance(
+        [(1, {14}), (2, {14}), (3, {20}), (4, {15})],
+        [(1, 14, 2, 14)],
+        universe=(14, 15, 20),
+    )
+    values = {1: 6.0, 2: 3.0, 3: 1.0, 4: 0.0}
+    return run_auction(inst, values, unscored_config(ClearingTarget(16), 10.0, checker))
+
+
+def test_round_log_repr_is_pinned():
+    _forget_memoized_work()
+    assert repr(_logged_auction(CheckerKind.SAT).round_log) == PINNED_ROUND_LOG
+    # greedy never proves infeasibility: the same freezes are timeouts
+    greedy = _logged_auction(CheckerKind.GREEDY)
+    assert repr(greedy.round_log) == PINNED_ROUND_LOG.replace("'infeasible'", "'timeout'")
+    assert greedy.checker_timeout_count == 2
+
+
+def test_round_log_records_are_immutable():
+    bid = ProcessedBid(1, "accept", 0.5, 9.5, "feasible", "active")
+    record = RoundRecord(1, 9.5, (bid,))
+    assert bid.payment is None and record.final_resolution is False
+    for obj, name in ((bid, "payment"), (bid, "station"), (record, "bids"), (record, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
+def test_bid_rejects_a_negative_price_reduction():
+    with pytest.raises(ValueError, match="non-negative"):
+        Bid(1, BidDecision.ACCEPT, price_reduction=-1.0, offer=5.0)

@@ -501,3 +501,68 @@ def test_cli_run_reports_a_missing_instance_file_in_one_line(tmp_path):
     [line] = res.output.splitlines()
     assert line.startswith(f"Error: invalid instance {missing}: ")
     assert "No such file or directory" in line
+
+
+# no constraints, so every station has zero weight under the FCC rule
+GOOD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14 1000 14,15\nSTATION 2 14 1000 14\n"
+GOOD_VALUES = "1 5.0\n2 7.0\n"
+BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
+
+
+@pytest.mark.parametrize(
+    "files, args, line",
+    [
+        (
+            {"inst.txt": BAD_INSTANCE},
+            ["values", "--instance", "inst.txt"],
+            "Error: invalid instance inst.txt: line 2: STATION expects four fields",
+        ),
+        (
+            {"inst.txt": BAD_INSTANCE, "values.txt": GOOD_VALUES},
+            ["vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16"],
+            "Error: invalid instance inst.txt: line 2: STATION expects four fields",
+        ),
+        (
+            {"inst.txt": GOOD_INSTANCE, "values.txt": "1 5.0\n2\n"},
+            ["vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16"],
+            "Error: invalid values values.txt: line 2: expected '<station id> <value>'",
+        ),
+        (
+            {"inst.txt": GOOD_INSTANCE, "values.txt": "1 5.0\n"},
+            [
+                "vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16",
+                "--scoring", "unscored",
+            ],
+            "Error: value profile is missing stations [2]",
+        ),
+        (
+            {"inst.txt": GOOD_INSTANCE, "values.txt": GOOD_VALUES},
+            [
+                "vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16",
+                "--scoring", "fcc",
+            ],
+            "Error: no station has a positive interference-population weight",
+        ),
+        (
+            {"records.json": '{"records": ['},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: "
+            "Expecting value: line 1 column 14 (char 13)",
+        ),
+    ],
+    ids=[
+        "values-malformed-instance",
+        "vcg-malformed-instance",
+        "vcg-malformed-values",
+        "vcg-missing-stations",
+        "vcg-degenerate-fcc",
+        "report-malformed-records",
+    ],
+)
+def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, monkeypatch, files, args, line):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [line]
