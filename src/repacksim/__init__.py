@@ -30,7 +30,6 @@ from .instances import (
 )
 from .feasibility import (
     Budget,
-    CnfFormula,
     Feasible,
     FeasibilityProblem,
     FeasibilityVerdict,
@@ -42,6 +41,7 @@ from .feasibility import (
     encode,
     solve,
 )
+from .search import PackingModel
 from .pricing import (
     ClockState,
     ScoringRule,

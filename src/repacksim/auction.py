@@ -47,8 +47,6 @@ from .feasibility import (
     check_exhaustive,
     check_greedy,
     check_sat,
-    decode_model,
-    encode_stations,
     solve,
 )
 from .model import (
@@ -68,6 +66,7 @@ from .pricing import (
     offer_price,
     volumes_for,
 )
+from .search import PackingModel
 
 _TIEBREAK_STREAM = 3
 
@@ -216,12 +215,11 @@ def _whole_set_pack(
 ) -> Assignment:
     """Single joint solve used when station-by-station packing fails."""
     sids = sorted(sids)
-    formula = encode_stations(inst, ct, sids)
     steps = max(_FALLBACK_STEP_FLOOR, 20 * budget.step_limit)
-    result = solve(formula, Budget(step_limit=steps))
+    result = solve(PackingModel(inst, ct, sids), Budget(step_limit=steps))
     if result.status == "sat":
-        assert result.model is not None
-        return decode_model(formula, result.model)
+        assert result.assignment is not None
+        return result.assignment
     if result.status == "unsat":
         raise UnpackableError(
             f"stations {sids} cannot be jointly packed in the reduced band"

@@ -423,26 +423,37 @@ def scatter_csv(rows: Iterable[RecordRow]) -> str:
 
 def rows_from_json(text: str) -> list[RecordRow]:
     """Rebuild record rows from a records.json document, reading the strings
-    ``"inf"``, ``"-inf"`` and ``"nan"`` back as floats."""
+    ``"inf"``, ``"-inf"`` and ``"nan"`` back as floats. Raises ``ValueError``
+    for a document that is not an object with a ``records`` list, or for a
+    record that is not an object or lacks a key."""
     data = json.loads(text)
+    records = data.get("records") if isinstance(data, dict) else None
+    if not isinstance(records, list):
+        raise ValueError('expected an object with a "records" list')
     rows = []
-    for entry in data["records"]:
-        if entry.get("incomparable"):
-            rows.append(
-                RecordRow(
-                    entry["cell"], entry["profile"], None, True, entry.get("reason", "")
-                )
-            )
-            continue
-        record = ComparisonRecord(
-            value_loss_auction=_float_from_json(entry["value_loss_auction"]),
-            value_loss_optimal=_float_from_json(entry["value_loss_optimal"]),
-            value_loss_ratio=_float_from_json(entry["value_loss_ratio"]),
-            cost_auction=_float_from_json(entry["cost_auction"]),
-            cost_vcg=_float_from_json(entry["cost_vcg"]),
-            cost_fraction=_float_from_json(entry["cost_fraction"]),
-            checker_timeout_count=entry["checker_timeout_count"],
-            rounds=entry["rounds"],
-        )
-        rows.append(RecordRow(entry["cell"], entry["profile"], record))
+    for number, entry in enumerate(records):
+        if not isinstance(entry, dict):
+            raise ValueError(f"record {number} is not an object")
+        try:
+            rows.append(_row_from_json(entry))
+        except KeyError as exc:
+            raise ValueError(f"record {number} has no {exc}") from None
     return rows
+
+
+def _row_from_json(entry: dict) -> RecordRow:
+    if entry.get("incomparable"):
+        return RecordRow(
+            entry["cell"], entry["profile"], None, True, entry.get("reason", "")
+        )
+    record = ComparisonRecord(
+        value_loss_auction=_float_from_json(entry["value_loss_auction"]),
+        value_loss_optimal=_float_from_json(entry["value_loss_optimal"]),
+        value_loss_ratio=_float_from_json(entry["value_loss_ratio"]),
+        cost_auction=_float_from_json(entry["cost_auction"]),
+        cost_vcg=_float_from_json(entry["cost_vcg"]),
+        cost_fraction=_float_from_json(entry["cost_fraction"]),
+        checker_timeout_count=entry["checker_timeout_count"],
+        rounds=entry["rounds"],
+    )
+    return RecordRow(entry["cell"], entry["profile"], record)

@@ -6,9 +6,11 @@ Three checkers share one verdict contract:
 * :func:`check_greedy` scans the target's channels against the packed
   assignment without moving anything; when no channel fits it reports a
   timeout, never infeasibility.
-* :func:`check_sat` encodes the joint problem as CNF and runs a complete
-  backtracking search with unit propagation, so it can also prove that no
-  packing exists. The previous assignment seeds the branching polarities.
+* :func:`check_sat` is complete, in two layers as in SATFC (Frechette,
+  Newman & Leyton-Brown, AAAI 2016): the greedy scan as a presolve, then
+  forward-checking search (:mod:`repacksim.search`) over every packed
+  station and the target, trying each packed station's current channel
+  first. It can also prove that no packing exists.
 * :func:`check_exhaustive` enumerates every joint assignment; it is the
   small-scale ground truth the other checkers are measured against.
 """
@@ -16,19 +18,17 @@ Three checkers share one verdict contract:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .model import (
     Assignment,
-    Channel,
     ClearingTarget,
     Instance,
-    StationChannel,
     StationId,
     reduced_domain,
     validate_assignment,
 )
+from .search import NodeCounter, PackingModel, ResourceLimitError, search
 
 #: Exhaustive enumeration refuses joint search spaces larger than this.
 EXHAUSTIVE_SPACE_LIMIT = 10_000_000
@@ -44,8 +44,8 @@ class SearchSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Limit on one feasibility check. ``step_limit`` counts branching
-    decisions, so a verdict never depends on the speed of the machine."""
+    """Limit on one feasibility check. ``step_limit`` counts the channels the
+    search tries, so a verdict never depends on the speed of the machine."""
 
     step_limit: int
 
@@ -101,15 +101,9 @@ class FeasibilityProblem:
         return sorted({*self.packed, self.target})
 
 
-def check_greedy(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:
-    """Try each of the target's reduced-band channels, lowest first, against
-    the packed assignment as it stands. Never alters the packed assignment and
-    never proves infeasibility: exhausting the domain reports a timeout.
-
-    The scan is bounded by the domain size, so the budget is accepted for
-    interface parity but not consumed.
-    """
-    del budget
+def _fit_target(problem: FeasibilityProblem) -> Assignment | None:
+    """The packed assignment plus the target on its lowest reduced-band
+    channel that fits beside it as it stands, or None."""
     conflicts = problem.inst.conflicts_in_band(problem.ct)
     packed = problem.packed
     target = problem.target
@@ -119,234 +113,68 @@ def check_greedy(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerd
         ):
             certificate = dict(packed)
             certificate[target] = ch
-            return Feasible(certificate)
-    return Timeout()
+            return certificate
+    return None
 
 
-@dataclass
-class CnfFormula:
-    """CNF over one boolean variable per admissible (station, channel) pair."""
+def check_greedy(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:
+    """Try each of the target's reduced-band channels, lowest first, against
+    the packed assignment as it stands. Never alters the packed assignment and
+    never proves infeasibility: exhausting the domain reports a timeout.
 
-    var_of: dict[StationChannel, int]
-    pair_of: tuple[StationChannel, ...]
-    clauses: list[list[int]] = field(default_factory=list)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.pair_of)
-
-    def to_dimacs(self) -> str:
-        """Standard DIMACS text, with comment lines mapping variables back to
-        station-channel pairs for external cross-checks."""
-        lines = [f"p cnf {self.n_vars} {len(self.clauses)}"]
-        for idx, (sid, ch) in enumerate(self.pair_of, start=1):
-            lines.append(f"c var {idx} station {sid} channel {ch}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
+    The scan is bounded by the domain size, so the budget is accepted for
+    interface parity but not consumed.
+    """
+    del budget
+    certificate = _fit_target(problem)
+    return Timeout() if certificate is None else Feasible(certificate)
 
 
-def encode_stations(
-    inst: Instance, ct: ClearingTarget, sids: list[StationId]
-) -> CnfFormula:
-    """CNF requiring every listed station to take some reduced-band channel
-    while realizing no forbidden pair. One at-least-one clause per station
-    (possibly empty) plus one binary clause per applicable constraint."""
-    pair_of: list[StationChannel] = []
-    var_of: dict[StationChannel, int] = {}
-    domains: dict[StationId, list[int]] = {}
-    for sid in sorted(sids):
-        chans = sorted(reduced_domain(inst.station(sid), ct))
-        domains[sid] = chans
-        for ch in chans:
-            var_of[(sid, ch)] = len(pair_of) + 1
-            pair_of.append((sid, ch))
-
-    clauses: list[list[int]] = []
-    for sid in sorted(sids):
-        clauses.append([var_of[(sid, ch)] for ch in domains[sid]])
-    conflicts = inst.conflicts_in_band(ct)
-    for pair in pair_of:
-        v1 = var_of[pair]
-        for other in conflicts.get(pair, ()):
-            if other > pair and other in var_of:
-                clauses.append([-v1, -var_of[other]])
-    return CnfFormula(var_of, tuple(pair_of), clauses)
-
-
-def encode(problem: FeasibilityProblem) -> CnfFormula:
-    """CNF for the packed stations plus the target."""
-    return encode_stations(problem.inst, problem.ct, problem.station_set())
+def encode(problem: FeasibilityProblem) -> PackingModel:
+    """The packing model of the packed stations plus the target, in station
+    order, with each packed station's current channel as its first option."""
+    return PackingModel(
+        problem.inst, problem.ct, problem.station_set(), hint=problem.packed
+    )
 
 
 @dataclass(frozen=True)
 class SolveResult:
     status: str  # "sat" | "unsat" | "timeout"
-    model: dict[int, bool] | None
+    assignment: Assignment | None
     steps: int
 
 
-def solve(
-    formula: CnfFormula,
-    budget: Budget,
-    polarity_hint: Mapping[StationId, Channel] | None = None,
-) -> SolveResult:
-    """Complete backtracking search with watched-literal unit propagation.
-
-    Branching always picks the lowest-index unassigned variable and tries the
-    hinted polarity first: a variable for (s, c) starts true exactly when the
-    hint assigns s to c, false for other channels of a hinted station, and
-    true for unhinted stations. The outcome is a pure function of the
-    formula, budget and hint.
-    """
-    n = len(formula.pair_of)
-
-    # Normalize clauses: drop tautologies, dedup literals, catch empties.
-    clauses: list[list[int]] = []
-    for raw in formula.clauses:
-        seen = sorted(set(raw), key=abs)
-        if any(-lit in seen for lit in seen):
-            continue
-        if not seen:
-            return SolveResult("unsat", None, 0)
-        clauses.append(list(seen))
-
-    phase = [True] * (n + 1)
-    if polarity_hint is not None:
-        for idx, (sid, ch) in enumerate(formula.pair_of, start=1):
-            if sid in polarity_hint:
-                phase[idx] = polarity_hint[sid] == ch
-
-    assign = [0] * (n + 1)  # 0 unassigned, +1 true, -1 false
-    trail: list[int] = []
-    qhead = 0
-    next_var = 1
-
-    watches: dict[int, list[int]] = {}
-    root_units: list[int] = []
-    for ci, cl in enumerate(clauses):
-        if len(cl) == 1:
-            root_units.append(cl[0])
-        else:
-            watches.setdefault(cl[0], []).append(ci)
-            watches.setdefault(cl[1], []).append(ci)
-
-    def lit_value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def enqueue(lit: int) -> bool:
-        v = lit_value(lit)
-        if v == 1:
-            return True
-        if v == -1:
-            return False
-        assign[abs(lit)] = 1 if lit > 0 else -1
-        trail.append(lit)
-        return True
-
-    def propagate() -> bool:
-        nonlocal qhead
-        while qhead < len(trail):
-            false_lit = -trail[qhead]
-            qhead += 1
-            ws = watches.get(false_lit)
-            if not ws:
-                continue
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
-                cl = clauses[ci]
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], cl[0]
-                first = cl[0]
-                if lit_value(first) == 1:
-                    i += 1
-                    continue
-                moved = False
-                for k in range(2, len(cl)):
-                    if lit_value(cl[k]) != -1:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches.setdefault(cl[1], []).append(ci)
-                        ws[i] = ws[-1]
-                        ws.pop()
-                        moved = True
-                        break
-                if moved:
-                    continue
-                if not enqueue(first):
-                    return False
-                i += 1
-        return True
-
-    def undo_to(mark: int) -> None:
-        nonlocal qhead, next_var
-        while len(trail) > mark:
-            var = abs(trail.pop())
-            assign[var] = 0
-            if var < next_var:
-                next_var = var
-        qhead = mark
-
-    for lit in root_units:
-        if not enqueue(lit):
-            return SolveResult("unsat", None, 0)
-    if not propagate():
-        return SolveResult("unsat", None, 0)
-
-    # Decision stack entries: [variable, trail mark, already flipped].
-    decisions: list[list] = []
-    steps = 0
-
-    while True:
-        while next_var <= n and assign[next_var] != 0:
-            next_var += 1
-        if next_var > n:
-            model = {v: assign[v] == 1 for v in range(1, n + 1)}
-            return SolveResult("sat", model, steps)
-
-        steps += 1
-        if steps > budget.step_limit:
-            return SolveResult("timeout", None, steps)
-
-        var = next_var
-        decisions.append([var, len(trail), False])
-        enqueue(var if phase[var] else -var)
-        while not propagate():
-            while decisions and decisions[-1][2]:
-                _, mark, _ = decisions.pop()
-                undo_to(mark)
-            if not decisions:
-                return SolveResult("unsat", None, steps)
-            entry = decisions[-1]
-            undo_to(entry[1])
-            entry[2] = True
-            flipped = entry[0]
-            enqueue(-flipped if phase[flipped] else flipped)
-
-
-def decode_model(formula: CnfFormula, model: Mapping[int, bool]) -> Assignment:
-    """Project a model onto an assignment; a station set true on several
-    channels keeps the lowest one."""
-    assignment: Assignment = {}
-    for idx, (sid, ch) in enumerate(formula.pair_of, start=1):
-        if model[idx] and sid not in assignment:
-            assignment[sid] = ch
-    return assignment
+def solve(model: PackingModel, budget: Budget) -> SolveResult:
+    """Search for a channel for every station of ``model`` and stop at the
+    first complete assignment, returned in station order. Each channel tried
+    is one step."""
+    n = len(model.order)
+    counter = NodeCounter(budget.step_limit)
+    try:
+        found, _ = search(model, [0.0] * n, [True] * n, counter, first=True)
+    except ResourceLimitError:
+        return SolveResult("timeout", None, counter.spent)
+    if found is None:
+        return SolveResult("unsat", None, counter.spent)
+    return SolveResult("sat", dict(sorted(found.items())), counter.spent)
 
 
 def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:
-    """Complete check: encode, solve with the packed assignment as polarity
-    hint, and decode the model into a certificate. Infeasible exactly when the
-    search space is exhausted without a model."""
-    formula = encode(problem)
-    result = solve(formula, budget, polarity_hint=problem.packed)
+    """Complete check: the greedy presolve when the target fits with nobody
+    moving, otherwise the search over :func:`encode`. Infeasible exactly when
+    the search exhausts every assignment. Certificates list their stations in
+    id order, so equal packings are equal as ordered items too."""
+    certificate = _fit_target(problem)
+    if certificate is not None:
+        return Feasible(dict(sorted(certificate.items())))
+    result = solve(encode(problem), budget)
     if result.status == "timeout":
         return Timeout()
     if result.status == "unsat":
         return Infeasible()
-    assert result.model is not None
-    return Feasible(decode_model(formula, result.model))
+    assert result.assignment is not None
+    return Feasible(result.assignment)
 
 
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:

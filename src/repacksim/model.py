@@ -145,9 +145,6 @@ class Instance:
     def station_ids(self) -> tuple[StationId, ...]:
         return tuple(s.id for s in self.stations)
 
-    def has_station(self, sid: StationId) -> bool:
-        return sid in self._by_id  # type: ignore[attr-defined]
-
     def conflicts_in_band(
         self, ct: ClearingTarget
     ) -> Mapping[StationChannel, tuple[StationChannel, ...]]:

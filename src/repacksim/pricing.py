@@ -118,8 +118,12 @@ def decrement(c_prev: float, c0: float) -> float:
 
 def next_clock(state: ClockState) -> ClockState:
     """Advance one round. The raw rule would eventually go negative, so the
-    clock clamps at zero, which also guarantees termination."""
+    clock clamps at zero, which also guarantees termination. A clock the rule
+    cannot lower, because its decrement rounds to nothing (a subnormal
+    ``c0``), drops to zero at once."""
     lowered = max(0.0, state.current - decrement(state.current, state.c0))
+    if lowered == state.current:
+        lowered = 0.0
     return ClockState(state.c0, lowered, state.round_index + 1)
 
 

@@ -3,10 +3,10 @@
 The packing problem maximizes the total value of participating stations kept
 on air, subject to the forbidden pairs, at most one channel per station, and
 exactly one channel for every non-participating station. It is solved exactly
-by depth-first branch and bound, decomposed over connected components of the
+by branch and bound, decomposed over connected components of the
 interference graph, with the sum of undecided station values as the bound.
-The search keeps each station's remaining channels as a bit mask and starts
-from a greedy packing as its incumbent.
+The search is :func:`repacksim.search.search`, the loop the feasibility
+checks run too; here it starts from a greedy packing as its incumbent.
 
 A winner's price is the drop in everyone else's optimal value caused by
 taking it off the air: optimal value minus the optimal value when the winner
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .feasibility import encode_stations
 from .model import (
     Assignment,
     ClearingTarget,
@@ -34,15 +33,11 @@ from .model import (
     UnpackableError,
     ValueProfile,
     interference_graph,
-    reduced_domain,
 )
+from .search import NodeCounter as _NodeCounter
+from .search import PackingModel, ResourceLimitError, search
 
 DEFAULT_NODE_BUDGET = 50_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """The branch-and-bound node budget ran out before an exact answer; the
-    search never degrades to an approximation."""
 
 
 @dataclass(frozen=True)
@@ -93,26 +88,6 @@ def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
     return components
 
 
-class _NodeCounter:
-    __slots__ = ("budget", "remaining")
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.remaining = budget
-
-    @property
-    def spent(self) -> int:
-        return self.budget - self.remaining
-
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceLimitError(
-                "packing search exceeded its node budget; raise node_budget "
-                "for an exact answer"
-            )
-
-
 def _solve_component(
     comp: list[StationId],
     forced: frozenset[StationId],
@@ -125,11 +100,9 @@ def _solve_component(
     """Exact max-value packing of one component; None if the forced stations
     cannot all be placed.
 
-    Depth-first branch and bound with forward checking: assigning a channel
-    removes the conflicting channels from undecided neighbors, and the next
-    station to decide is always the one with the fewest channels left (forced
-    stations and high values break ties). The bound is the value decided so
-    far plus everything still undecided.
+    Branch and bound with forward checking (:func:`repacksim.search.search`)
+    over the component's stations ranked forced first, then by value, so
+    that rank breaks ties in the fewest-channels-left rule.
 
     The incumbent is a greedy packing. ``warm_start`` is ``(start, entrant)``:
     ``start`` packs the component with ``entrant`` off the air, as the base
@@ -138,38 +111,13 @@ def _solve_component(
     the best packing found this way replaces the greedy one when it is worth
     more.
     """
-    conflicts = inst.conflicts_in_band(ct)
     gain_of = {sid: (0.0 if sid in forced else values[sid]) for sid in comp}
-    # Stations are numbered by their static rank: forced first, then by value.
-    # Rank breaks ties in the fewest-channels-left rule, so the next station
-    # is the undecided one with the least score = channels left * n + rank.
     order = sorted(comp, key=lambda s: (s not in forced, -gain_of[s], s))
+    model = PackingModel(inst, ct, order)
     n = len(order)
-    local = {sid: i for i, sid in enumerate(order)}
     gain = [gain_of[sid] for sid in order]
     is_forced = [sid in forced for sid in order]
-    # A station's remaining channels are a bit mask, with bit k for the k-th
-    # channel of the universe; masks of a few bits are cached small ints, so
-    # updating them allocates nothing. Each option of a station is one of its
-    # channels, ascending, with the (station, bit) pairs that channel rules
-    # out for the other stations of the component.
-    bit_of = {ch: 1 << k for k, ch in enumerate(inst.channel_universe)}
-    channel_of = {bit: ch for ch, bit in bit_of.items()}
-    options = [
-        [
-            (
-                bit_of[ch],
-                ch,
-                tuple(
-                    (local[osid], bit_of[och])
-                    for osid, och in conflicts.get((sid, ch), ())
-                    if osid != sid
-                ),
-            )
-            for ch in sorted(reduced_domain(inst.station(sid), ct))
-        ]
-        for sid in order
-    ]
+    options, channel_of = model.options, model.channel_of
 
     def place(on_air: list[int], pending: Iterable[int]) -> bool:
         """Put each pending station, in order, on its lowest channel that fits
@@ -205,11 +153,11 @@ def _solve_component(
 
     if warm_start is not None:
         start, entrant = warm_start
-        e = local[entrant]
+        e = order.index(entrant)
         started = [0] * n
-        for sid, ch in start.items():
-            if sid in local:
-                started[local[sid]] = bit_of[ch]
+        for i, sid in enumerate(order):
+            if sid in start:
+                started[i] = model.bit_of[start[sid]]
         for bit, _, clash in options[e]:
             on_air = list(started)
             on_air[e] = bit
@@ -223,70 +171,9 @@ def _solve_component(
                 best_value = value
                 best_assign = packing(on_air)
 
-    avail = [sum(bit for bit, _, _ in opts) for opts in options]
-    score = [avail[i].bit_count() * n + i for i in range(n)]
-    undecided = set(range(n))
-    path: list[tuple[StationId, int]] = []
-
-    def descend(acc: float, undecided_value: float) -> None:
-        nonlocal best_value, best_assign
-        if not undecided:
-            if acc > best_value:
-                best_value = acc
-                best_assign = dict(path)
-            return
-        if acc + undecided_value <= best_value:
-            return
-        i = min(map(score.__getitem__, undecided)) % n
-        undecided.discard(i)
-        mask = avail[i]
-        g = gain[i]
-        # stations starved of channels were already deducted when starved
-        remaining = undecided_value - (g if mask else 0.0)
-        # A decided station shows no channels, so restricting skips it.
-        avail[i] = 0
-        sid = order[i]
-        for bit, ch, clash in options[i]:
-            if not mask & bit:
-                continue
-            counter.spend()
-            # Remove the channels conflicting with (sid, ch) from undecided
-            # stations, totting up the value of those left with none; a
-            # starved forced station kills the subtree.
-            removed = []
-            lost = 0.0
-            dead = False
-            for j, b in clash:
-                left = avail[j]
-                if left & b:
-                    left ^= b
-                    avail[j] = left
-                    score[j] -= n
-                    removed.append((j, b))
-                    if not left:
-                        if is_forced[j]:
-                            dead = True
-                            break
-                        lost += gain[j]
-            if not dead:
-                path.append((sid, ch))
-                descend(acc + g, remaining - lost)
-                path.pop()
-            for j, b in removed:
-                avail[j] |= b
-                score[j] += n
-        if not is_forced[i]:
-            counter.spend()
-            descend(acc, remaining)
-        avail[i] = mask
-        undecided.add(i)
-
-    try:
-        descend(0.0, sum(gain_of[sid] for sid in comp))
-    finally:
-        # descend refers to itself, and that cycle holds the search state;
-        # break it so the state is freed now, not at some later collection
-        del descend
+    best_assign, best_value = search(
+        model, gain, is_forced, counter, best_value, best_assign
+    )
     if best_assign is None:
         return None
     return best_assign, best_value
@@ -445,25 +332,26 @@ def packing_problem_lp(
     non_participants: Iterable[StationId],
     ct: ClearingTarget,
 ) -> str:
-    """The packing problem as LP-format text for external verification: the
-    CNF of :func:`encode_stations` over every station, with a station's channel
-    clause as ``= 1`` for a non-participant and ``<= 1`` for a participant."""
+    """The packing problem as LP-format text for external verification: every
+    forbidden pair of the :class:`~repacksim.search.PackingModel` over all
+    stations, then a station's channels as ``= 1`` for a non-participant and
+    ``<= 1`` for a participant."""
     parts, nons = _partition_check(inst, participants, non_participants)
-    sids = inst.station_ids()
-    formula = encode_stations(inst, ct, list(sids))
-    names = [f"x_{sid}_{ch}" for sid, ch in formula.pair_of]
+    model = PackingModel(inst, ct, inst.station_ids())
+    channels = [[ch for _, ch, _ in opts] for opts in model.options]
+    names = [f"x_{sid}_{ch}" for sid, chs in zip(model.order, channels) for ch in chs]
     objective_terms = [
-        f"{values[sid]!r} {name}"
-        for (sid, _), name in zip(formula.pair_of, names)
+        f"{values[sid]!r} x_{sid}_{ch}"
+        for sid, chs in zip(model.order, channels)
         if sid in parts
+        for ch in chs
     ]
     lines = ["Maximize", " obj: " + (" + ".join(objective_terms) or "0"), "Subject To"]
-    # one channel clause per station comes first, then one clause per pair
-    for cnum, (a, b) in enumerate(formula.clauses[len(sids) :], start=1):
-        lines.append(f" pair{cnum}: {names[-a - 1]} + {names[-b - 1]} <= 1")
-    for sid, clause in zip(sids, formula.clauses):
-        if clause:
-            total = " + ".join(names[v - 1] for v in clause)
+    for cnum, ((a, ca), (b, cb)) in enumerate(model.clauses, start=1):
+        lines.append(f" pair{cnum}: x_{a}_{ca} + x_{b}_{cb} <= 1")
+    for sid, chs in zip(model.order, channels):
+        if chs:
+            total = " + ".join(f"x_{sid}_{ch}" for ch in chs)
             relation = "=" if sid in nons else "<="
             lines.append(f" assign_{sid}: {total} {relation} 1")
         elif sid in nons:

@@ -324,9 +324,17 @@ def test_config_validation():
 
 # ------------------------------------------------------- memoized work
 
-# sha256 over ``repr`` of every outcome of ``_pinned_batch``, computed before
-# tie-break ranks and verdicts were memoized across auctions
-PINNED_BATCH_DIGEST = "fc903e4972a3f40a8d95b9b1f5bcc913e19c79117ef54de6530734203e8e7236"
+# sha256 over ``repr`` of the winners (with their payments), rounds and round
+# log of every outcome of ``_pinned_batch`` whose checker budget does not bind,
+# that is all but the 2-step SAT cells. Computed before tie-break ranks and
+# verdicts were memoized across auctions, and before the SAT checker moved from
+# CNF and DPLL to presolve and forward checking; neither may change it.
+PINNED_OUTCOME_DIGEST = "cab8ba7deb0714d1d72ae5af55597b7406b5ef1d4b2a6b7dad4b6562377b11b0"
+
+# sha256 over ``repr`` of every outcome of ``_pinned_batch``, certificates and
+# 2-step cells included. Re-pinned when the SAT checker moved to presolve and
+# forward checking, which changes its certificates and what 2 steps decide.
+PINNED_BATCH_DIGEST = "9012f9aa6c194836234770444d61fc8bacd2ea0ac7b45f96b8f2ae7e0ccfc3e9"
 
 PINNED_CHECKERS = (
     (CheckerKind.SAT, 50_000),
@@ -367,8 +375,9 @@ def _exit_at(r):
 
 def _pinned_batch(pairs, twins=None):
     """Every instance x {FCC, unscored} x checker, each run truthfully and
-    with every participant exiting at round 1 and at round 4. With ``twins``,
-    every other auction runs on the twin of its instance instead."""
+    with every participant exiting at round 1 and at round 4, as pairs of the
+    checker's step limit and the outcome. With ``twins``, every other auction
+    runs on the twin of its instance instead."""
     outcomes = []
     for k, (inst, values) in enumerate(pairs):
         unscored_c0 = max(values.values()) * 1.5
@@ -385,8 +394,8 @@ def _pinned_batch(pairs, twins=None):
 
                 def run(strategies=None):
                     on = twins[k] if twins and len(outcomes) % 2 else inst
-                    outcomes.append(run_auction(on, values, cfg, strategies))
-                    return outcomes[-1]
+                    outcomes.append((steps, run_auction(on, values, cfg, strategies)))
+                    return outcomes[-1][1]
 
                 for sid in run().participants:
                     for r in (1, 4):
@@ -394,11 +403,17 @@ def _pinned_batch(pairs, twins=None):
     return outcomes
 
 
-def _digest(outcomes):
-    h = hashlib.sha256()
-    for out in outcomes:
-        h.update(repr(out).encode())
-    return h.hexdigest()
+def _digests(batch):
+    """The digests of ``PINNED_OUTCOME_DIGEST`` and ``PINNED_BATCH_DIGEST``."""
+    outcomes, whole = hashlib.sha256(), hashlib.sha256()
+    for steps, out in batch:
+        if steps > 2:
+            outcomes.update(repr((out.winners, out.rounds, out.round_log)).encode())
+        whole.update(repr(out).encode())
+    return outcomes.hexdigest(), whole.hexdigest()
+
+
+PINNED_DIGESTS = (PINNED_OUTCOME_DIGEST, PINNED_BATCH_DIGEST)
 
 
 def _forget_memoized_work():
@@ -411,18 +426,18 @@ def test_pinned_outcomes_do_not_depend_on_memoized_work():
     twins = [Instance(i.stations, i.constraints, i.channel_universe) for i, _ in pairs]
     assert all(t == i and t is not i for t, (i, _) in zip(twins, pairs))
     _forget_memoized_work()
-    cold = _digest(_pinned_batch(pairs))
-    warm = _digest(_pinned_batch(pairs))
-    interleaved = _digest(_pinned_batch(pairs, twins))
-    assert cold == warm == interleaved == PINNED_BATCH_DIGEST
+    cold = _digests(_pinned_batch(pairs))
+    warm = _digests(_pinned_batch(pairs))
+    interleaved = _digests(_pinned_batch(pairs, twins))
+    assert cold == warm == interleaved == PINNED_DIGESTS
 
 
 def test_mutating_returned_assignments_cannot_change_later_auctions():
     pairs = _pinned_instances()
     _forget_memoized_work()
     first = _pinned_batch(pairs)
-    assert _digest(first) == PINNED_BATCH_DIGEST
-    for out in first:
+    assert _digests(first) == PINNED_DIGESTS
+    for _, out in first:
         out.final_assignment.clear()
     # certificates handed out by AuctionState.check come from the same memo
     inst, _ = pairs[0]
@@ -441,7 +456,7 @@ def test_mutating_returned_assignments_cannot_change_later_auctions():
                 if isinstance(verdict, Feasible):
                     verdict.certificate.clear()
                     verdict.certificate[-1] = 99
-    assert _digest(_pinned_batch(pairs)) == PINNED_BATCH_DIGEST
+    assert _digests(_pinned_batch(pairs)) == PINNED_DIGESTS
 
 
 def _reference_order(bids, seed, round_index):

@@ -549,6 +549,21 @@ BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
             "Error: invalid records records.json: "
             "Expecting value: line 1 column 14 (char 13)",
         ),
+        (
+            {"records.json": "{}"},
+            ["report", "--records", "records.json"],
+            'Error: invalid records records.json: expected an object with a "records" list',
+        ),
+        (
+            {"records.json": '{"records": 3}'},
+            ["report", "--records", "records.json"],
+            'Error: invalid records records.json: expected an object with a "records" list',
+        ),
+        (
+            {"records.json": '{"records": [{}]}'},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: record 0 has no 'value_loss_auction'",
+        ),
     ],
     ids=[
         "values-malformed-instance",
@@ -557,6 +572,9 @@ BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
         "vcg-missing-stations",
         "vcg-degenerate-fcc",
         "report-malformed-records",
+        "report-no-records",
+        "report-records-not-a-list",
+        "report-record-missing-keys",
     ],
 )
 def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, monkeypatch, files, args, line):

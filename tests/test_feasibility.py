@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repacksim.feasibility import (
@@ -11,6 +11,7 @@ from repacksim.feasibility import (
     Infeasible,
     InvalidProblemError,
     SearchSpaceError,
+    SolveResult,
     Timeout,
     check_exhaustive,
     check_greedy,
@@ -20,53 +21,11 @@ from repacksim.feasibility import (
 )
 from repacksim.instances import GeneratorParams, generate_instance
 from repacksim.model import ClearingTarget, validate_assignment
+from repacksim.search import PackingModel
 
 from conftest import mk_instance
 
 STEP_BUDGET = Budget(step_limit=100_000)
-
-
-_MASK_CACHE: dict[int, list] = {}
-
-
-def _var_masks(n_vars: int):
-    if n_vars not in _MASK_CACHE:
-        idx = np.arange(1 << n_vars, dtype=np.uint64)
-        _MASK_CACHE[n_vars] = [
-            np.packbits(((idx >> np.uint64(v - 1)) & np.uint64(1)).astype(bool))
-            for v in range(1, n_vars + 1)
-        ]
-    return _MASK_CACHE[n_vars]
-
-
-def cnf_satisfiable_bruteforce(n_vars: int, clauses) -> bool:
-    """Truth-table oracle over packed bit vectors: one bit per assignment."""
-    var_mask = _var_masks(n_vars)
-    sat = np.full(len(var_mask[0]) if n_vars else 1, 0xFF, dtype=np.uint8)
-    if not n_vars:
-        sat = np.array([0x80], dtype=np.uint8)  # single empty assignment
-    for clause in clauses:
-        if not clause:
-            return False
-        acc = np.zeros_like(sat)
-        for lit in clause:
-            mask = var_mask[abs(lit) - 1]
-            acc |= mask if lit > 0 else ~mask
-        sat &= acc
-        if not sat.any():
-            return False
-    if n_vars:
-        # packbits pads the tail with zeros, which is harmless for any().
-        return bool(sat.any())
-    return bool(sat.any())
-
-
-class FakeFormula:
-    """Minimal stand-in so `solve` can run on raw clause lists."""
-
-    def __init__(self, n_vars, clauses):
-        self.pair_of = tuple((0, i) for i in range(n_vars))
-        self.clauses = clauses
 
 
 # ---------------------------------------------------------------- greedy
@@ -109,108 +68,80 @@ def test_problem_structural_errors(two_station_conflict):
 # ---------------------------------------------------------------- encode
 
 
+def _channels(model):
+    return [[ch for _, ch, _ in opts] for opts in model.options]
+
+
 def test_encode_one_station_two_channels():
     inst = mk_instance([(1, {14, 15})])
     f = encode(FeasibilityProblem(1, {}, inst, ClearingTarget(16)))
-    assert f.n_vars == 2
-    assert f.clauses == [[1, 2]]
+    assert f.order == [1]
+    assert _channels(f) == [[14, 15]]
+    assert f.clauses == []
 
 
 def test_encode_shared_channel_conflict_is_unsat():
     inst = mk_instance([(1, {14}), (2, {14})], [(1, 14, 2, 14)])
     f = encode(FeasibilityProblem(2, {1: 14}, inst, ClearingTarget(15)))
-    assert f.n_vars == 2
-    assert sorted(len(c) for c in f.clauses) == [1, 1, 2]
+    assert f.order == [1, 2]
+    assert f.clauses == [((1, 14), (2, 14))]
     result = solve(f, STEP_BUDGET)
     assert result.status == "unsat"
-    # agrees with the truth table over all four assignments
-    assert cnf_satisfiable_bruteforce(f.n_vars, f.clauses) is False
-
-
-def test_dimacs_export():
-    inst = mk_instance([(1, {14}), (2, {14})], [(1, 14, 2, 14)])
-    f = encode(FeasibilityProblem(2, {1: 14}, inst, ClearingTarget(15)))
-    text = f.to_dimacs()
-    lines = text.splitlines()
-    assert lines[0] == "p cnf 2 3"
-    assert "c var 1 station 1 channel 14" in lines
-    assert all(line.endswith(" 0") for line in lines if line[0] not in "pc")
+    assert result.assignment is None
 
 
 # ---------------------------------------------------------------- solve
 
 
 def test_solve_trivial_cases():
-    empty = FakeFormula(0, [])
-    assert solve(empty, STEP_BUDGET).status == "sat"
-    assert solve(empty, STEP_BUDGET).model == {}
-    contradiction = FakeFormula(1, [[1], [-1]])
-    assert solve(contradiction, STEP_BUDGET).status == "unsat"
-    has_empty = FakeFormula(1, [[1], []])
-    assert solve(has_empty, STEP_BUDGET).status == "unsat"
+    inst = mk_instance([(1, {14}), (2, {14}), (3, {20})], [(1, 14, 2, 14)], universe=(14, 20))
+    ct = ClearingTarget(15)
+    empty = solve(PackingModel(inst, ct, []), STEP_BUDGET)
+    assert (empty.status, empty.assignment, empty.steps) == ("sat", {}, 0)
+    # no channel below the clearing target: nothing to try
+    assert solve(PackingModel(inst, ct, [3]), STEP_BUDGET) == SolveResult("unsat", None, 0)
+    # one channel each, in conflict: the second station starves at once
+    assert solve(PackingModel(inst, ct, [1, 2]), STEP_BUDGET) == SolveResult("unsat", None, 1)
 
 
 def test_solve_returns_full_model():
-    f = FakeFormula(3, [[1, 2]])
-    result = solve(f, STEP_BUDGET)
+    inst = mk_instance(
+        [(1, {14, 15}), (2, {14, 15}), (3, {14, 15, 16})],
+        [(1, 14, 2, 14), (2, 15, 3, 15), (1, 15, 3, 14)],
+    )
+    ct = ClearingTarget(17)
+    result = solve(PackingModel(inst, ct, [1, 2, 3]), STEP_BUDGET)
     assert result.status == "sat"
-    assert set(result.model) == {1, 2, 3}
+    assert list(result.assignment) == [1, 2, 3]
+    assert validate_assignment(result.assignment, inst, ct)
 
 
 def test_solve_step_budget_timeout():
-    # pigeonhole: 5 pigeons, 4 holes, tiny budget
-    def var(p, h):
-        return p * 4 + h + 1
-
-    clauses = [[var(p, h) for h in range(4)] for p in range(5)]
-    for h in range(4):
-        for p1 in range(5):
-            for p2 in range(p1 + 1, 5):
-                clauses.append([-var(p1, h), -var(p2, h)])
-    f = FakeFormula(20, clauses)
-    assert solve(f, Budget(step_limit=3)).status == "timeout"
-    assert solve(f, Budget(step_limit=200_000)).status == "unsat"
+    # pigeonhole: 5 stations, 4 channels, every pair in conflict on every channel
+    chans = {14, 15, 16, 17}
+    inst = mk_instance(
+        [(s, chans) for s in range(5)],
+        [(a, c, b, c) for a in range(5) for b in range(a + 1, 5) for c in chans],
+    )
+    model = PackingModel(inst, ClearingTarget(18), range(5))
+    timeout = solve(model, Budget(step_limit=3))
+    assert (timeout.status, timeout.steps) == ("timeout", 4)
+    exhausted = solve(model, Budget(step_limit=200_000))
+    assert exhausted.status == "unsat"
+    # a step is one channel tried: the first four stations take 4 * 3 * 2 * 1
+    # channel orders, each tried once along the way
+    assert exhausted.steps == 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2 * 1
 
 
 def test_solve_respects_polarity_hint():
     inst = mk_instance([(1, {14, 15}), (2, {14, 15})])
     p = FeasibilityProblem(2, {1: 15}, inst, ClearingTarget(16))
-    f = encode(p)
-    result = solve(f, STEP_BUDGET, polarity_hint={1: 15})
+    result = solve(encode(p), STEP_BUDGET)
     assert result.status == "sat"
-    var_15 = f.var_of[(1, 15)]
-    var_14 = f.var_of[(1, 14)]
-    assert result.model[var_15] is True
-    assert result.model[var_14] is False
-
-
-def _random_3cnf(rng, n_vars, n_clauses):
-    clauses = []
-    for _ in range(n_clauses):
-        chosen = rng.choice(n_vars, size=3, replace=False) + 1
-        signs = rng.integers(0, 2, size=3) * 2 - 1
-        clauses.append([int(v * s) for v, s in zip(chosen, signs)])
-    return clauses
-
-
-def test_solver_matches_truth_table_on_random_3cnf():
-    rng = np.random.default_rng(20260808)
-    checked = {True: 0, False: 0}
-    for i in range(1000):
-        n_vars = 20
-        # sweep across densities so both outcomes are common
-        n_clauses = int(rng.integers(int(2.0 * n_vars), int(6.0 * n_vars)))
-        clauses = _random_3cnf(rng, n_vars, n_clauses)
-        expected = cnf_satisfiable_bruteforce(n_vars, clauses)
-        result = solve(FakeFormula(n_vars, clauses), Budget(step_limit=2_000_000))
-        assert result.status == ("sat" if expected else "unsat"), f"case {i}"
-        checked[expected] += 1
-        if result.status == "sat":
-            for clause in clauses:
-                assert any(
-                    result.model[abs(lit)] == (lit > 0) for lit in clause
-                ), f"model violates clause in case {i}"
-    assert checked[True] > 50 and checked[False] > 50
+    assert result.assignment[1] == 15
+    # without the hint the lowest channel comes first
+    plain = solve(PackingModel(inst, p.ct, [1, 2]), STEP_BUDGET)
+    assert plain.assignment == {1: 14, 2: 14}
 
 
 # ---------------------------------------------------------------- checkers
@@ -241,10 +172,11 @@ def test_exhaustive_returns_lexicographically_first():
     assert check_exhaustive(p) == Feasible({1: 14, 2: 15})
 
 
-def _random_problem(seed):
+def _random_problem(seed, fits=False):
     """Seeded problem: generate an instance, greedily pack a prefix, and aim
-    the checkers at the first station the greedy pass could not place (or the
-    last packed one when everything fits)."""
+    the checkers at the first station the greedy pass could not place. With
+    ``fits`` (when anything was packed), or when everything fits, aim at the
+    last packed one instead, which fits beside the stations packed before it."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 13))
     lo = 14
@@ -275,8 +207,8 @@ def _random_problem(seed):
         if not placed:
             target = sid
             break
-    if target is None:
-        target = order[-1]
+    if target is None or (fits and packed):
+        target = list(packed)[-1]
         del packed[target]
     return FeasibilityProblem(int(target), packed, inst, ct)
 
@@ -291,6 +223,21 @@ def test_check_sat_matches_exhaustive(seed):
         assert validate_assignment(sat.certificate, p.inst, p.ct)
         assert set(sat.certificate) == set(p.packed) | {p.target}
         assert validate_assignment(exh.certificate, p.inst, p.ct)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_check_sat_verdict_matches_exhaustive_around_the_presolve(seed, fits):
+    p = _random_problem(seed + 80_000, fits)
+    # ``fits`` picks the presolve's side: the target fits beside the packed
+    # stations as they stand, or it does not and the search decides
+    assume(isinstance(check_greedy(p, STEP_BUDGET), Feasible) == fits)
+    sat = check_sat(p, STEP_BUDGET)
+    exh = check_exhaustive(p)
+    assert type(sat) is type(exh)
+    if isinstance(sat, Feasible):
+        assert validate_assignment(sat.certificate, p.inst, p.ct)
+        assert set(sat.certificate) == set(p.packed) | {p.target}
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -143,6 +143,28 @@ def test_clock_reaches_exactly_zero_fast(c0):
     assert c.round_index <= 120
 
 
+def test_subnormal_clock_still_falls_to_zero():
+    # 5 % of the clock and 1 % of c0 both round to 0.0 here
+    assert decrement(5e-324, 5e-324) == 0.0
+    c = initial_clock(5e-324)
+    for _ in range(10):
+        c = next_clock(c)
+        if c.current == 0.0:
+            break
+    assert c.current == 0.0 and c.round_index == 1
+
+
+@given(st.floats(min_value=1e-300, max_value=1e10))
+@settings(max_examples=100, deadline=None)
+def test_clock_follows_the_raw_rule_from_a_normal_c0(c0):
+    c = initial_clock(c0)
+    raw = c0
+    while raw > 0.0:
+        raw = max(0.0, raw - max(0.05 * raw, 0.01 * c0))
+        c = next_clock(c)
+        assert c.current == raw
+
+
 @given(st.floats(min_value=0.0, max_value=1e9), st.floats(min_value=1e-3, max_value=1e10))
 @settings(max_examples=60, deadline=None)
 def test_offer_paths_non_increasing(volume, c0):
