@@ -14,9 +14,10 @@ own ``.perfbench/results/`` as ``<workload>-seed<N>-trace<T>.json``; point
 For each workload and end-to-end metric of ``BENCHMARK.json`` the summary
 holds the parent's and the change's medians and interquartile ranges, and
 the pairs the change won: a strictly better value by the metric's direction.
-It also holds each side's output digests and failed records, the named
-counters of the traced (``--trace 1``) runs, work counts measured outside
-the benchmark (``--work``), the environment and both commits.
+It also holds how many pairs had equal output digests, each side's failed
+records, the named counters of the traced (``--trace 1``) runs, work counts
+measured outside the benchmark (``--work``), the environment and both
+commits.
 """
 
 from __future__ import annotations
@@ -100,17 +101,15 @@ def summarize(
                 }
                 for m in benchmark["end_to_end"]
             },
-            "output_digest": {
-                "parent": _one_of({r["passes"]["passes"]["output_digest"] for r in before}),
-                "change": _one_of({r["passes"]["passes"]["output_digest"] for r in after}),
-            },
+            "output_digest_equal_pairs": sum(
+                a["passes"]["passes"]["output_digest"] == b["passes"]["passes"]["output_digest"]
+                for a, b in zip(before, after)
+            ),
             "failed_records": {
-                side: _one_of(
-                    {
-                        f'{r["passes"]["passes"]["failed"]}/{r["passes"]["passes"]["records"]}'
-                        for r in runs
-                    }
-                )
+                side: {
+                    "failed": sum(r["passes"]["passes"]["failed"] for r in runs),
+                    "records": sum(r["passes"]["passes"]["records"] for r in runs),
+                }
                 for side, runs in (("parent", before), ("change", after))
             },
         }
@@ -145,6 +144,11 @@ def summarize(
     }
 
 
+def _number(text: str) -> float:
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def _parse_work(items: list[str]) -> dict[str, dict[str, dict[str, float]]]:
     """``workload:name=parent,change`` items as nested dicts."""
     work: dict[str, dict[str, dict[str, float]]] = {}
@@ -152,7 +156,7 @@ def _parse_work(items: list[str]) -> dict[str, dict[str, dict[str, float]]]:
         try:
             key, values = item.split("=", 1)
             workload, name = key.split(":", 1)
-            before, after = (float(v) for v in values.split(","))
+            before, after = (_number(v) for v in values.split(","))
         except ValueError:
             raise ValueError(f"--work expects workload:name=parent,change, got {item!r}") from None
         work.setdefault(workload, {})[name] = {"parent": before, "change": after}

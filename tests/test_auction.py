@@ -326,9 +326,8 @@ def test_config_validation():
 
 # sha256 over ``repr`` of the winners (with their payments), rounds and round
 # log of every outcome of ``_pinned_batch`` whose checker budget does not bind,
-# that is all but the 2-step SAT cells. Computed before tie-break ranks and
-# verdicts were memoized across auctions, and before the SAT checker moved from
-# CNF and DPLL to presolve and forward checking; neither may change it.
+# that is all but the 2-step SAT cells. Computed with the SAT checker's CNF and
+# DPLL, before it moved to presolve and forward checking, which must not move it.
 PINNED_OUTCOME_DIGEST = "cab8ba7deb0714d1d72ae5af55597b7406b5ef1d4b2a6b7dad4b6562377b11b0"
 
 # sha256 over ``repr`` of every outcome of ``_pinned_batch``, certificates and

@@ -64,12 +64,15 @@ def test_summary_of_synthetic_pairs(tmp_path):
     p50 = grid["metrics"]["op_p50_ms"]
     assert (p50["wins"], p50["better"]) == (4, "lower")
     assert p50["gain_exceeds_parent_iqr"] is True
-    assert grid["output_digest"] == {"parent": "d1", "change": "d1"}
-    assert grid["failed_records"] == {"parent": "0/108", "change": "0/108"}
+    assert grid["output_digest_equal_pairs"] == 4
+    assert grid["failed_records"] == {
+        "parent": {"failed": 0, "records": 432},
+        "change": {"failed": 0, "records": 432},
+    }
     assert summary["work_counts"]["grid"] == {
         "seeds": [1],
         "feasibility.sat.steps": {"parent": [300.0], "change": [40.0]},
-        "VcgOutcome.nodes": {"parent": 7.0, "change": 7.0},
+        "VcgOutcome.nodes": {"parent": 7, "change": 7},
     }
     assert summary["commits"] == {"parent": "aaa", "change": "bbb"}
     assert summary["environment"]["nproc"] == 2
