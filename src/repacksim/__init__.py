@@ -58,7 +58,6 @@ from .auction import (
     AuctionOutcome,
     BidDecision,
     CheckerKind,
-    StationStatus,
     determine_participants,
     initial_assignment,
     run_auction,

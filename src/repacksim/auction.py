@@ -14,16 +14,18 @@ deterministic: checker budgets count search steps, not seconds.
 
 Every processed bid goes into the round log as an immutable named tuple
 (``ProcessedBid``, grouped per round in ``RoundRecord``) holding plain
-strings. The round loop keeps the active stations in station order and drops
-each one as it exits or freezes. An active station accepted every offer so
-far, so its price reduction is its last accepted price minus its new offer.
+strings. The round loop keeps the active stations in station order: those
+whose processed bid left them active. An active station accepted every offer
+so far, so its price reduction is its last accepted price minus its new offer.
 
 Auctions on one instance repeat most of each other's work, so two pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count) and the checker verdict for a
 (clearing target, checker, step limit, target, packed assignment) on the
 most recent instance. A memo hit returns what the computation would have
-returned, so outcomes do not depend on which auctions ran before.
+returned, so outcomes do not depend on which auctions ran before. A verdict
+from the memo is shared and read-only; an exit copies the certificate it
+keeps as the packed assignment.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .feasibility import (
     Feasible,
     FeasibilityProblem,
     FeasibilityVerdict,
+    Infeasible,
     SearchSpaceError,
     Timeout,
     check_exhaustive,
@@ -56,6 +59,7 @@ from .model import (
     StationId,
     UnpackableError,
     ValueProfile,
+    station_sum,
 )
 from .pricing import (
     ScoringRule,
@@ -87,13 +91,6 @@ class CheckerKind(str, Enum):
     EXHAUSTIVE = "exhaustive"
 
 
-class StationStatus(str, Enum):
-    NOT_PARTICIPATING = "not_participating"
-    ACTIVE = "active"
-    EXITED = "exited"
-    FROZEN = "frozen"
-
-
 class BidDecision(str, Enum):
     ACCEPT = "accept"
     EXIT = "exit"
@@ -105,11 +102,7 @@ BidStrategy = Callable[[int, float, float], BidDecision]
 # Round-log strings, read once here: an enum member's ``.value`` is a
 # descriptor call, and the round log records several per bid.
 _ACCEPT, _EXIT = BidDecision.ACCEPT.value, BidDecision.EXIT.value
-_ACTIVE, _EXITED, _FROZEN = (
-    StationStatus.ACTIVE.value,
-    StationStatus.EXITED.value,
-    StationStatus.FROZEN.value,
-)
+_ACTIVE, _EXITED, _FROZEN = "active", "exited", "frozen"
 _FEASIBLE, _INFEASIBLE, _TIMEOUT = "feasible", "infeasible", "timeout"
 
 
@@ -150,7 +143,7 @@ class ProcessedBid(NamedTuple):
     price_reduction: float
     offer: float
     verdict: str  # "feasible" | "infeasible" | "timeout"
-    new_status: str
+    new_status: str  # "active" | "exited" | "frozen"
     payment: float | None = None
 
 
@@ -172,7 +165,7 @@ class AuctionOutcome:
     round_log: tuple[RoundRecord, ...]
 
     def cost(self) -> float:
-        return sum(self.winners[sid] for sid in sorted(self.winners))
+        return station_sum(self.winners, self.winners)
 
 
 def determine_participants(
@@ -216,11 +209,10 @@ def _whole_set_pack(
     """Single joint solve used when station-by-station packing fails."""
     sids = sorted(sids)
     steps = max(_FALLBACK_STEP_FLOOR, 20 * budget.step_limit)
-    result = solve(PackingModel(inst, ct, sids), Budget(step_limit=steps))
-    if result.status == "sat":
-        assert result.assignment is not None
-        return result.assignment
-    if result.status == "unsat":
+    verdict = solve(PackingModel(inst, ct, sids), Budget(step_limit=steps)).verdict
+    if isinstance(verdict, Feasible):
+        return verdict.certificate
+    if isinstance(verdict, Infeasible):
         raise UnpackableError(
             f"stations {sids} cannot be jointly packed in the reduced band"
         )
@@ -305,7 +297,6 @@ class AuctionState:
     ct: ClearingTarget
     checker: CheckerKind
     budget: Budget
-    status: dict[StationId, StationStatus]
     last_accepted: dict[StationId, float]
     payments: dict[StationId, float] = field(default_factory=dict)
     packed: Assignment = field(default_factory=dict)
@@ -316,8 +307,9 @@ class AuctionState:
 
     def check(self, sid: StationId) -> FeasibilityVerdict:
         """Feasibility of packing ``sid`` with the current packed set, from the
-        shared verdict memo. A certificate is returned as a copy, since the
-        memo hands the same verdict to later auctions."""
+        shared verdict memo. The memo hands the same verdict to later
+        auctions, so it is read-only: an exit copies the certificate it
+        keeps."""
         if self._keyed is not self.packed:
             self._keyed, self._packed_key = self.packed, tuple(self.packed.items())
         key = (self.ct.bar_c, self.checker, self.budget.step_limit, sid, self._packed_key)
@@ -326,8 +318,6 @@ class AuctionState:
             problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
             verdict = _run_checker(self.checker, problem, self.budget)
             _VERDICTS.put(key, verdict)
-        if isinstance(verdict, Feasible):
-            return Feasible(dict(verdict.certificate))
         return verdict
 
 
@@ -361,7 +351,7 @@ def process_bids(
     """Process one round's bids in order. Each bid is checked against the
     packed set as it stands at that moment: exits repack immediately, so a
     later bid in the same round sees the updated assignment."""
-    status, last_accepted = state.status, state.last_accepted
+    last_accepted = state.last_accepted
     log: list[ProcessedBid] = []
     for bid in _processing_order(bids, seed, round_index):
         sid = bid.station
@@ -371,8 +361,7 @@ def process_bids(
         if isinstance(verdict, Feasible):
             verdict_name = _FEASIBLE
             if exiting:
-                status[sid] = StationStatus.EXITED
-                state.packed = verdict.certificate
+                state.packed = dict(verdict.certificate)
                 new_status = _EXITED
             else:
                 last_accepted[sid] = bid.offer
@@ -383,7 +372,6 @@ def process_bids(
                 state.timeout_count += 1
             else:
                 verdict_name = _INFEASIBLE
-            status[sid] = StationStatus.FROZEN
             payment = last_accepted[sid]
             state.payments[sid] = payment
             new_status = _FROZEN
@@ -399,21 +387,6 @@ def process_bids(
             )
         )
     return tuple(log)
-
-
-def _resolve_stalled(
-    state: AuctionState, active: list[StationId], round_index: int, seed: int
-) -> tuple[ProcessedBid, ...]:
-    """Close out the absorbing state at clock zero.
-
-    Once the clock sits at zero and every remaining active station has
-    accepted a zero offer, no future round can change any offer, so the rounds
-    would repeat forever. Such stations are indifferent between holding at
-    zero and exiting, and each is still re-checked in order: the packable ones
-    exit into the assignment, the rest freeze at their accepted price of zero.
-    """
-    bids = [Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in active]
-    return process_bids(state, bids, seed, round_index)
 
 
 def run_auction(
@@ -436,21 +409,18 @@ def run_auction(
         inst, non_participants, config.ct, config.checker, config.budget
     )
 
+    # The opening price counts as accepted: participation implies the station
+    # took the round-zero offer.
+    vols = volumes.volumes
+    last_accepted = {sid: offer_price(vols[sid], c0) for sid in participants}
     state = AuctionState(
         inst=inst,
         ct=config.ct,
         checker=config.checker,
         budget=config.budget,
-        status={sid: StationStatus.NOT_PARTICIPATING for sid in non_participants},
-        last_accepted={},
+        last_accepted=last_accepted,
         packed=packed0,
     )
-    status, last_accepted, vols = state.status, state.last_accepted, volumes.volumes
-    for sid in participants:
-        status[sid] = StationStatus.ACTIVE
-        # The opening price counts as accepted: participation implies the
-        # station took the round-zero offer.
-        last_accepted[sid] = offer_price(vols[sid], c0)
 
     # active stations in station order; a station leaves once it exits or freezes
     active = sorted(participants)
@@ -459,8 +429,13 @@ def run_auction(
 
     while active:
         if clock.current == 0.0 and all(last_accepted[sid] == 0.0 for sid in active):
+            # At clock zero with every offer accepted at zero, no round can
+            # change an offer and the rounds would repeat forever. Exiting is
+            # then as good as holding: each station is re-checked in order,
+            # and the packable ones exit while the rest freeze at zero.
             round_index = clock.round_index + 1
-            processed = _resolve_stalled(state, active, round_index, config.seed)
+            bids = [Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in active]
+            processed = process_bids(state, bids, config.seed, round_index)
             log.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
             break
 
@@ -479,12 +454,12 @@ def run_auction(
             bids.append(Bid(sid, decision, last_accepted[sid] - offer, offer))
         processed = process_bids(state, bids, config.seed, round_index)
         log.append(RoundRecord(round_index, current, processed))
-        active = [sid for sid in active if status[sid] is StationStatus.ACTIVE]
+        active = sorted(p.station for p in processed if p.new_status == _ACTIVE)
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
     return AuctionOutcome(
         winners=winners,
-        final_assignment=dict(state.packed),
+        final_assignment=state.packed,
         participants=participants,
         non_participants=non_participants,
         rounds=len(log),

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,7 +56,12 @@ from .instances import (
     serialize_values,
 )
 from .model import ClearingTarget
-from .pricing import ScoringRule, default_initial_clock_price, volumes_for
+from .pricing import (
+    DegenerateInstanceError,
+    ScoringRule,
+    default_initial_clock_price,
+    volumes_for,
+)
 from .vcg import vcg_outcome
 
 
@@ -64,14 +70,31 @@ def main() -> None:
     """Clock auction repacking simulator."""
 
 
+@contextmanager
+def _reported(errors, prefix: str = ""):
+    """Report one of ``errors`` raised in the block as one ``Error:`` line:
+    ``prefix`` followed by the error's message."""
+    try:
+        yield
+    except errors as exc:
+        raise click.ClickException(f"{prefix}{exc}") from exc
+
+
 def _parse_file(parse, path: str, kind: str):
     """Parse an input file, reporting an unreadable or malformed one as a
     one-line error. The parsers raise ``ValueError`` (``ParseError``, or
     ``json.JSONDecodeError`` for records) on malformed text."""
-    try:
+    with _reported((OSError, ValueError), f"invalid {kind} {path}: "):
         return parse(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(f"invalid {kind} {path}: {exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Echo ``text``, or write it to the file ``out`` when one is given."""
+    if out is None:
+        click.echo(text, nl=False)
+        return
+    with _reported(OSError, f"cannot write {out}: "):
+        Path(out).write_text(text)
 
 
 @main.command()
@@ -92,11 +115,7 @@ def generate(n_stations, channel_lo, channel_hi, co_radius, adj_radius, seed, ou
         adjacent_channel_radius=adj_radius,
         seed=seed,
     )
-    text = serialize_instance(generate_instance(params))
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+    _emit(serialize_instance(generate_instance(params)), out)
 
 
 @main.command()
@@ -112,11 +131,7 @@ def values(instance_path, log_mean, log_sd, pop_exponent, seed, out):
     params = ValueSamplerParams(
         log_mean=log_mean, log_sd=log_sd, population_exponent=pop_exponent, seed=seed
     )
-    text = serialize_values(sample_values(inst, params))
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+    _emit(serialize_values(sample_values(inst, params)), out)
 
 
 @main.command()
@@ -130,14 +145,12 @@ def run(config_path, seed, out, cells, budget_steps, instance_path):
     """Run the experiment grid described by a config file.
 
     Emits records.csv and records.json into the output directory. Exits 1
-    on an invalid config, option or instance file, 2 when any benchmark hit
-    its node budget.
+    on an invalid config, option or instance or an unwritable output
+    directory, 2 when any benchmark hit its node budget.
     """
-    try:
+    with _reported(ValueError, f"invalid config {config_path}: "):
         cfg = config_from_mapping(json.loads(Path(config_path).read_text()))
-    except ValueError as exc:
-        raise click.ClickException(f"invalid config {config_path}: {exc}") from exc
-    try:
+    with _reported(ValueError, "invalid option: "):
         if seed is not None:
             cfg = replace(cfg, master_seed=seed)
         if out is not None:
@@ -148,14 +161,12 @@ def run(config_path, seed, out, cells, budget_steps, instance_path):
             cfg = replace(cfg, budget_steps=budget_steps)
         if instance_path is not None:
             cfg = replace(cfg, instance_path=instance_path, generator=None)
-    except ValueError as exc:
-        raise click.ClickException(f"invalid option: {exc}") from exc
 
-    try:
+    bad_instance = _reported((OSError, ParseError), f"invalid instance {cfg.instance_path}: ")
+    with bad_instance, _reported(DegenerateInstanceError):
         result = run_experiment(cfg)
-    except (OSError, ParseError) as exc:
-        raise click.ClickException(f"invalid instance {cfg.instance_path}: {exc}") from exc
-    csv_path, json_path = write_outputs(result, cfg.out_dir)
+    with _reported(OSError, f"cannot write {cfg.out_dir}: "):
+        csv_path, json_path = write_outputs(result, cfg.out_dir)
     click.echo(f"wrote {csv_path} and {json_path}")
     if result.any_incomparable:
         click.echo("some records are incomparable: benchmark hit its node budget", err=True)
@@ -182,13 +193,11 @@ def vcg(instance_path, values_path, bar_c, scoring, c0, out):
     rule = ScoringRule(scoring)
     ct = ClearingTarget(bar_c)
     opening = c0 if c0 is not None else default_initial_clock_price(rule)
-    try:
+    with _reported(ValueError):  # a degenerate instance or a short value profile
         volumes = volumes_for(inst, ct, rule)
         participants, non_participants = determine_participants(
             inst, profile, volumes, opening
         )
-    except ValueError as exc:  # a degenerate instance or a short value profile
-        raise click.ClickException(str(exc)) from exc
     outcome = vcg_outcome(inst, profile, participants, non_participants, ct)
     payload = {
         "optimal_value": outcome.optimal_value,
@@ -200,11 +209,7 @@ def vcg(instance_path, values_path, bar_c, scoring, c0, out):
         "participants": list(participants),
         "non_participants": list(non_participants),
     }
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+    _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", out)
 
 
 @main.command()
@@ -218,9 +223,10 @@ def report(records_path, out):
     click.echo(summary, nl=False)
     if out is not None:
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.txt").write_text(summary)
-        (out_dir / "scatter.csv").write_text(scatter)
+        with _reported(OSError, f"cannot write {out_dir}: "):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "summary.txt").write_text(summary)
+            (out_dir / "scatter.csv").write_text(scatter)
         click.echo(f"wrote {out_dir / 'summary.txt'} and {out_dir / 'scatter.csv'}")
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, get_args, get_type_hints
 
 import numpy as np
 
-from .auction import AuctionConfig, CheckerKind, determine_participants, run_auction
+from .auction import AuctionConfig, CheckerKind, run_auction
 from .feasibility import Budget
 from .instances import (
     GeneratorParams,
@@ -30,18 +30,16 @@ from .instances import (
 )
 from .metrics import ComparisonRecord, compare
 from .model import ClearingTarget, Instance
-from .pricing import (
-    DEFAULT_C0_FCC,
-    DEFAULT_C0_UNSCORED,
-    ScoringRule,
-    volumes_for,
-)
+from .pricing import DEFAULT_C0_FCC, DEFAULT_C0_UNSCORED, ScoringRule
 from .vcg import DEFAULT_NODE_BUDGET, ResourceLimitError, vcg_outcome
 
 _VALUES_STREAM = 10
 _AUCTION_STREAM = 11
 
 CSV_HEADER = "cell,profile,cost_fraction,value_loss_ratio,timeouts,rounds"
+
+#: The config fields that make up the value sampler; a config may set them under "sampler".
+_SAMPLER_FIELDS = ("log_mean", "log_sd", "population_exponent")
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,16 @@ class ExperimentConfig:
             raise ValueError("budget_steps must be positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
+        if not (self.c0_fcc > 0 and self.c0_unscored > 0):
+            raise ValueError("c0_fcc and c0_unscored must be positive")
+        if self.vcg_node_budget < 1:
+            raise ValueError("vcg_node_budget must be positive")
+        self.sampler(0)  # ValueSamplerParams owns the checks on the sampler fields
+
+    def sampler(self, seed: int) -> ValueSamplerParams:
+        """The value sampler of this config, seeded with ``seed``."""
+        params = {name: getattr(self, name) for name in _SAMPLER_FIELDS}
+        return ValueSamplerParams(**params, seed=seed)
 
     def c0_for(self, scoring: ScoringRule) -> float:
         return self.c0_fcc if scoring is ScoringRule.FCC else self.c0_unscored
@@ -113,17 +121,17 @@ class ExperimentConfig:
         return generate_instance(self.generator)
 
 
-def _check_fields(where: str, data: object, cls: type, known: Iterable[str]) -> None:
+def _check_fields(where: str, data: object, cls: type, known: Iterable[str] = ()) -> None:
     """Reject a ``data`` that is not a JSON object, has a key outside
-    ``known``, or has a value whose JSON type does not fit the field of
-    ``cls`` it sets (an integer fits a float field; a boolean fits no
-    number field)."""
+    ``known`` (by default every field of ``cls``), or has a value whose JSON
+    type does not fit the field of ``cls`` it sets (an integer fits a float
+    field; a boolean fits no number field)."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, not {type(data).__name__}")
-    unknown = sorted(set(data) - set(known))
+    hints = get_type_hints(cls)
+    unknown = sorted(set(data) - set(known or hints))
     if unknown:
         raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
-    hints = get_type_hints(cls)
     for key, value in data.items():
         allowed = get_args(hints[key]) or (hints[key],)
         fits = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
@@ -146,21 +154,20 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     generator = known.pop("generator", None)
     cells = known.pop("cells", None)
     sampler = known.pop("sampler", None)
-    _check_fields("config", known, ExperimentConfig, [f.name for f in fields(ExperimentConfig)])
+    _check_fields("config", known, ExperimentConfig)
     kwargs: dict = {}
     if generator is not None:
-        _check_fields(
-            "generator", generator, GeneratorParams, [f.name for f in fields(GeneratorParams)]
-        )
+        _check_fields("generator", generator, GeneratorParams)
         kwargs["generator"] = GeneratorParams(**generator)
     if cells is not None:
         if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
             raise ValueError("cells must be a list of strings")
         kwargs["cells"] = tuple(Cell.parse(c) for c in cells)
     if sampler is not None:
-        _check_fields(
-            "sampler", sampler, ExperimentConfig, ("log_mean", "log_sd", "population_exponent")
-        )
+        _check_fields("sampler", sampler, ExperimentConfig, _SAMPLER_FIELDS)
+        twice = sorted(set(sampler) & set(known))
+        if twice:
+            raise ValueError(f"sampler key {twice[0]!r} is also set at the top level")
         kwargs.update(sampler)
     kwargs.update(known)
     return ExperimentConfig(**kwargs)
@@ -193,52 +200,42 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (cell, profile) auction and compare each against the exact
-    benchmark computed once per distinct participant set per profile."""
+    benchmark over the participant set that auction ran, computed once per
+    distinct set per profile."""
     inst = cfg.load_instance()
     ct = ClearingTarget(cfg.bar_c)
     budget = Budget(step_limit=cfg.budget_steps)
     rows: list[RecordRow] = []
 
     for profile in range(cfg.n_value_profiles):
-        sampler = ValueSamplerParams(
-            log_mean=cfg.log_mean,
-            log_sd=cfg.log_sd,
-            population_exponent=cfg.population_exponent,
-            seed=derive_seed(cfg.master_seed, _VALUES_STREAM, profile),
-        )
+        sampler = cfg.sampler(derive_seed(cfg.master_seed, _VALUES_STREAM, profile))
         values = sample_values(inst, sampler)
         benchmark_cache: dict[frozenset, object] = {}
 
         for cell_index, cell in enumerate(cfg.cells):
-            c0 = cfg.c0_for(cell.scoring)
-            volumes = volumes_for(inst, ct, cell.scoring)
-            participants, non_participants = determine_participants(
-                inst, values, volumes, c0
+            config = AuctionConfig(
+                ct=ct,
+                scoring=cell.scoring,
+                c0=cfg.c0_for(cell.scoring),
+                checker=cell.checker,
+                budget=budget,
+                seed=derive_seed(cfg.master_seed, _AUCTION_STREAM, cell_index, profile),
             )
-            key = frozenset(participants)
+            outcome = run_auction(inst, values, config)
+            key = frozenset(outcome.participants)
             if key not in benchmark_cache:
                 try:
                     benchmark_cache[key] = vcg_outcome(
                         inst,
                         values,
-                        participants,
-                        non_participants,
+                        outcome.participants,
+                        outcome.non_participants,
                         ct,
                         node_budget=cfg.vcg_node_budget,
                     )
                 except ResourceLimitError as exc:
                     benchmark_cache[key] = exc
             benchmark = benchmark_cache[key]
-
-            config = AuctionConfig(
-                ct=ct,
-                scoring=cell.scoring,
-                c0=c0,
-                checker=cell.checker,
-                budget=budget,
-                seed=derive_seed(cfg.master_seed, _AUCTION_STREAM, cell_index, profile),
-            )
-            outcome = run_auction(inst, values, config)
             if isinstance(benchmark, ResourceLimitError):
                 rows.append(
                     RecordRow(cell.key, profile, None, True, str(benchmark))
@@ -275,6 +272,7 @@ def records_csv(result: ExperimentResult) -> str:
 #: How records.json spells the floats that strict JSON has no literal for;
 #: each is ``repr`` of the float and is read back by ``float``.
 _NON_FINITE = ("inf", "-inf", "nan")
+_RECORD_TYPES = get_type_hints(ComparisonRecord)
 
 
 def _spell_non_finite(data):
@@ -447,13 +445,11 @@ def _row_from_json(entry: dict) -> RecordRow:
             entry["cell"], entry["profile"], None, True, entry.get("reason", "")
         )
     record = ComparisonRecord(
-        value_loss_auction=_float_from_json(entry["value_loss_auction"]),
-        value_loss_optimal=_float_from_json(entry["value_loss_optimal"]),
-        value_loss_ratio=_float_from_json(entry["value_loss_ratio"]),
-        cost_auction=_float_from_json(entry["cost_auction"]),
-        cost_vcg=_float_from_json(entry["cost_vcg"]),
-        cost_fraction=_float_from_json(entry["cost_fraction"]),
-        checker_timeout_count=entry["checker_timeout_count"],
-        rounds=entry["rounds"],
+        **{
+            f.name: _float_from_json(entry[f.name])
+            if _RECORD_TYPES[f.name] is float
+            else entry[f.name]
+            for f in fields(ComparisonRecord)
+        }
     )
     return RecordRow(entry["cell"], entry["profile"], record)

@@ -140,24 +140,23 @@ def encode(problem: FeasibilityProblem) -> PackingModel:
 
 @dataclass(frozen=True)
 class SolveResult:
-    status: str  # "sat" | "unsat" | "timeout"
-    assignment: Assignment | None
+    verdict: FeasibilityVerdict
     steps: int
 
 
 def solve(model: PackingModel, budget: Budget) -> SolveResult:
     """Search for a channel for every station of ``model`` and stop at the
-    first complete assignment, returned in station order. Each channel tried
-    is one step."""
+    first complete assignment, whose certificate lists the stations in
+    station order. Each channel tried is one step."""
     n = len(model.order)
     counter = NodeCounter(budget.step_limit)
     try:
         found, _ = search(model, [0.0] * n, [True] * n, counter, first=True)
     except ResourceLimitError:
-        return SolveResult("timeout", None, counter.spent)
+        return SolveResult(Timeout(), counter.spent)
     if found is None:
-        return SolveResult("unsat", None, counter.spent)
-    return SolveResult("sat", dict(sorted(found.items())), counter.spent)
+        return SolveResult(Infeasible(), counter.spent)
+    return SolveResult(Feasible(dict(sorted(found.items()))), counter.spent)
 
 
 def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:
@@ -168,13 +167,7 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
     certificate = _fit_target(problem)
     if certificate is not None:
         return Feasible(dict(sorted(certificate.items())))
-    result = solve(encode(problem), budget)
-    if result.status == "timeout":
-        return Timeout()
-    if result.status == "unsat":
-        return Infeasible()
-    assert result.assignment is not None
-    return Feasible(result.assignment)
+    return solve(encode(problem), budget).verdict
 
 
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .auction import AuctionOutcome
-from .model import StationId, ValueProfile
+from .model import StationId, ValueProfile, station_sum
 from .vcg import VcgOutcome
 
 #: Relative slack allowed before an auction loss below the optimal loss is
@@ -49,9 +49,8 @@ class ParetoOrder(Enum):
 
 
 def value_loss(winners: Iterable[StationId], values: ValueProfile) -> float:
-    """Total value of the stations that go off air. Summed in sorted station
-    order so equal winner sets always produce bit-identical totals."""
-    return sum(values[sid] for sid in sorted(winners))
+    """Total value of the stations that go off air, in station order."""
+    return station_sum(values, winners)
 
 
 def value_loss_ratio(auction_loss: float, optimal_loss: float) -> float:
@@ -72,8 +71,8 @@ def value_loss_ratio(auction_loss: float, optimal_loss: float) -> float:
 
 
 def cost(payments: Mapping[StationId, float]) -> float:
-    """Total paid to winners, in sorted station order."""
-    return sum(payments[sid] for sid in sorted(payments))
+    """Total paid to winners, in station order."""
+    return station_sum(payments, payments)
 
 
 def cost_fraction(cost_auction: float, cost_benchmark: float) -> float:

@@ -75,9 +75,6 @@ class InterferenceConstraint:
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    def stations(self) -> tuple[StationId, StationId]:
-        return self.first[0], self.second[0]
-
 
 @dataclass(frozen=True)
 class ClearingTarget:
@@ -168,6 +165,12 @@ class Instance:
         frozen = {key: tuple(val) for key, val in index.items()}
         memo[ct.bar_c] = frozen
         return frozen
+
+
+def station_sum(amounts: Mapping[StationId, float], stations: Iterable[StationId]) -> float:
+    """The sum of ``amounts`` over ``stations``, taken in ascending station
+    order so that equal station sets give bit-identical totals."""
+    return sum(amounts[sid] for sid in sorted(stations))
 
 
 def reduced_domain(station: Station, ct: ClearingTarget) -> frozenset[Channel]:

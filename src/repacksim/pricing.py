@@ -50,13 +50,9 @@ def fcc_volumes(inst: Instance, ct: ClearingTarget) -> VolumeTable:
     chosen so the maximum volume is exactly one million (to one ulp), where
     interference(s) counts the constraints on s within the reduced band."""
     counts: dict[StationId, int] = {s.id: 0 for s in inst.stations}
-    for con in inst.constraints:
-        (s1, c1), (s2, c2) = con.first, con.second
-        if c1 >= ct.bar_c or c2 >= ct.bar_c:
-            continue
-        counts[s1] += 1
-        if s2 != s1:
-            counts[s2] += 1
+    for (sid, ch), partners in inst.conflicts_in_band(ct).items():
+        # a constraint between two channels of one station counts once
+        counts[sid] += sum(1 for osid, och in partners if osid != sid or och > ch)
 
     raw = {
         st.id: math.sqrt(counts[st.id]) * math.sqrt(st.population)

@@ -33,6 +33,7 @@ from .model import (
     UnpackableError,
     ValueProfile,
     interference_graph,
+    station_sum,
 )
 from .search import NodeCounter as _NodeCounter
 from .search import PackingModel, ResourceLimitError, search
@@ -179,14 +180,6 @@ def _solve_component(
     return best_assign, best_value
 
 
-def _canonical_value(
-    assignment: Assignment, parts: frozenset[StationId], values: ValueProfile
-) -> float:
-    # Summing in sorted order makes equal packings report bit-identical
-    # totals no matter which search path found them.
-    return sum(values[sid] for sid in sorted(assignment) if sid in parts)
-
-
 def _solve_all(
     components: list[list[StationId]],
     nons: frozenset[StationId],
@@ -224,7 +217,7 @@ def optimal_packing(
     parts, nons = _partition_check(inst, participants, non_participants)
     counter = _NodeCounter(node_budget)
     assignment = _solve_all(_components(inst, ct), nons, values, inst, ct, counter)
-    return assignment, _canonical_value(assignment, parts, values)
+    return assignment, station_sum(values, parts.intersection(assignment))
 
 
 def restricted_optimal_value(
@@ -291,7 +284,7 @@ def vcg_outcome(
     components = _components(inst, ct)
     counter = _NodeCounter(node_budget)
     assignment = _solve_all(components, nons, values, inst, ct, counter)
-    value = _canonical_value(assignment, parts, values)
+    value = station_sum(values, parts.intersection(assignment))
     comp_of = {sid: index for index, comp in enumerate(components) for sid in comp}
 
     winners = tuple(sorted(parts - set(assignment)))
@@ -320,7 +313,7 @@ def vcg_outcome(
             for other in components[index]:
                 merged.pop(other, None)
             merged.update(solved[0])
-            restricted[sid] = _canonical_value(merged, parts - {sid}, values)
+            restricted[sid] = station_sum(values, (parts - {sid}).intersection(merged))
         prices[sid] = value - restricted[sid]
     return VcgOutcome(assignment, value, winners, prices, restricted, nodes)
 

@@ -13,14 +13,14 @@ from repacksim.auction import (
     CheckerKind,
     ProcessedBid,
     RoundRecord,
-    StationStatus,
     _processing_order,
     determine_participants,
     initial_assignment,
+    process_bids,
     run_auction,
     truthful_bid,
 )
-from repacksim.feasibility import Budget, Feasible
+from repacksim.feasibility import Budget, SearchSpaceError
 from repacksim.instances import (
     GeneratorParams,
     ValueSamplerParams,
@@ -91,6 +91,24 @@ def test_initial_assignment_rejects_unpackable(triangle_one_channel):
     inst, ct = triangle_one_channel
     with pytest.raises(UnpackableError):
         initial_assignment(inst, (1, 2), ct, CheckerKind.SAT, BUDGET)
+
+
+def test_initial_assignment_reports_a_fallback_left_undecided(monkeypatch):
+    # pigeonhole: 5 stations, 4 channels, every pair in conflict on every
+    # channel. Greedy blocks the fifth station, and the whole-set search needs
+    # 4 + 12 + 24 + 24 = 64 steps to prove the set unpackable.
+    chans = {14, 15, 16, 17}
+    inst = mk_instance(
+        [(s, chans) for s in range(5)],
+        [(a, c, b, c) for a in range(5) for b in range(a + 1, 5) for c in chans],
+    )
+    ct, budget = ClearingTarget(18), Budget(step_limit=1)
+    monkeypatch.setattr(auction, "_FALLBACK_STEP_FLOOR", 20)
+    with pytest.raises(SearchSpaceError, match="undecided within the fallback budget"):
+        initial_assignment(inst, range(5), ct, CheckerKind.GREEDY, budget)
+    monkeypatch.setattr(auction, "_FALLBACK_STEP_FLOOR", 64)
+    with pytest.raises(UnpackableError):
+        initial_assignment(inst, range(5), ct, CheckerKind.GREEDY, budget)
 
 
 # ------------------------------------------------------- bids
@@ -438,23 +456,22 @@ def test_mutating_returned_assignments_cannot_change_later_auctions():
     assert _digests(first) == PINNED_DIGESTS
     for _, out in first:
         out.final_assignment.clear()
-    # certificates handed out by AuctionState.check come from the same memo
+    # an exit keeps the certificate of a verdict that later auctions get
+    # from the same memo
     inst, _ = pairs[0]
     for checker, steps in PINNED_CHECKERS:
-        state = AuctionState(
-            inst=inst,
-            ct=ClearingTarget(16),
-            checker=checker,
-            budget=Budget(step_limit=steps),
-            status={},
-            last_accepted={},
-        )
         for sid in inst.station_ids():
             for _ in range(2):  # a miss, then a hit
-                verdict = state.check(sid)
-                if isinstance(verdict, Feasible):
-                    verdict.certificate.clear()
-                    verdict.certificate[-1] = 99
+                state = AuctionState(
+                    inst=inst,
+                    ct=ClearingTarget(16),
+                    checker=checker,
+                    budget=Budget(step_limit=steps),
+                    last_accepted={sid: 0.0},
+                )
+                process_bids(state, [Bid(sid, BidDecision.EXIT, 0.0, 0.0)], 0, 1)
+                state.packed.clear()
+                state.packed[-1] = 99
     assert _digests(_pinned_batch(pairs)) == PINNED_DIGESTS
 
 

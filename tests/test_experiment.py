@@ -421,8 +421,22 @@ def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
         ({"bar_c": True}, "config key 'bar_c' must be int, not bool"),
         ({"sampler": {"log_mean": "3"}}, "sampler key 'log_mean' must be float, not str"),
         ({"cells": "fcc:sat"}, "cells must be a list of strings"),
+        ({"c0_fcc": -1.0}, "c0_fcc and c0_unscored must be positive"),
+        ({"c0_unscored": 0}, "c0_fcc and c0_unscored must be positive"),
+        ({"sampler": {"log_sd": 0}}, "log_sd must be positive"),
+        ({"vcg_node_budget": 0}, "vcg_node_budget must be positive"),
     ],
-    ids=["str-for-int", "int-for-generator", "bool-for-int", "str-for-float", "str-for-cells"],
+    ids=[
+        "str-for-int",
+        "int-for-generator",
+        "bool-for-int",
+        "str-for-float",
+        "str-for-cells",
+        "negative-c0-fcc",
+        "zero-c0-unscored",
+        "zero-log-sd",
+        "zero-vcg-node-budget",
+    ],
 )
 def test_cli_run_reports_a_wrongly_typed_value_in_one_line(tmp_path, config, reason):
     data = {
@@ -437,6 +451,19 @@ def test_cli_run_reports_a_wrongly_typed_value_in_one_line(tmp_path, config, rea
     assert res.exit_code == 1
     assert res.output.splitlines() == [f"Error: invalid config {config_path}: {reason}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_config_from_mapping_rejects_a_sampler_key_also_set_at_the_top_level():
+    data = {
+        "bar_c": 16,
+        "generator": {"n_stations": 4},
+        "log_mean": 5.0,
+        "sampler": {"log_mean": 9.0, "log_sd": 2.0},
+    }
+    with pytest.raises(ValueError, match="sampler key 'log_mean' is also set at the top level"):
+        config_from_mapping(data)
+    del data["log_mean"]
+    assert config_from_mapping(data).log_mean == 9.0
 
 
 def test_config_from_mapping_accepts_an_integer_for_a_float_field():
@@ -584,3 +611,56 @@ def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, monkeypatch, files, 
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1
     assert res.output.splitlines() == [line]
+
+
+def test_cli_run_reports_a_degenerate_instance_in_one_line(tmp_path):
+    # no in-band constraint, so every station has zero weight under FCC scoring
+    data = {
+        "bar_c": 17,
+        "generator": {"n_stations": 6, "seed": 1},
+        "n_value_profiles": 1,
+        "out_dir": str(tmp_path / "out"),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "Error: no station has a positive interference-population weight"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "values", "vcg", "report", "run"])
+def test_cli_reports_an_output_path_it_cannot_write_in_one_line(
+    tmp_path, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.txt").write_text(GOOD_INSTANCE)
+    (tmp_path / "values.txt").write_text(GOOD_VALUES)
+    generator = {"n_stations": 5, "channel_lo": 14, "channel_hi": 18, "seed": 5}
+    (tmp_path / "config.json").write_text(
+        json.dumps({"bar_c": 17, "generator": generator, "n_value_profiles": 1})
+    )
+    (tmp_path / "records.json").write_text(
+        json.dumps({"records": [{"cell": "fcc:sat", "profile": 0, "incomparable": True}]})
+    )
+    (tmp_path / "file").write_text("a regular file\n")
+    out = "file/out"
+    args = {
+        "generate": ["generate", "--n-stations", "3"],
+        "values": ["values", "--instance", "inst.txt"],
+        "vcg": [
+            "vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16",
+            "--scoring", "unscored",
+        ],
+        "report": ["report", "--records", "records.json"],
+        "run": ["run", "--config", "config.json"],
+    }[command]
+    res = CliRunner().invoke(main, [*args, "--out", out])
+    assert res.exit_code == 1
+    [line] = res.stderr.splitlines()
+    assert line.startswith(f"Error: cannot write {out}: ")
+    assert "Not a directory" in line
+    # only report prints before it writes: the summary
+    assert res.stdout.startswith("cell summaries") if command == "report" else not res.stdout

@@ -85,9 +85,7 @@ def test_encode_shared_channel_conflict_is_unsat():
     f = encode(FeasibilityProblem(2, {1: 14}, inst, ClearingTarget(15)))
     assert f.order == [1, 2]
     assert f.clauses == [((1, 14), (2, 14))]
-    result = solve(f, STEP_BUDGET)
-    assert result.status == "unsat"
-    assert result.assignment is None
+    assert solve(f, STEP_BUDGET).verdict == Infeasible()
 
 
 # ---------------------------------------------------------------- solve
@@ -97,11 +95,11 @@ def test_solve_trivial_cases():
     inst = mk_instance([(1, {14}), (2, {14}), (3, {20})], [(1, 14, 2, 14)], universe=(14, 20))
     ct = ClearingTarget(15)
     empty = solve(PackingModel(inst, ct, []), STEP_BUDGET)
-    assert (empty.status, empty.assignment, empty.steps) == ("sat", {}, 0)
+    assert empty == SolveResult(Feasible({}), 0)
     # no channel below the clearing target: nothing to try
-    assert solve(PackingModel(inst, ct, [3]), STEP_BUDGET) == SolveResult("unsat", None, 0)
+    assert solve(PackingModel(inst, ct, [3]), STEP_BUDGET) == SolveResult(Infeasible(), 0)
     # one channel each, in conflict: the second station starves at once
-    assert solve(PackingModel(inst, ct, [1, 2]), STEP_BUDGET) == SolveResult("unsat", None, 1)
+    assert solve(PackingModel(inst, ct, [1, 2]), STEP_BUDGET) == SolveResult(Infeasible(), 1)
 
 
 def test_solve_returns_full_model():
@@ -110,10 +108,10 @@ def test_solve_returns_full_model():
         [(1, 14, 2, 14), (2, 15, 3, 15), (1, 15, 3, 14)],
     )
     ct = ClearingTarget(17)
-    result = solve(PackingModel(inst, ct, [1, 2, 3]), STEP_BUDGET)
-    assert result.status == "sat"
-    assert list(result.assignment) == [1, 2, 3]
-    assert validate_assignment(result.assignment, inst, ct)
+    verdict = solve(PackingModel(inst, ct, [1, 2, 3]), STEP_BUDGET).verdict
+    assert isinstance(verdict, Feasible)
+    assert list(verdict.certificate) == [1, 2, 3]
+    assert validate_assignment(verdict.certificate, inst, ct)
 
 
 def test_solve_step_budget_timeout():
@@ -124,10 +122,9 @@ def test_solve_step_budget_timeout():
         [(a, c, b, c) for a in range(5) for b in range(a + 1, 5) for c in chans],
     )
     model = PackingModel(inst, ClearingTarget(18), range(5))
-    timeout = solve(model, Budget(step_limit=3))
-    assert (timeout.status, timeout.steps) == ("timeout", 4)
+    assert solve(model, Budget(step_limit=3)) == SolveResult(Timeout(), 4)
     exhausted = solve(model, Budget(step_limit=200_000))
-    assert exhausted.status == "unsat"
+    assert exhausted.verdict == Infeasible()
     # a step is one channel tried: the first four stations take 4 * 3 * 2 * 1
     # channel orders, each tried once along the way
     assert exhausted.steps == 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2 * 1
@@ -136,12 +133,12 @@ def test_solve_step_budget_timeout():
 def test_solve_respects_polarity_hint():
     inst = mk_instance([(1, {14, 15}), (2, {14, 15})])
     p = FeasibilityProblem(2, {1: 15}, inst, ClearingTarget(16))
-    result = solve(encode(p), STEP_BUDGET)
-    assert result.status == "sat"
-    assert result.assignment[1] == 15
+    verdict = solve(encode(p), STEP_BUDGET).verdict
+    assert isinstance(verdict, Feasible)
+    assert verdict.certificate[1] == 15
     # without the hint the lowest channel comes first
     plain = solve(PackingModel(inst, p.ct, [1, 2]), STEP_BUDGET)
-    assert plain.assignment == {1: 14, 2: 14}
+    assert plain.verdict == Feasible({1: 14, 2: 14})
 
 
 # ---------------------------------------------------------------- checkers
@@ -263,9 +260,9 @@ def test_checkers_are_deterministic():
 def test_encoding_sat_iff_enumeration_feasible(seed):
     p = _random_problem(seed + 50_000)
     f = encode(p)
-    result = solve(f, STEP_BUDGET)
+    verdict = solve(f, STEP_BUDGET).verdict
     expected = check_exhaustive(p)
-    assert result.status == ("sat" if isinstance(expected, Feasible) else "unsat")
+    assert type(verdict) is type(expected)
 
 
 def test_budget_validation():

@@ -58,6 +58,21 @@ def test_volume_ratio_hand_example():
     assert table.volumes[2] == 250_000.0
 
 
+def test_a_constraint_within_one_station_counts_once():
+    # station 1: one constraint with itself and one with station 2 -> 2
+    # station 2: one constraint -> 1
+    inst = mk_instance(
+        [(1, {14, 15}, 100, 14), (2, {14}, 100, 14)],
+        [(1, 14, 1, 15), (1, 14, 2, 14)],
+    )
+    table = fcc_volumes(inst, ClearingTarget(16))
+    assert within_one_ulp(table.volumes[1], MAX_SCORED_VOLUME)
+    assert table.volumes[2] == pytest.approx(MAX_SCORED_VOLUME / math.sqrt(2))
+    # above the target the within-station constraint no longer counts
+    table = fcc_volumes(inst, ClearingTarget(15))
+    assert table.volumes[1] == table.volumes[2]
+
+
 def test_constraints_above_target_do_not_count():
     inst = mk_instance(
         [(1, {14, 20}, 100, 14), (2, {14, 20}, 100, 14)],
