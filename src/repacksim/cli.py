@@ -26,7 +26,9 @@ run's records.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -86,6 +88,19 @@ def _parse_file(parse, path: str, kind: str):
     ``json.JSONDecodeError`` for records) on malformed text."""
     with _reported((OSError, ValueError), f"invalid {kind} {path}: "):
         return parse(Path(path).read_text())
+
+
+def _check_writable(out_dir: str) -> None:
+    """Raise ``OSError`` unless the nearest of ``out_dir`` and its ancestors
+    that exists is a directory this process may write in. Creates nothing, so
+    a run that fails later leaves no empty directory behind."""
+    path = Path(out_dir)
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -162,6 +177,8 @@ def run(config_path, seed, out, cells, budget_steps, instance_path):
         if instance_path is not None:
             cfg = replace(cfg, instance_path=instance_path, generator=None)
 
+    with _reported(OSError, f"cannot write {cfg.out_dir}: "):
+        _check_writable(cfg.out_dir)
     bad_instance = _reported((OSError, ParseError), f"invalid instance {cfg.instance_path}: ")
     with bad_instance, _reported(DegenerateInstanceError):
         result = run_experiment(cfg)

@@ -123,9 +123,10 @@ class ExperimentConfig:
 
 def _check_fields(where: str, data: object, cls: type, known: Iterable[str] = ()) -> None:
     """Reject a ``data`` that is not a JSON object, has a key outside
-    ``known`` (by default every field of ``cls``), or has a value whose JSON
+    ``known`` (by default every field of ``cls``), has a value whose JSON
     type does not fit the field of ``cls`` it sets (an integer fits a float
-    field; a boolean fits no number field)."""
+    field; a boolean fits no number field), or has a number that is not
+    finite (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, not {type(data).__name__}")
     hints = get_type_hints(cls)
@@ -142,12 +143,14 @@ def _check_fields(where: str, data: object, cls: type, known: Iterable[str] = ()
             raise ValueError(
                 f"{where} key {key!r} must be {expected}, not {type(value).__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where} key {key!r} must be finite, not {value!r}")
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON; see the module docstring of
-    :mod:`repacksim.cli` for the schema. A key outside it, or a value of the
-    wrong JSON type, raises ``ValueError``."""
+    :mod:`repacksim.cli` for the schema. A key outside it, a value of the
+    wrong JSON type, or a number that is not finite raises ``ValueError``."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be an object, not {type(data).__name__}")
     known = dict(data)

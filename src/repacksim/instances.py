@@ -81,6 +81,9 @@ class ValueSamplerParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("log_mean", "log_sd", "population_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.log_sd <= 0:
             raise ValueError("log_sd must be positive")
         if self.seed < 0:

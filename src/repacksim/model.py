@@ -157,11 +157,13 @@ class Instance:
             return cached
         index: dict[StationChannel, list[StationChannel]] = {}
         for con in sorted(self.constraints):
-            (s1, c1), (s2, c2) = con.first, con.second
-            if c1 >= ct.bar_c or c2 >= ct.bar_c:
+            first, second = con.first, con.second
+            if first[1] >= ct.bar_c or second[1] >= ct.bar_c:
                 continue
-            index.setdefault((s1, c1), []).append((s2, c2))
-            index.setdefault((s2, c2), []).append((s1, c1))
+            # the constraint's own pairs, not copies: every instance keeps
+            # this index for as long as it lives
+            index.setdefault(first, []).append(second)
+            index.setdefault(second, []).append(first)
         frozen = {key: tuple(val) for key, val in index.items()}
         memo[ct.bar_c] = frozen
         return frozen

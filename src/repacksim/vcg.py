@@ -3,10 +3,12 @@
 The packing problem maximizes the total value of participating stations kept
 on air, subject to the forbidden pairs, at most one channel per station, and
 exactly one channel for every non-participating station. It is solved exactly
-by branch and bound, decomposed over connected components of the
-interference graph, with the sum of undecided station values as the bound.
-The search is :func:`repacksim.search.search`, the loop the feasibility
-checks run too; here it starts from a greedy packing as its incumbent.
+for each connected component of the interference graph by AND/OR branch and
+bound: the sum of undecided station values bounds a branch, and once a cut
+station is decided, the stations left fall into parts with no conflict
+between them, each solved on its own and cached within the solve. The search
+is :func:`repacksim.search.search`, the loop the feasibility checks run too;
+here it starts from a greedy packing as its incumbent.
 
 A winner's price is the drop in everyone else's optimal value caused by
 taking it off the air: optimal value minus the optimal value when the winner
@@ -15,9 +17,11 @@ nothing. :func:`vcg_outcome` re-solves only the winner's component for each
 price, and warm-starts that search from the base optimum: the winner goes on
 air on each of its channels in turn, the stations it conflicts with are
 evicted and re-placed greedily, and the best such packing becomes the
-incumbent when it beats the greedy one. A better incumbent prunes more and
-never changes the optimum. :func:`vcg_price` prices one winner by a full,
-cold re-solve, an independent reference for the same number.
+incumbent when it beats the greedy one. A better incumbent never changes the
+optimum. It usually prunes more, but not always: a part's search that must
+beat more ends with a bound rather than its optimum, and a later branch may
+have to search it again. :func:`vcg_price` prices one winner by a full, cold
+re-solve, an independent reference for the same number.
 """
 
 from __future__ import annotations
@@ -101,9 +105,10 @@ def _solve_component(
     """Exact max-value packing of one component; None if the forced stations
     cannot all be placed.
 
-    Branch and bound with forward checking (:func:`repacksim.search.search`)
-    over the component's stations ranked forced first, then by value, so
-    that rank breaks ties in the fewest-channels-left rule.
+    AND/OR branch and bound with forward checking
+    (:func:`repacksim.search.search`) over the component's stations ranked
+    forced first, then by value, so that rank breaks ties in the
+    fewest-channels-left rule.
 
     The incumbent is a greedy packing. ``warm_start`` is ``(start, entrant)``:
     ``start`` packs the component with ``entrant`` off the air, as the base

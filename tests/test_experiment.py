@@ -425,6 +425,13 @@ def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
         ({"c0_unscored": 0}, "c0_fcc and c0_unscored must be positive"),
         ({"sampler": {"log_sd": 0}}, "log_sd must be positive"),
         ({"vcg_node_budget": 0}, "vcg_node_budget must be positive"),
+        ({"log_mean": math.nan}, "config key 'log_mean' must be finite, not nan"),
+        ({"sampler": {"log_sd": math.inf}}, "sampler key 'log_sd' must be finite, not inf"),
+        (
+            {"sampler": {"population_exponent": math.nan}},
+            "sampler key 'population_exponent' must be finite, not nan",
+        ),
+        ({"c0_unscored": math.inf}, "config key 'c0_unscored' must be finite, not inf"),
     ],
     ids=[
         "str-for-int",
@@ -436,6 +443,10 @@ def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
         "zero-c0-unscored",
         "zero-log-sd",
         "zero-vcg-node-budget",
+        "nan-log-mean",
+        "infinite-log-sd",
+        "nan-population-exponent",
+        "infinite-c0-unscored",
     ],
 )
 def test_cli_run_reports_a_wrongly_typed_value_in_one_line(tmp_path, config, reason):
@@ -657,6 +668,11 @@ def test_cli_reports_an_output_path_it_cannot_write_in_one_line(
         "report": ["report", "--records", "records.json"],
         "run": ["run", "--config", "config.json"],
     }[command]
+
+    def refuse(cfg):
+        raise AssertionError("the experiment ran before its output path was checked")
+
+    monkeypatch.setattr("repacksim.cli.run_experiment", refuse)
     res = CliRunner().invoke(main, [*args, "--out", out])
     assert res.exit_code == 1
     [line] = res.stderr.splitlines()

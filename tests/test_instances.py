@@ -172,3 +172,10 @@ def test_sample_values_population_scaling():
 def test_sampler_param_validation():
     with pytest.raises(ValueError):
         ValueSamplerParams(log_sd=0.0)
+
+
+@pytest.mark.parametrize("field", ["log_mean", "log_sd", "population_exponent"])
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+def test_sampler_rejects_a_number_that_is_not_finite(field, number):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ValueSamplerParams(**{field: number})

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repacksim import vcg
+from repacksim import search, vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, UnpackableError, reduced_domain, validate_assignment
@@ -134,6 +138,26 @@ def test_node_budget_is_enforced():
         )
 
 
+def test_a_cut_station_splits_the_search():
+    # ten conflicting pairs, each hanging off one hub by its first station,
+    # all on one channel; the hub is worth most, so it is decided first and
+    # leaves ten parts of two stations each
+    stations, constraints, values = [(0, {14})], [], {0: 3.5}
+    for k in range(10):
+        a, b = 2 * k + 1, 2 * k + 2
+        stations += [(a, {14}), (b, {14})]
+        constraints += [(0, 14, a, 14), (a, 14, b, 14)]
+        values[a], values[b] = 3.0, 2.75
+    inst = mk_instance(stations, constraints)
+    # Searched as one, the ten pairs' 2**10 choices are all open while the hub
+    # is off the air: plain branch and bound spent 2,458 nodes here.
+    assignment, total = optimal_packing(
+        inst, values, inst.station_ids(), (), ClearingTarget(15), node_budget=100
+    )
+    assert total == 31.0
+    assert sorted(assignment) == [0, *range(2, 21, 2)]
+
+
 # --------------------------------------------------------------- random sweeps
 
 
@@ -171,6 +195,60 @@ def test_optimal_matches_enumeration_and_prices_rational(seed):
         assert out.prices[sid] >= 0.0
         # component-local pricing agrees bitwise with a full re-solve
         assert vcg_price(sid, out, inst, values, participants, (), ct) == out.prices[sid]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=5, max_value=8),
+    channels=st.integers(min_value=1, max_value=3),
+    forced=st.integers(min_value=1, max_value=2**8 - 1),
+    split=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_forced_packings_and_restricted_values_match_enumeration(
+    seed, n, channels, forced, split
+):
+    # Draws of 5-8 stations, sparse enough that about a third of them have a
+    # cut station. `split` lets the AND/OR search run on them too, below the
+    # size it starts at by default.
+    rng = np.random.default_rng(seed)
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=13 + channels,
+            co_channel_radius=float(rng.uniform(0.3, 0.7)),
+            adjacent_channel_radius=float(rng.uniform(0.0, 0.1)),
+            seed=int(rng.integers(0, 2**32)),
+        )
+    )
+    values = sample_values(
+        inst, ValueSamplerParams(log_mean=2.0, log_sd=1.0, seed=int(rng.integers(0, 2**32)))
+    )
+    ct = ClearingTarget(14 + channels)
+    sids = inst.station_ids()
+    nons = [sid for k, sid in enumerate(sids) if forced >> k & 1] or sids[:1]
+    parts = [sid for sid in sids if sid not in nons]
+    oracle = enumerate_best_value(inst, values, parts, nons, ct)
+    with mock.patch.object(search, "SPLIT_MIN", 2 if split else search.SPLIT_MIN):
+        if oracle is None:
+            with pytest.raises(UnpackableError):
+                optimal_packing(inst, values, parts, nons, ct)
+            return
+        _, total = optimal_packing(inst, values, parts, nons, ct)
+        out = vcg_outcome(inst, values, parts, nons, ct)
+        for comp in vcg._components(inst, ct):
+            counter = vcg._NodeCounter(vcg.DEFAULT_NODE_BUDGET)
+            packing, value = vcg._solve_component(comp, frozenset(nons), values, inst, ct, counter)
+            # the value the search reports is what its packing is worth
+            assert value == pytest.approx(sum(values[sid] for sid in packing if sid in parts))
+    # equal-value packings may add their values in another order
+    assert total == pytest.approx(oracle, rel=1e-12)
+    assert out.optimal_value == total
+    for sid in out.winners:
+        rest = [p for p in parts if p != sid]
+        restricted = enumerate_best_value(inst, values, rest, [*nons, sid], ct)
+        assert out.restricted_values[sid] == pytest.approx(restricted or 0.0, rel=1e-12)
 
 
 def _grid_sized_case(seed):
