@@ -26,15 +26,22 @@ most recent instance. A memo hit returns what the computation would have
 returned, so outcomes do not depend on which auctions ran before. A verdict
 from the memo is shared and read-only; an exit copies the certificate it
 keeps as the packed assignment.
+
+Within one auction a station's verdict can change only when an exit replaces
+the packed set, so each auction also keeps a table from station to verdict,
+emptied whenever the packed set is replaced. A station asked again before
+the next exit gets its verdict from the table, without building the shared
+memo's key.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -99,9 +106,10 @@ class BidDecision(str, Enum):
 #: Bidder hook: (round index, offered price, on-air value) -> decision.
 BidStrategy = Callable[[int, float, float], BidDecision]
 
-# Round-log strings, read once here: an enum member's ``.value`` is a
-# descriptor call, and the round log records several per bid.
-_ACCEPT, _EXIT = BidDecision.ACCEPT.value, BidDecision.EXIT.value
+# Decisions and round-log strings, read once here: every bid compares a
+# decision, and an enum member's ``.value`` is a descriptor call.
+ACCEPT, EXIT = BidDecision.ACCEPT, BidDecision.EXIT
+_ACCEPT, _EXIT = ACCEPT.value, EXIT.value
 _ACTIVE, _EXITED, _FROZEN = "active", "exited", "frozen"
 _FEASIBLE, _INFEASIBLE, _TIMEOUT = "feasible", "infeasible", "timeout"
 
@@ -116,23 +124,31 @@ class AuctionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.c0 is not None and self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+        if self.c0 is not None and not (math.isfinite(self.c0) and self.c0 > 0):
+            raise ValueError("c0 must be positive and finite")
 
     def initial_price(self) -> float:
         return self.c0 if self.c0 is not None else default_initial_clock_price(self.scoring)
 
 
-@dataclass(frozen=True)
-class Bid:
+class _BidFields(NamedTuple):
     station: StationId
     decision: BidDecision
     price_reduction: float
     offer: float
 
-    def __post_init__(self) -> None:
-        if self.price_reduction < 0:
+
+class Bid(_BidFields):
+    """One station's answer to its offer in one round."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, station: StationId, decision: BidDecision, price_reduction: float, offer: float
+    ) -> Bid:
+        if not price_reduction >= 0:  # NaN fails too
             raise ValueError("price reduction must be non-negative")
+        return _BidFields.__new__(cls, station, decision, price_reduction, offer)
 
 
 class ProcessedBid(NamedTuple):
@@ -247,7 +263,7 @@ def initial_assignment(
 def truthful_bid(value: float, new_offer: float) -> BidDecision:
     """Accept when the new offer still covers the station's value; the
     indifferent case resolves to accept."""
-    return BidDecision.ACCEPT if new_offer >= value else BidDecision.EXIT
+    return ACCEPT if new_offer >= value else EXIT
 
 
 class _VerdictMemo:
@@ -301,34 +317,43 @@ class AuctionState:
     payments: dict[StationId, float] = field(default_factory=dict)
     packed: Assignment = field(default_factory=dict)
     timeout_count: int = 0
-    # memo key of ``packed``, rebuilt only when ``packed`` is replaced
+    # the ``packed`` that ``_verdicts`` holds the verdicts for, by station;
+    # both are replaced when ``packed`` is
     _keyed: Assignment | None = field(default=None, init=False, repr=False)
-    _packed_key: tuple = field(default=(), init=False, repr=False)
+    _verdicts: dict[StationId, FeasibilityVerdict] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def check(self, sid: StationId) -> FeasibilityVerdict:
-        """Feasibility of packing ``sid`` with the current packed set, from the
-        shared verdict memo. The memo hands the same verdict to later
-        auctions, so it is read-only: an exit copies the certificate it
-        keeps."""
+        """Feasibility of packing ``sid`` with the current packed set, from
+        this auction's table or else the shared verdict memo. The memo hands
+        the same verdict to later auctions, so it is read-only: an exit
+        copies the certificate it keeps."""
         if self._keyed is not self.packed:
-            self._keyed, self._packed_key = self.packed, tuple(self.packed.items())
-        key = (self.ct.bar_c, self.checker, self.budget.step_limit, sid, self._packed_key)
-        verdict = _VERDICTS.get(self.inst, key)
+            self._keyed, self._verdicts = self.packed, {}
+        verdict = self._verdicts.get(sid)
         if verdict is None:
-            problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
-            verdict = _run_checker(self.checker, problem, self.budget)
-            _VERDICTS.put(key, verdict)
+            packed = tuple(self.packed.items())
+            key = (self.ct.bar_c, self.checker, self.budget.step_limit, sid, packed)
+            verdict = _VERDICTS.get(self.inst, key)
+            if verdict is None:
+                problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
+                verdict = _run_checker(self.checker, problem, self.budget)
+                _VERDICTS.put(key, verdict)
+            self._verdicts[sid] = verdict
         return verdict
 
 
 @lru_cache(maxsize=_TIEBREAK_MEMO_SIZE)
-def _tiebreak_ranks(seed: int, round_index: int, n: int) -> tuple[int, ...]:
-    rng = np.random.default_rng([seed, _TIEBREAK_STREAM, round_index])
-    return tuple(rng.permutation(n).tolist())
+def _tiebreak_order(seed: int, round_index: int, n: int) -> tuple[int, ...]:
+    """The tie-break of ``n`` bids in one round: their positions in station
+    order, listed by the rank the round draws for each, lowest first."""
+    ranks = np.random.default_rng([seed, _TIEBREAK_STREAM, round_index]).permutation(n)
+    return tuple(sorted(range(n), key=ranks.tolist().__getitem__))
 
 
-_station = attrgetter("station")
-_reduction = attrgetter("price_reduction")
+_station = itemgetter(0)
+_reduction = itemgetter(2)
 
 
 def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]:
@@ -336,13 +361,12 @@ def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]
     drawn per round index so the order never depends on map iteration
     order. A round without ties needs no shuffle: ranks could not change
     its order, and the reverse of ascending order is descending."""
-    if len({b.price_reduction for b in bids}) == len(bids):
+    if len(set(map(_reduction, bids))) == len(bids):
         return sorted(bids, key=_reduction, reverse=True)
     ordered = sorted(bids, key=_station)
-    ranks = _tiebreak_ranks(seed, round_index, len(ordered))
-    # ranks are distinct, so two bids are never compared
-    keyed = sorted((-b.price_reduction, rank, b) for b, rank in zip(ordered, ranks))
-    return [b for _, _, b in keyed]
+    by_rank = [ordered[i] for i in _tiebreak_order(seed, round_index, len(ordered))]
+    # a sort is stable, also in reverse, so tied bids keep their rank order
+    return sorted(by_rank, key=_reduction, reverse=True)
 
 
 def process_bids(
@@ -353,21 +377,21 @@ def process_bids(
     later bid in the same round sees the updated assignment."""
     last_accepted = state.last_accepted
     log: list[ProcessedBid] = []
-    for bid in _processing_order(bids, seed, round_index):
-        sid = bid.station
+    for sid, decision, reduction, offer in _processing_order(bids, seed, round_index):
         verdict = state.check(sid)
-        exiting = bid.decision is BidDecision.EXIT
+        exiting = decision is EXIT
         payment = None
-        if isinstance(verdict, Feasible):
+        cls = verdict.__class__
+        if cls is Feasible:
             verdict_name = _FEASIBLE
             if exiting:
                 state.packed = dict(verdict.certificate)
                 new_status = _EXITED
             else:
-                last_accepted[sid] = bid.offer
+                last_accepted[sid] = offer
                 new_status = _ACTIVE
         else:
-            if isinstance(verdict, Timeout):
+            if cls is Timeout:
                 verdict_name = _TIMEOUT
                 state.timeout_count += 1
             else:
@@ -379,8 +403,8 @@ def process_bids(
             ProcessedBid(
                 sid,
                 _EXIT if exiting else _ACCEPT,
-                bid.price_reduction,
-                bid.offer,
+                reduction,
+                offer,
                 verdict_name,
                 new_status,
                 payment,
@@ -424,6 +448,7 @@ def run_auction(
 
     # active stations in station order; a station leaves once it exits or freezes
     active = sorted(participants)
+    strategy_of = (strategies or {}).get
     clock = initial_clock(c0)
     log: list[RoundRecord] = []
 
@@ -434,7 +459,7 @@ def run_auction(
             # then as good as holding: each station is re-checked in order,
             # and the packable ones exit while the rest freeze at zero.
             round_index = clock.round_index + 1
-            bids = [Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in active]
+            bids = [Bid(sid, EXIT, 0.0, 0.0) for sid in active]
             processed = process_bids(state, bids, config.seed, round_index)
             log.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
             break
@@ -446,15 +471,17 @@ def run_auction(
         # last accepted price is its offer at the previous clock.
         for sid in active:
             offer = offer_price(vols[sid], current)
-            strategy = strategies.get(sid) if strategies else None
+            strategy = strategy_of(sid)
             if strategy is not None:
                 decision = strategy(round_index, offer, values[sid])
+                if decision is not ACCEPT and decision is not EXIT:
+                    decision = BidDecision(decision)  # "exit" is EXIT; junk raises
             else:
                 decision = truthful_bid(values[sid], offer)
             bids.append(Bid(sid, decision, last_accepted[sid] - offer, offer))
         processed = process_bids(state, bids, config.seed, round_index)
         log.append(RoundRecord(round_index, current, processed))
-        active = sorted(p.station for p in processed if p.new_status == _ACTIVE)
+        active = sorted([p.station for p in processed if p.new_status == _ACTIVE])
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
     return AuctionOutcome(

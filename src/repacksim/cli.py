@@ -36,7 +36,7 @@ from pathlib import Path
 
 import click
 
-from .auction import determine_participants
+from .auction import AuctionConfig, determine_participants
 from .experiment import (
     Cell,
     config_from_mapping,
@@ -61,7 +61,6 @@ from .model import ClearingTarget
 from .pricing import (
     DegenerateInstanceError,
     ScoringRule,
-    default_initial_clock_price,
     volumes_for,
 )
 from .vcg import vcg_outcome
@@ -209,8 +208,8 @@ def vcg(instance_path, values_path, bar_c, scoring, c0, out):
     profile = _parse_file(parse_values, values_path, "values")
     rule = ScoringRule(scoring)
     ct = ClearingTarget(bar_c)
-    opening = c0 if c0 is not None else default_initial_clock_price(rule)
-    with _reported(ValueError):  # a degenerate instance or a short value profile
+    with _reported(ValueError):  # a bad --c0, a degenerate instance or a short profile
+        opening = AuctionConfig(ct, rule, c0).initial_price()
         volumes = volumes_for(inst, ct, rule)
         participants, non_participants = determine_participants(
             inst, profile, volumes, opening

@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("budget_steps must be positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
+        if not (math.isfinite(self.c0_fcc) and math.isfinite(self.c0_unscored)):
+            raise ValueError("c0_fcc and c0_unscored must be finite")
         if not (self.c0_fcc > 0 and self.c0_unscored > 0):
             raise ValueError("c0_fcc and c0_unscored must be positive")
         if self.vcg_node_budget < 1:

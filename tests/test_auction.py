@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repacksim import auction
 from repacksim.auction import (
     AuctionConfig,
+    AuctionOutcome,
     AuctionState,
     Bid,
     BidDecision,
@@ -20,7 +24,16 @@ from repacksim.auction import (
     run_auction,
     truthful_bid,
 )
-from repacksim.feasibility import Budget, SearchSpaceError
+from repacksim.feasibility import (
+    Budget,
+    Feasible,
+    FeasibilityProblem,
+    SearchSpaceError,
+    Timeout,
+    check_exhaustive,
+    check_greedy,
+    check_sat,
+)
 from repacksim.instances import (
     GeneratorParams,
     ValueSamplerParams,
@@ -33,7 +46,15 @@ from repacksim.model import (
     UnpackableError,
     validate_assignment,
 )
-from repacksim.pricing import ScoringRule, offer_price, unscored_volumes, volumes_for
+from repacksim.pricing import (
+    DegenerateInstanceError,
+    ScoringRule,
+    initial_clock,
+    next_clock,
+    offer_price,
+    unscored_volumes,
+    volumes_for,
+)
 
 from conftest import mk_instance
 
@@ -307,6 +328,32 @@ def test_strategy_hook_forces_early_exit():
     assert set(out.winners) == {1}
 
 
+def test_strategy_decision_given_as_a_string_is_read_as_the_decision():
+    inst = mk_instance([(1, {14}), (2, {14})], [(1, 14, 2, 14)])
+    values = {1: 5.0, 2: 3.0}
+    cfg = unscored_config(ClearingTarget(15), 10.0)
+
+    def answer(decision):
+        return {2: lambda round_index, offer, value: decision}
+
+    as_enum = run_auction(inst, values, cfg, strategies=answer(BidDecision.EXIT))
+    as_string = run_auction(inst, values, cfg, strategies=answer("exit"))
+    assert as_string == as_enum
+    assert [b.decision for b in as_string.round_log[0].bids if b.station == 2] == ["exit"]
+    assert as_string.final_assignment == {2: 14}
+
+
+def test_strategy_decision_that_is_no_decision_raises():
+    inst = mk_instance([(1, {14}), (2, {14})], [(1, 14, 2, 14)])
+    with pytest.raises(ValueError, match="bogus"):
+        run_auction(
+            inst,
+            {1: 5.0, 2: 3.0},
+            unscored_config(ClearingTarget(15), 10.0),
+            strategies={2: lambda round_index, offer, value: "bogus"},
+        )
+
+
 def test_fcc_scoring_orders_processing_by_volume():
     # two stations, distinct volumes, both exit in the same round: the higher
     # volume one (bigger price reduction) is processed first
@@ -331,8 +378,11 @@ def test_fcc_scoring_orders_processing_by_volume():
 
 def test_config_validation():
     ct = ClearingTarget(15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         AuctionConfig(ct=ct, c0=-1.0)
+    for c0 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            AuctionConfig(ct=ct, c0=c0)
     assert AuctionConfig(ct=ct).initial_price() == 900.0
     assert (
         AuctionConfig(ct=ct, scoring=ScoringRule.UNSCORED).initial_price()
@@ -435,7 +485,7 @@ PINNED_DIGESTS = (PINNED_OUTCOME_DIGEST, PINNED_BATCH_DIGEST)
 
 def _forget_memoized_work():
     auction._VERDICTS.clear()
-    auction._tiebreak_ranks.cache_clear()
+    auction._tiebreak_order.cache_clear()
 
 
 def test_pinned_outcomes_do_not_depend_on_memoized_work():
@@ -480,6 +530,132 @@ def _reference_order(bids, seed, round_index):
     ranks = np.random.default_rng([seed, 3, round_index]).permutation(len(ordered))
     keyed = sorted(zip(ordered, ranks), key=lambda br: (-br[0].price_reduction, br[1]))
     return [b for b, _ in keyed]
+
+
+_REFERENCE_CHECKERS = {
+    CheckerKind.GREEDY: check_greedy,
+    CheckerKind.SAT: check_sat,
+    CheckerKind.EXHAUSTIVE: lambda problem, budget: check_exhaustive(problem),
+}
+
+
+def _reference_auction(inst, values, config, strategies):
+    """The auction as a plain round loop: every bid runs its checker afresh,
+    with no memo and no per-auction table, and bids are ordered by a fresh
+    tie-break draw."""
+    ct, budget = config.ct, config.budget
+    checker = _REFERENCE_CHECKERS[config.checker]
+    c0 = config.initial_price()
+    vols = volumes_for(inst, ct, config.scoring).volumes
+    opening = {s.id: offer_price(vols[s.id], c0) for s in inst.stations}
+    participants = tuple(s.id for s in inst.stations if values[s.id] < opening[s.id])
+    non_participants = tuple(s.id for s in inst.stations if s.id not in participants)
+    packed = initial_assignment(inst, non_participants, ct, config.checker, budget)
+    accepted = {sid: opening[sid] for sid in participants}
+    payments, timeouts, log = {}, 0, []
+    active, clock = sorted(participants), initial_clock(c0)
+    while active:
+        final = clock.current == 0.0 and all(accepted[sid] == 0.0 for sid in active)
+        if final:
+            round_index, current = clock.round_index + 1, 0.0
+            bids = [Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in active]
+        else:
+            clock = next_clock(clock)
+            round_index, current = clock.round_index, clock.current
+            bids = []
+            for sid in active:
+                offer = offer_price(vols[sid], current)
+                if sid in strategies:
+                    decision = strategies[sid](round_index, offer, values[sid])
+                else:
+                    decision = truthful_bid(values[sid], offer)
+                bids.append(Bid(sid, decision, accepted[sid] - offer, offer))
+        processed = []
+        for bid in _reference_order(bids, config.seed, round_index):
+            sid = bid.station
+            verdict = checker(FeasibilityProblem(sid, packed, inst, ct), budget)
+            payment = None
+            if isinstance(verdict, Feasible):
+                name = "feasible"
+                if bid.decision is BidDecision.EXIT:
+                    packed, status = dict(verdict.certificate), "exited"
+                else:
+                    accepted[sid], status = bid.offer, "active"
+            else:
+                name = "timeout" if isinstance(verdict, Timeout) else "infeasible"
+                timeouts += name == "timeout"
+                payment = payments[sid] = accepted[sid]
+                status = "frozen"
+            processed.append(
+                ProcessedBid(
+                    sid, bid.decision.value, bid.price_reduction, bid.offer, name, status, payment
+                )
+            )
+        log.append(RoundRecord(round_index, current, tuple(processed), final))
+        if final:
+            break
+        active = sorted(p.station for p in processed if p.new_status == "active")
+    return AuctionOutcome(
+        winners={sid: payments[sid] for sid in sorted(payments)},
+        final_assignment=packed,
+        participants=participants,
+        non_participants=non_participants,
+        rounds=len(log),
+        checker_timeout_count=timeouts,
+        round_log=tuple(log),
+    )
+
+
+def _outcome_or_error(auction_fn, *args):
+    try:
+        return auction_fn(*args)
+    except (DegenerateInstanceError, UnpackableError, SearchSpaceError) as error:
+        return type(error)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4, max_value=8),
+    checker=st.sampled_from(list(CheckerKind)),
+    steps=st.sampled_from([2, 50_000]),
+    scoring=st.sampled_from(list(ScoringRule)),
+    exits=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=12)),
+        max_size=4,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scoring, exits):
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=17,
+            co_channel_radius=0.45,
+            adjacent_channel_radius=0.1,
+            seed=seed,
+        )
+    )
+    values = sample_values(
+        inst,
+        ValueSamplerParams(log_mean=2.5, log_sd=0.8, population_exponent=0.3, seed=seed),
+    )
+    config = AuctionConfig(
+        ct=ClearingTarget(16),
+        scoring=scoring,
+        c0=max(values.values()) * 1.5 if scoring is ScoringRule.UNSCORED else None,
+        checker=checker,
+        budget=Budget(step_limit=steps),
+        seed=seed,
+    )
+    sids = inst.station_ids()
+    strategies = {sids[i % n]: _exit_at(r) for i, r in exits}
+    # truthful first, so the run with exits also meets verdicts from the memo
+    for chosen in ({}, strategies):
+        expected = _outcome_or_error(_reference_auction, inst, values, config, chosen)
+        got = _outcome_or_error(run_auction, inst, values, config, chosen)
+        assert got == expected
+        assert repr(got) == repr(expected)  # the packed order too
 
 
 def _bids(reductions):
@@ -699,3 +875,9 @@ def test_round_log_records_are_immutable():
 def test_bid_rejects_a_negative_price_reduction():
     with pytest.raises(ValueError, match="non-negative"):
         Bid(1, BidDecision.ACCEPT, price_reduction=-1.0, offer=5.0)
+
+
+def test_bid_rejects_a_price_reduction_that_is_not_a_number():
+    with pytest.raises(ValueError, match="non-negative"):
+        Bid(1, BidDecision.ACCEPT, price_reduction=math.nan, offer=5.0)
+    assert Bid(1, BidDecision.ACCEPT, 0.5, 5.0) == (1, BidDecision.ACCEPT, 0.5, 5.0)

@@ -72,6 +72,13 @@ def test_config_validation():
         small_config(cells=())
 
 
+@pytest.mark.parametrize("field", ["c0_fcc", "c0_unscored"])
+@pytest.mark.parametrize("c0", [math.inf, math.nan])
+def test_config_rejects_an_opening_price_that_is_not_finite(field, c0):
+    with pytest.raises(ValueError, match="c0_fcc and c0_unscored must be finite"):
+        small_config(**{field: c0})
+
+
 def test_run_experiment_produces_grid():
     result = run_experiment(small_config())
     assert len(result.rows) == 4  # 2 cells x 2 profiles
@@ -622,6 +629,19 @@ def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, monkeypatch, files, 
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1
     assert res.output.splitlines() == [line]
+
+
+@pytest.mark.parametrize("c0", ["nan", "inf", "-5", "0"])
+def test_cli_vcg_reports_an_opening_price_that_is_not_positive_and_finite(
+    tmp_path, monkeypatch, c0
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.txt").write_text(GOOD_INSTANCE)
+    (tmp_path / "values.txt").write_text(GOOD_VALUES)
+    args = ["vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16"]
+    res = CliRunner().invoke(main, [*args, "--scoring", "unscored", f"--c0={c0}"])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["Error: c0 must be positive and finite"]
 
 
 def test_cli_run_reports_a_degenerate_instance_in_one_line(tmp_path):
