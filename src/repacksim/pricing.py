@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import ClearingTarget, Instance, StationId
 
@@ -84,22 +85,27 @@ def default_initial_clock_price(rule: ScoringRule) -> float:
     return DEFAULT_C0_FCC if rule is ScoringRule.FCC else DEFAULT_C0_UNSCORED
 
 
-@dataclass(frozen=True)
-class ClockState:
-    """Shared descending price level: the initial price, the current price,
-    and the round index."""
-
+class _ClockFields(NamedTuple):
     c0: float
     current: float
     round_index: int = 0
 
-    def __post_init__(self) -> None:
-        if self.c0 <= 0:
+
+class ClockState(_ClockFields):
+    """Shared descending price level: the initial price, the current price,
+    and the round index. Building one checks all three; :func:`next_clock`,
+    whose result meets the checks by construction, skips them."""
+
+    __slots__ = ()
+
+    def __new__(cls, c0: float, current: float, round_index: int = 0) -> ClockState:
+        if c0 <= 0:
             raise ValueError("initial clock price must be positive")
-        if not 0 <= self.current <= self.c0:
+        if not 0 <= current <= c0:
             raise ValueError("clock must stay within [0, c0]")
-        if self.round_index < 0:
+        if round_index < 0:
             raise ValueError("round index must be non-negative")
+        return _ClockFields.__new__(cls, c0, current, round_index)
 
 
 def initial_clock(c0: float) -> ClockState:
@@ -120,7 +126,8 @@ def next_clock(state: ClockState) -> ClockState:
     lowered = max(0.0, state.current - decrement(state.current, state.c0))
     if lowered == state.current:
         lowered = 0.0
-    return ClockState(state.c0, lowered, state.round_index + 1)
+    # within [0, state.current], so the checks of a ClockState hold
+    return _ClockFields.__new__(ClockState, state.c0, lowered, state.round_index + 1)
 
 
 def offer_price(volume: float, clock: float) -> float:

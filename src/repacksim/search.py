@@ -12,7 +12,12 @@ benchmark's branch and bound lets participants stay off the air and keeps
 the packing of highest value. The branch and bound is AND/OR search with
 caching (Marinescu & Dechter, 2009): once a cut station is decided, the
 undecided stations fall into parts that share no conflict, and each part is
-solved on its own, its optimum cached by its stations' live channels.
+solved on its own, its optimum cached by its stations' live channels and
+forced flags. Searches of one model may share that cache, so a part solved
+once is not searched again by a later search that meets it. They may also
+share a memo of the cut tests made and the parts found, which depend on the
+model alone. The order in which stations are decided is a rank passed to each search, so
+searches that break ties differently can share one model.
 """
 
 from __future__ import annotations
@@ -145,10 +150,33 @@ def _flood(seed: int, within: int, neighbours: list[int], goal: int = 0) -> int:
     return reached
 
 
+def _split(near: int, within: int, neighbours: list[int]) -> tuple:
+    """The parts that the stations of ``within`` fall into, as
+    ``(station lists, masks)``, each list in ascending order and the parts in
+    the order of their first stations, when the stations of ``near`` do not
+    all reach one another within it; otherwise ``()``."""
+    # most often the first of them neighbours all the others
+    low = near & -near
+    if not near & ~(neighbours[low.bit_length() - 1] | low):
+        return ()
+    if not near & ~_flood(low, within, neighbours, near):
+        return ()
+    parts, masks = [], []
+    while within:
+        part = _flood(within & -within, within, neighbours, within)
+        within ^= part
+        masks.append(part)
+        stations = []
+        while part:
+            low = part & -part
+            stations.append(low.bit_length() - 1)
+            part ^= low
+        parts.append(stations)
+    return parts, masks
+
+
 class _AndNode:
-    """The parts that the undecided stations fall into once a cut station is
-    decided, each a list of station indices in ascending order, the parts in
-    the order of their first stations; and, while ``at`` is not None, the AND
+    """The parts of a :func:`_split` and, while ``at`` is not None, the AND
     node over them on the cut station's current branch.
 
     For each part the node holds an upper bound on its optimum and, once
@@ -158,25 +186,13 @@ class _AndNode:
     first; ``saved`` holds the search the cut station belongs to, resumed
     when a part's search ends."""
 
-    __slots__ = ("parts", "at", "acc", "keys", "open", "bound", "found", "saved")
+    __slots__ = ("parts", "masks", "at", "acc", "keys", "open", "bound", "found", "saved")
 
-    def __init__(self, undecided: set[int], neighbours: list[int]) -> None:
-        within = 0
-        for j in undecided:
-            within |= 1 << j
-        self.parts = []
-        while within:
-            part = _flood(within & -within, within, neighbours, within)
-            within ^= part
-            stations = []
-            while part:
-                low = part & -part
-                stations.append(low.bit_length() - 1)
-                part ^= low
-            self.parts.append(stations)
+    def __init__(self, split: tuple) -> None:
+        self.parts, self.masks = split
         self.at: int | None = None
 
-    def begin(self, acc, avail, gain, order, options, width, cache) -> None:
+    def begin(self, acc, avail, gain, forced, order, options, width, cache) -> None:
         self.at = -1
         self.acc = acc
         self.keys, self.open, self.bound, self.found = [], [], [], []
@@ -197,7 +213,7 @@ class _AndNode:
                 key = 0
                 for j in part:
                     c = avail[j]
-                    key |= (c << 1 | 1) << (j * width)
+                    key |= ((c << 1 | forced[j]) << 1 | 1) << (j * width)
                     if c:
                         total += gain[j]
                 bound = total
@@ -250,15 +266,20 @@ def search(
     best_value: float = -1.0,
     best: Assignment | None = None,
     first: bool = False,
+    rank: list[int] | None = None,
+    cache: dict[int, float | tuple] | None = None,
+    splits: dict[int, tuple] | None = None,
 ) -> tuple[Assignment | None, float]:
     """Best packing of ``model`` worth more than ``best_value``.
 
     Station ``i`` is worth ``gain[i]`` on air and must be on air when
     ``forced[i]``. The next station to decide is the undecided one with the
-    fewest channels left, the lower index breaking ties; its options are tried
-    in order, then, unless it is forced, leaving it off the air. Assigning a
-    channel removes the channels it rules out from undecided stations, and a
-    forced station left with none ends the branch. A node is pruned when the
+    fewest channels left, the lower ``rank`` breaking ties; ``rank`` holds a
+    distinct number below ``len(model.order)`` per station and defaults to
+    the station's index. Its options are tried in order, then, unless it is
+    forced, leaving it off the air. Assigning a channel removes the channels
+    it rules out from undecided stations, and a forced station left with
+    none ends the branch. A node is pruned when the
     value decided so far plus all the undecided value cannot beat the best.
     Every option tried and every off-air branch spends one node of
     ``counter``; :class:`ResourceLimitError` is raised when none are left.
@@ -271,10 +292,17 @@ def search(
     fall into parts, solved one after another, each needing to beat the best
     less the value decided and the other parts' bounds, and the branch is
     worth the sum of their optima. A part of one station needs no search. A
-    part's optimum, or a bound on it when it cannot beat what it needs to, is
-    cached by its stations' live channels for the rest of the call, and a
-    cache hit spends no node. Cut stations are looked for only while at least
-    :data:`SPLIT_MIN` stations of the part under search are undecided.
+    part's optimum, or the largest bound its search closed when it cannot
+    beat what it needs to, goes into ``cache`` under its stations' live
+    channels and forced flags, and a cache hit spends no node. Either entry
+    holds whatever the part had to beat, so searches of one model may share
+    ``cache`` as long as a station's gain depends on its forced flag alone;
+    without one, the search starts an empty cache of its own. Cut stations
+    are looked for only while at least :data:`SPLIT_MIN` stations of the part
+    under search are undecided. ``splits`` keeps each cut test and the parts
+    it made, keyed by the undecided stations and the station picked; these
+    depend on ``model`` alone, so its searches may share it, and without
+    one the search starts its own.
 
     Returns the best packing and its value, or ``(best, best_value)`` when
     nothing beats them. With ``first`` the search stops at the first packing
@@ -283,8 +311,13 @@ def search(
     """
     order, options = model.order, model.options
     n = len(order)
+    if rank is None:
+        rank = range(n)
+    by_rank = [0] * n
+    for i, r in enumerate(rank):
+        by_rank[r] = i
     avail = [sum(bit for bit, _, _ in opts) for opts in options]
-    score = [avail[i].bit_count() * n + i for i in range(n)]
+    score = [avail[i].bit_count() * n + rank[i] for i in range(n)]
     undecided = set(range(n))
     neighbours = model.neighbours if not first and n >= SPLIT_MIN else None
     free = (1 << n) - 1  # the stations with no frame on the stack
@@ -297,14 +330,19 @@ def search(
     acc = 0.0
     # summed in station order, so equal problems prune identically
     open_value = sum(gain[i] for i in sorted(range(n), key=order.__getitem__))
-    # The part under search: its frames start at stack[base], its undecided
-    # stations are `undecided`, `tree` is its best packing found so far, and
-    # no subtree closed without beating the best is worth more than `proven`.
+    # The part under search: its stations are `scope`, its frames start at
+    # stack[base], its undecided stations are `undecided`, `tree` is its best
+    # packing found so far, and no subtree closed without beating the best is
+    # worth more than `proven`.
+    scope = free
     base = 0
     tree = None
     proven = -_INF
-    cache: dict[int, float | tuple] = {}
-    width = len(model.channel_of) + 1
+    if cache is None:
+        cache = {}
+    if splits is None:
+        splits = {}
+    width = len(model.channel_of) + 2
     while True:
         if not undecided:
             if acc > best_value:
@@ -319,7 +357,7 @@ def search(
             if acc + open_value > proven:
                 proven = acc + open_value
         else:
-            i = min(map(score.__getitem__, undecided)) % n
+            i = by_rank[min(map(score.__getitem__, undecided)) % n]
             undecided.discard(i)
             free ^= 1 << i
             mask = avail[i]
@@ -343,13 +381,14 @@ def search(
                     continue
                 if near & (near - 1) and len(undecided) >= SPLIT_MIN:
                     # i is a cut station when its undecided neighbours do not
-                    # all reach one another through undecided stations; most
-                    # often the first of them neighbours all the others
-                    low = near & -near
-                    if near & ~(neighbours[low.bit_length() - 1] | low) and near & ~_flood(
-                        low, free, neighbours, near
-                    ):
-                        cut = _AndNode(undecided, neighbours)
+                    # all reach one another through undecided stations
+                    within = free & scope
+                    key = within * n + i
+                    split = splits.get(key)
+                    if split is None:
+                        split = splits[key] = _split(near, within, neighbours)
+                    if split:
+                        cut = _AndNode(split)
             stack.append([i, mask, acc, rest, iter(options[i]), (), None, cut])
         # Move the deepest frame on to its next branch, dropping frames that
         # have none left; the search ends when no frame is left.
@@ -368,12 +407,12 @@ def search(
                     else:
                         cache[cut.keys[k]] = cut.found[k] = (best_value, tree)
                         cut.bound[k] = best_value
-                    best_value, tree, base, undecided, proven = cut.saved
+                    best_value, tree, base, undecided, proven, scope = cut.saved
                 if k < 0 or cut.found[k] is not None:
                     k, threshold = cut.next_part(best_value)
                     if 0 <= k < len(cut.parts):
-                        cut.saved = best_value, tree, base, undecided, proven
-                        undecided = set(cut.parts[k])
+                        cut.saved = best_value, tree, base, undecided, proven, scope
+                        undecided, scope = set(cut.parts[k]), cut.masks[k]
                         acc, open_value = 0.0, cut.open[k]
                         best_value, tree, base, proven = threshold, None, len(stack), -_INF
                         break
@@ -443,7 +482,7 @@ def search(
             if cut is not None:
                 # the undecided stations now fall into the cut's parts
                 if acc + open_value > best_value:
-                    cut.begin(acc, avail, gain, order, options, width, cache)
+                    cut.begin(acc, avail, gain, forced, order, options, width, cache)
                 elif acc + open_value > proven:
                     proven = acc + open_value
                 continue

@@ -6,8 +6,8 @@ exactly one channel for every non-participating station. It is solved exactly
 for each connected component of the interference graph by AND/OR branch and
 bound: the sum of undecided station values bounds a branch, and once a cut
 station is decided, the stations left fall into parts with no conflict
-between them, each solved on its own and cached within the solve. The search
-is :func:`repacksim.search.search`, the loop the feasibility checks run too;
+between them, each solved on its own and cached. The search is
+:func:`repacksim.search.search`, the loop the feasibility checks run too;
 here it starts from a greedy packing as its incumbent.
 
 A winner's price is the drop in everyone else's optimal value caused by
@@ -22,6 +22,18 @@ optimum. It usually prunes more, but not always: a part's search that must
 beat more ends with a bound rather than its optimum, and a later branch may
 have to search it again. :func:`vcg_price` prices one winner by a full, cold
 re-solve, an independent reference for the same number.
+
+Within one :func:`vcg_outcome` call each component has one search context:
+a packing model built once, in the base solve's order, one part cache and
+one memo of cut tests. The base solve and every re-solve of the component
+search that model, each ranking its stations for tie-breaks in its own way,
+and share the cache and the memo, so a re-solve does not search again a
+part that the base solve or an earlier re-solve has solved, nor repeat a
+cut test. The key of a cached part holds its stations' forced
+flags, and a forced station is worth nothing, so the only entries a
+re-solve cannot use are those of parts that hold its winner. The contexts
+go with the call; :func:`optimal_packing` and :func:`vcg_price` build fresh
+ones.
 """
 
 from __future__ import annotations
@@ -93,12 +105,42 @@ def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
     return components
 
 
+def _ranked(
+    stations: Iterable[StationId], forced: frozenset[StationId], values: ValueProfile
+) -> list[StationId]:
+    """``stations`` forced first, then by value, then by id: the rank that
+    breaks ties in the fewest-channels-left rule of a solve forcing
+    ``forced``, where a forced station is worth nothing."""
+    return sorted(stations, key=lambda s: (s not in forced, 0.0 if s in forced else -values[s], s))
+
+
+class _Component:
+    """The search context of one interference component within one call: a
+    packing model over its stations, ranked as its base solve ranks them,
+    and the part cache and cut-test memo that the base solve and every
+    re-solve of the component share. A forced station is worth nothing and any other its
+    value, so a station's gain depends on its forced flag alone, which is
+    what sharing the cache needs."""
+
+    __slots__ = ("values", "model", "cache", "splits")
+
+    def __init__(
+        self,
+        stations: list[StationId],
+        forced: frozenset[StationId],
+        values: ValueProfile,
+        inst: Instance,
+        ct: ClearingTarget,
+    ) -> None:
+        self.values = values
+        self.model = PackingModel(inst, ct, _ranked(stations, forced, values))
+        self.cache: dict = {}
+        self.splits: dict = {}
+
+
 def _solve_component(
-    comp: list[StationId],
+    component: _Component,
     forced: frozenset[StationId],
-    values: ValueProfile,
-    inst: Instance,
-    ct: ClearingTarget,
     counter: _NodeCounter,
     warm_start: tuple[Assignment, StationId] | None = None,
 ) -> tuple[Assignment, float] | None:
@@ -106,9 +148,9 @@ def _solve_component(
     cannot all be placed.
 
     AND/OR branch and bound with forward checking
-    (:func:`repacksim.search.search`) over the component's stations ranked
-    forced first, then by value, so that rank breaks ties in the
-    fewest-channels-left rule.
+    (:func:`repacksim.search.search`) over the component's model, with its
+    stations in :func:`_ranked` order for this solve. The search shares the
+    component's part cache and cut-test memo.
 
     The incumbent is a greedy packing. ``warm_start`` is ``(start, entrant)``:
     ``start`` packs the component with ``entrant`` off the air, as the base
@@ -117,13 +159,16 @@ def _solve_component(
     the best packing found this way replaces the greedy one when it is worth
     more.
     """
-    gain_of = {sid: (0.0 if sid in forced else values[sid]) for sid in comp}
-    order = sorted(comp, key=lambda s: (s not in forced, -gain_of[s], s))
-    model = PackingModel(inst, ct, order)
+    model = component.model
+    order, options, channel_of = model.order, model.options, model.channel_of
     n = len(order)
-    gain = [gain_of[sid] for sid in order]
+    gain = [0.0 if sid in forced else component.values[sid] for sid in order]
     is_forced = [sid in forced for sid in order]
-    options, channel_of = model.options, model.channel_of
+    local = {sid: i for i, sid in enumerate(order)}
+    ranked = [local[sid] for sid in _ranked(order, forced, component.values)]
+    rank = [0] * n
+    for r, i in enumerate(ranked):
+        rank[i] = r
 
     def place(on_air: list[int], pending: Iterable[int]) -> bool:
         """Put each pending station, in order, on its lowest channel that fits
@@ -142,18 +187,18 @@ def _solve_component(
         # left to right in rank order; sum() of floats rounds differently
         # from Python 3.12 on, which would move the incumbent and the pruning
         total = 0.0
-        for i in range(n):
+        for i in ranked:
             if on_air[i]:
                 total += gain[i]
         return total
 
     def packing(on_air: list[int]) -> Assignment:
-        return {order[i]: channel_of[bit] for i, bit in enumerate(on_air) if bit}
+        return {order[i]: channel_of[on_air[i]] for i in ranked if on_air[i]}
 
     best_value = -1.0
     best_assign: Assignment | None = None
     greedy = [0] * n
-    if place(greedy, range(n)):
+    if place(greedy, ranked):
         best_value = worth(greedy)
         best_assign = packing(greedy)
 
@@ -170,7 +215,7 @@ def _solve_component(
             evicted = [j for j, b in clash if on_air[j] == b]
             for j in evicted:
                 on_air[j] = 0
-            if not place(on_air, sorted(evicted)):
+            if not place(on_air, sorted(evicted, key=rank.__getitem__)):
                 continue
             value = worth(on_air)
             if value > best_value:
@@ -178,7 +223,15 @@ def _solve_component(
                 best_assign = packing(on_air)
 
     best_assign, best_value = search(
-        model, gain, is_forced, counter, best_value, best_assign
+        model,
+        gain,
+        is_forced,
+        counter,
+        best_value,
+        best_assign,
+        rank=rank,
+        cache=component.cache,
+        splits=component.splits,
     )
     if best_assign is None:
         return None
@@ -186,22 +239,20 @@ def _solve_component(
 
 
 def _solve_all(
-    components: list[list[StationId]],
+    components: list[_Component],
     nons: frozenset[StationId],
-    values: ValueProfile,
-    inst: Instance,
-    ct: ClearingTarget,
     counter: _NodeCounter,
 ) -> Assignment:
     """Optimal packing of every component in turn, all spending ``counter``.
     Raises :class:`UnpackableError` for the first component whose
     non-participants cannot all be placed."""
     assignment: Assignment = {}
-    for comp in components:
-        solved = _solve_component(comp, nons, values, inst, ct, counter)
+    for component in components:
+        solved = _solve_component(component, nons, counter)
         if solved is None:
             raise UnpackableError(
-                f"non-participating stations in component {comp} cannot be packed"
+                f"non-participating stations in component {sorted(component.model.order)}"
+                " cannot be packed"
             )
         assignment.update(solved[0])
     return assignment
@@ -220,8 +271,8 @@ def optimal_packing(
     non-participants cannot all be placed, and :class:`ResourceLimitError`
     when the node budget runs out."""
     parts, nons = _partition_check(inst, participants, non_participants)
-    counter = _NodeCounter(node_budget)
-    assignment = _solve_all(_components(inst, ct), nons, values, inst, ct, counter)
+    components = [_Component(comp, nons, values, inst, ct) for comp in _components(inst, ct)]
+    assignment = _solve_all(components, nons, _NodeCounter(node_budget))
     return assignment, station_sum(values, parts.intersection(assignment))
 
 
@@ -283,30 +334,27 @@ def vcg_outcome(
     re-solves just that component; the answers are identical to a full
     re-solve because the other components' subproblems are unchanged. Each
     re-solve is warm-started from the base optimum (see the module
-    docstring) and has a node budget of its own.
+    docstring) and has a node budget of its own. The base solve and the
+    re-solves of one component share its search context, which this call
+    builds and drops, so the outcome, its node count included, depends on
+    the arguments alone.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
-    components = _components(inst, ct)
+    components = [_Component(comp, nons, values, inst, ct) for comp in _components(inst, ct)]
     counter = _NodeCounter(node_budget)
-    assignment = _solve_all(components, nons, values, inst, ct, counter)
+    assignment = _solve_all(components, nons, counter)
     value = station_sum(values, parts.intersection(assignment))
-    comp_of = {sid: index for index, comp in enumerate(components) for sid in comp}
+    component_of = {sid: c for c in components for sid in c.model.order}
 
     winners = tuple(sorted(parts - set(assignment)))
     prices: dict[StationId, float] = {}
     restricted: dict[StationId, float] = {}
     nodes = counter.spent
     for sid in winners:
-        index = comp_of[sid]
+        component = component_of[sid]
         resolve_counter = _NodeCounter(node_budget)
         solved = _solve_component(
-            components[index],
-            frozenset(nons | {sid}),
-            values,
-            inst,
-            ct,
-            resolve_counter,
-            warm_start=(assignment, sid),
+            component, nons | {sid}, resolve_counter, warm_start=(assignment, sid)
         )
         nodes += resolve_counter.spent
         if solved is None:
@@ -315,7 +363,7 @@ def vcg_outcome(
             restricted[sid] = 0.0
         else:
             merged = dict(assignment)
-            for other in components[index]:
+            for other in component.model.order:
                 merged.pop(other, None)
             merged.update(solved[0])
             restricted[sid] = station_sum(values, (parts - {sid}).intersection(merged))

@@ -126,6 +126,15 @@ def test_next_clock_examples():
     assert clamped.current == 0.0
     frozen = next_clock(clamped)
     assert frozen.current == 0.0  # absorbing floor
+    assert type(frozen) is ClockState and frozen == ClockState(900.0, 0.0, 42)
+
+
+def test_clock_state_checks_its_fields():
+    for fields in ((0.0, 0.0), (900.0, 900.5), (900.0, -1.0), (900.0, 5.0, -1)):
+        with pytest.raises(ValueError):
+            ClockState(*fields)
+    with pytest.raises(ValueError):
+        initial_clock(-5.0)
 
 
 def test_offer_price_examples():
