@@ -66,10 +66,8 @@ from .auction import (
 from .vcg import VcgOutcome, optimal_packing, vcg_outcome, vcg_price
 from .metrics import (
     ComparisonRecord,
-    ParetoOrder,
     compare,
     cost,
-    pareto_compare,
     value_loss,
     value_loss_ratio,
 )

@@ -18,6 +18,18 @@ strings. The round loop keeps the active stations in station order: those
 whose processed bid left them active. An active station accepted every offer
 so far, so its price reduction is its last accepted price minus its new offer.
 
+The clock advances from event to event (next-event time advance). A round
+is quiet when it does not follow an exit and no station decides to exit in
+it: every active station then already holds a feasible verdict for the
+packed set, so the round can only lower last accepted prices. The loop skips
+each quiet stretch in one step. A truthful station's first exit round comes
+from bisection over the memoized clock trajectory, since its offers only
+fall; a station with a strategy hook is asked once per round, and the
+decisions of the round that ends a stretch are carried into playing it. The
+round log (``RoundLog``) holds the played rounds and the skipped stretches
+and expands each stretch into its records on first read, so it reads as the
+tuple of every round's record.
+
 Auctions on one instance repeat most of each other's work, so two pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count) and the checker verdict for a
@@ -37,7 +49,9 @@ memo's key.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -71,9 +85,8 @@ from .model import (
 from .pricing import (
     ScoringRule,
     VolumeTable,
+    clock_trajectory,
     default_initial_clock_price,
-    initial_clock,
-    next_clock,
     offer_price,
     volumes_for,
 )
@@ -82,8 +95,9 @@ from .search import PackingModel
 _TIEBREAK_STREAM = 3
 
 # Memo bounds. Each holds one instance's working set in criterion 5, whose
-# auctions on an instance run back to back: over its 20 instances it draws
-# about 3,000 distinct tie-break keys and checks about 1,300 distinct problems.
+# auctions on an instance run back to back: over its 50 instances its played
+# rounds draw about 5,700 distinct tie-break keys (at most 182 on one
+# instance) and check about 3,500 distinct problems (at most 117 on one).
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 
@@ -170,6 +184,85 @@ class RoundRecord(NamedTuple):
     final_resolution: bool = False
 
 
+class _QuietStretch(NamedTuple):
+    """Rounds ``first`` to ``last``, skipped as quiet: each station of
+    ``active`` accepted every offer and stayed feasible. ``accepted`` holds
+    their last accepted prices before ``first``."""
+
+    first: int
+    last: int
+    active: tuple[StationId, ...]
+    accepted: dict[StationId, float]
+
+
+class RoundLog(Sequence):
+    """One auction's round log: its played rounds and its skipped quiet
+    stretches. The first read expands every stretch into the records its
+    rounds would have logged, so the log reads as the tuple of all its
+    records: ``repr``, ``==``, ``len``, iteration and indexing agree with
+    that tuple, and a slice is a tuple."""
+
+    __slots__ = ("_parts", "_records", "_length", "_vols", "_clocks", "_seed")
+
+    def __init__(
+        self,
+        parts: list[RoundRecord | _QuietStretch],
+        length: int,
+        vols: Mapping[StationId, float],
+        clocks: tuple[float, ...],
+        seed: int,
+    ) -> None:
+        self._parts, self._records, self._length = parts, None, length
+        self._vols, self._clocks, self._seed = vols, clocks, seed
+
+    def _expanded(self) -> tuple[RoundRecord, ...]:
+        if self._records is None:
+            records: list[RoundRecord] = []
+            for part in self._parts:
+                if type(part) is _QuietStretch:
+                    records.extend(self._quiet_rounds(part))
+                else:
+                    records.append(part)
+            self._records, self._parts = tuple(records), None
+        return self._records
+
+    def _quiet_rounds(self, stretch: _QuietStretch) -> Iterable[RoundRecord]:
+        everyone_accepts = dict.fromkeys(stretch.active, ACCEPT)
+        accepted = stretch.accepted
+        for round_index in range(stretch.first, stretch.last + 1):
+            current = self._clocks[round_index]
+            bids = _round_bids(stretch.active, self._vols, accepted, current, everyone_accepts)
+            ordered = _processing_order(bids, self._seed, round_index)
+            yield RoundRecord(
+                round_index,
+                current,
+                tuple(
+                    ProcessedBid(sid, _ACCEPT, reduction, offer, _FEASIBLE, _ACTIVE)
+                    for sid, _, reduction, offer in ordered
+                ),
+            )
+            accepted = {bid.station: bid.offer for bid in bids}
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self._expanded()[index]
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RoundLog):
+            other = other._expanded()
+        if isinstance(other, tuple):
+            return self._expanded() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._expanded())
+
+
 @dataclass(frozen=True)
 class AuctionOutcome:
     winners: dict[StationId, float]
@@ -178,7 +271,7 @@ class AuctionOutcome:
     non_participants: tuple[StationId, ...]
     rounds: int
     checker_timeout_count: int
-    round_log: tuple[RoundRecord, ...]
+    round_log: Sequence[RoundRecord]
 
     def cost(self) -> float:
         return station_sum(self.winners, self.winners)
@@ -369,6 +462,55 @@ def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]
     return sorted(by_rank, key=_reduction, reverse=True)
 
 
+def _round_bids(
+    active: Iterable[StationId],
+    vols: Mapping[StationId, float],
+    accepted: Mapping[StationId, float],
+    current: float,
+    decided: Mapping[StationId, BidDecision],
+    values: ValueProfile | None = None,
+) -> list[Bid]:
+    """One round's bids at clock ``current``, in station order. A station's
+    decision comes from ``decided``, else it bids truthfully on its value;
+    its price reduction is its price in ``accepted`` minus its new offer."""
+    bids = []
+    for sid in active:
+        offer = offer_price(vols[sid], current)
+        decision = decided.get(sid)
+        if decision is None:
+            decision = truthful_bid(values[sid], offer)
+        bids.append(Bid(sid, decision, accepted[sid] - offer, offer))
+    return bids
+
+
+def _hook_decisions(
+    hooked: list[StationId],
+    strategies: Mapping[StationId, BidStrategy],
+    round_index: int,
+    vols: Mapping[StationId, float],
+    current: float,
+    values: ValueProfile,
+) -> dict[StationId, BidDecision]:
+    """Ask each hooked station, in station order, about its offer in one
+    round."""
+    decided = {}
+    for sid in hooked:
+        decision = strategies[sid](round_index, offer_price(vols[sid], current), values[sid])
+        if decision is not ACCEPT and decision is not EXIT:
+            decision = BidDecision(decision)  # "exit" is EXIT; junk raises
+        decided[sid] = decision
+    return decided
+
+
+def _first_exit_round(clocks: tuple[float, ...], vol: float, value: float) -> int:
+    """The first round in which a truthful station declines its offer, or
+    ``len(clocks)`` when it accepts down to clock zero. Its offers only
+    fall, so it declines every offer after the first one it declines."""
+    return bisect_left(
+        clocks, True, 1, key=lambda c: truthful_bid(value, offer_price(vol, c)) is EXIT
+    )
+
+
 def process_bids(
     state: AuctionState, bids: list[Bid], seed: int, round_index: int
 ) -> tuple[ProcessedBid, ...]:
@@ -446,41 +588,73 @@ def run_auction(
         packed=packed0,
     )
 
+    strategies = strategies or {}
+    seed = config.seed
+    clocks = clock_trajectory(c0)
+    horizon = len(clocks)  # the round after the clock first reaches zero
+    exit_round = {
+        sid: _first_exit_round(clocks, vols[sid], values[sid])
+        for sid in participants
+        if sid not in strategies
+    }
     # active stations in station order; a station leaves once it exits or freezes
     active = sorted(participants)
-    strategy_of = (strategies or {}).get
-    clock = initial_clock(c0)
-    log: list[RoundRecord] = []
+    parts: list[RoundRecord | _QuietStretch] = []
+    round_index = 0  # the last round played or skipped
+    # whether every active station holds a feasible verdict for the packed set
+    settled = False
 
     while active:
-        if clock.current == 0.0 and all(last_accepted[sid] == 0.0 for sid in active):
+        if clocks[round_index] == 0.0 and all(last_accepted[sid] == 0.0 for sid in active):
             # At clock zero with every offer accepted at zero, no round can
             # change an offer and the rounds would repeat forever. Exiting is
             # then as good as holding: each station is re-checked in order,
             # and the packable ones exit while the rest freeze at zero.
-            round_index = clock.round_index + 1
+            round_index += 1
             bids = [Bid(sid, EXIT, 0.0, 0.0) for sid in active]
-            processed = process_bids(state, bids, config.seed, round_index)
-            log.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
+            processed = process_bids(state, bids, seed, round_index)
+            parts.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
             break
 
-        clock = next_clock(clock)
-        round_index, current = clock.round_index, clock.current
-        bids = []
-        # A station still active accepted the previous round's offer, so its
-        # last accepted price is its offer at the previous clock.
-        for sid in active:
-            offer = offer_price(vols[sid], current)
-            strategy = strategy_of(sid)
-            if strategy is not None:
-                decision = strategy(round_index, offer, values[sid])
-                if decision is not ACCEPT and decision is not EXIT:
-                    decision = BidDecision(decision)  # "exit" is EXIT; junk raises
-            else:
-                decision = truthful_bid(values[sid], offer)
-            bids.append(Bid(sid, decision, last_accepted[sid] - offer, offer))
-        processed = process_bids(state, bids, config.seed, round_index)
-        log.append(RoundRecord(round_index, current, processed))
+        hooked = [sid for sid in active if sid in strategies]
+        decided = None
+        if settled:
+            # Find the next round in which a station decides to exit; the
+            # rounds before it are quiet.
+            event = min([exit_round[sid] for sid in active if sid in exit_round], default=horizon)
+            if hooked:
+                for r in range(round_index + 1, min(event + 1, horizon)):
+                    decided = _hook_decisions(hooked, strategies, r, vols, clocks[r], values)
+                    if r == event or EXIT in decided.values():
+                        event = r
+                        break
+                else:
+                    event, decided = horizon, None
+            if event > round_index + 1:
+                last = event - 1
+                parts.append(
+                    _QuietStretch(
+                        round_index + 1,
+                        last,
+                        tuple(active),
+                        {sid: last_accepted[sid] for sid in active},
+                    )
+                )
+                for sid in active:
+                    last_accepted[sid] = offer_price(vols[sid], clocks[last])
+                round_index = last
+                if event == horizon:
+                    continue  # the stretch ran into clock zero: the stall test is next
+
+        round_index += 1
+        current = clocks[round_index]
+        if decided is None:
+            decided = _hook_decisions(hooked, strategies, round_index, vols, current, values)
+        bids = _round_bids(active, vols, last_accepted, current, decided, values)
+        packed = state.packed
+        processed = process_bids(state, bids, seed, round_index)
+        parts.append(RoundRecord(round_index, current, processed))
+        settled = state.packed is packed
         active = sorted([p.station for p in processed if p.new_status == _ACTIVE])
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
@@ -489,7 +663,7 @@ def run_auction(
         final_assignment=state.packed,
         participants=participants,
         non_participants=non_participants,
-        rounds=len(log),
+        rounds=round_index,
         checker_timeout_count=state.timeout_count,
-        round_log=tuple(log),
+        round_log=RoundLog(parts, round_index, vols, clocks, seed),
     )

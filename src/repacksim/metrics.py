@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping
 
 from .auction import AuctionOutcome
@@ -39,13 +38,6 @@ class ComparisonRecord:
     cost_fraction: float
     checker_timeout_count: int
     rounds: int
-
-
-class ParetoOrder(Enum):
-    A_DOMINATES = "a_dominates"
-    B_DOMINATES = "b_dominates"
-    INCOMPARABLE = "incomparable"
-    EQUAL = "equal"
 
 
 def value_loss(winners: Iterable[StationId], values: ValueProfile) -> float:
@@ -84,19 +76,6 @@ def cost_fraction(cost_auction: float, cost_benchmark: float) -> float:
         return cost_auction / cost_benchmark
     return 1.0 if cost_auction == 0 else math.inf
 
-
-def pareto_compare(a: ComparisonRecord, b: ComparisonRecord) -> ParetoOrder:
-    """Dominance on (value loss ratio, auction cost): weakly better on both
-    and strictly better on at least one."""
-    a_key = (a.value_loss_ratio, a.cost_auction)
-    b_key = (b.value_loss_ratio, b.cost_auction)
-    if a_key == b_key:
-        return ParetoOrder.EQUAL
-    if a_key[0] <= b_key[0] and a_key[1] <= b_key[1]:
-        return ParetoOrder.A_DOMINATES
-    if b_key[0] <= a_key[0] and b_key[1] <= a_key[1]:
-        return ParetoOrder.B_DOMINATES
-    return ParetoOrder.INCOMPARABLE
 
 
 def compare(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .model import ClearingTarget, Instance, StationId
@@ -128,6 +129,19 @@ def next_clock(state: ClockState) -> ClockState:
         lowered = 0.0
     # within [0, state.current], so the checks of a ClockState hold
     return _ClockFields.__new__(ClockState, state.c0, lowered, state.round_index + 1)
+
+
+@lru_cache(maxsize=64)
+def clock_trajectory(c0: float) -> tuple[float, ...]:
+    """The base clock of every round from ``c0`` to the first round at zero:
+    entry ``r`` is the clock of round ``r``, entry 0 is ``c0``. Memoized per
+    ``c0``; auctions on one opening price share it."""
+    clock = initial_clock(c0)
+    clocks = [clock.current]
+    while clock.current > 0.0:
+        clock = next_clock(clock)
+        clocks.append(clock.current)
+    return tuple(clocks)
 
 
 def offer_price(volume: float, clock: float) -> float:

@@ -49,6 +49,7 @@ from repacksim.model import (
 from repacksim.pricing import (
     DegenerateInstanceError,
     ScoringRule,
+    clock_trajectory,
     initial_clock,
     next_clock,
     offer_price,
@@ -656,6 +657,168 @@ def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scor
         got = _outcome_or_error(run_auction, inst, values, config, chosen)
         assert got == expected
         assert repr(got) == repr(expected)  # the packed order too
+
+
+def _never_exit(round_index, offer, value):
+    return BidDecision.ACCEPT
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4, max_value=8),
+    checker=st.sampled_from(list(CheckerKind)),
+    scoring=st.sampled_from(list(ScoringRule)),
+    # exit rounds over the clock's whole horizon of 53 rounds and past it;
+    # None never exits
+    exits=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.none() | st.integers(min_value=1, max_value=60),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_skipped_stretches_read_as_the_reference_round_log(seed, n, checker, scoring, exits):
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=17,
+            co_channel_radius=0.4,
+            adjacent_channel_radius=0.1,
+            seed=seed,
+        )
+    )
+    values = sample_values(
+        inst,
+        ValueSamplerParams(log_mean=2.5, log_sd=0.8, population_exponent=0.3, seed=seed),
+    )
+    config = AuctionConfig(
+        ct=ClearingTarget(16),
+        scoring=scoring,
+        c0=max(values.values()) * 1.5 if scoring is ScoringRule.UNSCORED else None,
+        checker=checker,
+        seed=seed,
+    )
+    sids = inst.station_ids()
+    strategies = {
+        sids[i % n]: _never_exit if r is None else _exit_at(r) for i, r in exits
+    }
+    expected = _outcome_or_error(_reference_auction, inst, values, config, strategies)
+    got = _outcome_or_error(run_auction, inst, values, config, strategies)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert got == expected
+    assert repr(got) == repr(expected)
+    log, reference = got.round_log, expected.round_log
+    assert len(log) == len(reference) == got.rounds
+    assert reference == log and tuple(log) == reference
+    for i in range(-len(log), len(log)):
+        assert log[i] == reference[i]
+    for cut in (slice(None), slice(1, None), slice(None, None, 2), slice(-3, None), slice(2, 5)):
+        assert type(log[cut]) is tuple
+        assert log[cut] == reference[cut]
+
+
+def _played_rounds(monkeypatch):
+    """The round indices of the rounds ``process_bids`` plays from now on."""
+    played = []
+    process = auction.process_bids
+
+    def recording(state, bids, seed, round_index):
+        played.append(round_index)
+        return process(state, bids, seed, round_index)
+
+    monkeypatch.setattr(auction, "process_bids", recording)
+    return played
+
+
+def test_a_quiet_stretch_into_clock_zero_ends_in_the_final_resolution(monkeypatch):
+    # Station 1 exits once its offer falls below 6. Station 2 is worth
+    # nothing, so after that it accepts every offer down to clock zero: those
+    # rounds are quiet, and the stall test must come right after them.
+    inst = mk_instance([(1, {14}), (2, {15})])
+    values = {1: 6.0, 2: 0.0}
+    config = unscored_config(ClearingTarget(16), 10.0)
+    clocks = clock_trajectory(10.0)
+    exit_round = next(r for r, c in enumerate(clocks) if c < 6.0)
+    horizon = len(clocks)  # the round after the first at clock zero
+    played = _played_rounds(monkeypatch)
+    got = run_auction(inst, values, config)
+    expected = _reference_auction(inst, values, config, {})
+    assert got.rounds == expected.rounds == horizon
+    assert got.round_log == expected.round_log
+    assert [rec.round_index for rec in got.round_log if rec.final_resolution] == [horizon]
+    # the first round, station 1's exit, the round after it and the resolution
+    assert played == [1, exit_round, exit_round + 1, horizon]
+
+
+def _criterion_5_case(k):
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=6,
+            channel_lo=14,
+            channel_hi=17,
+            co_channel_radius=0.4,
+            adjacent_channel_radius=0.1,
+            seed=400 + k,
+        )
+    )
+    values = sample_values(
+        inst,
+        ValueSamplerParams(log_mean=2.5, log_sd=0.8, population_exponent=0.3, seed=40 + k),
+    )
+    config = AuctionConfig(
+        ct=ClearingTarget(16),
+        scoring=ScoringRule.UNSCORED,
+        c0=max(values.values()) * 1.5,
+        checker=CheckerKind.SAT,
+        seed=k,
+    )
+    return inst, values, config
+
+
+def test_only_rounds_that_can_change_the_auction_are_played(monkeypatch):
+    inst, values, config = _criterion_5_case(1)
+    played = _played_rounds(monkeypatch)
+    participants = run_auction(inst, values, config).participants
+    for strategies in ({}, *({sid: _exit_at(9)} for sid in participants)):
+        played.clear()
+        out = run_auction(inst, values, config, strategies)
+        assert len(played) < out.rounds
+        log = out.round_log
+        for r in played:
+            # round 1 follows the initial packing
+            follows_exit = r == 1 or any(b.new_status == "exited" for b in log[r - 2].bids)
+            holds_exit = any(b.decision == "exit" for b in log[r - 1].bids)
+            assert follows_exit or holds_exit
+
+
+def test_hooks_are_asked_what_the_reference_asks():
+    def recorded(calls, sid, exit_round):
+        def hook(round_index, offer, value):
+            calls.append((sid, round_index, offer, value))
+            if exit_round is not None and round_index >= exit_round:
+                return BidDecision.EXIT
+            return BidDecision.ACCEPT
+
+        return hook
+
+    inst, values, config = _criterion_5_case(2)
+    first, second = run_auction(inst, values, config).participants[:2]
+    for exit_rounds in ((3, None), (20, 45), (None, None), (1, 30), (52, 53)):
+        asked = []
+        for auction_fn in (run_auction, _reference_auction):
+            calls = []
+            strategies = {
+                sid: recorded(calls, sid, r) for sid, r in zip((first, second), exit_rounds)
+            }
+            auction_fn(inst, values, config, strategies)
+            asked.append(calls)
+        assert asked[0] == asked[1]
+        assert asked[0]
 
 
 def _bids(reductions):

@@ -5,12 +5,10 @@ import pytest
 from repacksim.auction import AuctionConfig, CheckerKind, run_auction
 from repacksim.metrics import (
     ComparisonRecord,
-    ParetoOrder,
     ValueLossConsistencyError,
     compare,
     cost,
     cost_fraction,
-    pareto_compare,
     value_loss,
     value_loss_ratio,
 )
@@ -55,28 +53,6 @@ def test_cost_fraction_conventions():
     assert cost_fraction(5.0, 10.0) == 0.5
     assert cost_fraction(0.0, 0.0) == 1.0
     assert cost_fraction(2.0, 0.0) == math.inf
-
-
-def _record(ratio, cost_auction):
-    return ComparisonRecord(
-        value_loss_auction=0.0,
-        value_loss_optimal=0.0,
-        value_loss_ratio=ratio,
-        cost_auction=cost_auction,
-        cost_vcg=1.0,
-        cost_fraction=cost_auction,
-        checker_timeout_count=0,
-        rounds=1,
-    )
-
-
-def test_pareto_compare_cases():
-    assert pareto_compare(_record(1.0, 10.0), _record(1.2, 12.0)) is ParetoOrder.A_DOMINATES
-    assert pareto_compare(_record(1.2, 12.0), _record(1.0, 10.0)) is ParetoOrder.B_DOMINATES
-    assert pareto_compare(_record(1.0, 12.0), _record(1.2, 10.0)) is ParetoOrder.INCOMPARABLE
-    assert pareto_compare(_record(1.0, 10.0), _record(1.0, 10.0)) is ParetoOrder.EQUAL
-    # weakly better on one, strictly on the other still dominates
-    assert pareto_compare(_record(1.0, 9.0), _record(1.0, 10.0)) is ParetoOrder.A_DOMINATES
 
 
 def test_compare_end_to_end(triangle_one_channel):
