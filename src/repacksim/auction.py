@@ -30,11 +30,12 @@ round log (``RoundLog``) holds the played rounds and the skipped stretches
 and expands each stretch into its records on first read, so it reads as the
 tuple of every round's record.
 
-Auctions on one instance repeat most of each other's work, so two pure
+Auctions on one instance repeat most of each other's work, so three pure
 computations are memoized in-process and shared across auctions: the
-tie-break ranks of a (seed, round, bid count) and the checker verdict for a
-(clearing target, checker, step limit, target, packed assignment) on the
-most recent instance. A memo hit returns what the computation would have
+tie-break ranks of a (seed, round, bid count), a truthful station's first
+exit round for an (opening price, volume, value), and the checker verdict
+for a (clearing target, checker, step limit, target, packed assignment) on
+the most recent instance. A memo hit returns what the computation would have
 returned, so outcomes do not depend on which auctions ran before. A verdict
 from the memo is shared and read-only; an exit copies the certificate it
 keeps as the packed assignment.
@@ -98,8 +99,13 @@ _TIEBREAK_STREAM = 3
 # auctions on an instance run back to back: over its 50 instances its played
 # rounds draw about 5,700 distinct tie-break keys (at most 182 on one
 # instance) and check about 3,500 distinct problems (at most 117 on one).
+# First exit rounds repeat within the auctions of one value profile: a pass
+# of the benchmark's ``truthful`` workload asks for 120 distinct ones 32,520
+# times, and ``grid`` and ``sweep`` hit the memo as often with 256 entries
+# as with 4,096.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
+_EXIT_ROUND_MEMO_SIZE = 256
 
 # The whole-set fallback in initial packing gets a larger deterministic budget
 # than a single in-auction check.
@@ -502,10 +508,13 @@ def _hook_decisions(
     return decided
 
 
-def _first_exit_round(clocks: tuple[float, ...], vol: float, value: float) -> int:
+@lru_cache(maxsize=_EXIT_ROUND_MEMO_SIZE)
+def _first_exit_round(c0: float, vol: float, value: float) -> int:
     """The first round in which a truthful station declines its offer, or
-    ``len(clocks)`` when it accepts down to clock zero. Its offers only
-    fall, so it declines every offer after the first one it declines."""
+    ``len(clock_trajectory(c0))`` when it accepts down to clock zero. Its
+    offers only fall, so it declines every offer after the first one it
+    declines."""
+    clocks = clock_trajectory(c0)
     return bisect_left(
         clocks, True, 1, key=lambda c: truthful_bid(value, offer_price(vol, c)) is EXIT
     )
@@ -593,7 +602,7 @@ def run_auction(
     clocks = clock_trajectory(c0)
     horizon = len(clocks)  # the round after the clock first reaches zero
     exit_round = {
-        sid: _first_exit_round(clocks, vols[sid], values[sid])
+        sid: _first_exit_round(c0, vols[sid], values[sid])
         for sid in participants
         if sid not in strategies
     }

@@ -11,8 +11,15 @@ Three checkers share one verdict contract:
   forward-checking search (:mod:`repacksim.search`) over every packed
   station and the target, trying each packed station's current channel
   first. It can also prove that no packing exists.
-* :func:`check_exhaustive` enumerates every joint assignment; it is the
-  small-scale ground truth the other checkers are measured against.
+* :func:`check_exhaustive` enumerates joint assignments in lexicographic
+  order and returns the first valid one; it is the small-scale ground truth
+  the other checkers are measured against. It runs on bit masks of the
+  channels each station has left, with forward checking, which skips only
+  prefixes that no valid assignment extends.
+
+The greedy scan and the enumeration read each station's channels from the
+instance's channel table (:meth:`repacksim.model.Instance.channel_table`),
+built once per clearing target and kept as long as the instance.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .model import (
     ClearingTarget,
     Instance,
     StationId,
-    reduced_domain,
     validate_assignment,
 )
 from .search import NodeCounter, PackingModel, ResourceLimitError, search
@@ -104,13 +110,9 @@ class FeasibilityProblem:
 def _fit_target(problem: FeasibilityProblem) -> Assignment | None:
     """The packed assignment plus the target on its lowest reduced-band
     channel that fits beside it as it stands, or None."""
-    conflicts = problem.inst.conflicts_in_band(problem.ct)
-    packed = problem.packed
-    target = problem.target
-    for ch in sorted(reduced_domain(problem.inst.station(target), problem.ct)):
-        if all(
-            packed.get(osid) != och for osid, och in conflicts.get((target, ch), ())
-        ):
+    inst, packed, target = problem.inst, problem.packed, problem.target
+    for ch, _, partners, _ in inst.channel_table(problem.ct)[inst.position(target)]:
+        if all(packed.get(osid) != och for osid, och in partners):
             certificate = dict(packed)
             certificate[target] = ch
             return certificate
@@ -171,42 +173,69 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
 
 
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:
-    """Enumerate all joint channel assignments in lexicographic order, pruning
-    prefixes that already violate a constraint. Returns the lexicographically
-    first valid certificate, otherwise Infeasible; never times out.
+    """Enumerate all joint channel assignments in lexicographic order: the
+    stations in id order, each station's channels ascending. Returns the
+    lexicographically first valid certificate, otherwise Infeasible; never
+    times out.
+
+    Each station's channels ruled out by the choices before it are a
+    ``blocked`` mask. A choice blocks its clashes at the later stations of
+    the problem and is undone at once when it blocks every channel of one of
+    them (forward checking); such a prefix has no valid completion, so the
+    first certificate is the one plain enumeration finds.
 
     Refuses search spaces whose domain-size product exceeds
     :data:`EXHAUSTIVE_SPACE_LIMIT`.
     """
-    inst, ct = problem.inst, problem.ct
+    inst = problem.inst
+    table = inst.channel_table(problem.ct)
     sids = problem.station_set()
-    domains = [sorted(reduced_domain(inst.station(sid), ct)) for sid in sids]
-    space = math.prod(len(d) for d in domains)
+    positions = [inst.position(sid) for sid in sids]
+    rows = [table[pos] for pos in positions]
+    space = math.prod(len(row) for row in rows)
     if space > EXHAUSTIVE_SPACE_LIMIT:
         raise SearchSpaceError(
             f"joint search space {space} exceeds the enumeration bound "
             f"{EXHAUSTIVE_SPACE_LIMIT}"
         )
-    conflicts = inst.conflicts_in_band(ct)
-    chosen: Assignment = {}
-
-    def fits(sid: StationId, ch: int) -> bool:
-        return all(
-            chosen.get(osid) != och for osid, och in conflicts.get((sid, ch), ())
-        )
-
-    def descend(i: int) -> bool:
-        if i == len(sids):
-            return True
-        sid = sids[i]
-        for ch in domains[i]:
-            if fits(sid, ch):
-                chosen[sid] = ch
-                if descend(i + 1):
-                    return True
-                del chosen[sid]
-        return False
-
-    if descend(0):
-        return Feasible(dict(chosen))
-    return Infeasible()
+    if not space:
+        # a station with no channel in the band, which no choice can block
+        return Infeasible()
+    n = len(rows)
+    # the problem index of each station of the instance, -1 outside it
+    rank = [-1] * len(table)
+    for i, pos in enumerate(positions):
+        rank[pos] = i
+    full = [sum(bit for _, bit, _, _ in row) for row in rows]
+    blocked = [0] * n
+    chosen = [0] * n  # the option each station holds
+    marks = [0] * n  # the trail's length before each station's choice
+    trail: list[tuple[int, int]] = []  # (station, mask before) per narrowing
+    i = k = 0
+    while i < n:
+        row, mask = rows[i], blocked[i]
+        while k < len(row) and row[k][1] & mask:
+            k += 1
+        if k < len(row):
+            chosen[i], marks[i] = k, len(trail)
+            for pos, bit in row[k][3]:
+                j = rank[pos]
+                if j > i and not blocked[j] & bit:
+                    trail.append((j, blocked[j]))
+                    blocked[j] |= bit
+                    if blocked[j] == full[j]:
+                        break
+            else:
+                i, k = i + 1, 0
+                continue
+        elif i:
+            i -= 1
+        else:
+            return Infeasible()
+        # undo station i's choice, latest narrowing first, and try its next
+        k = chosen[i] + 1
+        mark = marks[i]
+        while len(trail) > mark:
+            j, mask = trail.pop()
+            blocked[j] = mask
+    return Feasible({sid: rows[i][chosen[i]][0] for i, sid in enumerate(sids)})

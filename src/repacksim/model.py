@@ -21,6 +21,10 @@ ValueProfile = dict[StationId, float]
 #: Station-channel pair, the atom of an interference constraint.
 StationChannel = tuple[StationId, Channel]
 
+#: One channel of a station in :meth:`Instance.channel_table`:
+#: ``(channel, bit, partners, clashes)``.
+ChannelEntry = tuple[Channel, int, tuple[StationChannel, ...], tuple[tuple[int, int], ...]]
+
 
 class UnknownStationError(ValueError):
     """Input referenced a station the instance does not declare."""
@@ -131,11 +135,20 @@ class Instance:
                         f"constraint channel {ch} is outside the domain of station {sid}"
                     )
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_position", {sid: i for i, sid in enumerate(by_id)})
         object.__setattr__(self, "_conflict_memo", {})
+        object.__setattr__(self, "_table_memo", {})
 
     def station(self, sid: StationId) -> Station:
         try:
             return self._by_id[sid]  # type: ignore[attr-defined]
+        except KeyError:
+            raise UnknownStationError(f"unknown station {sid}") from None
+
+    def position(self, sid: StationId) -> int:
+        """The index of station ``sid`` in :attr:`stations`."""
+        try:
+            return self._position[sid]  # type: ignore[attr-defined]
         except KeyError:
             raise UnknownStationError(f"unknown station {sid}") from None
 
@@ -165,6 +178,40 @@ class Instance:
             index.setdefault(first, []).append(second)
             index.setdefault(second, []).append(first)
         frozen = {key: tuple(val) for key, val in index.items()}
+        memo[ct.bar_c] = frozen
+        return frozen
+
+    def channel_table(self, ct: ClearingTarget) -> tuple[tuple[ChannelEntry, ...], ...]:
+        """Per station, in station order, its reduced-band channels in
+        ascending order, each as ``(channel, bit, partners, clashes)``: bit
+        ``k`` stands for the k-th channel of the universe, ``partners`` is the
+        channel's own entry of :meth:`conflicts_in_band`, and ``clashes``
+        names the same partners as ``(station position, bit)``.
+
+        Built once per target and memoized, as the conflict index is.
+        """
+        memo: dict = self._table_memo  # type: ignore[attr-defined]
+        cached = memo.get(ct.bar_c)
+        if cached is not None:
+            return cached
+        conflicts = self.conflicts_in_band(ct)
+        bit_of = {ch: 1 << k for k, ch in enumerate(self.channel_universe)}
+        channels = [sorted(ct.reduced(st.domain)) for st in self.stations]
+        # one (position, bit) pair per station-channel, shared by every clash
+        # that names it
+        atoms = {
+            (st.id, ch): (pos, bit_of[ch])
+            for pos, st in enumerate(self.stations)
+            for ch in channels[pos]
+        }
+        table = []
+        for st, chs in zip(self.stations, channels):
+            row = []
+            for ch in chs:
+                partners = conflicts.get((st.id, ch), ())
+                row.append((ch, bit_of[ch], partners, tuple(atoms[p] for p in partners)))
+            table.append(tuple(row))
+        frozen = tuple(table)
         memo[ct.bar_c] = frozen
         return frozen
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,12 @@ from repacksim.feasibility import (
     solve,
 )
 from repacksim.instances import GeneratorParams, generate_instance
-from repacksim.model import ClearingTarget, validate_assignment
+from repacksim.model import (
+    ClearingTarget,
+    UnknownStationError,
+    reduced_domain,
+    validate_assignment,
+)
 from repacksim.search import PackingModel
 
 from conftest import mk_instance
@@ -268,3 +275,183 @@ def test_encoding_sat_iff_enumeration_feasible(seed):
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(step_limit=0)
+
+
+# ---------------------------------------------------------------- references
+
+
+def _reference_fit_target(problem):
+    """The greedy scan as a sort of the target's reduced domain per call."""
+    conflicts = problem.inst.conflicts_in_band(problem.ct)
+    packed, target = problem.packed, problem.target
+    for ch in sorted(reduced_domain(problem.inst.station(target), problem.ct)):
+        if all(packed.get(osid) != och for osid, och in conflicts.get((target, ch), ())):
+            certificate = dict(packed)
+            certificate[target] = ch
+            return certificate
+    return None
+
+
+def _reference_greedy(problem):
+    certificate = _reference_fit_target(problem)
+    return Timeout() if certificate is None else Feasible(certificate)
+
+
+def _reference_sat(problem):
+    certificate = _reference_fit_target(problem)
+    if certificate is not None:
+        return Feasible(dict(sorted(certificate.items())))
+    return solve(encode(problem), STEP_BUDGET).verdict
+
+
+def _reference_exhaustive(problem):
+    """Lexicographic enumeration on a dict of the channels chosen so far, one
+    recursive call per station, testing each channel against every partner
+    already chosen."""
+    inst, ct = problem.inst, problem.ct
+    sids = problem.station_set()
+    domains = [sorted(reduced_domain(inst.station(sid), ct)) for sid in sids]
+    space = math.prod(len(d) for d in domains)
+    if space > EXHAUSTIVE_SPACE_LIMIT:
+        raise SearchSpaceError(
+            f"joint search space {space} exceeds the enumeration bound "
+            f"{EXHAUSTIVE_SPACE_LIMIT}"
+        )
+    conflicts = inst.conflicts_in_band(ct)
+    chosen = {}
+
+    def fits(sid, ch):
+        return all(chosen.get(osid) != och for osid, och in conflicts.get((sid, ch), ()))
+
+    def descend(i):
+        if i == len(sids):
+            return True
+        sid = sids[i]
+        for ch in domains[i]:
+            if fits(sid, ch):
+                chosen[sid] = ch
+                if descend(i + 1):
+                    return True
+                del chosen[sid]
+        return False
+
+    if descend(0):
+        return Feasible(dict(chosen))
+    return Infeasible()
+
+
+def _outcome(checker, problem):
+    """A verdict with its certificate's items in order, or the error raised."""
+    try:
+        verdict = checker(problem)
+    except (SearchSpaceError, UnknownStationError) as error:
+        return type(error).__name__, str(error)
+    if isinstance(verdict, Feasible):
+        return "Feasible", list(verdict.certificate.items())
+    return type(verdict).__name__, None
+
+
+def _sat(problem):
+    return check_sat(problem, STEP_BUDGET)
+
+
+_CHECKERS_AND_REFERENCES = [
+    (check_exhaustive, _reference_exhaustive),
+    (lambda p: check_greedy(p, STEP_BUDGET), _reference_greedy),
+    (_sat, _reference_sat),
+]
+
+
+@st.composite
+def _problems_on_two_targets(draw):
+    """An instance with stations whose ids do not match their positions, a
+    station whose reduced domain is empty under both clearing targets, and
+    conflicts that reach stations outside each problem; and, per target, a
+    problem whose packed stations were placed in a drawn order."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=3, max_size=9, unique=True))
+    universe = tuple(range(14, 20))
+    domains = [
+        draw(st.sets(st.sampled_from(universe), min_size=2, max_size=6)) for _ in ids
+    ]
+    domains[draw(st.integers(0, len(ids) - 1))] = {19}
+    # interference as the generator draws it: a pair of stations clashes on
+    # shared channels, on neighbouring channels, or both
+    edges = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([0, 1, 2])),
+            min_size=len(ids),
+            max_size=3 * len(ids),
+        )
+    )
+    dom = dict(zip(ids, domains))
+    constraints = {
+        (a, c, b, d)
+        for a, b, kind in edges
+        if a != b
+        for c in dom[a]
+        for d in dom[b]
+        if (c == d and kind != 1) or (abs(c - d) == 1 and kind != 0)
+    }
+    inst = mk_instance(list(zip(ids, domains)), constraints, universe=universe)
+    bars = draw(st.lists(st.integers(16, 19), min_size=2, max_size=2, unique=True))
+    problems = []
+    for bar_c in bars:
+        ct = ClearingTarget(bar_c)
+        order = draw(st.permutations(ids))
+        target, rest = order[0], order[1:]
+        in_problem = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+        packed = {}
+        for sid, keep in zip(rest, in_problem):
+            for ch in sorted(ct.reduced(inst.station(sid).domain)):
+                candidate = {**packed, sid: ch}
+                if keep and validate_assignment(candidate, inst, ct):
+                    packed = candidate
+                    break
+        problems.append(FeasibilityProblem(target, packed, inst, ct))
+    return problems
+
+
+@given(_problems_on_two_targets(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_checkers_match_their_references_on_two_targets(problems, unknown):
+    if unknown:
+        # a packed station the instance does not declare
+        p = problems[0]
+        problems[0] = FeasibilityProblem(p.target, {**p.packed, 99: 14}, p.inst, p.ct)
+    # the first target again after the second: each keeps its own table
+    for p in problems + problems[:1]:
+        for checker, reference in _CHECKERS_AND_REFERENCES:
+            assert _outcome(checker, p) == _outcome(reference, p)
+        expected = _outcome(_reference_exhaustive, p)
+        if expected[0] in ("Feasible", "Infeasible"):
+            assert _outcome(_sat, p)[0] == expected[0]
+
+
+@given(st.lists(st.integers(1, 5), min_size=6, max_size=14), st.integers(0, 13))
+@settings(max_examples=100, deadline=None)
+def test_exhaustive_refuses_what_the_reference_refuses(sizes, at):
+    universe = tuple(range(14, 19))
+    stations = [(sid, set(universe[:size])) for sid, size in enumerate(sizes)]
+    # conflicts off channel 14, where every station is packed
+    constraints = [
+        (sid, 15, sid + 1, 15) for sid in range(len(sizes) - 1) if min(sizes[sid : sid + 2]) > 1
+    ]
+    inst = mk_instance(stations, constraints, universe=universe)
+    target = at % len(sizes)
+    packed = {sid: 14 for sid in range(len(sizes)) if sid != target}
+    p = FeasibilityProblem(target, packed, inst, ClearingTarget(19))
+    assert _outcome(check_exhaustive, p) == _outcome(_reference_exhaustive, p)
+
+
+@pytest.mark.parametrize("fives, refused", [(7, False), (8, True)])
+def test_exhaustive_searches_a_space_at_the_bound(fives, refused):
+    # seven stations of two channels and ``fives`` of five: 10**7 is the bound
+    universe = (14, 15, 16, 17, 18)
+    stations = [(sid, {14, 15}) for sid in range(7)]
+    stations += [(sid, set(universe)) for sid in range(7, 7 + fives)]
+    inst = mk_instance(stations, [(0, 14, 1, 14)], universe=universe)
+    packed = {sid: 14 for sid in range(1, 7 + fives)}
+    p = FeasibilityProblem(0, packed, inst, ClearingTarget(19))
+    outcome = _outcome(check_exhaustive, p)
+    assert outcome == _outcome(_reference_exhaustive, p)
+    assert (outcome[0] == "SearchSpaceError") == refused
