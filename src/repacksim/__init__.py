@@ -63,7 +63,7 @@ from .auction import (
     run_auction,
     truthful_bid,
 )
-from .vcg import VcgOutcome, optimal_packing, vcg_outcome, vcg_price
+from .vcg import VcgOutcome, optimal_packing, vcg_outcome
 from .metrics import (
     ComparisonRecord,
     compare,

@@ -33,18 +33,18 @@ tuple of every round's record.
 Auctions on one instance repeat most of each other's work, so three pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count), a truthful station's first
-exit round for an (opening price, volume, value), and the checker verdict
-for a (clearing target, checker, step limit, target, packed assignment) on
-the most recent instance. A memo hit returns what the computation would have
-returned, so outcomes do not depend on which auctions ran before. A verdict
-from the memo is shared and read-only; an exit copies the certificate it
-keeps as the packed assignment.
+exit round for an (opening price, volume, value), and the checker verdicts
+for a (clearing target, checker, step limit, packed assignment) on the most
+recent instance. A memo hit returns what the computation would have
+returned, so outcomes do not depend on which auctions ran before.
 
 Within one auction a station's verdict can change only when an exit replaces
-the packed set, so each auction also keeps a table from station to verdict,
-emptied whenever the packed set is replaced. A station asked again before
-the next exit gets its verdict from the table, without building the shared
-memo's key.
+the packed set, so the verdicts are kept in one layer: a table per packed
+set, from target station to verdict. An auction fetches the table of its
+packed set whenever an exit replaces that set, building the key once per
+exit, and fills it on a miss; a later auction that reaches the same packed
+set finds the verdicts already there. A verdict from a table is shared and
+read-only; an exit copies the certificate it keeps as the packed assignment.
 """
 
 from __future__ import annotations
@@ -98,11 +98,12 @@ _TIEBREAK_STREAM = 3
 # Memo bounds. Each holds one instance's working set in criterion 5, whose
 # auctions on an instance run back to back: over its 50 instances its played
 # rounds draw about 5,700 distinct tie-break keys (at most 182 on one
-# instance) and check about 3,500 distinct problems (at most 117 on one).
-# First exit rounds repeat within the auctions of one value profile: a pass
-# of the benchmark's ``truthful`` workload asks for 120 distinct ones 32,520
-# times, and ``grid`` and ``sweep`` hit the memo as often with 256 entries
-# as with 4,096.
+# instance). First exit rounds repeat within the auctions of one value
+# profile: a pass of the benchmark's ``truthful`` workload asks for 120
+# distinct ones 32,520 times, and ``grid`` and ``sweep`` hit the memo as
+# often with 256 entries as with 4,096. The verdict memo counts packed-set
+# tables: one pass of ``truthful``, ``grid`` and ``sweep`` peaks at 38, 73
+# and 348 tables on one instance, so 512 evicts none of them.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
@@ -366,39 +367,40 @@ def truthful_bid(value: float, new_offer: float) -> BidDecision:
 
 
 class _VerdictMemo:
-    """Verdicts of the most recent instance's checks, shared across auctions.
+    """Verdict tables of the most recent instance's checks, shared across
+    auctions: one table per packed set, from target station to verdict.
 
     A checker is a pure function of the instance, the clearing target, its
-    kind and budget, the target station and the packed assignment, so a hit
-    returns the verdict it would have computed. The packed assignment keys
-    as its ordered items: the greedy certificate keeps the packed order, so
-    an equal dict in another order is another problem. Instances match by
-    identity; a different one clears the memo.
+    kind and budget, the target station and the packed assignment, so a
+    verdict in a table is the one it would compute. A table keys as the
+    clearing target, checker, step limit and the packed assignment's ordered
+    items: the greedy certificate keeps the packed order, so an equal dict in
+    another order is another problem. Instances match by identity; a
+    different one clears the memo. The least recently fetched table is evicted
+    first; an auction that still holds it goes on filling it alone.
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.inst: Instance | None = None
-        self.verdicts: OrderedDict[tuple, FeasibilityVerdict] = OrderedDict()
+        self.tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]] = OrderedDict()
 
     def clear(self) -> None:
         self.inst = None
-        self.verdicts.clear()
+        self.tables.clear()
 
-    def get(self, inst: Instance, key: tuple) -> FeasibilityVerdict | None:
+    def table(self, inst: Instance, key: tuple) -> dict[StationId, FeasibilityVerdict]:
         if inst is not self.inst:
             self.clear()
             self.inst = inst
-            return None
-        verdict = self.verdicts.get(key)
-        if verdict is not None:
-            self.verdicts.move_to_end(key)
-        return verdict
-
-    def put(self, key: tuple, verdict: FeasibilityVerdict) -> None:
-        self.verdicts[key] = verdict
-        if len(self.verdicts) > self.size:
-            self.verdicts.popitem(last=False)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = {}
+            if len(self.tables) > self.size:
+                self.tables.popitem(last=False)
+        else:
+            self.tables.move_to_end(key)
+        return table
 
 
 _VERDICTS = _VerdictMemo(_VERDICT_MEMO_SIZE)
@@ -425,21 +427,17 @@ class AuctionState:
 
     def check(self, sid: StationId) -> FeasibilityVerdict:
         """Feasibility of packing ``sid`` with the current packed set, from
-        this auction's table or else the shared verdict memo. The memo hands
-        the same verdict to later auctions, so it is read-only: an exit
+        the shared verdict table of that set, which a miss fills. The table
+        hands the same verdict to later auctions, so it is read-only: an exit
         copies the certificate it keeps."""
         if self._keyed is not self.packed:
-            self._keyed, self._verdicts = self.packed, {}
+            packed = tuple(self.packed.items())
+            key = (self.ct.bar_c, self.checker, self.budget.step_limit, packed)
+            self._keyed, self._verdicts = self.packed, _VERDICTS.table(self.inst, key)
         verdict = self._verdicts.get(sid)
         if verdict is None:
-            packed = tuple(self.packed.items())
-            key = (self.ct.bar_c, self.checker, self.budget.step_limit, sid, packed)
-            verdict = _VERDICTS.get(self.inst, key)
-            if verdict is None:
-                problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
-                verdict = _run_checker(self.checker, problem, self.budget)
-                _VERDICTS.put(key, verdict)
-            self._verdicts[sid] = verdict
+            problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
+            verdict = self._verdicts[sid] = _run_checker(self.checker, problem, self.budget)
         return verdict
 
 

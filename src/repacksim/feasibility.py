@@ -17,9 +17,10 @@ Three checkers share one verdict contract:
   channels each station has left, with forward checking, which skips only
   prefixes that no valid assignment extends.
 
-The greedy scan and the enumeration read each station's channels from the
-instance's channel table (:meth:`repacksim.model.Instance.channel_table`),
-built once per clearing target and kept as long as the instance.
+The greedy scan, the enumeration and the search's packing model read each
+station's channels from the instance's channel table
+(:meth:`repacksim.model.Instance.channel_table`), built once per clearing
+target and kept as long as the instance.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class FeasibilityProblem:
     assigned in ``packed``.
 
     ``packed`` must itself be a valid assignment; construction checks only the
-    cheap structural facts, :meth:`validate` runs the full check.
+    cheap structural facts, that the instance declares every station and that
+    the target is not packed; :meth:`validate` runs the full check.
     """
 
     target: StationId
@@ -93,7 +95,10 @@ class FeasibilityProblem:
     ct: ClearingTarget
 
     def __post_init__(self) -> None:
-        self.inst.station(self.target)
+        station = self.inst.station
+        station(self.target)
+        for sid in self.packed:
+            station(sid)
         if self.target in self.packed:
             raise InvalidProblemError(
                 f"target station {self.target} is already packed"

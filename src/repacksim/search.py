@@ -31,7 +31,6 @@ from .model import (
     Instance,
     StationChannel,
     StationId,
-    reduced_domain,
 )
 
 
@@ -53,10 +52,12 @@ class NodeCounter:
 
 
 class PackingModel:
-    """The stations of ``order``, each with its options: one per
-    reduced-band channel, in ascending order, as ``(bit, channel, clash)``,
-    where bit ``k`` stands for the k-th channel of the instance's universe and
-    ``clash`` lists the ``(station index, bit)`` pairs that channel rules out.
+    """The stations of ``order``, each with its options cut from its row of
+    the instance's channel table (:meth:`~repacksim.model.Instance.channel_table`):
+    one per reduced-band channel, in ascending order, as ``(bit, channel,
+    clash)``, where bit ``k`` stands for the k-th channel of the instance's
+    universe and ``clash`` lists the ``(station index, bit)`` pairs of the
+    listed stations that the channel rules out.
     A station's ``hint`` channel, when it has one, is its first option.
     ``neighbours[i]`` has bit ``j`` set when some channel of station ``i``
     rules out a channel of station ``j``."""
@@ -71,33 +72,25 @@ class PackingModel:
         hint: Mapping[StationId, Channel] | None = None,
     ) -> None:
         self.order = list(order)
-        local = {sid: i for i, sid in enumerate(self.order)}
         self.bit_of = {ch: 1 << k for k, ch in enumerate(inst.channel_universe)}
         self.channel_of = {bit: ch for ch, bit in self.bit_of.items()}
-        conflicts = inst.conflicts_in_band(ct)
-        bit_of = self.bit_of
-        self.options = []
         self._neighbours: list[int] | None = None
-        for sid in self.order:
-            channels = sorted(reduced_domain(inst.station(sid), ct))
+        table = inst.channel_table(ct)
+        positions = [inst.position(sid) for sid in self.order]
+        # the local index of each station of the instance in the model
+        local = {pos: i for i, pos in enumerate(positions)}
+        self.options = []
+        for sid, pos in zip(self.order, positions):
+            opts = [
+                (bit, ch, tuple([(local[p], b) for p, b in clashes if p in local]))
+                for ch, bit, _, clashes in table[pos]
+            ]
             hinted = hint.get(sid) if hint is not None else None
-            if hinted in channels:
-                channels.remove(hinted)
-                channels.insert(0, hinted)
-            self.options.append(
-                [
-                    (
-                        bit_of[ch],
-                        ch,
-                        tuple(
-                            (local[osid], bit_of[och])
-                            for osid, och in conflicts.get((sid, ch), ())
-                            if osid in local
-                        ),
-                    )
-                    for ch in channels
-                ]
-            )
+            for k, option in enumerate(opts):
+                if option[1] == hinted:
+                    opts.insert(0, opts.pop(k))
+                    break
+            self.options.append(opts)
 
     @property
     def neighbours(self) -> list[int]:

@@ -20,8 +20,8 @@ evicted and re-placed greedily, and the best such packing becomes the
 incumbent when it beats the greedy one. A better incumbent never changes the
 optimum. It usually prunes more, but not always: a part's search that must
 beat more ends with a bound rather than its optimum, and a later branch may
-have to search it again. :func:`vcg_price` prices one winner by a full, cold
-re-solve, an independent reference for the same number.
+have to search it again. :func:`restricted_optimal_value` gives the same
+restricted value by a full, cold re-solve.
 
 Within one :func:`vcg_outcome` call each component has one search context:
 a packing model built once, in the base solve's order, one part cache and
@@ -32,8 +32,8 @@ part that the base solve or an earlier re-solve has solved, nor repeat a
 cut test. The key of a cached part holds its stations' forced
 flags, and a forced station is worth nothing, so the only entries a
 re-solve cannot use are those of parts that hold its winner. The contexts
-go with the call; :func:`optimal_packing` and :func:`vcg_price` build fresh
-ones.
+go with the call; :func:`optimal_packing` and :func:`restricted_optimal_value`
+build fresh ones.
 """
 
 from __future__ import annotations
@@ -299,25 +299,6 @@ def restricted_optimal_value(
     return value
 
 
-def vcg_price(
-    sid: StationId,
-    base: VcgOutcome,
-    inst: Instance,
-    values: ValueProfile,
-    participants: Iterable[StationId],
-    non_participants: Iterable[StationId],
-    ct: ClearingTarget,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> float:
-    """Externality price for one winner of the base outcome."""
-    if sid not in base.winners:
-        raise ValueError(f"station {sid} is not a winner")
-    restricted = restricted_optimal_value(
-        inst, values, participants, non_participants, ct, sid, node_budget
-    )
-    return base.optimal_value - restricted
-
-
 def vcg_outcome(
     inst: Instance,
     values: ValueProfile,
@@ -369,43 +350,3 @@ def vcg_outcome(
             restricted[sid] = station_sum(values, (parts - {sid}).intersection(merged))
         prices[sid] = value - restricted[sid]
     return VcgOutcome(assignment, value, winners, prices, restricted, nodes)
-
-
-def packing_problem_lp(
-    inst: Instance,
-    values: ValueProfile,
-    participants: Iterable[StationId],
-    non_participants: Iterable[StationId],
-    ct: ClearingTarget,
-) -> str:
-    """The packing problem as LP-format text for external verification: every
-    forbidden pair of the :class:`~repacksim.search.PackingModel` over all
-    stations, then a station's channels as ``= 1`` for a non-participant and
-    ``<= 1`` for a participant."""
-    parts, nons = _partition_check(inst, participants, non_participants)
-    model = PackingModel(inst, ct, inst.station_ids())
-    channels = [[ch for _, ch, _ in opts] for opts in model.options]
-    names = [f"x_{sid}_{ch}" for sid, chs in zip(model.order, channels) for ch in chs]
-    objective_terms = [
-        f"{values[sid]!r} x_{sid}_{ch}"
-        for sid, chs in zip(model.order, channels)
-        if sid in parts
-        for ch in chs
-    ]
-    lines = ["Maximize", " obj: " + (" + ".join(objective_terms) or "0"), "Subject To"]
-    for cnum, ((a, ca), (b, cb)) in enumerate(model.clauses, start=1):
-        lines.append(f" pair{cnum}: x_{a}_{ca} + x_{b}_{cb} <= 1")
-    for sid, chs in zip(model.order, channels):
-        if chs:
-            total = " + ".join(f"x_{sid}_{ch}" for ch in chs)
-            relation = "=" if sid in nons else "<="
-            lines.append(f" assign_{sid}: {total} {relation} 1")
-        elif sid in nons:
-            # no admissible channel for a station that must be packed: keep
-            # the export equivalent by making the model overtly infeasible
-            lines.append(f"\\ station {sid} must be packed but has no admissible channel")
-            lines.append(f" assign_{sid}: 0 = 1")
-    lines.append("Binaries")
-    lines.append(" " + " ".join(names))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -441,12 +441,11 @@ def _exit_at(r):
     )
 
 
-def _pinned_batch(pairs, twins=None):
+def _pinned_jobs(pairs):
     """Every instance x {FCC, unscored} x checker, each run truthfully and
-    with every participant exiting at round 1 and at round 4, as pairs of the
-    checker's step limit and the outcome. With ``twins``, every other auction
-    runs on the twin of its instance instead."""
-    outcomes = []
+    with every participant exiting at round 1 and at round 4, as
+    ``(instance index, step limit, config, strategies)``."""
+    jobs = []
     for k, (inst, values) in enumerate(pairs):
         unscored_c0 = max(values.values()) * 1.5
         for scoring, c0 in ((ScoringRule.FCC, None), (ScoringRule.UNSCORED, unscored_c0)):
@@ -459,15 +458,24 @@ def _pinned_batch(pairs, twins=None):
                     budget=Budget(step_limit=steps),
                     seed=k,
                 )
-
-                def run(strategies=None):
-                    on = twins[k] if twins and len(outcomes) % 2 else inst
-                    outcomes.append((steps, run_auction(on, values, cfg, strategies)))
-                    return outcomes[-1][1]
-
-                for sid in run().participants:
+                vols = volumes_for(inst, cfg.ct, scoring)
+                participants, _ = determine_participants(inst, values, vols, cfg.initial_price())
+                jobs.append((k, steps, cfg, None))
+                for sid in participants:
                     for r in (1, 4):
-                        run({sid: _exit_at(r)})
+                        jobs.append((k, steps, cfg, {sid: _exit_at(r)}))
+    return jobs
+
+
+def _pinned_batch(pairs, twins=None):
+    """The auctions of :func:`_pinned_jobs` in order, as pairs of the
+    checker's step limit and the outcome. With ``twins``, every other auction
+    runs on the twin of its instance instead."""
+    outcomes = []
+    for n, (k, steps, cfg, strategies) in enumerate(_pinned_jobs(pairs)):
+        inst, values = pairs[k]
+        on = twins[k] if twins and n % 2 else inst
+        outcomes.append((steps, run_auction(on, values, cfg, strategies)))
     return outcomes
 
 
@@ -498,6 +506,43 @@ def test_pinned_outcomes_do_not_depend_on_memoized_work():
     warm = _digests(_pinned_batch(pairs))
     interleaved = _digests(_pinned_batch(pairs, twins))
     assert cold == warm == interleaved == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("size", [1, auction._VERDICT_MEMO_SIZE])
+def test_pinned_outcomes_do_not_depend_on_table_eviction_or_auction_order(monkeypatch, size):
+    # with one table, each exit's packed set evicts the table of the one
+    # before, and a set met again is checked afresh
+    monkeypatch.setattr(auction._VERDICTS, "size", size)
+    pairs = _pinned_instances()
+    _forget_memoized_work()
+    assert _digests(_pinned_batch(pairs)) == PINNED_DIGESTS
+    # backwards, each auction meets the tables of the ones after it
+    _forget_memoized_work()
+    backward = [
+        (steps, run_auction(*pairs[k], cfg, strategies))
+        for k, steps, cfg, strategies in reversed(_pinned_jobs(pairs))
+    ]
+    assert _digests(backward[::-1]) == PINNED_DIGESTS
+
+
+def test_an_auction_keeps_filling_a_table_the_memo_evicted(monkeypatch):
+    monkeypatch.setattr(auction._VERDICTS, "size", 1)
+    _forget_memoized_work()
+    inst, _ = _pinned_instances()[0]
+    ct, budget = ClearingTarget(16), Budget(step_limit=50_000)
+    first, *rest = inst.station_ids()
+    lowest = min(ct.reduced(inst.station(first).domain))
+    states = [
+        AuctionState(inst, ct, CheckerKind.SAT, budget, {}, packed=packed)
+        for packed in ({}, {first: lowest})
+    ]
+    # the two states take turns, so each fetch evicts the other's table
+    for sid in rest:
+        for state in states:
+            expected = check_sat(FeasibilityProblem(sid, state.packed, inst, ct), budget)
+            assert state.check(sid) == expected
+            assert state.check(sid) is state.check(sid)
+    assert len(auction._VERDICTS.tables) == 1
 
 
 def test_mutating_returned_assignments_cannot_change_later_auctions():

@@ -72,6 +72,20 @@ def test_problem_structural_errors(two_station_conflict):
         bad.validate()
 
 
+@pytest.mark.parametrize(
+    "checker",
+    [check_greedy, check_sat, lambda problem, budget: check_exhaustive(problem)],
+    ids=["greedy", "sat", "exhaustive"],
+)
+def test_undeclared_packed_station_is_rejected(checker):
+    # the target fits beside station 1 on channel 15, so a checker that took
+    # the packed set on trust would certify station 99 along with it
+    inst = mk_instance([(1, {14}), (2, {14, 15})], [(1, 14, 2, 14)])
+    ct = ClearingTarget(16)
+    with pytest.raises(UnknownStationError, match="unknown station 99"):
+        checker(FeasibilityProblem(2, {1: 14, 99: 14}, inst, ct), STEP_BUDGET)
+
+
 # ---------------------------------------------------------------- encode
 
 
@@ -93,6 +107,93 @@ def test_encode_shared_channel_conflict_is_unsat():
     assert f.order == [1, 2]
     assert f.clauses == [((1, 14), (2, 14))]
     assert solve(f, STEP_BUDGET).verdict == Infeasible()
+
+
+def _reference_options(inst, ct, order, hint):
+    """Each station's options straight from the constraints and the station
+    domains: its channels below the target, ascending with the hinted one
+    first, and per channel the stations of ``order`` and channels that a
+    constraint in the band pairs it with, in canonical constraint order."""
+    local = {sid: i for i, sid in enumerate(order)}
+    bit = {ch: 1 << k for k, ch in enumerate(inst.channel_universe)}
+    options = []
+    for sid in order:
+        channels = sorted(ch for ch in inst.station(sid).domain if ch < ct.bar_c)
+        hinted = (hint or {}).get(sid)
+        if hinted in channels:
+            channels.remove(hinted)
+            channels.insert(0, hinted)
+        row = []
+        for ch in channels:
+            clash = []
+            for con in sorted(inst.constraints):
+                for mine, other in ((con.first, con.second), (con.second, con.first)):
+                    if mine == (sid, ch) and other[0] in local and other[1] < ct.bar_c:
+                        clash.append((local[other[0]], bit[other[1]]))
+            row.append((bit[ch], ch, tuple(clash)))
+        options.append(row)
+    return options
+
+
+@st.composite
+def _drawn_instance(draw):
+    """An instance over channels 14-19 whose station ids do not match their
+    positions, with a station whose only channel is 19, and interference
+    drawn as the generator draws it: a pair of stations clashes on shared
+    channels, on neighbouring channels, or both."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=3, max_size=9, unique=True))
+    universe = tuple(range(14, 20))
+    domains = [
+        draw(st.sets(st.sampled_from(universe), min_size=2, max_size=6)) for _ in ids
+    ]
+    domains[draw(st.integers(0, len(ids) - 1))] = {19}
+    edges = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([0, 1, 2])),
+            min_size=len(ids),
+            max_size=3 * len(ids),
+        )
+    )
+    dom = dict(zip(ids, domains))
+    constraints = {
+        (a, c, b, d)
+        for a, b, kind in edges
+        if a != b
+        for c in dom[a]
+        for d in dom[b]
+        if (c == d and kind != 1) or (abs(c - d) == 1 and kind != 0)
+    }
+    return mk_instance(list(zip(ids, domains)), constraints, universe=universe)
+
+
+@st.composite
+def _models_on_two_targets(draw):
+    """An instance and, per clearing target, a drawn subset of its stations
+    in a drawn order with hints in the band, outside it (channels 19 and 30
+    are never in a band of 15-19) or none at all."""
+    inst = draw(_drawn_instance())
+    ids = inst.station_ids()
+    bars = draw(st.lists(st.integers(15, 19), min_size=2, max_size=2, unique=True))
+    cases = []
+    for bar_c in bars:
+        order = draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]
+        hint = draw(
+            st.none()
+            | st.dictionaries(st.sampled_from(ids), st.sampled_from(range(14, 20)) | st.just(30))
+        )
+        cases.append((ClearingTarget(bar_c), order, hint))
+    return inst, cases
+
+
+@given(_models_on_two_targets())
+@settings(max_examples=300, deadline=None)
+def test_packing_model_matches_a_build_from_the_constraints(drawn):
+    inst, cases = drawn
+    # the first target again after the second: each keeps its own table
+    for ct, order, hint in cases + cases[:1]:
+        model = PackingModel(inst, ct, order, hint)
+        assert model.order == order
+        assert model.options == _reference_options(inst, ct, order, hint)
 
 
 # ---------------------------------------------------------------- solve
@@ -344,7 +445,7 @@ def _outcome(checker, problem):
     """A verdict with its certificate's items in order, or the error raised."""
     try:
         verdict = checker(problem)
-    except (SearchSpaceError, UnknownStationError) as error:
+    except SearchSpaceError as error:
         return type(error).__name__, str(error)
     if isinstance(verdict, Feasible):
         return "Feasible", list(verdict.certificate.items())
@@ -364,35 +465,11 @@ _CHECKERS_AND_REFERENCES = [
 
 @st.composite
 def _problems_on_two_targets(draw):
-    """An instance with stations whose ids do not match their positions, a
-    station whose reduced domain is empty under both clearing targets, and
-    conflicts that reach stations outside each problem; and, per target, a
-    problem whose packed stations were placed in a drawn order."""
-    ids = draw(st.lists(st.integers(0, 40), min_size=3, max_size=9, unique=True))
-    universe = tuple(range(14, 20))
-    domains = [
-        draw(st.sets(st.sampled_from(universe), min_size=2, max_size=6)) for _ in ids
-    ]
-    domains[draw(st.integers(0, len(ids) - 1))] = {19}
-    # interference as the generator draws it: a pair of stations clashes on
-    # shared channels, on neighbouring channels, or both
-    edges = draw(
-        st.lists(
-            st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([0, 1, 2])),
-            min_size=len(ids),
-            max_size=3 * len(ids),
-        )
-    )
-    dom = dict(zip(ids, domains))
-    constraints = {
-        (a, c, b, d)
-        for a, b, kind in edges
-        if a != b
-        for c in dom[a]
-        for d in dom[b]
-        if (c == d and kind != 1) or (abs(c - d) == 1 and kind != 0)
-    }
-    inst = mk_instance(list(zip(ids, domains)), constraints, universe=universe)
+    """A drawn instance (see :func:`_drawn_instance`) and, per clearing
+    target, a problem whose packed stations were placed in a drawn order;
+    conflicts reach stations outside each problem."""
+    inst = draw(_drawn_instance())
+    ids = inst.station_ids()
     bars = draw(st.lists(st.integers(16, 19), min_size=2, max_size=2, unique=True))
     problems = []
     for bar_c in bars:
@@ -411,13 +488,9 @@ def _problems_on_two_targets(draw):
     return problems
 
 
-@given(_problems_on_two_targets(), st.booleans())
+@given(_problems_on_two_targets())
 @settings(max_examples=300, deadline=None)
-def test_checkers_match_their_references_on_two_targets(problems, unknown):
-    if unknown:
-        # a packed station the instance does not declare
-        p = problems[0]
-        problems[0] = FeasibilityProblem(p.target, {**p.packed, 99: 14}, p.inst, p.ct)
+def test_checkers_match_their_references_on_two_targets(problems):
     # the first target again after the second: each keeps its own table
     for p in problems + problems[:1]:
         for checker, reference in _CHECKERS_AND_REFERENCES:

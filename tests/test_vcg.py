@@ -13,10 +13,8 @@ from repacksim.pricing import ScoringRule, default_initial_clock_price, volumes_
 from repacksim.vcg import (
     ResourceLimitError,
     optimal_packing,
-    packing_problem_lp,
     restricted_optimal_value,
     vcg_outcome,
-    vcg_price,
 )
 
 from conftest import mk_instance
@@ -79,9 +77,7 @@ def test_two_station_conflict_pricing():
     assert out.winners == (2,)
     assert out.prices == {2: 5.0}
     assert out.restricted_values == {2: 0.0}
-    assert vcg_price(2, out, inst, values, (1, 2), (), ct) == 5.0
-    with pytest.raises(ValueError):
-        vcg_price(1, out, inst, values, (1, 2), (), ct)
+    assert out.optimal_value - restricted_optimal_value(inst, values, (1, 2), (), ct, 2) == 5.0
 
 
 def test_forced_station_changes_winner():
@@ -194,7 +190,8 @@ def test_optimal_matches_enumeration_and_prices_rational(seed):
         assert out.prices[sid] >= values[sid]
         assert out.prices[sid] >= 0.0
         # component-local pricing agrees bitwise with a full re-solve
-        assert vcg_price(sid, out, inst, values, participants, (), ct) == out.prices[sid]
+        cold = restricted_optimal_value(inst, values, participants, (), ct, sid)
+        assert out.optimal_value - cold == out.prices[sid]
 
 
 @given(
@@ -304,7 +301,8 @@ def test_grid_sized_prices_match_cold_resolves(seed):
     for sid in out.winners:
         assert out.prices[sid] >= values[sid]
         # the warm-started re-solve agrees bitwise with a cold full re-solve
-        assert vcg_price(sid, out, inst, values, parts, nons, ct) == out.prices[sid]
+        cold = restricted_optimal_value(inst, values, parts, nons, ct, sid)
+        assert out.optimal_value - cold == out.prices[sid]
 
 
 def test_warm_start_fires_and_never_adds_nodes():
@@ -406,64 +404,3 @@ def test_restricted_value_degenerate_rule():
     assert out.winners == (1,)
     assert out.prices == {1: 9.0}  # the full optimal value
 
-
-# --------------------------------------------------------------- lp export
-
-
-def test_lp_export_shape(triangle_one_channel):
-    inst, ct = triangle_one_channel
-    values = {1: 5.0, 2: 3.0, 3: 2.0}
-    text = packing_problem_lp(inst, values, (1, 2), (3,), ct)
-    lines = text.splitlines()
-    assert lines[0] == "Maximize"
-    assert "5.0 x_1_14" in lines[1] and "3.0 x_2_14" in lines[1]
-    assert "x_3_14" not in lines[1]  # non-participants carry no objective weight
-    assert " assign_3: x_3_14 = 1" in lines
-    assert " assign_1: x_1_14 <= 1" in lines
-    assert sum("pair" in ln for ln in lines) == 3
-    assert lines[-1] == "End"
-
-
-def test_lp_export_full_text():
-    # station 1 has a constraint between two of its own channels; channel 17
-    # is cleared, which leaves participant 3 and non-participant 4 with no
-    # admissible channel and drops the two constraints that use it
-    inst = mk_instance(
-        [(1, {14, 15, 16}), (2, {14, 15}), (3, {17}), (4, {17}), (5, {14, 16})],
-        [
-            (1, 14, 1, 15),
-            (1, 14, 2, 14),
-            (1, 16, 5, 16),
-            (2, 15, 1, 16),
-            (5, 14, 2, 14),
-            (2, 15, 3, 17),
-            (3, 17, 4, 17),
-        ],
-    )
-    values = {1: 2.5, 2: 0.1, 3: 7.0, 4: 4.0, 5: 1.0}
-    text = packing_problem_lp(inst, values, (1, 2, 3), (4, 5), ClearingTarget(17))
-    assert text == (
-        "Maximize\n"
-        " obj: 2.5 x_1_14 + 2.5 x_1_15 + 2.5 x_1_16 + 0.1 x_2_14 + 0.1 x_2_15\n"
-        "Subject To\n"
-        " pair1: x_1_14 + x_1_15 <= 1\n"
-        " pair2: x_1_14 + x_2_14 <= 1\n"
-        " pair3: x_1_16 + x_2_15 <= 1\n"
-        " pair4: x_1_16 + x_5_16 <= 1\n"
-        " pair5: x_2_14 + x_5_14 <= 1\n"
-        " assign_1: x_1_14 + x_1_15 + x_1_16 <= 1\n"
-        " assign_2: x_2_14 + x_2_15 <= 1\n"
-        "\\ station 4 must be packed but has no admissible channel\n"
-        " assign_4: 0 = 1\n"
-        " assign_5: x_5_14 + x_5_16 = 1\n"
-        "Binaries\n"
-        " x_1_14 x_1_15 x_1_16 x_2_14 x_2_15 x_5_14 x_5_16\n"
-        "End\n"
-    )
-
-
-def test_lp_export_marks_unpackable_forced_station():
-    inst = mk_instance([(1, {20}), (2, {14})], universe=(14, 20))
-    text = packing_problem_lp(inst, {1: 3.0, 2: 9.0}, (2,), (1,), ClearingTarget(15))
-    assert " assign_1: 0 = 1" in text.splitlines()
-    assert "station 1 must be packed but has no admissible channel" in text
