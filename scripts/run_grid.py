@@ -16,6 +16,7 @@ from repacksim.experiment import (
     run_experiment,
     write_outputs,
 )
+from repacksim.feasibility import DEFAULT_STEP_LIMIT
 from repacksim.instances import GeneratorParams
 
 
@@ -25,7 +26,7 @@ def main() -> int:
     parser.add_argument("--stations", type=int, default=10)
     parser.add_argument("--profiles", type=int, default=5)
     parser.add_argument("--out", type=str, default="out/grid")
-    parser.add_argument("--budget-steps", type=int, default=50_000)
+    parser.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_LIMIT)
     args = parser.parse_args()
 
     cfg = ExperimentConfig(

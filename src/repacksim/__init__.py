@@ -14,7 +14,6 @@ from .model import (
     UnpackableError,
     ValueProfile,
     interference_graph,
-    reduced_domain,
     validate_assignment,
 )
 from .instances import (

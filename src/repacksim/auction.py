@@ -62,6 +62,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .feasibility import (
+    DEFAULT_STEP_LIMIT,
     Budget,
     Feasible,
     FeasibilityProblem,
@@ -141,7 +142,7 @@ class AuctionConfig:
     scoring: ScoringRule = ScoringRule.FCC
     c0: float | None = None  # None picks the default for the scoring rule
     checker: CheckerKind = CheckerKind.SAT
-    budget: Budget = Budget(step_limit=50_000)
+    budget: Budget = Budget(step_limit=DEFAULT_STEP_LIMIT)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -298,7 +299,7 @@ def determine_participants(
     participants = []
     non_participants = []
     for st in inst.stations:
-        opening = offer_price(volumes.volume(st.id), c0)
+        opening = offer_price(volumes[st.id], c0)
         if values[st.id] < opening:
             participants.append(st.id)
         else:
@@ -576,15 +577,14 @@ def run_auction(
     decided by value against opening price.
     """
     c0 = config.initial_price()
-    volumes = volumes_for(inst, config.ct, config.scoring)
-    participants, non_participants = determine_participants(inst, values, volumes, c0)
+    vols = volumes_for(inst, config.ct, config.scoring)
+    participants, non_participants = determine_participants(inst, values, vols, c0)
     packed0 = initial_assignment(
         inst, non_participants, config.ct, config.checker, config.budget
     )
 
     # The opening price counts as accepted: participation implies the station
     # took the round-zero offer.
-    vols = volumes.volumes
     last_accepted = {sid: offer_price(vols[sid], c0) for sid in participants}
     state = AuctionState(
         inst=inst,

@@ -57,7 +57,7 @@ from .instances import (
     serialize_instance,
     serialize_values,
 )
-from .model import ClearingTarget
+from .model import ClearingTarget, UnpackableError
 from .pricing import (
     DegenerateInstanceError,
     ScoringRule,
@@ -113,11 +113,15 @@ def _emit(text: str, out: str | None) -> None:
 
 @main.command()
 @click.option("--n-stations", type=int, required=True)
-@click.option("--channel-lo", type=int, default=14, show_default=True)
-@click.option("--channel-hi", type=int, default=20, show_default=True)
-@click.option("--co-radius", type=float, default=0.25, show_default=True)
-@click.option("--adj-radius", type=float, default=0.1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--channel-lo", type=int, default=GeneratorParams.channel_lo, show_default=True)
+@click.option("--channel-hi", type=int, default=GeneratorParams.channel_hi, show_default=True)
+@click.option(
+    "--co-radius", type=float, default=GeneratorParams.co_channel_radius, show_default=True
+)
+@click.option(
+    "--adj-radius", type=float, default=GeneratorParams.adjacent_channel_radius, show_default=True
+)
+@click.option("--seed", type=int, default=GeneratorParams.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def generate(n_stations, channel_lo, channel_hi, co_radius, adj_radius, seed, out):
     """Generate a synthetic instance and write its canonical serialization."""
@@ -134,10 +138,12 @@ def generate(n_stations, channel_lo, channel_hi, co_radius, adj_radius, seed, ou
 
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
-@click.option("--log-mean", type=float, default=8.0, show_default=True)
-@click.option("--log-sd", type=float, default=1.0, show_default=True)
-@click.option("--pop-exponent", type=float, default=0.7, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--log-mean", type=float, default=ValueSamplerParams.log_mean, show_default=True)
+@click.option("--log-sd", type=float, default=ValueSamplerParams.log_sd, show_default=True)
+@click.option(
+    "--pop-exponent", type=float, default=ValueSamplerParams.population_exponent, show_default=True
+)
+@click.option("--seed", type=int, default=ValueSamplerParams.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def values(instance_path, log_mean, log_sd, pop_exponent, seed, out):
     """Sample a value profile for an instance."""
@@ -214,7 +220,8 @@ def vcg(instance_path, values_path, bar_c, scoring, c0, out):
         participants, non_participants = determine_participants(
             inst, profile, volumes, opening
         )
-    outcome = vcg_outcome(inst, profile, participants, non_participants, ct)
+    with _reported(UnpackableError):
+        outcome = vcg_outcome(inst, profile, participants, non_participants, ct)
     payload = {
         "optimal_value": outcome.optimal_value,
         "optimal_assignment": {

@@ -20,7 +20,7 @@ from typing import Iterable, get_args, get_type_hints
 import numpy as np
 
 from .auction import AuctionConfig, CheckerKind, run_auction
-from .feasibility import Budget
+from .feasibility import DEFAULT_STEP_LIMIT, Budget
 from .instances import (
     GeneratorParams,
     ValueSamplerParams,
@@ -78,13 +78,13 @@ class ExperimentConfig:
     instance_path: str | None = None
     generator: GeneratorParams | None = None
     n_value_profiles: int = 5
-    log_mean: float = 8.0
-    log_sd: float = 1.0
-    population_exponent: float = 0.7
+    log_mean: float = ValueSamplerParams.log_mean
+    log_sd: float = ValueSamplerParams.log_sd
+    population_exponent: float = ValueSamplerParams.population_exponent
     cells: tuple[Cell, ...] = DEFAULT_CELLS
     c0_fcc: float = DEFAULT_C0_FCC
     c0_unscored: float = DEFAULT_C0_UNSCORED
-    budget_steps: int = 50_000
+    budget_steps: int = DEFAULT_STEP_LIMIT
     master_seed: int = 0
     vcg_node_budget: int = DEFAULT_NODE_BUDGET
     out_dir: str = "out"
@@ -186,11 +186,17 @@ def derive_seed(master_seed: int, stream: int, *indices: int) -> int:
 
 @dataclass(frozen=True)
 class RecordRow:
+    """One (cell, profile) result: its comparison with the benchmark, or no
+    record, when the row is incomparable, and the ``reason``."""
+
     cell: str
     profile: int
     record: ComparisonRecord | None
-    incomparable: bool = False
     reason: str = ""
+
+    @property
+    def incomparable(self) -> bool:
+        return self.record is None
 
 
 @dataclass(frozen=True)
@@ -242,9 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     benchmark_cache[key] = exc
             benchmark = benchmark_cache[key]
             if isinstance(benchmark, ResourceLimitError):
-                rows.append(
-                    RecordRow(cell.key, profile, None, True, str(benchmark))
-                )
+                rows.append(RecordRow(cell.key, profile, None, str(benchmark)))
             else:
                 rows.append(
                     RecordRow(cell.key, profile, compare(outcome, benchmark, values))
@@ -313,9 +317,9 @@ def records_json(result: ExperimentResult) -> str:
             "profile": row.profile,
             "incomparable": row.incomparable,
         }
-        if row.incomparable:
+        if row.record is None:
             entry["reason"] = row.reason
-        if row.record is not None:
+        else:
             entry.update(asdict(row.record))
         records.append(entry)
     document = _spell_non_finite({"config": cfg_data, "records": records})
@@ -446,9 +450,7 @@ def rows_from_json(text: str) -> list[RecordRow]:
 
 def _row_from_json(entry: dict) -> RecordRow:
     if entry.get("incomparable"):
-        return RecordRow(
-            entry["cell"], entry["profile"], None, True, entry.get("reason", "")
-        )
+        return RecordRow(entry["cell"], entry["profile"], None, entry.get("reason", ""))
     record = ComparisonRecord(
         **{
             f.name: _float_from_json(entry[f.name])

@@ -49,6 +49,10 @@ class SearchSpaceError(RuntimeError):
     """The exhaustive checker refused a search space beyond its bound."""
 
 
+#: The step limit of a feasibility check unless a config sets another.
+DEFAULT_STEP_LIMIT = 50_000
+
+
 @dataclass(frozen=True)
 class Budget:
     """Limit on one feasibility check. ``step_limit`` counts the channels the

@@ -98,6 +98,8 @@ class Instance:
 
     Stations are kept sorted by id and constraints canonicalized, so two
     instances with the same content compare equal regardless of input order.
+    :meth:`position` is the one index from station id to :attr:`stations`;
+    :meth:`station` reads through it.
     """
 
     stations: tuple[Station, ...]
@@ -112,11 +114,11 @@ class Instance:
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "channel_universe", universe)
 
-        by_id: dict[StationId, Station] = {}
-        for st in stations:
-            if st.id in by_id:
+        position: dict[StationId, int] = {}
+        for i, st in enumerate(stations):
+            if st.id in position:
                 raise ValueError(f"duplicate station id {st.id}")
-            by_id[st.id] = st
+            position[st.id] = i
         universe_set = set(universe)
         for st in stations:
             if not st.domain <= universe_set:
@@ -126,24 +128,20 @@ class Instance:
                 )
         for con in constraints:
             for sid, ch in (con.first, con.second):
-                if sid not in by_id:
+                if sid not in position:
                     raise UnknownStationError(
                         f"constraint references undeclared station {sid}"
                     )
-                if ch not in by_id[sid].domain:
+                if ch not in stations[position[sid]].domain:
                     raise ValueError(
                         f"constraint channel {ch} is outside the domain of station {sid}"
                     )
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_position", {sid: i for i, sid in enumerate(by_id)})
+        object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_conflict_memo", {})
         object.__setattr__(self, "_table_memo", {})
 
     def station(self, sid: StationId) -> Station:
-        try:
-            return self._by_id[sid]  # type: ignore[attr-defined]
-        except KeyError:
-            raise UnknownStationError(f"unknown station {sid}") from None
+        return self.stations[self.position(sid)]
 
     def position(self, sid: StationId) -> int:
         """The index of station ``sid`` in :attr:`stations`."""
@@ -220,12 +218,6 @@ def station_sum(amounts: Mapping[StationId, float], stations: Iterable[StationId
     """The sum of ``amounts`` over ``stations``, taken in ascending station
     order so that equal station sets give bit-identical totals."""
     return sum(amounts[sid] for sid in sorted(stations))
-
-
-def reduced_domain(station: Station, ct: ClearingTarget) -> frozenset[Channel]:
-    """Channels the station may occupy once the band at and above the target
-    is cleared. May be empty; such a station can never be repacked."""
-    return ct.reduced(station.domain)
 
 
 def validate_assignment(

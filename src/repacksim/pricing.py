@@ -2,13 +2,13 @@
 
 A station's price offer in any round is its volume times the shared base
 clock, so the scoring rule fixes relative prices for the whole auction.
-Volumes are computed once up front and never change.
+Volumes are computed once up front and never change; a
+:data:`VolumeTable` maps each station to its volume.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,18 +33,9 @@ class DegenerateInstanceError(ValueError):
     volumes cannot be normalized."""
 
 
-@dataclass(frozen=True)
-class VolumeTable:
-    """Per-station volumes plus the scaling constant that produced them.
-    ``zero_weight`` lists stations whose raw weight was zero; they get volume
-    zero and can never face a positive offer."""
-
-    volumes: dict[StationId, float]
-    scaling: float
-    zero_weight: tuple[StationId, ...] = ()
-
-    def volume(self, sid: StationId) -> float:
-        return self.volumes[sid]
+#: Volume of each station. A station whose raw weight is zero gets volume
+#: zero and can never face a positive offer.
+VolumeTable = dict[StationId, float]
 
 
 def fcc_volumes(inst: Instance, ct: ClearingTarget) -> VolumeTable:
@@ -66,14 +57,12 @@ def fcc_volumes(inst: Instance, ct: ClearingTarget) -> VolumeTable:
             "no station has a positive interference-population weight"
         )
     scaling = MAX_SCORED_VOLUME / max_raw
-    volumes = {sid: scaling * r for sid, r in raw.items()}
-    zero_weight = tuple(sorted(sid for sid, r in raw.items() if r == 0.0))
-    return VolumeTable(volumes, scaling, zero_weight)
+    return {sid: scaling * r for sid, r in raw.items()}
 
 
 def unscored_volumes(inst: Instance) -> VolumeTable:
     """Every station gets volume one, so offers equal the base clock."""
-    return VolumeTable({s.id: 1.0 for s in inst.stations}, 1.0)
+    return {s.id: 1.0 for s in inst.stations}
 
 
 def volumes_for(inst: Instance, ct: ClearingTarget, rule: ScoringRule) -> VolumeTable:

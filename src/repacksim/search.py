@@ -55,14 +55,14 @@ class PackingModel:
     """The stations of ``order``, each with its options cut from its row of
     the instance's channel table (:meth:`~repacksim.model.Instance.channel_table`):
     one per reduced-band channel, in ascending order, as ``(bit, channel,
-    clash)``, where bit ``k`` stands for the k-th channel of the instance's
-    universe and ``clash`` lists the ``(station index, bit)`` pairs of the
-    listed stations that the channel rules out.
+    clash)``, where bit ``k`` stands for ``universe[k]``, the k-th channel of
+    the instance's universe, and ``clash`` lists the ``(station index, bit)``
+    pairs of the listed stations that the channel rules out.
     A station's ``hint`` channel, when it has one, is its first option.
     ``neighbours[i]`` has bit ``j`` set when some channel of station ``i``
     rules out a channel of station ``j``."""
 
-    __slots__ = ("order", "options", "bit_of", "channel_of", "_neighbours")
+    __slots__ = ("order", "options", "universe", "_neighbours")
 
     def __init__(
         self,
@@ -72,8 +72,7 @@ class PackingModel:
         hint: Mapping[StationId, Channel] | None = None,
     ) -> None:
         self.order = list(order)
-        self.bit_of = {ch: 1 << k for k, ch in enumerate(inst.channel_universe)}
-        self.channel_of = {bit: ch for ch, bit in self.bit_of.items()}
+        self.universe = inst.channel_universe
         self._neighbours: list[int] | None = None
         table = inst.channel_table(ct)
         positions = [inst.position(sid) for sid in self.order]
@@ -112,7 +111,7 @@ class PackingModel:
         for sid, opts in zip(self.order, self.options):
             for _, ch, clash in opts:
                 for j, bit in clash:
-                    other = (self.order[j], self.channel_of[bit])
+                    other = (self.order[j], self.universe[bit.bit_length() - 1])
                     if other > (sid, ch):
                         pairs.append(((sid, ch), other))
         return pairs
@@ -335,7 +334,7 @@ def search(
         cache = {}
     if splits is None:
         splits = {}
-    width = len(model.channel_of) + 2
+    width = len(model.universe) + 2
     while True:
         if not undecided:
             if acc > best_value:

@@ -160,7 +160,7 @@ def _solve_component(
     more.
     """
     model = component.model
-    order, options, channel_of = model.order, model.options, model.channel_of
+    order, options, universe = model.order, model.options, model.universe
     n = len(order)
     gain = [0.0 if sid in forced else component.values[sid] for sid in order]
     is_forced = [sid in forced for sid in order]
@@ -193,7 +193,7 @@ def _solve_component(
         return total
 
     def packing(on_air: list[int]) -> Assignment:
-        return {order[i]: channel_of[on_air[i]] for i in ranked if on_air[i]}
+        return {order[i]: universe[on_air[i].bit_length() - 1] for i in ranked if on_air[i]}
 
     best_value = -1.0
     best_assign: Assignment | None = None
@@ -208,7 +208,7 @@ def _solve_component(
         started = [0] * n
         for i, sid in enumerate(order):
             if sid in start:
-                started[i] = model.bit_of[start[sid]]
+                started[i] = 1 << universe.index(start[sid])
         for bit, _, clash in options[e]:
             on_air = list(started)
             on_air[e] = bit

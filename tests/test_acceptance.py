@@ -47,7 +47,6 @@ from repacksim.model import (
     Instance,
     InterferenceConstraint,
     Station,
-    reduced_domain,
     validate_assignment,
 )
 from repacksim.pricing import (
@@ -114,7 +113,7 @@ def enumerate_best_value(inst, values, participants, non_participants, ct):
     parts = set(participants)
     nons = set(non_participants)
     conflicts = inst.conflicts_in_band(ct)
-    domains = {sid: sorted(reduced_domain(inst.station(sid), ct)) for sid in sids}
+    domains = {sid: sorted(ct.reduced(inst.station(sid).domain)) for sid in sids}
     best = [-1.0]
     chosen = {}
 

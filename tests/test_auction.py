@@ -364,9 +364,9 @@ def test_fcc_scoring_orders_processing_by_volume():
     )
     ct = ClearingTarget(15)
     volumes = volumes_for(inst, ct, ScoringRule.FCC)
-    assert volumes.volume(1) > volumes.volume(2)
-    opening_1 = offer_price(volumes.volume(1), 900.0)
-    opening_2 = offer_price(volumes.volume(2), 900.0)
+    assert volumes[1] > volumes[2]
+    opening_1 = offer_price(volumes[1], 900.0)
+    opening_2 = offer_price(volumes[2], 900.0)
     values = {1: opening_1 * 0.99999, 2: opening_2 * 0.99999}
     cfg = AuctionConfig(ct=ct, scoring=ScoringRule.FCC, checker=CheckerKind.SAT, seed=0)
     out = run_auction(inst, values, cfg)
@@ -592,7 +592,7 @@ def _reference_auction(inst, values, config, strategies):
     ct, budget = config.ct, config.budget
     checker = _REFERENCE_CHECKERS[config.checker]
     c0 = config.initial_price()
-    vols = volumes_for(inst, ct, config.scoring).volumes
+    vols = volumes_for(inst, ct, config.scoring)
     opening = {s.id: offer_price(vols[s.id], c0) for s in inst.stations}
     participants = tuple(s.id for s in inst.stations if values[s.id] < opening[s.id])
     non_participants = tuple(s.id for s in inst.stations if s.id not in participants)

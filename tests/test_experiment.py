@@ -552,6 +552,11 @@ def test_cli_run_reports_a_missing_instance_file_in_one_line(tmp_path):
 GOOD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14 1000 14,15\nSTATION 2 14 1000 14\n"
 GOOD_VALUES = "1 5.0\n2 7.0\n"
 BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
+# two stations that clash on their one channel below 15; valued above any
+# opening price, neither takes part, so both must be packed
+CLASHING_INSTANCE = (
+    "CHANNELS 14 16\nSTATION 1 14 1000 14\nSTATION 2 14 1000 14\nCONSTRAINT 1 14 2 14\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -589,6 +594,14 @@ BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
             "Error: no station has a positive interference-population weight",
         ),
         (
+            {"inst.txt": CLASHING_INSTANCE, "values.txt": "1 1e12\n2 1e12\n"},
+            [
+                "vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "15",
+                "--scoring", "unscored",
+            ],
+            "Error: non-participating stations in component [1, 2] cannot be packed",
+        ),
+        (
             {"records.json": '{"records": ['},
             ["report", "--records", "records.json"],
             "Error: invalid records records.json: "
@@ -616,6 +629,7 @@ BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
         "vcg-malformed-values",
         "vcg-missing-stations",
         "vcg-degenerate-fcc",
+        "vcg-unpackable",
         "report-malformed-records",
         "report-no-records",
         "report-records-not-a-list",

@@ -25,7 +25,6 @@ from repacksim.instances import GeneratorParams, generate_instance
 from repacksim.model import (
     ClearingTarget,
     UnknownStationError,
-    reduced_domain,
     validate_assignment,
 )
 from repacksim.search import PackingModel
@@ -135,6 +134,18 @@ def _reference_options(inst, ct, order, hint):
     return options
 
 
+def _reference_clauses(inst, ct, order):
+    """The forbidden pairs in the band among the stations of ``order``, each
+    once, from its lower end (a constraint's canonical ``first``), sorted."""
+    listed = set(order)
+    return sorted(
+        (con.first, con.second)
+        for con in inst.constraints
+        if {con.first[0], con.second[0]} <= listed
+        and max(con.first[1], con.second[1]) < ct.bar_c
+    )
+
+
 @st.composite
 def _drawn_instance(draw):
     """An instance over channels 14-19 whose station ids do not match their
@@ -194,6 +205,8 @@ def test_packing_model_matches_a_build_from_the_constraints(drawn):
         model = PackingModel(inst, ct, order, hint)
         assert model.order == order
         assert model.options == _reference_options(inst, ct, order, hint)
+        # sorted, so a pair listed twice or from its upper end shows
+        assert sorted(model.clauses) == _reference_clauses(inst, ct, order)
 
 
 # ---------------------------------------------------------------- solve
@@ -385,7 +398,7 @@ def _reference_fit_target(problem):
     """The greedy scan as a sort of the target's reduced domain per call."""
     conflicts = problem.inst.conflicts_in_band(problem.ct)
     packed, target = problem.packed, problem.target
-    for ch in sorted(reduced_domain(problem.inst.station(target), problem.ct)):
+    for ch in sorted(problem.ct.reduced(problem.inst.station(target).domain)):
         if all(packed.get(osid) != och for osid, och in conflicts.get((target, ch), ())):
             certificate = dict(packed)
             certificate[target] = ch
@@ -411,7 +424,7 @@ def _reference_exhaustive(problem):
     already chosen."""
     inst, ct = problem.inst, problem.ct
     sids = problem.station_set()
-    domains = [sorted(reduced_domain(inst.station(sid), ct)) for sid in sids]
+    domains = [sorted(ct.reduced(inst.station(sid).domain)) for sid in sids]
     space = math.prod(len(d) for d in domains)
     if space > EXHAUSTIVE_SPACE_LIMIT:
         raise SearchSpaceError(

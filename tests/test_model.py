@@ -9,7 +9,6 @@ from repacksim.model import (
     Station,
     UnknownStationError,
     interference_graph,
-    reduced_domain,
     validate_assignment,
 )
 
@@ -78,11 +77,11 @@ def test_validate_assignment_channel_outside_domain(two_station_conflict):
 
 def test_reduced_domain_examples():
     st_ = Station(1, set(range(14, 37)), 100, 14)
-    assert reduced_domain(st_, ClearingTarget(29)) == frozenset(range(14, 29))
+    assert ClearingTarget(29).reduced(st_.domain) == frozenset(range(14, 29))
     st2 = Station(2, {30, 31}, 100, 30)
-    assert reduced_domain(st2, ClearingTarget(29)) == frozenset()
+    assert ClearingTarget(29).reduced(st2.domain) == frozenset()
     st3 = Station(3, {14}, 100, 14)
-    assert reduced_domain(st3, ClearingTarget(15)) == frozenset({14})
+    assert ClearingTarget(15).reduced(st3.domain) == frozenset({14})
 
 
 def test_interference_graph_examples():
@@ -136,7 +135,7 @@ def test_validity_is_monotone_under_removal(inst, bar_c, data):
     ct = ClearingTarget(bar_c)
     assignment = {}
     for station in inst.stations:
-        dom = sorted(reduced_domain(station, ct))
+        dom = sorted(ct.reduced(station.domain))
         if dom and data.draw(st.booleans()):
             assignment[station.id] = data.draw(st.sampled_from(dom))
     if not validate_assignment(assignment, inst, ct):

@@ -33,10 +33,9 @@ def test_single_station_volume_is_exactly_the_max():
         [(1, 14, 2, 14)],
     )
     table = fcc_volumes(inst, ClearingTarget(15))
-    assert table.volumes[1] == MAX_SCORED_VOLUME
-    # population zero gives a zero weight, reported and priced at volume zero
-    assert table.volumes[2] == 0.0
-    assert table.zero_weight == (2,)
+    assert table[1] == MAX_SCORED_VOLUME
+    # population zero gives a zero weight, priced at volume zero
+    assert table[2] == 0.0
 
 
 def test_volume_ratio_hand_example():
@@ -53,9 +52,8 @@ def test_volume_ratio_hand_example():
         ],
     )
     table = fcc_volumes(inst, ClearingTarget(17))
-    assert table.scaling == pytest.approx(500.0)
-    assert table.volumes[1] == 1_000_000.0
-    assert table.volumes[2] == 250_000.0
+    assert table[1] == 1_000_000.0
+    assert table[2] == 250_000.0
 
 
 def test_a_constraint_within_one_station_counts_once():
@@ -66,11 +64,11 @@ def test_a_constraint_within_one_station_counts_once():
         [(1, 14, 1, 15), (1, 14, 2, 14)],
     )
     table = fcc_volumes(inst, ClearingTarget(16))
-    assert within_one_ulp(table.volumes[1], MAX_SCORED_VOLUME)
-    assert table.volumes[2] == pytest.approx(MAX_SCORED_VOLUME / math.sqrt(2))
+    assert within_one_ulp(table[1], MAX_SCORED_VOLUME)
+    assert table[2] == pytest.approx(MAX_SCORED_VOLUME / math.sqrt(2))
     # above the target the within-station constraint no longer counts
     table = fcc_volumes(inst, ClearingTarget(15))
-    assert table.volumes[1] == table.volumes[2]
+    assert table[1] == table[2]
 
 
 def test_constraints_above_target_do_not_count():
@@ -80,8 +78,8 @@ def test_constraints_above_target_do_not_count():
         universe=(14, 20),
     )
     counted = fcc_volumes(inst, ClearingTarget(15))
-    assert within_one_ulp(counted.volumes[1], MAX_SCORED_VOLUME)
-    assert within_one_ulp(counted.volumes[2], MAX_SCORED_VOLUME)
+    assert within_one_ulp(counted[1], MAX_SCORED_VOLUME)
+    assert within_one_ulp(counted[2], MAX_SCORED_VOLUME)
     with pytest.raises(DegenerateInstanceError):
         # bar_c=14 leaves no countable constraint at all
         fcc_volumes(inst, ClearingTarget(14))
@@ -100,14 +98,14 @@ def test_max_volume_is_one_million_on_generated_instances(seed):
         table = fcc_volumes(inst, ct)
     except DegenerateInstanceError:
         return
-    assert within_one_ulp(max(table.volumes.values()), MAX_SCORED_VOLUME)
-    assert all(v >= 0 for v in table.volumes.values())
+    assert within_one_ulp(max(table.values()), MAX_SCORED_VOLUME)
+    assert all(v >= 0 for v in table.values())
 
 
 def test_unscored_volumes_all_one():
     inst = mk_instance([(1, {14}), (2, {14})])
     table = unscored_volumes(inst)
-    assert set(table.volumes.values()) == {1.0}
+    assert set(table.values()) == {1.0}
     assert volumes_for(inst, ClearingTarget(15), ScoringRule.UNSCORED) == table
 
 

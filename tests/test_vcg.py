@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repacksim import search, vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
-from repacksim.model import ClearingTarget, UnpackableError, reduced_domain, validate_assignment
+from repacksim.model import ClearingTarget, UnpackableError, validate_assignment
 from repacksim.pricing import ScoringRule, default_initial_clock_price, volumes_for
 from repacksim.vcg import (
     ResourceLimitError,
@@ -28,7 +28,7 @@ def enumerate_best_value(inst, values, participants, non_participants, ct):
     parts = set(participants)
     nons = set(non_participants)
     conflicts = inst.conflicts_in_band(ct)
-    domains = {sid: sorted(reduced_domain(inst.station(sid), ct)) for sid in sids}
+    domains = {sid: sorted(ct.reduced(inst.station(sid).domain)) for sid in sids}
     best = [-1.0]
     chosen = {}
 
