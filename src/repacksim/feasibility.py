@@ -99,10 +99,12 @@ class FeasibilityProblem:
     ct: ClearingTarget
 
     def __post_init__(self) -> None:
-        station = self.inst.station
-        station(self.target)
-        for sid in self.packed:
-            station(sid)
+        inst = self.inst
+        inst.position(self.target)
+        if not inst.declares(self.packed.keys()):
+            # name the first undeclared station, as a lookup of each would
+            for sid in self.packed:
+                inst.position(sid)
         if self.target in self.packed:
             raise InvalidProblemError(
                 f"target station {self.target} is already packed"

@@ -7,7 +7,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 StationId = int
 Channel = int
@@ -149,6 +149,11 @@ class Instance:
             return self._position[sid]  # type: ignore[attr-defined]
         except KeyError:
             raise UnknownStationError(f"unknown station {sid}") from None
+
+    def declares(self, sids: AbstractSet[StationId]) -> bool:
+        """Whether every station of ``sids`` is declared: one set comparison
+        with the index :meth:`position` reads."""
+        return self._position.keys() >= sids  # type: ignore[attr-defined]
 
     def station_ids(self) -> tuple[StationId, ...]:
         return tuple(s.id for s in self.stations)

@@ -16,8 +16,10 @@ solved on its own, its optimum cached by its stations' live channels and
 forced flags. Searches of one model may share that cache, so a part solved
 once is not searched again by a later search that meets it. They may also
 share a memo of the cut tests made and the parts found, which depend on the
-model alone. The order in which stations are decided is a rank passed to each search, so
-searches that break ties differently can share one model.
+model alone. The order in which stations are decided is passed to each
+search: a rank that breaks ties in the fewest-channels-left rule and,
+optionally, a lead station decided before any other. So searches that
+decide in different orders can share one model.
 """
 
 from __future__ import annotations
@@ -261,20 +263,22 @@ def search(
     rank: list[int] | None = None,
     cache: dict[int, float | tuple] | None = None,
     splits: dict[int, tuple] | None = None,
+    lead: int | None = None,
 ) -> tuple[Assignment | None, float]:
     """Best packing of ``model`` worth more than ``best_value``.
 
     Station ``i`` is worth ``gain[i]`` on air and must be on air when
-    ``forced[i]``. The next station to decide is the undecided one with the
-    fewest channels left, the lower ``rank`` breaking ties; ``rank`` holds a
-    distinct number below ``len(model.order)`` per station and defaults to
-    the station's index. Its options are tried in order, then, unless it is
-    forced, leaving it off the air. Assigning a channel removes the channels
-    it rules out from undecided stations, and a forced station left with
-    none ends the branch. A node is pruned when the
-    value decided so far plus all the undecided value cannot beat the best.
-    Every option tried and every off-air branch spends one node of
-    ``counter``; :class:`ResourceLimitError` is raised when none are left.
+    ``forced[i]``. Station ``lead``, when given, is decided first. After it,
+    the next station to decide is the undecided one with the fewest channels
+    left, the lower ``rank`` breaking ties; ``rank`` holds a distinct number
+    below ``len(model.order)`` per station and defaults to the station's
+    index. Its options are tried in order, then, unless it is forced,
+    leaving it off the air. Assigning a channel removes the channels it rules
+    out from undecided stations, and a forced station left with none ends
+    the branch. A node is pruned when the value decided so far plus all the
+    undecided value cannot beat the best. Every option tried and every
+    off-air branch spends one node of ``counter``; :class:`ResourceLimitError`
+    is raised when none are left.
 
     Without ``first``, on models of at least :data:`SPLIT_MIN` stations, the
     search is AND/OR branch and bound. A station with no undecided neighbour
@@ -310,6 +314,9 @@ def search(
         by_rank[r] = i
     avail = [sum(bit for bit, _, _ in opts) for opts in options]
     score = [avail[i].bit_count() * n + rank[i] for i in range(n)]
+    if lead is not None:
+        # below every other score, and still `rank[lead]` modulo n
+        score[lead] -= (len(model.universe) + 1) * n
     undecided = set(range(n))
     neighbours = model.neighbours if not first and n >= SPLIT_MIN else None
     free = (1 << n) - 1  # the stations with no frame on the stack

@@ -14,14 +14,18 @@ A winner's price is the drop in everyone else's optimal value caused by
 taking it off the air: optimal value minus the optimal value when the winner
 is forced to stay on air (its own value excluded). Losing stations are paid
 nothing. :func:`vcg_outcome` re-solves only the winner's component for each
-price, and warm-starts that search from the base optimum: the winner goes on
-air on each of its channels in turn, the stations it conflicts with are
-evicted and re-placed greedily, and the best such packing becomes the
-incumbent when it beats the greedy one. A better incumbent never changes the
-optimum. It usually prunes more, but not always: a part's search that must
-beat more ends with a bound rather than its optimum, and a later branch may
-have to search it again. :func:`restricted_optimal_value` gives the same
-restricted value by a full, cold re-solve.
+price. The re-solve decides the winner before any other station, so every
+branch starts with the winner on air and the channels it rules out already
+removed (fail first, Haralick & Elliott, 1980); after it, the search picks
+stations as every other search does. The re-solve is warm-started from the
+base optimum: the winner goes on air on each of its channels in turn, the
+stations it conflicts with are evicted and re-placed greedily, and the best
+such packing becomes the incumbent when it beats the greedy one. A better
+incumbent never changes the optimum. It usually prunes more, but not always:
+a part's search that must beat more ends with a bound rather than its
+optimum, and a later branch may have to search it again.
+:func:`restricted_optimal_value` gives the same restricted value by a full,
+cold re-solve, with no station decided first.
 
 Within one :func:`vcg_outcome` call each component has one search context:
 a packing model built once, in the base solve's order, one part cache and
@@ -142,21 +146,23 @@ def _solve_component(
     component: _Component,
     forced: frozenset[StationId],
     counter: _NodeCounter,
-    warm_start: tuple[Assignment, StationId] | None = None,
+    entrant: StationId | None = None,
+    start: Assignment | None = None,
 ) -> tuple[Assignment, float] | None:
     """Exact max-value packing of one component; None if the forced stations
     cannot all be placed.
 
     AND/OR branch and bound with forward checking
     (:func:`repacksim.search.search`) over the component's model, with its
-    stations in :func:`_ranked` order for this solve. The search shares the
+    stations in :func:`_ranked` order for this solve. The search decides
+    ``entrant``, when given, before any other station, and shares the
     component's part cache and cut-test memo.
 
-    The incumbent is a greedy packing. ``warm_start`` is ``(start, entrant)``:
-    ``start`` packs the component with ``entrant`` off the air, as the base
-    optimum does. The entrant is put on air on each of its channels in turn,
-    the stations it conflicts with are evicted and re-placed greedily, and
-    the best packing found this way replaces the greedy one when it is worth
+    The incumbent is a greedy packing. ``start``, given with ``entrant``,
+    packs the component with ``entrant`` off the air, as the base optimum
+    does. The entrant is put on air on each of its channels in turn, the
+    stations it conflicts with are evicted and re-placed greedily, and the
+    best packing found this way replaces the greedy one when it is worth
     more.
     """
     model = component.model
@@ -202,9 +208,8 @@ def _solve_component(
         best_value = worth(greedy)
         best_assign = packing(greedy)
 
-    if warm_start is not None:
-        start, entrant = warm_start
-        e = order.index(entrant)
+    e = None if entrant is None else local[entrant]
+    if start is not None:
         started = [0] * n
         for i, sid in enumerate(order):
             if sid in start:
@@ -232,6 +237,7 @@ def _solve_component(
         rank=rank,
         cache=component.cache,
         splits=component.splits,
+        lead=e,
     )
     if best_assign is None:
         return None
@@ -314,11 +320,11 @@ def vcg_outcome(
     air only perturbs its own interference component, so each subproblem
     re-solves just that component; the answers are identical to a full
     re-solve because the other components' subproblems are unchanged. Each
-    re-solve is warm-started from the base optimum (see the module
-    docstring) and has a node budget of its own. The base solve and the
-    re-solves of one component share its search context, which this call
-    builds and drops, so the outcome, its node count included, depends on
-    the arguments alone.
+    re-solve decides its winner first, is warm-started from the base optimum
+    (see the module docstring) and has a node budget of its own. The base
+    solve and the re-solves of one component share its search context, which
+    this call builds and drops, so the outcome, its node count included,
+    depends on the arguments alone.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
     components = [_Component(comp, nons, values, inst, ct) for comp in _components(inst, ct)]
@@ -334,9 +340,7 @@ def vcg_outcome(
     for sid in winners:
         component = component_of[sid]
         resolve_counter = _NodeCounter(node_budget)
-        solved = _solve_component(
-            component, nons | {sid}, resolve_counter, warm_start=(assignment, sid)
-        )
+        solved = _solve_component(component, nons | {sid}, resolve_counter, sid, assignment)
         nodes += resolve_counter.spent
         if solved is None:
             # Forcing the winner on air is infeasible: its price degenerates

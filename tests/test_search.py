@@ -1,5 +1,5 @@
 """The packing search runs in a loop, so its callers' stack depth is all the
-stack it needs."""
+stack it needs, and it decides a lead station before any other."""
 
 import sys
 
@@ -7,7 +7,10 @@ from repacksim.auction import CheckerKind, initial_assignment
 from repacksim.feasibility import Budget, Feasible, FeasibilityProblem, check_greedy, check_sat
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, validate_assignment
+from repacksim.search import NodeCounter, PackingModel, search
 from repacksim.vcg import optimal_packing
+
+from conftest import mk_instance
 
 
 def _stack_depth():
@@ -62,3 +65,19 @@ def test_grid_sized_searches_need_no_stack_per_station():
     if isinstance(verdict, Feasible):
         assert validate_assignment(verdict.certificate, inst, ct)
         assert len(verdict.certificate) == len(assignment) + 1
+
+
+def test_the_lead_station_is_decided_first():
+    # station 3 has the most channels and the last rank, so without a lead
+    # the fewest-channels-left rule decides it last
+    inst = mk_instance(
+        [(1, {14}), (2, {14, 15}), (3, {14, 15, 16})],
+        [(1, 14, 2, 14), (2, 15, 3, 15)],
+    )
+    ct = ClearingTarget(17)
+    model = PackingModel(inst, ct, [1, 2, 3])
+    for k in range(3):
+        packing, _ = search(model, [0.0] * 3, [True] * 3, NodeCounter(100), first=True, lead=k)
+        # with `first`, the packing lists its stations in the order decided
+        assert next(iter(packing)) == model.order[k]
+        assert validate_assignment(packing, inst, ct) and len(packing) == 3

@@ -247,13 +247,13 @@ def test_forced_packings_and_restricted_values_match_enumeration(
         assert out.restricted_values[sid] == pytest.approx(restricted or 0.0, rel=1e-12)
 
 
-def _cold_solve(comp, forced, values, inst, ct, warm_start=None, ranked_by=None):
+def _cold_solve(comp, forced, values, inst, ct, entrant=None, start=None, ranked_by=None):
     """``vcg._solve_component`` on a search context of its own, its model
     ranked as a solve forcing ``ranked_by`` ranks it (by default ``forced``),
     and the nodes it spent."""
     counter = vcg._NodeCounter(vcg.DEFAULT_NODE_BUDGET)
     component = vcg._Component(comp, forced if ranked_by is None else ranked_by, values, inst, ct)
-    solved = vcg._solve_component(component, forced, counter, warm_start)
+    solved = vcg._solve_component(component, forced, counter, entrant, start)
     return solved, counter.spent
 
 
@@ -305,8 +305,10 @@ def test_grid_sized_prices_match_cold_resolves(seed):
         assert out.optimal_value - cold == out.prices[sid]
 
 
-def test_warm_start_fires_and_never_adds_nodes():
-    fired = 0
+def test_warm_start_fires_and_saves_nodes_in_total():
+    # Both sides decide the winner first, so they differ by the warm start
+    # alone. A better incumbent usually prunes more, but not in every solve.
+    fired = cold_total = warm_total = 0
     for seed in range(3):
         inst, values, parts, nons, ct = _grid_sized_case(seed)
         out = vcg_outcome(inst, values, parts, nons, ct)
@@ -314,15 +316,41 @@ def test_warm_start_fires_and_never_adds_nodes():
         for sid in out.winners:
             comp = next(c for c in components if sid in c)
             forced = frozenset(nons) | {sid}
-            cold_solved, cold = _cold_solve(comp, forced, values, inst, ct)
+            cold_solved, cold = _cold_solve(comp, forced, values, inst, ct, sid)
             warm_solved, warm = _cold_solve(
-                comp, forced, values, inst, ct, warm_start=(out.optimal_assignment, sid)
+                comp, forced, values, inst, ct, sid, out.optimal_assignment
             )
-            assert warm <= cold
             # the packings may differ in the order their values were added
             assert warm_solved[1] == pytest.approx(cold_solved[1], rel=1e-12)
             fired += warm < cold
+            cold_total += cold
+            warm_total += warm
+    assert warm_total < cold_total
     assert fired >= 10
+
+
+def _unled(*args, lead=None, **kwargs):
+    """``search.search`` deciding no station first."""
+    return search.search(*args, **kwargs)
+
+
+def test_deciding_the_entrant_first_saves_resolve_nodes():
+    first = anywhere = 0
+    for seed in range(5):
+        inst, values, parts, nons, ct = _grid_sized_case(seed)
+        out = vcg_outcome(inst, values, parts, nons, ct)
+        components = vcg._components(inst, ct)
+        for sid in out.winners:
+            comp = next(c for c in components if sid in c)
+            forced = frozenset(nons) | {sid}
+            start = out.optimal_assignment
+            solved, spent = _cold_solve(comp, forced, values, inst, ct, sid, start)
+            first += spent
+            with mock.patch.object(vcg, "search", _unled):
+                unled, spent = _cold_solve(comp, forced, values, inst, ct, sid, start)
+            anywhere += spent
+            assert solved[1] == pytest.approx(unled[1], rel=1e-12)
+    assert first < anywhere
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -336,8 +364,8 @@ def test_resolves_share_their_component_search_context(seed):
     alone = sum(_cold_solve(comp, nons, values, inst, ct)[1] for comp in components)
     for sid in out.winners:
         comp = next(c for c in components if sid in c)
-        warm_start = (out.optimal_assignment, sid)
-        alone += _cold_solve(comp, nons | {sid}, values, inst, ct, warm_start, ranked_by=nons)[1]
+        start = out.optimal_assignment
+        alone += _cold_solve(comp, nons | {sid}, values, inst, ct, sid, start, ranked_by=nons)[1]
     assert out.nodes < alone
 
 
