@@ -16,8 +16,8 @@ holds the parent's and the change's medians and interquartile ranges, and
 the pairs the change won: a strictly better value by the metric's direction.
 It also holds how many pairs had equal output digests, each side's failed
 records, the named counters of the traced (``--trace 1``) runs, work counts
-measured outside the benchmark (``--work``), the environment and both
-commits.
+measured outside the benchmark (``--work``), and the environment and both
+commits of the paired runs; a run without a pair is left out.
 """
 
 from __future__ import annotations
@@ -126,18 +126,19 @@ def summarize(
     for name, counts in work.items():
         traced.setdefault(name, {"seeds": []}).update(counts)
 
-    every = [*parent.values(), *change.values()]
+    # only the paired runs describe the two sides compared
+    before, after = [parent[p] for p in pairs], [change[p] for p in pairs]
     return {
         "label": label,
         "protocol": "alternating parent/change runs of perfbench/run.py --trace 0, "
         "paired by workload and seed",
         "environment": {
-            key: _one_of({r["environment"].get(key) for r in every})
+            key: _one_of({r["environment"].get(key) for r in (*before, *after)})
             for key in ("nproc", "cpu_count", "machine", "python")
         },
         "commits": {
-            "parent": _one_of({r["environment"].get("git_commit") for r in parent.values()}),
-            "change": _one_of({r["environment"].get("git_commit") for r in change.values()}),
+            "parent": _one_of({r["environment"].get("git_commit") for r in before}),
+            "change": _one_of({r["environment"].get("git_commit") for r in after}),
         },
         "workloads": workloads,
         "work_counts": traced,

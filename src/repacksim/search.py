@@ -16,10 +16,10 @@ solved on its own, its optimum cached by its stations' live channels and
 forced flags. Searches of one model may share that cache, so a part solved
 once is not searched again by a later search that meets it. They may also
 share a memo of the cut tests made and the parts found, which depend on the
-model alone. The order in which stations are decided is passed to each
-search: a rank that breaks ties in the fewest-channels-left rule and,
-optionally, a lead station decided before any other. So searches that
-decide in different orders can share one model.
+model alone. The model's station order is the only order a search reads:
+the lower index breaks ties in the fewest-channels-left rule, and a search
+may name a lead station to decide before any other, as a VCG re-solve
+leads with its entrant.
 """
 
 from __future__ import annotations
@@ -145,16 +145,21 @@ def _flood(seed: int, within: int, neighbours: list[int], goal: int = 0) -> int:
 
 
 def _split(near: int, within: int, neighbours: list[int]) -> tuple:
-    """The parts that the stations of ``within`` fall into, as
-    ``(station lists, masks)``, each list in ascending order and the parts in
-    the order of their first stations, when the stations of ``near`` do not
-    all reach one another within it; otherwise ``()``."""
+    """:func:`parts_of` ``within`` when the stations of ``near`` do not all
+    reach one another within it; otherwise ``()``."""
     # most often the first of them neighbours all the others
     low = near & -near
     if not near & ~(neighbours[low.bit_length() - 1] | low):
         return ()
     if not near & ~_flood(low, within, neighbours, near):
         return ()
+    return parts_of(within, neighbours)
+
+
+def parts_of(within: int, neighbours: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The parts that the stations of ``within`` fall into, connected
+    through ``neighbours``, as ``(station lists, masks)``: each list in
+    ascending order, and the parts in the order of their first stations."""
     parts, masks = [], []
     while within:
         part = _flood(within & -within, within, neighbours, within)
@@ -260,7 +265,6 @@ def search(
     best_value: float = -1.0,
     best: Assignment | None = None,
     first: bool = False,
-    rank: list[int] | None = None,
     cache: dict[int, float | tuple] | None = None,
     splits: dict[int, tuple] | None = None,
     lead: int | None = None,
@@ -270,10 +274,8 @@ def search(
     Station ``i`` is worth ``gain[i]`` on air and must be on air when
     ``forced[i]``. Station ``lead``, when given, is decided first. After it,
     the next station to decide is the undecided one with the fewest channels
-    left, the lower ``rank`` breaking ties; ``rank`` holds a distinct number
-    below ``len(model.order)`` per station and defaults to the station's
-    index. Its options are tried in order, then, unless it is forced,
-    leaving it off the air. Assigning a channel removes the channels it rules
+    left, the lower index in ``model.order`` breaking ties. Its options are
+    tried in order, then, unless it is forced, leaving it off the air. Assigning a channel removes the channels it rules
     out from undecided stations, and a forced station left with none ends
     the branch. A node is pruned when the value decided so far plus all the
     undecided value cannot beat the best. Every option tried and every
@@ -307,15 +309,10 @@ def search(
     """
     order, options = model.order, model.options
     n = len(order)
-    if rank is None:
-        rank = range(n)
-    by_rank = [0] * n
-    for i, r in enumerate(rank):
-        by_rank[r] = i
     avail = [sum(bit for bit, _, _ in opts) for opts in options]
-    score = [avail[i].bit_count() * n + rank[i] for i in range(n)]
+    score = [avail[i].bit_count() * n + i for i in range(n)]
     if lead is not None:
-        # below every other score, and still `rank[lead]` modulo n
+        # below every other score, and still `lead` modulo n
         score[lead] -= (len(model.universe) + 1) * n
     undecided = set(range(n))
     neighbours = model.neighbours if not first and n >= SPLIT_MIN else None
@@ -356,7 +353,7 @@ def search(
             if acc + open_value > proven:
                 proven = acc + open_value
         else:
-            i = by_rank[min(map(score.__getitem__, undecided)) % n]
+            i = min(map(score.__getitem__, undecided)) % n
             undecided.discard(i)
             free ^= 1 << i
             mask = avail[i]

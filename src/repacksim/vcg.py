@@ -30,10 +30,12 @@ cold re-solve, with no station decided first.
 Within one :func:`vcg_outcome` call each component has one search context:
 a packing model built once, in the base solve's order, one part cache and
 one memo of cut tests. The base solve and every re-solve of the component
-search that model, each ranking its stations for tie-breaks in its own way,
-and share the cache and the memo, so a re-solve does not search again a
-part that the base solve or an earlier re-solve has solved, nor repeat a
-cut test. The key of a cached part holds its stations' forced
+search that model, breaking ties by its order, and share the cache and the
+memo, so a re-solve does not search again a part that the base solve or an
+earlier re-solve has solved, nor repeat a cut test. A re-solve leads with
+its winner, so ranking its stations as a solve forcing the winner would
+change no pick: for every other station that ranking keeps the model's
+order. The key of a cached part holds its stations' forced
 flags, and a forced station is worth nothing, so the only entries a
 re-solve cannot use are those of parts that hold its winner. The contexts
 go with the call; :func:`optimal_packing` and :func:`restricted_optimal_value`
@@ -52,11 +54,10 @@ from .model import (
     StationId,
     UnpackableError,
     ValueProfile,
-    interference_graph,
     station_sum,
 )
 from .search import NodeCounter as _NodeCounter
-from .search import PackingModel, ResourceLimitError, search
+from .search import PackingModel, ResourceLimitError, parts_of, search
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -89,42 +90,31 @@ def _partition_check(
 
 
 def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
-    graph = interference_graph(inst, ct)
-    seen: set[StationId] = set()
-    components: list[list[StationId]] = []
-    for root in sorted(graph):
-        if root in seen:
-            continue
-        stack = [root]
-        seen.add(root)
-        comp = []
-        while stack:
-            sid = stack.pop()
-            comp.append(sid)
-            for nb in graph[sid]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        components.append(sorted(comp))
-    return components
+    """The connected components of the interference graph, each in ascending
+    station order and in the order of their first stations: the search's
+    part split over a model of every station."""
+    model = PackingModel(inst, ct, inst.station_ids())
+    parts, _ = parts_of((1 << len(model.order)) - 1, model.neighbours)
+    return [[model.order[i] for i in part] for part in parts]
 
 
 def _ranked(
     stations: Iterable[StationId], forced: frozenset[StationId], values: ValueProfile
 ) -> list[StationId]:
-    """``stations`` forced first, then by value, then by id: the rank that
-    breaks ties in the fewest-channels-left rule of a solve forcing
-    ``forced``, where a forced station is worth nothing."""
+    """``stations`` forced first, then by value, then by id, where a forced
+    station is worth nothing: the order of a component's model, whose lower
+    index breaks ties in the fewest-channels-left rule."""
     return sorted(stations, key=lambda s: (s not in forced, 0.0 if s in forced else -values[s], s))
 
 
 class _Component:
     """The search context of one interference component within one call: a
-    packing model over its stations, ranked as its base solve ranks them,
-    and the part cache and cut-test memo that the base solve and every
-    re-solve of the component share. A forced station is worth nothing and any other its
-    value, so a station's gain depends on its forced flag alone, which is
-    what sharing the cache needs."""
+    packing model over its stations in :func:`_ranked` order for the base
+    solve's forced set, and the part cache and cut-test memo that the base
+    solve and every re-solve of the component share. Every solve breaks ties
+    by the model's order; a re-solve leads with its entrant. A forced station
+    is worth nothing and any other its value, so a station's gain depends on
+    its forced flag alone, which is what sharing the cache needs."""
 
     __slots__ = ("values", "model", "cache", "splits")
 
@@ -153,28 +143,23 @@ def _solve_component(
     cannot all be placed.
 
     AND/OR branch and bound with forward checking
-    (:func:`repacksim.search.search`) over the component's model, with its
-    stations in :func:`_ranked` order for this solve. The search decides
-    ``entrant``, when given, before any other station, and shares the
-    component's part cache and cut-test memo.
+    (:func:`repacksim.search.search`) over the component's model, breaking
+    ties by the model's order. The search decides ``entrant``, when given,
+    before any other station, and shares the component's part cache and
+    cut-test memo.
 
-    The incumbent is a greedy packing. ``start``, given with ``entrant``,
-    packs the component with ``entrant`` off the air, as the base optimum
-    does. The entrant is put on air on each of its channels in turn, the
-    stations it conflicts with are evicted and re-placed greedily, and the
-    best packing found this way replaces the greedy one when it is worth
-    more.
+    The incumbent is a greedy packing, placed in model order. ``start``,
+    given with ``entrant``, packs the component with ``entrant`` off the
+    air, as the base optimum does. The entrant is put on air on each of its
+    channels in turn, the stations it conflicts with are evicted and
+    re-placed greedily in model order, and the best packing found this way
+    replaces the greedy one when it is worth more.
     """
     model = component.model
     order, options, universe = model.order, model.options, model.universe
     n = len(order)
     gain = [0.0 if sid in forced else component.values[sid] for sid in order]
     is_forced = [sid in forced for sid in order]
-    local = {sid: i for i, sid in enumerate(order)}
-    ranked = [local[sid] for sid in _ranked(order, forced, component.values)]
-    rank = [0] * n
-    for r, i in enumerate(ranked):
-        rank[i] = r
 
     def place(on_air: list[int], pending: Iterable[int]) -> bool:
         """Put each pending station, in order, on its lowest channel that fits
@@ -190,25 +175,25 @@ def _solve_component(
         return True
 
     def worth(on_air: list[int]) -> float:
-        # left to right in rank order; sum() of floats rounds differently
+        # left to right in model order; sum() of floats rounds differently
         # from Python 3.12 on, which would move the incumbent and the pruning
         total = 0.0
-        for i in ranked:
+        for i in range(n):
             if on_air[i]:
                 total += gain[i]
         return total
 
     def packing(on_air: list[int]) -> Assignment:
-        return {order[i]: universe[on_air[i].bit_length() - 1] for i in ranked if on_air[i]}
+        return {order[i]: universe[on_air[i].bit_length() - 1] for i in range(n) if on_air[i]}
 
     best_value = -1.0
     best_assign: Assignment | None = None
     greedy = [0] * n
-    if place(greedy, ranked):
+    if place(greedy, range(n)):
         best_value = worth(greedy)
         best_assign = packing(greedy)
 
-    e = None if entrant is None else local[entrant]
+    e = None if entrant is None else order.index(entrant)
     if start is not None:
         started = [0] * n
         for i, sid in enumerate(order):
@@ -220,7 +205,7 @@ def _solve_component(
             evicted = [j for j, b in clash if on_air[j] == b]
             for j in evicted:
                 on_air[j] = 0
-            if not place(on_air, sorted(evicted, key=rank.__getitem__)):
+            if not place(on_air, sorted(evicted)):
                 continue
             value = worth(on_air)
             if value > best_value:
@@ -234,7 +219,6 @@ def _solve_component(
         counter,
         best_value,
         best_assign,
-        rank=rank,
         cache=component.cache,
         splits=component.splits,
         lead=e,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repacksim import auction
 from repacksim.auction import (
     AuctionConfig,
-    AuctionOutcome,
     AuctionState,
     Bid,
     BidDecision,
@@ -26,12 +25,8 @@ from repacksim.auction import (
 )
 from repacksim.feasibility import (
     Budget,
-    Feasible,
     FeasibilityProblem,
     SearchSpaceError,
-    Timeout,
-    check_exhaustive,
-    check_greedy,
     check_sat,
 )
 from repacksim.instances import (
@@ -50,14 +45,13 @@ from repacksim.pricing import (
     DegenerateInstanceError,
     ScoringRule,
     clock_trajectory,
-    initial_clock,
-    next_clock,
     offer_price,
     unscored_volumes,
     volumes_for,
 )
 
 from conftest import mk_instance
+from references import reference_auction, reference_order
 
 BUDGET = Budget(step_limit=50_000)
 
@@ -571,87 +565,6 @@ def test_mutating_returned_assignments_cannot_change_later_auctions():
     assert _digests(_pinned_batch(pairs)) == PINNED_DIGESTS
 
 
-def _reference_order(bids, seed, round_index):
-    ordered = sorted(bids, key=lambda b: b.station)
-    ranks = np.random.default_rng([seed, 3, round_index]).permutation(len(ordered))
-    keyed = sorted(zip(ordered, ranks), key=lambda br: (-br[0].price_reduction, br[1]))
-    return [b for b, _ in keyed]
-
-
-_REFERENCE_CHECKERS = {
-    CheckerKind.GREEDY: check_greedy,
-    CheckerKind.SAT: check_sat,
-    CheckerKind.EXHAUSTIVE: lambda problem, budget: check_exhaustive(problem),
-}
-
-
-def _reference_auction(inst, values, config, strategies):
-    """The auction as a plain round loop: every bid runs its checker afresh,
-    with no memo and no per-auction table, and bids are ordered by a fresh
-    tie-break draw."""
-    ct, budget = config.ct, config.budget
-    checker = _REFERENCE_CHECKERS[config.checker]
-    c0 = config.initial_price()
-    vols = volumes_for(inst, ct, config.scoring)
-    opening = {s.id: offer_price(vols[s.id], c0) for s in inst.stations}
-    participants = tuple(s.id for s in inst.stations if values[s.id] < opening[s.id])
-    non_participants = tuple(s.id for s in inst.stations if s.id not in participants)
-    packed = initial_assignment(inst, non_participants, ct, config.checker, budget)
-    accepted = {sid: opening[sid] for sid in participants}
-    payments, timeouts, log = {}, 0, []
-    active, clock = sorted(participants), initial_clock(c0)
-    while active:
-        final = clock.current == 0.0 and all(accepted[sid] == 0.0 for sid in active)
-        if final:
-            round_index, current = clock.round_index + 1, 0.0
-            bids = [Bid(sid, BidDecision.EXIT, 0.0, 0.0) for sid in active]
-        else:
-            clock = next_clock(clock)
-            round_index, current = clock.round_index, clock.current
-            bids = []
-            for sid in active:
-                offer = offer_price(vols[sid], current)
-                if sid in strategies:
-                    decision = strategies[sid](round_index, offer, values[sid])
-                else:
-                    decision = truthful_bid(values[sid], offer)
-                bids.append(Bid(sid, decision, accepted[sid] - offer, offer))
-        processed = []
-        for bid in _reference_order(bids, config.seed, round_index):
-            sid = bid.station
-            verdict = checker(FeasibilityProblem(sid, packed, inst, ct), budget)
-            payment = None
-            if isinstance(verdict, Feasible):
-                name = "feasible"
-                if bid.decision is BidDecision.EXIT:
-                    packed, status = dict(verdict.certificate), "exited"
-                else:
-                    accepted[sid], status = bid.offer, "active"
-            else:
-                name = "timeout" if isinstance(verdict, Timeout) else "infeasible"
-                timeouts += name == "timeout"
-                payment = payments[sid] = accepted[sid]
-                status = "frozen"
-            processed.append(
-                ProcessedBid(
-                    sid, bid.decision.value, bid.price_reduction, bid.offer, name, status, payment
-                )
-            )
-        log.append(RoundRecord(round_index, current, tuple(processed), final))
-        if final:
-            break
-        active = sorted(p.station for p in processed if p.new_status == "active")
-    return AuctionOutcome(
-        winners={sid: payments[sid] for sid in sorted(payments)},
-        final_assignment=packed,
-        participants=participants,
-        non_participants=non_participants,
-        rounds=len(log),
-        checker_timeout_count=timeouts,
-        round_log=tuple(log),
-    )
-
-
 def _outcome_or_error(auction_fn, *args):
     try:
         return auction_fn(*args)
@@ -698,7 +611,7 @@ def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scor
     strategies = {sids[i % n]: _exit_at(r) for i, r in exits}
     # truthful first, so the run with exits also meets verdicts from the memo
     for chosen in ({}, strategies):
-        expected = _outcome_or_error(_reference_auction, inst, values, config, chosen)
+        expected = _outcome_or_error(reference_auction, inst, values, config, chosen)
         got = _outcome_or_error(run_auction, inst, values, config, chosen)
         assert got == expected
         assert repr(got) == repr(expected)  # the packed order too
@@ -750,7 +663,7 @@ def test_skipped_stretches_read_as_the_reference_round_log(seed, n, checker, sco
     strategies = {
         sids[i % n]: _never_exit if r is None else _exit_at(r) for i, r in exits
     }
-    expected = _outcome_or_error(_reference_auction, inst, values, config, strategies)
+    expected = _outcome_or_error(reference_auction, inst, values, config, strategies)
     got = _outcome_or_error(run_auction, inst, values, config, strategies)
     if isinstance(expected, type):
         assert got is expected
@@ -792,7 +705,7 @@ def test_a_quiet_stretch_into_clock_zero_ends_in_the_final_resolution(monkeypatc
     horizon = len(clocks)  # the round after the first at clock zero
     played = _played_rounds(monkeypatch)
     got = run_auction(inst, values, config)
-    expected = _reference_auction(inst, values, config, {})
+    expected = reference_auction(inst, values, config, {})
     assert got.rounds == expected.rounds == horizon
     assert got.round_log == expected.round_log
     assert [rec.round_index for rec in got.round_log if rec.final_resolution] == [horizon]
@@ -855,7 +768,7 @@ def test_hooks_are_asked_what_the_reference_asks():
     first, second = run_auction(inst, values, config).participants[:2]
     for exit_rounds in ((3, None), (20, 45), (None, None), (1, 30), (52, 53)):
         asked = []
-        for auction_fn in (run_auction, _reference_auction):
+        for auction_fn in (run_auction, reference_auction):
             calls = []
             strategies = {
                 sid: recorded(calls, sid, r) for sid, r in zip((first, second), exit_rounds)
@@ -890,7 +803,7 @@ def test_processing_order_matches_a_fresh_draw(pattern):
         bids = _bids(pattern(n))
         for seed in (0, 1, 7, 2**31 + 5):
             for round_index in (0, 1, 5, 60):
-                expected = _reference_order(bids, seed, round_index)
+                expected = reference_order(bids, seed, round_index)
                 assert _processing_order(bids, seed, round_index) == expected
                 # a second call is served from the memo
                 assert _processing_order(bids, seed, round_index) == expected

@@ -40,8 +40,8 @@ def test_summary_of_synthetic_pairs(tmp_path):
                                    (3, 10.0, 9.5, 46.0), (4, 11.0, 12.0, 44.0)):
         _result(parent, "grid", seed, 0, {"ops_per_s": ops, "op_p50_ms": p50}, "aaa")
         _result(change, "grid", seed, 0, {"ops_per_s": faster, "op_p50_ms": p50 / 2}, "bbb")
-    # a run without a pair is left out
-    _result(change, "grid", 9, 0, {"ops_per_s": 1.0, "op_p50_ms": 1.0}, "bbb")
+    # a run without a pair is left out, its commit too
+    _result(change, "grid", 9, 0, {"ops_per_s": 1.0, "op_p50_ms": 1.0}, "zzz")
     _result(parent, "grid", 1, 1, {"feasibility.sat.steps": 300.0}, "aaa")
     _result(change, "grid", 1, 1, {"feasibility.sat.steps": 40.0}, "bbb")
 

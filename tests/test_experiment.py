@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from repacksim.auction import AuctionConfig
 from repacksim.cli import main
 from repacksim.experiment import (
     Cell,
@@ -21,8 +24,18 @@ from repacksim.experiment import (
     write_outputs,
     RecordRow,
 )
-from repacksim.instances import GeneratorParams, parse_instance
+from repacksim.feasibility import Budget
+from repacksim.instances import (
+    GeneratorParams,
+    ValueSamplerParams,
+    generate_instance,
+    parse_instance,
+    sample_values,
+)
 from repacksim.metrics import ComparisonRecord
+from repacksim.model import ClearingTarget
+
+from references import milp_packing, milp_value, reference_auction
 
 
 def small_config(**overrides):
@@ -714,3 +727,106 @@ def test_cli_reports_an_output_path_it_cannot_write_in_one_line(
     assert "Not a directory" in line
     # only report prints before it writes: the summary
     assert res.stdout.startswith("cell summaries") if command == "report" else not res.stdout
+
+
+def _documented_seed(master_seed, stream, *indices):
+    """The seed derivation the experiment module documents."""
+    return int(np.random.SeedSequence([master_seed, stream, *indices]).generate_state(1)[0])
+
+
+def _ratio(numerator, denominator):
+    """The metrics' ratio with their zero conventions."""
+    if denominator > 0:
+        return numerator / denominator
+    return 1.0 if numerator == 0 else math.inf
+
+
+def _reference_records(cfg):
+    """Every record of ``cfg`` from the references alone: the plain-loop
+    auction, seeded as documented, and the MILP's optimum and restricted
+    values for the VCG winners and prices, keyed by (cell, profile)."""
+    inst = generate_instance(cfg.generator)
+    ct = ClearingTarget(cfg.bar_c)
+    records = {}
+    for profile in range(cfg.n_value_profiles):
+        sampler = ValueSamplerParams(
+            cfg.log_mean,
+            cfg.log_sd,
+            cfg.population_exponent,
+            _documented_seed(cfg.master_seed, 10, profile),
+        )
+        values = sample_values(inst, sampler)
+        for index, cell in enumerate(cfg.cells):
+            config = AuctionConfig(
+                ct=ct,
+                scoring=cell.scoring,
+                checker=cell.checker,
+                budget=Budget(step_limit=cfg.budget_steps),
+                seed=_documented_seed(cfg.master_seed, 11, index, profile),
+            )
+            outcome = reference_auction(inst, values, config, {})
+            parts, nons = set(outcome.participants), set(outcome.non_participants)
+            on_air = milp_packing(inst, values, parts, nons, ct)
+            optimum = sum(values[sid] for sid in sorted(on_air & parts))
+            bought = sorted(parts - on_air)
+            prices = [
+                optimum - (milp_value(inst, values, parts - {sid}, nons | {sid}, ct) or 0.0)
+                for sid in bought
+            ]
+            loss = sum(values[sid] for sid in sorted(outcome.winners))
+            optimal_loss = sum(values[sid] for sid in bought)
+            paid = sum(outcome.winners[sid] for sid in sorted(outcome.winners))
+            records[cell.key, profile] = ComparisonRecord(
+                value_loss_auction=loss,
+                value_loss_optimal=optimal_loss,
+                value_loss_ratio=_ratio(loss, optimal_loss),
+                cost_auction=paid,
+                cost_vcg=sum(prices),
+                cost_fraction=_ratio(paid, sum(prices)),
+                checker_timeout_count=outcome.checker_timeout_count,
+                rounds=outcome.rounds,
+            )
+    return records
+
+
+@pytest.mark.parametrize(
+    "n, co_radius, seed, master_seed",
+    [(8, 0.45, 5, 11), (13, 0.35, 4, 3), (14, 0.35, 8, 7)],
+)
+def test_records_match_an_end_to_end_reference(n, co_radius, seed, master_seed):
+    # The five default cells and two profiles of the run_grid.py geometry. In
+    # the 13-station config the scored and unscored cells run different
+    # participant sets with different benchmarks, so the benchmark cache
+    # must be keyed by the set.
+    cfg = ExperimentConfig(
+        bar_c=17,
+        generator=GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=18,
+            co_channel_radius=co_radius,
+            adjacent_channel_radius=0.1,
+            seed=seed,
+        ),
+        n_value_profiles=2,
+        master_seed=master_seed,
+    )
+    expected = _reference_records(cfg)
+    result = run_experiment(cfg)
+    assert [(row.cell, row.profile) for row in result.rows] == sorted(expected)
+    assert not result.any_incomparable
+    # the records, then the CSV text that carries four of their fields
+    for row in result.rows:
+        want = expected[row.cell, row.profile]
+        for field in fields(ComparisonRecord):
+            got, ref = getattr(row.record, field.name), getattr(want, field.name)
+            if isinstance(ref, int):
+                assert got == ref, field.name
+            else:
+                assert got == pytest.approx(ref, rel=1e-9), field.name
+    for line in records_csv(result).splitlines()[1:]:
+        cell, profile, fraction, ratio, timeouts, rounds = line.split(",")
+        want = expected[cell, int(profile)]
+        assert float(fraction) == pytest.approx(want.cost_fraction, rel=1e-9)
+        assert float(ratio) == pytest.approx(want.value_loss_ratio, rel=1e-9)
+        assert (int(timeouts), int(rounds)) == (want.checker_timeout_count, want.rounds)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repacksim import search, vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
-from repacksim.model import ClearingTarget, UnpackableError, validate_assignment
+from repacksim.model import ClearingTarget, UnpackableError, interference_graph, validate_assignment
 from repacksim.pricing import ScoringRule, default_initial_clock_price, volumes_for
 from repacksim.vcg import (
     ResourceLimitError,
@@ -245,6 +245,57 @@ def test_forced_packings_and_restricted_values_match_enumeration(
         rest = [p for p in parts if p != sid]
         restricted = enumerate_best_value(inst, values, rest, [*nons, sid], ct)
         assert out.restricted_values[sid] == pytest.approx(restricted or 0.0, rel=1e-12)
+
+
+def _graph_components(inst, ct):
+    """The connected components of ``interference_graph`` by depth-first
+    search from each station in ascending order, each sorted."""
+    graph = interference_graph(inst, ct)
+    seen, components = set(), []
+    for root in sorted(graph):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, component = [root], []
+        while stack:
+            sid = stack.pop()
+            component.append(sid)
+            for other in graph[sid] - seen:
+                seen.add(other)
+                stack.append(other)
+        components.append(sorted(component))
+    return components
+
+
+@pytest.mark.parametrize("n", [10, 15, 20])
+@pytest.mark.parametrize("seed", range(1, 5))
+@pytest.mark.parametrize("bar_c", [15, 17])
+def test_components_are_those_of_the_interference_graph(n, seed, bar_c):
+    # the sweep geometry, whose draws fall into several components
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=18,
+            co_channel_radius=0.35,
+            adjacent_channel_radius=0.1,
+            seed=seed,
+        )
+    )
+    ct = ClearingTarget(bar_c)
+    assert vcg._components(inst, ct) == _graph_components(inst, ct)
+
+
+def test_components_of_stations_without_conflicts_or_channels():
+    # 1 has no conflict; 2 has no channel below bar_c, and its constraint
+    # with 4 lies above it; 3's two channels exclude each other
+    inst = mk_instance(
+        [(1, {14}), (2, {20}), (3, {14, 15}), (4, {14, 20}), (5, {14}), (6, {15})],
+        [(3, 14, 3, 15), (3, 15, 6, 15), (2, 20, 4, 20), (4, 14, 5, 14)],
+    )
+    ct = ClearingTarget(17)
+    assert vcg._components(inst, ct) == _graph_components(inst, ct)
+    assert vcg._components(inst, ct) == [[1], [2], [3, 6], [4, 5]]
 
 
 def _cold_solve(comp, forced, values, inst, ct, entrant=None, start=None, ranked_by=None):

@@ -1,14 +1,11 @@
 """The exact benchmark against an independent oracle: the packing problem as
-a 0-1 program built from the instance's constraints, the station domains and
-the clearing target, solved by HiGHS (Huangfu & Hall, Math. Prog. Computation
-10, 2018) through ``scipy.optimize.milp``. The oracle shares no code with the
-packing search, so it checks the benchmark at grid size, beyond the reach of
-enumeration. Optima of equal value may differ, so values are compared, not
-packings."""
+a 0-1 program solved by HiGHS (:func:`references.milp_value`). The oracle
+shares no code with the packing search, so it checks the benchmark at grid
+size, beyond the reach of enumeration. Optima of equal value may differ, so
+values are compared, not packings."""
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,55 +13,8 @@ from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_in
 from repacksim.model import ClearingTarget, UnpackableError
 from repacksim.vcg import vcg_outcome
 
+from references import milp_value
 from test_vcg import _grid_sized_case
-
-
-def milp_value(inst, values, participants, non_participants, ct):
-    """The best total value of ``participants`` on air, each station on at
-    most one channel below ``ct.bar_c`` and every one of ``non_participants``
-    on exactly one, with no constraint's two pairs both on air; None when the
-    non-participants cannot all be placed."""
-    columns = [
-        (station.id, ch)
-        for station in inst.stations
-        for ch in sorted(station.domain)
-        if ch < ct.bar_c
-    ]
-    column = {pair: k for k, pair in enumerate(columns)}
-    parts, nons = set(participants), set(non_participants)
-    rows, lower = [], []
-    for con in sorted(inst.constraints):
-        if con.first in column and con.second in column:
-            row = np.zeros(len(columns))
-            row[column[con.first]] = row[column[con.second]] = 1.0
-            rows.append(row)
-            lower.append(0.0)
-    for station in inst.stations:
-        row = np.zeros(len(columns))
-        for ch in station.domain:
-            if (station.id, ch) in column:
-                row[column[station.id, ch]] = 1.0
-        forced = station.id in nons
-        if forced and not row.any():
-            return None
-        rows.append(row)
-        lower.append(1.0 if forced else 0.0)
-    if not columns:
-        return 0.0
-    gain = np.array([values[sid] if sid in parts else 0.0 for sid, _ in columns])
-    result = scipy.optimize.milp(
-        -gain,
-        constraints=scipy.optimize.LinearConstraint(np.array(rows), lower, 1.0),
-        integrality=np.ones(len(columns)),
-        bounds=scipy.optimize.Bounds(0.0, 1.0),
-        # HiGHS stops within a relative gap of 1e-4 by default
-        options={"mip_rel_gap": 0},
-    )
-    if result.status == 2:  # infeasible
-        return None
-    assert result.success, result.message
-    on_air = {sid for (sid, _), x in zip(columns, result.x) if x > 0.5}
-    return sum(values[sid] for sid in sorted(on_air & parts))
 
 
 def _assert_matches_milp(inst, values, participants, non_participants, ct):
