@@ -52,6 +52,13 @@ class NodeCounter:
     def spent(self) -> int:
         return self.budget - self.remaining
 
+    def spend(self, nodes: int) -> None:
+        """Spend ``nodes`` at once; :class:`ResourceLimitError` when fewer
+        are left."""
+        self.remaining -= nodes
+        if self.remaining < 0:
+            raise _exhausted(self, self.remaining)
+
 
 class PackingModel:
     """The stations of ``order``, each with its options cut from its row of

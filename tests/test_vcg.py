@@ -356,6 +356,11 @@ def test_grid_sized_prices_match_cold_resolves(seed):
         assert out.optimal_value - cold == out.prices[sid]
 
 
+#: Leaves every component to branch and bound, for the tests of its re-solves.
+_search_only = mock.patch.object(vcg, "MAX_SUM_ENTRIES", 0)
+
+
+@_search_only
 def test_warm_start_fires_and_saves_nodes_in_total():
     # Both sides decide the winner first, so they differ by the warm start
     # alone. A better incumbent usually prunes more, but not in every solve.
@@ -385,6 +390,7 @@ def _unled(*args, lead=None, **kwargs):
     return search.search(*args, **kwargs)
 
 
+@_search_only
 def test_deciding_the_entrant_first_saves_resolve_nodes():
     first = anywhere = 0
     for seed in range(5):
@@ -405,6 +411,7 @@ def test_deciding_the_entrant_first_saves_resolve_nodes():
 
 
 @pytest.mark.parametrize("seed", range(5))
+@_search_only
 def test_resolves_share_their_component_search_context(seed):
     # The same solves, each on a context of its own, spend more: a re-solve
     # finds parts that the base solve or an earlier re-solve already solved.
@@ -426,6 +433,7 @@ def test_no_search_state_outlives_a_call():
     assert vcg_outcome(*_grid_sized_case(0)) == first
 
 
+@_search_only
 def test_node_budget_runs_out_in_a_resolve():
     # The first grid-sized draw where some re-solve needs more nodes than the
     # whole base solve; re-solves share what the base solve cached, so on
@@ -453,6 +461,130 @@ def test_node_budget_runs_out_in_a_resolve():
     else:
         pytest.fail("no re-solve of seeds 0-19 needs more nodes than its base solve")
     assert vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes) == out
+
+
+# --------------------------------------------------------------- max-sum
+
+
+def _searched(*args):
+    """``vcg_outcome`` with every component left to branch and bound."""
+    with _search_only:
+        return vcg_outcome(*args)
+
+
+def _assert_methods_agree(inst, values, participants, non_participants, ct):
+    """``vcg_outcome`` as shipped and by branch and bound alone give
+    bitwise-equal values, winners and prices, and valid optimal packings
+    with the same stations on air; returns the outcome, or None when the
+    non-participants cannot all be placed."""
+    try:
+        out = vcg_outcome(inst, values, participants, non_participants, ct)
+    except UnpackableError:
+        with pytest.raises(UnpackableError):
+            _searched(inst, values, participants, non_participants, ct)
+        return None
+    searched = _searched(inst, values, participants, non_participants, ct)
+    assert out.optimal_value == searched.optimal_value
+    assert out.winners == searched.winners
+    assert out.prices == searched.prices
+    assert out.restricted_values == searched.restricted_values
+    assert validate_assignment(out.optimal_assignment, inst, ct)
+    assert validate_assignment(searched.optimal_assignment, inst, ct)
+    assert set(out.optimal_assignment) == set(searched.optimal_assignment)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_max_sum_and_branch_and_bound_agree_at_grid_size(seed):
+    assert _assert_methods_agree(*_grid_sized_case(seed)).winners
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=5, max_value=16),
+    channels=st.integers(min_value=1, max_value=3),
+    forced=st.sets(st.integers(min_value=0, max_value=15), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_max_sum_and_branch_and_bound_agree_on_forced_draws(seed, n, channels, forced):
+    rng = np.random.default_rng(seed)
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=13 + channels,
+            co_channel_radius=float(rng.uniform(0.2, 0.6)),
+            adjacent_channel_radius=float(rng.uniform(0.0, 0.1)),
+            seed=int(rng.integers(0, 2**32)),
+        )
+    )
+    values = sample_values(
+        inst, ValueSamplerParams(log_mean=2.0, log_sd=1.0, seed=int(rng.integers(0, 2**32)))
+    )
+    sids = inst.station_ids()
+    nons = [sid for k, sid in enumerate(sids) if k in forced]
+    parts = [sid for sid in sids if sid not in nons]
+    _assert_methods_agree(inst, values, parts, nons, ClearingTarget(14 + channels))
+
+
+def _spying_solve_component():
+    """A stand-in for ``vcg._solve_component`` that records the stations of
+    each component it is given."""
+    solved = []
+
+    def spy(component, *args):
+        solved.append(frozenset(component.model.order))
+        return _solve_component(component, *args)
+
+    _solve_component = vcg._solve_component
+    return solved, spy
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grid_sized_components_take_max_sum(seed):
+    inst, values, parts, nons, ct = _grid_sized_case(seed)
+    solved, spy = _spying_solve_component()
+    with mock.patch.object(vcg, "_solve_component", spy):
+        vcg_outcome(inst, values, parts, nons, ct)
+    assert max(map(len, vcg._components(inst, ct))) >= 16
+    assert solved == []
+
+
+def test_a_component_over_the_entry_limit_takes_branch_and_bound():
+    # the largest component needs 47,417 entries, the other two 112 and 36
+    inst, values, parts, nons, ct = _grid_sized_case(0)
+    solved, spy = _spying_solve_component()
+    with mock.patch.object(vcg, "_solve_component", spy):
+        with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 1_000):
+            mixed = vcg_outcome(inst, values, parts, nons, ct)
+    largest = max(vcg._components(inst, ct), key=len)
+    # the base solve, then one re-solve per winner of that component
+    assert set(solved) == {frozenset(largest)}
+    assert len(solved) == 1 + len(set(mixed.winners) & set(largest))
+    out = vcg_outcome(inst, values, parts, nons, ct)
+    assert (mixed.optimal_value, mixed.winners, mixed.prices, mixed.restricted_values) == (
+        out.optimal_value,
+        out.winners,
+        out.prices,
+        out.restricted_values,
+    )
+
+
+def test_max_sum_spends_its_table_entries_once():
+    # Max-sum spends its tables' entries from the base solve's budget and
+    # prices its winners with no re-solve, so the budget the plain optimum
+    # needs is all the outcome needs.
+    inst, values, parts, nons, ct = _grid_sized_case(0)
+    out = vcg_outcome(inst, values, parts, nons, ct)
+    assert out.winners
+    # the tables of its three components hold 47,417, 112 and 36 entries
+    assert out.nodes == 47_565
+    optimal_packing(inst, values, parts, nons, ct, node_budget=out.nodes)
+    assert vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes) == out
+    with pytest.raises(ResourceLimitError):
+        optimal_packing(inst, values, parts, nons, ct, node_budget=out.nodes - 1)
+    with pytest.raises(ResourceLimitError):
+        vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes - 1)
 
 
 def test_winner_reporting_above_price_stops_winning():
