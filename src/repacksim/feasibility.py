@@ -161,10 +161,9 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
     """Search for a channel for every station of ``model`` and stop at the
     first complete assignment, whose certificate lists the stations in
     station order. Each channel tried is one step."""
-    n = len(model.order)
     counter = NodeCounter(budget.step_limit)
     try:
-        found, _ = search(model, [0.0] * n, [True] * n, counter, first=True)
+        found = search(model, counter)
     except ResourceLimitError:
         return SolveResult(Timeout(), counter.spent)
     if found is None:

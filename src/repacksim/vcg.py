@@ -3,14 +3,13 @@
 The packing problem maximizes the total value of participating stations kept
 on air, subject to the forbidden pairs, at most one channel per station, and
 exactly one channel for every non-participating station. Each connected
-component of the interference graph is solved on its own, by one of two
-exact methods. Which one runs depends on the component and on which of its
-stations are forced, so an outcome is a function of the call's arguments.
+component of the interference graph is solved on its own, by max-sum on a
+clique tree, conditioning on a station where its tables do not fit. The
+outcome is a function of the call's arguments.
 
-*Max-sum* solves every component whose tables hold at most
-:data:`MAX_SUM_ENTRIES` entries. Each station is a variable; its states are
-its reduced-band channels, plus off the air for a participant. A participant
-is worth its value on air, and a forbidden pair of channels is worth -inf. A
+*Max-sum.* Each station is a variable; its states are its allowed
+reduced-band channels, plus off the air for a participant. A participant is
+worth its value on air, and a forbidden pair of channels is worth -inf. A
 min-fill elimination order gives a clique tree. Each station's bucket is
 itself and the neighbours it has left when it is eliminated; a bucket that
 holds the whole bucket of the next station eliminated in it takes that
@@ -20,54 +19,41 @@ stations eliminated in it to its parent. One upward pass gives the optimum,
 and an optimal packing is decoded from the root down. A single station is
 packed directly, on its lowest channel.
 
-*Branch and bound* solves any other component, by AND/OR search: the sum of
-undecided station values bounds a branch, and once a cut station is
-decided, the stations left fall into parts with no conflict between them,
-each solved on its own and cached. The search is
-:func:`repacksim.search.search`, the loop the feasibility checks run too;
-here it starts from a greedy packing as its incumbent.
+*Conditioning* (cutset conditioning, Pearl, 1988; Larrosa & Dechter, 2003).
+A part whose tables would hold more than :data:`MAX_SUM_ENTRIES` entries is
+split by branching on the station with the most neighbours in it, the lower
+index breaking ties: on each channel it has left, and off the air for a
+participant. Each branch drops the channels that state rules out from the
+other stations, splits them into parts on the conflicts of the channels
+still allowed, and solves each part the same way. The best branch, the
+first on a tie, is the optimum.
 
 A winner's price is the drop in everyone else's optimal value caused by
 taking it off the air: optimal value minus the optimal value when the winner
 is forced to stay on air (its own value excluded). Losing stations are paid
-nothing. Forcing a winner on air changes only its own component.
+nothing. Forcing a winner on air changes only its own component, and every
+winner is priced from the same solve, with no re-solve:
 
-- On a max-sum component, one downward pass (max-propagation, Dawid, 1992)
-  turns every table into the max-marginals of its stations, so each
-  winner's best channel is read from its own table. A packing with the
-  winner on that channel is decoded from the winner's table up to the root
-  and then down the rest of the tree. This prices all of the component's
-  winners with no re-solve, for about the cost of one solve, as Hershberger
-  & Suri (2001) do for shortest paths. A winner with no feasible channel
-  gets a restricted value of 0.
-- On a branch-and-bound component, each price re-solves the component. The
-  re-solve decides the winner before any other station, so every branch
-  starts with the winner on air and the channels it rules out already
-  removed (fail first, Haralick & Elliott, 1980). It is warm-started from
-  the base optimum: the winner goes on air on each of its channels in turn,
-  the stations it conflicts with are evicted and re-placed greedily, and the
-  best such packing becomes the incumbent when it beats the greedy one.
+- In a max-sum part, one downward pass (max-propagation, Dawid, 1992) turns
+  every table into the max-marginals of its stations, so each winner's best
+  channel is read from its own table. A packing with the winner on that
+  channel is decoded from the winner's table up to the root and then down
+  the rest of the tree. This prices all of the part's winners for about the
+  cost of one solve, as Hershberger & Suri (2001) do for shortest paths.
+- In a conditioned part, a winner's packing is the best over the branches:
+  the branch's own packing when it puts the winner on air, otherwise the
+  branch with the winner's part replaced by that part's packing with the
+  winner on air.
 
-Either way the optimum and each restricted value are summed by
-:func:`~repacksim.model.station_sum` over the on-air stations of a packing,
-so equal on-air sets give equal bits whichever method found them.
-:func:`restricted_optimal_value` gives the same restricted value by a cold
-solve of the forced problem.
+A winner that cannot be on air gets a restricted value of 0. The optimum and
+each restricted value are summed by :func:`~repacksim.model.station_sum`
+over the on-air stations of a packing, so equal on-air sets give equal bits
+however they were found. :func:`restricted_optimal_value` gives the same
+restricted value by a cold solve of the forced problem.
 
-Node budget: a max-sum component spends its tables' entries once, from the
-budget of the base solve, and pricing its winners spends nothing. A search
-spends a node per option tried and per off-air branch, and each re-solve
-has a budget of its own.
-
-Within one :func:`vcg_outcome` call each branch-and-bound component has one
-search context: a packing model built once, in the base solve's order, one
-part cache and one memo of cut tests. The base solve and every re-solve of
-the component search that model, breaking ties by its order, and share the
-cache and the memo, so a re-solve does not search again a part that the
-base solve or an earlier re-solve has solved, nor repeat a cut test. The
-key of a cached part holds its stations' forced flags, and a forced station
-is worth nothing, so the only entries a re-solve cannot use are those of
-parts that hold its winner. The contexts and the tables go with the call.
+Node budget: a call spends the entries of every table it builds, in every
+part of every branch, from one counter, and pricing spends nothing more.
+The tables go with the call.
 """
 
 from __future__ import annotations
@@ -88,12 +74,16 @@ from .model import (
     station_sum,
 )
 from .search import NodeCounter as _NodeCounter
-from .search import PackingModel, ResourceLimitError, parts_of, search
+from .search import PackingModel, ResourceLimitError, parts_of
 
-DEFAULT_NODE_BUDGET = 50_000_000
-#: The most table entries a component may need to be solved by max-sum; one
-#: that needs more is solved by branch and bound. The largest component of
-#: one pass of the acceptance grid needs 239,428, 1.9 MB of float64.
+#: Table entries a call may spend. An entry of the large tables that a
+#: conditioned call builds costs about 70 ns (2-core x86_64, Python 3.11),
+#: so this bounds such a call at about a minute. The worst call of
+#: ``scripts/run_grid.py --stations 50`` on seeds 1-3 needs 1.2×10^8.
+DEFAULT_NODE_BUDGET = 1_000_000_000
+#: The most table entries a part may need to be solved by max-sum; one that
+#: needs more is conditioned on a station. The largest component of one pass
+#: of the acceptance grid needs 239,428, 1.9 MB of float64.
 MAX_SUM_ENTRIES = 1 << 20
 
 
@@ -104,10 +94,8 @@ class VcgOutcome:
     winners: tuple[StationId, ...]
     prices: dict[StationId, float]
     restricted_values: dict[StationId, float]
-    #: Work spent: the table entries of the max-sum components, plus the
-    #: search nodes of the base solve and of every re-solve of the others.
-    #: The base solve alone, max-sum tables included, may spend at most the
-    #: node budget, and so may each re-solve.
+    #: Work spent: the entries of every table the call built, at most the
+    #: node budget.
     nodes: int
 
 
@@ -126,167 +114,45 @@ def _partition_check(
     return parts, nons
 
 
-def _split(inst: Instance, ct: ClearingTarget) -> tuple[PackingModel, list[list[int]]]:
-    """A packing model of every station, in ascending order, and the
-    connected components of the interference graph as lists of its station
-    indices, in the order of their first stations: the search's part split."""
+def _split(
+    inst: Instance, ct: ClearingTarget
+) -> tuple[PackingModel, list[int], list[list[int]]]:
+    """A packing model of every station, in ascending order, the bit mask of
+    each one's channels, and the connected components of the interference
+    graph as lists of its station indices, in the order of their first
+    stations, by :func:`parts_of`."""
     model = PackingModel(inst, ct, inst.station_ids())
-    parts, _ = parts_of((1 << len(model.order)) - 1, model.neighbours)
-    return model, parts
+    allowed = [sum(bit for bit, _, _ in opts) for opts in model.options]
+    everyone = (1 << len(model.order)) - 1
+    parts = parts_of(everyone, _linked(model, everyone, allowed))
+    return model, allowed, parts
 
 
 def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
     """The connected components of the interference graph, each in ascending
     station order and in the order of their first stations."""
-    model, parts = _split(inst, ct)
+    model, _, parts = _split(inst, ct)
     return [[model.order[i] for i in part] for part in parts]
-
-
-def _ranked(
-    stations: Iterable[StationId], forced: frozenset[StationId], values: ValueProfile
-) -> list[StationId]:
-    """``stations`` forced first, then by value, then by id, where a forced
-    station is worth nothing: the order of a component's model, whose lower
-    index breaks ties in the fewest-channels-left rule."""
-    return sorted(stations, key=lambda s: (s not in forced, 0.0 if s in forced else -values[s], s))
-
-
-class _Component:
-    """The search context of one interference component within one call: a
-    packing model over its stations in :func:`_ranked` order for the base
-    solve's forced set, and the part cache and cut-test memo that the base
-    solve and every re-solve of the component share. Every solve breaks ties
-    by the model's order; a re-solve leads with its entrant. A forced station
-    is worth nothing and any other its value, so a station's gain depends on
-    its forced flag alone, which is what sharing the cache needs."""
-
-    __slots__ = ("values", "model", "cache", "splits")
-
-    def __init__(
-        self,
-        stations: list[StationId],
-        forced: frozenset[StationId],
-        values: ValueProfile,
-        inst: Instance,
-        ct: ClearingTarget,
-    ) -> None:
-        self.values = values
-        self.model = PackingModel(inst, ct, _ranked(stations, forced, values))
-        self.cache: dict = {}
-        self.splits: dict = {}
-
-
-def _solve_component(
-    component: _Component,
-    forced: frozenset[StationId],
-    counter: _NodeCounter,
-    entrant: StationId | None = None,
-    start: Assignment | None = None,
-) -> tuple[Assignment, float] | None:
-    """Exact max-value packing of one component; None if the forced stations
-    cannot all be placed.
-
-    AND/OR branch and bound with forward checking
-    (:func:`repacksim.search.search`) over the component's model, breaking
-    ties by the model's order. The search decides ``entrant``, when given,
-    before any other station, and shares the component's part cache and
-    cut-test memo.
-
-    The incumbent is a greedy packing, placed in model order. ``start``,
-    given with ``entrant``, packs the component with ``entrant`` off the
-    air, as the base optimum does. The entrant is put on air on each of its
-    channels in turn, the stations it conflicts with are evicted and
-    re-placed greedily in model order, and the best packing found this way
-    replaces the greedy one when it is worth more.
-    """
-    model = component.model
-    order, options, universe = model.order, model.options, model.universe
-    n = len(order)
-    gain = [0.0 if sid in forced else component.values[sid] for sid in order]
-    is_forced = [sid in forced for sid in order]
-
-    def place(on_air: list[int], pending: Iterable[int]) -> bool:
-        """Put each pending station, in order, on its lowest channel that fits
-        ``on_air``; False when a forced station fits nowhere."""
-        for i in pending:
-            for bit, _, clash in options[i]:
-                if all(on_air[j] != b for j, b in clash):
-                    on_air[i] = bit
-                    break
-            else:
-                if is_forced[i]:
-                    return False
-        return True
-
-    def worth(on_air: list[int]) -> float:
-        # left to right in model order; sum() of floats rounds differently
-        # from Python 3.12 on, which would move the incumbent and the pruning
-        total = 0.0
-        for i in range(n):
-            if on_air[i]:
-                total += gain[i]
-        return total
-
-    def packing(on_air: list[int]) -> Assignment:
-        return {order[i]: universe[on_air[i].bit_length() - 1] for i in range(n) if on_air[i]}
-
-    best_value = -1.0
-    best_assign: Assignment | None = None
-    greedy = [0] * n
-    if place(greedy, range(n)):
-        best_value = worth(greedy)
-        best_assign = packing(greedy)
-
-    e = None if entrant is None else order.index(entrant)
-    if start is not None:
-        started = [0] * n
-        for i, sid in enumerate(order):
-            if sid in start:
-                started[i] = 1 << universe.index(start[sid])
-        for bit, _, clash in options[e]:
-            on_air = list(started)
-            on_air[e] = bit
-            evicted = [j for j, b in clash if on_air[j] == b]
-            for j in evicted:
-                on_air[j] = 0
-            if not place(on_air, sorted(evicted)):
-                continue
-            value = worth(on_air)
-            if value > best_value:
-                best_value = value
-                best_assign = packing(on_air)
-
-    best_assign, best_value = search(
-        model,
-        gain,
-        is_forced,
-        counter,
-        best_value,
-        best_assign,
-        cache=component.cache,
-        splits=component.splits,
-        lead=e,
-    )
-    if best_assign is None:
-        return None
-    return best_assign, best_value
 
 
 def _max_sum(
     model: PackingModel,
     part: list[int],
+    allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
     counter: _NodeCounter,
     price: bool,
 ) -> tuple[Assignment | None, dict[StationId, Assignment | None]] | None:
-    """Exact max-value packing of the component of ``model``'s stations
-    ``part`` by max-sum on a clique tree; None when its tables would hold
-    more than :data:`MAX_SUM_ENTRIES` entries.
+    """Exact max-value packing of ``model``'s stations ``part``, connected
+    through the conflicts of their ``allowed`` channels, by max-sum on a
+    clique tree; None when its tables would hold more than
+    :data:`MAX_SUM_ENTRIES` entries. ``allowed[g]`` is the bit mask of
+    station ``g``'s channels that the packing may use.
 
     Returns the packing, None when the forced stations cannot all be placed,
     and, with ``price``, for each participant the packing leaves off the air,
-    the best packing of the component with that station on air (None when it
+    the best packing of the part with that station on air (None when it
     cannot be), decoded from its max-marginals. The tables' entries are
     spent from ``counter`` at once; :class:`ResourceLimitError` is raised
     when fewer are left.
@@ -294,13 +160,12 @@ def _max_sum(
     order, options = model.order, model.options
     sids = [order[g] for g in part]
     m = len(part)
-    channels = [[ch for _, ch, _ in options[g]] for g in part]
-    # a participant's last state is off the air
+    # each station's allowed options; a participant's last state is off the air
+    kept = [[opt for opt in options[g] if allowed[g] & opt[0]] for g in part]
+    channels = [[ch for _, ch, _ in opts] for opts in kept]
     off = [sid not in forced for sid in sids]
     sizes = [len(chs) + o for chs, o in zip(channels, off)]
     if m == 1:
-        if sizes[0] > MAX_SUM_ENTRIES:
-            return None
         counter.spend(sizes[0])
         sid = sids[0]
         if channels[0]:
@@ -311,14 +176,14 @@ def _max_sum(
 
     # the option pairs that each pair of stations may not take
     local = {g: i for i, g in enumerate(part)}
-    rank = [{bit: k for k, (bit, _, _) in enumerate(options[g])} for g in part]
+    rank = [{bit: k for k, (bit, _, _) in enumerate(opts)} for opts in kept]
     forbidden: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     near = [0] * m
-    for i, g in enumerate(part):
-        for k, (_, _, clash) in enumerate(options[g]):
+    for i, opts in enumerate(kept):
+        for k, (_, _, clash) in enumerate(opts):
             for h, bit in clash:
-                j = local[h]
-                if j > i:
+                j = local.get(h, -1)
+                if j > i and bit in rank[j]:
                     pair = forbidden.get((i, j))
                     if pair is None:
                         pair = forbidden[i, j] = ([], [])
@@ -509,6 +374,92 @@ def _min_fill(near: list[int]) -> tuple[list[int], list[list[int]]]:
     return elim, [[v, *sorted(later[v], key=pos.__getitem__)] for v in range(m)]
 
 
+def _linked(model: PackingModel, within: int, allowed: list[int]) -> list[int]:
+    """For each station of ``within``, the bit mask of the stations of
+    ``within`` with an ``allowed`` channel that rules out one of its own
+    allowed channels; 0 for any other station."""
+    near = [0] * len(model.order)
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        g = low.bit_length() - 1
+        for bit, _, clash in model.options[g]:
+            if allowed[g] & bit:
+                for h, b in clash:
+                    if within >> h & 1 and allowed[h] & b:
+                        near[g] |= 1 << h
+    return near
+
+
+def _solve(
+    model: PackingModel,
+    part: list[int],
+    allowed: list[int],
+    forced: frozenset[StationId],
+    values: ValueProfile,
+    counter: _NodeCounter,
+    price: bool,
+) -> tuple[Assignment | None, dict[StationId, Assignment | None]]:
+    """:func:`_max_sum` of ``part``, conditioning on a station when its
+    tables do not fit (see the module docstring); the same returns."""
+    solved = _max_sum(model, part, allowed, forced, values, counter, price)
+    if solved is not None:
+        return solved
+    order = model.order
+    within = sum(1 << g for g in part)
+    near = _linked(model, within, allowed)
+    s = min(part, key=lambda g: (-near[g].bit_count(), g))
+    rest = within ^ 1 << s
+    sid = order[s]
+    states = [(ch, clash) for bit, ch, clash in model.options[s] if allowed[s] & bit]
+    if sid not in forced:
+        states.append((None, ()))
+    best: Assignment | None = None
+    best_value = 0.0
+    # each participant's best packing on air so far, as (value without it, packing)
+    on_air: dict[StationId, tuple[float, Assignment]] = {}
+
+    def offer(w: StationId, packing: Assignment) -> None:
+        value = station_sum(values, [o for o in packing if o not in forced and o != w])
+        if w not in on_air or value > on_air[w][0]:
+            on_air[w] = value, packing
+
+    for ch, clash in states:
+        left = list(allowed)
+        for h, b in clash:
+            left[h] &= ~b
+        packing: Assignment = {} if ch is None else {sid: ch}
+        pieces = []
+        for piece in parts_of(rest, _linked(model, rest, left)):
+            found, restricted = _solve(model, piece, left, forced, values, counter, price)
+            if found is None:
+                break
+            packing.update(found)
+            pieces.append((piece, restricted))
+        else:
+            value = station_sum(values, [o for o in packing if o not in forced])
+            if best is None or value > best_value:
+                best, best_value = packing, value
+            if not price:
+                continue
+            for w in packing:
+                if w not in forced:
+                    offer(w, packing)
+            for piece, restricted in pieces:
+                for w, lifted in restricted.items():
+                    if lifted is not None:
+                        swapped = dict(packing)
+                        for g in piece:
+                            swapped.pop(order[g], None)
+                        swapped.update(lifted)
+                        offer(w, swapped)
+    if best is None or not price:
+        return best, {}
+    winners = [order[g] for g in part if order[g] not in forced and order[g] not in best]
+    return best, {w: on_air[w][1] if w in on_air else None for w in winners}
+
+
 def _solve_all(
     inst: Instance,
     ct: ClearingTarget,
@@ -516,38 +467,25 @@ def _solve_all(
     nons: frozenset[StationId],
     counter: _NodeCounter,
     price: bool,
-) -> tuple[
-    Assignment, dict[StationId, tuple[list[StationId], Assignment | None]], list[_Component]
-]:
-    """Optimal packing of every component in turn, all spending ``counter``:
-    by max-sum when its tables fit :data:`MAX_SUM_ENTRIES`, by branch and
-    bound otherwise. Also returns, with ``price``, the max-sum components'
-    packings with each of their winners on air (see :func:`_max_sum`), and
-    the search contexts of the components left to branch and bound. Raises
-    :class:`UnpackableError` for the first component whose non-participants
-    cannot all be placed."""
-    model, parts = _split(inst, ct)
+) -> tuple[Assignment, dict[StationId, tuple[list[StationId], Assignment | None]]]:
+    """Optimal packing of every component in turn by :func:`_solve`, all
+    spending ``counter``, and, with ``price``, each winner's component with
+    its packing with the winner on air. Raises :class:`UnpackableError` for
+    the first component whose non-participants cannot all be placed."""
+    model, allowed, parts = _split(inst, ct)
     assignment: Assignment = {}
     restricted: dict[StationId, tuple[list[StationId], Assignment | None]] = {}
-    searched: list[_Component] = []
     for part in parts:
         stations = [model.order[i] for i in part]
-        solved = _max_sum(model, part, nons, values, counter, price)
-        if solved is None:
-            component = _Component(stations, nons, values, inst, ct)
-            found = _solve_component(component, nons, counter)
-            packing = None if found is None else found[0]
-            searched.append(component)
-        else:
-            packing, winners = solved
-            restricted.update((sid, (stations, p)) for sid, p in winners.items())
+        packing, winners = _solve(model, part, allowed, nons, values, counter, price)
         if packing is None:
             raise UnpackableError(
                 f"non-participating stations in component {stations}"
                 " cannot be packed"
             )
         assignment.update(packing)
-    return assignment, restricted, searched
+        restricted.update((sid, (stations, p)) for sid, p in winners.items())
+    return assignment, restricted
 
 
 def optimal_packing(
@@ -563,7 +501,7 @@ def optimal_packing(
     non-participants cannot all be placed, and :class:`ResourceLimitError`
     when the node budget runs out."""
     parts, nons = _partition_check(inst, participants, non_participants)
-    assignment, _, _ = _solve_all(inst, ct, values, nons, _NodeCounter(node_budget), False)
+    assignment, _ = _solve_all(inst, ct, values, nons, _NodeCounter(node_budget), False)
     return assignment, station_sum(values, parts.intersection(assignment))
 
 
@@ -601,35 +539,23 @@ def vcg_outcome(
     """Optimal packing plus a price for every winner.
 
     Forcing one winner on air only perturbs its own interference component,
-    so each restricted value solves just that component again, with the
-    other components' packings unchanged. A max-sum component decodes its
-    winners' packings from its max-marginals; a branch-and-bound component
-    re-solves once per winner, in ascending station order, each re-solve
-    deciding its winner first, warm-started from the base optimum and with a
-    node budget of its own (see the module docstring). The tables and
-    search contexts are built and dropped by this call, so the outcome, its
-    node count included, depends on the arguments alone.
+    so each restricted value takes that component's packing with the winner
+    on air, found by the same solve as the optimum (see the module
+    docstring), with the other components' packings unchanged. The solve
+    spends at most ``node_budget`` table entries. Its tables are built and
+    dropped by this call, so the outcome, its node count included, depends
+    on the arguments alone.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
     counter = _NodeCounter(node_budget)
-    assignment, packed, searched = _solve_all(inst, ct, values, nons, counter, True)
+    assignment, packed = _solve_all(inst, ct, values, nons, counter, True)
     value = station_sum(values, parts.intersection(assignment))
-    component_of = {sid: c for c in searched for sid in c.model.order}
 
     winners = tuple(sorted(parts - set(assignment)))
     prices: dict[StationId, float] = {}
     restricted: dict[StationId, float] = {}
-    nodes = counter.spent
     for sid in winners:
-        if sid in packed:
-            stations, packing = packed[sid]
-        else:
-            component = component_of[sid]
-            stations = component.model.order
-            resolve_counter = _NodeCounter(node_budget)
-            solved = _solve_component(component, nons | {sid}, resolve_counter, sid, assignment)
-            nodes += resolve_counter.spent
-            packing = None if solved is None else solved[0]
+        stations, packing = packed[sid]
         if packing is None:
             # Forcing the winner on air is infeasible: its price degenerates
             # to the full optimal value.
@@ -641,4 +567,4 @@ def vcg_outcome(
             merged.update(packing)
             restricted[sid] = station_sum(values, (parts - {sid}).intersection(merged))
         prices[sid] = value - restricted[sid]
-    return VcgOutcome(assignment, value, winners, prices, restricted, nodes)
+    return VcgOutcome(assignment, value, winners, prices, restricted, counter.spent)

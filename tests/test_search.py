@@ -1,5 +1,6 @@
-"""The packing search runs in a loop, so its callers' stack depth is all the
-stack it needs, and it decides a lead station before any other."""
+"""The feasibility checks' packing search runs in a loop, so its callers'
+stack depth is all the stack it needs, and it returns the first packing of
+every station or None."""
 
 import sys
 
@@ -67,17 +68,16 @@ def test_grid_sized_searches_need_no_stack_per_station():
         assert len(verdict.certificate) == len(assignment) + 1
 
 
-def test_the_lead_station_is_decided_first():
-    # station 3 has the most channels and the last rank, so without a lead
-    # the fewest-channels-left rule decides it last
+def test_the_search_returns_the_first_packing_or_none():
     inst = mk_instance(
         [(1, {14}), (2, {14, 15}), (3, {14, 15, 16})],
         [(1, 14, 2, 14), (2, 15, 3, 15)],
     )
-    ct = ClearingTarget(17)
-    model = PackingModel(inst, ct, [1, 2, 3])
-    for k in range(3):
-        packing, _ = search(model, [0.0] * 3, [True] * 3, NodeCounter(100), first=True, lead=k)
-        # with `first`, the packing lists its stations in the order decided
-        assert next(iter(packing)) == model.order[k]
-        assert validate_assignment(packing, inst, ct) and len(packing) == 3
+    model = PackingModel(inst, ClearingTarget(17), [1, 2, 3])
+    counter = NodeCounter(100)
+    packing = search(model, counter)
+    assert validate_assignment(packing, inst, ClearingTarget(17)) and len(packing) == 3
+    # one node per channel tried: 1 on 14, 2 on 15, 3 on 14
+    assert counter.spent == 3
+    # under 15, stations 1 and 2 both have only channel 14
+    assert search(PackingModel(inst, ClearingTarget(15), [1, 2, 3]), NodeCounter(100)) is None

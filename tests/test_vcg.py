@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repacksim import search, vcg
+from repacksim import vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, UnpackableError, interference_graph, validate_assignment
@@ -136,8 +136,7 @@ def test_node_budget_is_enforced():
 
 def test_a_cut_station_splits_the_search():
     # ten conflicting pairs, each hanging off one hub by its first station,
-    # all on one channel; the hub is worth most, so it is decided first and
-    # leaves ten parts of two stations each
+    # all on one channel
     stations, constraints, values = [(0, {14})], [], {0: 3.5}
     for k in range(10):
         a, b = 2 * k + 1, 2 * k + 2
@@ -145,13 +144,18 @@ def test_a_cut_station_splits_the_search():
         constraints += [(0, 14, a, 14), (a, 14, b, 14)]
         values[a], values[b] = 3.0, 2.75
     inst = mk_instance(stations, constraints)
-    # Searched as one, the ten pairs' 2**10 choices are all open while the hub
-    # is off the air: plain branch and bound spent 2,458 nodes here.
-    assignment, total = optimal_packing(
-        inst, values, inst.station_ids(), (), ClearingTarget(15), node_budget=100
-    )
-    assert total == 31.0
-    assert sorted(assignment) == [0, *range(2, 21, 2)]
+    # The graph is a tree: max-sum needs 20 tables of 4 entries. Conditioned
+    # on the hub, the station with the most neighbours, each branch falls
+    # into ten parts: with the hub on air, ten lone first stations of 1
+    # state and ten second stations of 2; off the air, ten pairs of 4
+    # entries. The ten pairs' 2**10 choices are never enumerated.
+    sids, ct = inst.station_ids(), ClearingTarget(15)
+    for limit, entries in ((vcg.MAX_SUM_ENTRIES, 80), (8, 70)):
+        with mock.patch.object(vcg, "MAX_SUM_ENTRIES", limit):
+            assignment, total = optimal_packing(inst, values, sids, (), ct, node_budget=100)
+            assert vcg_outcome(inst, values, sids, (), ct).nodes == entries
+        assert total == 31.0
+        assert sorted(assignment) == [0, *range(2, 21, 2)]
 
 
 # --------------------------------------------------------------- random sweeps
@@ -199,15 +203,15 @@ def test_optimal_matches_enumeration_and_prices_rational(seed):
     n=st.integers(min_value=5, max_value=8),
     channels=st.integers(min_value=1, max_value=3),
     forced=st.integers(min_value=1, max_value=2**8 - 1),
-    split=st.booleans(),
+    conditioned=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 def test_forced_packings_and_restricted_values_match_enumeration(
-    seed, n, channels, forced, split
+    seed, n, channels, forced, conditioned
 ):
-    # Draws of 5-8 stations, sparse enough that about a third of them have a
-    # cut station. `split` lets the AND/OR search run on them too, below the
-    # size it starts at by default.
+    # Draws of 5-8 stations. `conditioned` lowers the entry limit so far
+    # that every part of two or more stations is conditioned on a station,
+    # mostly more than once.
     rng = np.random.default_rng(seed)
     inst = generate_instance(
         GeneratorParams(
@@ -227,17 +231,14 @@ def test_forced_packings_and_restricted_values_match_enumeration(
     nons = [sid for k, sid in enumerate(sids) if forced >> k & 1] or sids[:1]
     parts = [sid for sid in sids if sid not in nons]
     oracle = enumerate_best_value(inst, values, parts, nons, ct)
-    with mock.patch.object(search, "SPLIT_MIN", 2 if split else search.SPLIT_MIN):
+    with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 8 if conditioned else vcg.MAX_SUM_ENTRIES):
         if oracle is None:
             with pytest.raises(UnpackableError):
                 optimal_packing(inst, values, parts, nons, ct)
             return
-        _, total = optimal_packing(inst, values, parts, nons, ct)
+        assignment, total = optimal_packing(inst, values, parts, nons, ct)
         out = vcg_outcome(inst, values, parts, nons, ct)
-        for comp in vcg._components(inst, ct):
-            (packing, value), _ = _cold_solve(comp, frozenset(nons), values, inst, ct)
-            # the value the search reports is what its packing is worth
-            assert value == pytest.approx(sum(values[sid] for sid in packing if sid in parts))
+    assert validate_assignment(assignment, inst, ct)
     # equal-value packings may add their values in another order
     assert total == pytest.approx(oracle, rel=1e-12)
     assert out.optimal_value == total
@@ -298,21 +299,10 @@ def test_components_of_stations_without_conflicts_or_channels():
     assert vcg._components(inst, ct) == [[1], [2], [3, 6], [4, 5]]
 
 
-def _cold_solve(comp, forced, values, inst, ct, entrant=None, start=None, ranked_by=None):
-    """``vcg._solve_component`` on a search context of its own, its model
-    ranked as a solve forcing ``ranked_by`` ranks it (by default ``forced``),
-    and the nodes it spent."""
-    counter = vcg._NodeCounter(vcg.DEFAULT_NODE_BUDGET)
-    component = vcg._Component(comp, forced if ranked_by is None else ranked_by, values, inst, ct)
-    solved = vcg._solve_component(component, forced, counter, entrant, start)
-    return solved, counter.spent
-
-
 def _grid_sized_case(seed):
     """A draw shaped like the acceptance directional grid: 25-34 stations,
     channels 14-16 under ``bar_c=17``, its radii and value sampler, and the
-    scored rule's participation. Forcing a winner on air there evicts
-    neighbors that the warm start has to re-place."""
+    scored rule's participation."""
     rng = np.random.default_rng(seed)
     ct = ClearingTarget(17)
     inst = generate_instance(
@@ -351,80 +341,10 @@ def test_grid_sized_prices_match_cold_resolves(seed):
     assert out.winners
     for sid in out.winners:
         assert out.prices[sid] >= values[sid]
-        # the warm-started re-solve agrees bitwise with a cold full re-solve
+        # the packing decoded with the winner on air agrees bitwise with a
+        # cold full re-solve
         cold = restricted_optimal_value(inst, values, parts, nons, ct, sid)
         assert out.optimal_value - cold == out.prices[sid]
-
-
-#: Leaves every component to branch and bound, for the tests of its re-solves.
-_search_only = mock.patch.object(vcg, "MAX_SUM_ENTRIES", 0)
-
-
-@_search_only
-def test_warm_start_fires_and_saves_nodes_in_total():
-    # Both sides decide the winner first, so they differ by the warm start
-    # alone. A better incumbent usually prunes more, but not in every solve.
-    fired = cold_total = warm_total = 0
-    for seed in range(3):
-        inst, values, parts, nons, ct = _grid_sized_case(seed)
-        out = vcg_outcome(inst, values, parts, nons, ct)
-        components = vcg._components(inst, ct)
-        for sid in out.winners:
-            comp = next(c for c in components if sid in c)
-            forced = frozenset(nons) | {sid}
-            cold_solved, cold = _cold_solve(comp, forced, values, inst, ct, sid)
-            warm_solved, warm = _cold_solve(
-                comp, forced, values, inst, ct, sid, out.optimal_assignment
-            )
-            # the packings may differ in the order their values were added
-            assert warm_solved[1] == pytest.approx(cold_solved[1], rel=1e-12)
-            fired += warm < cold
-            cold_total += cold
-            warm_total += warm
-    assert warm_total < cold_total
-    assert fired >= 10
-
-
-def _unled(*args, lead=None, **kwargs):
-    """``search.search`` deciding no station first."""
-    return search.search(*args, **kwargs)
-
-
-@_search_only
-def test_deciding_the_entrant_first_saves_resolve_nodes():
-    first = anywhere = 0
-    for seed in range(5):
-        inst, values, parts, nons, ct = _grid_sized_case(seed)
-        out = vcg_outcome(inst, values, parts, nons, ct)
-        components = vcg._components(inst, ct)
-        for sid in out.winners:
-            comp = next(c for c in components if sid in c)
-            forced = frozenset(nons) | {sid}
-            start = out.optimal_assignment
-            solved, spent = _cold_solve(comp, forced, values, inst, ct, sid, start)
-            first += spent
-            with mock.patch.object(vcg, "search", _unled):
-                unled, spent = _cold_solve(comp, forced, values, inst, ct, sid, start)
-            anywhere += spent
-            assert solved[1] == pytest.approx(unled[1], rel=1e-12)
-    assert first < anywhere
-
-
-@pytest.mark.parametrize("seed", range(5))
-@_search_only
-def test_resolves_share_their_component_search_context(seed):
-    # The same solves, each on a context of its own, spend more: a re-solve
-    # finds parts that the base solve or an earlier re-solve already solved.
-    inst, values, parts, nons, ct = _grid_sized_case(seed)
-    nons = frozenset(nons)
-    out = vcg_outcome(inst, values, parts, nons, ct)
-    components = vcg._components(inst, ct)
-    alone = sum(_cold_solve(comp, nons, values, inst, ct)[1] for comp in components)
-    for sid in out.winners:
-        comp = next(c for c in components if sid in c)
-        start = out.optimal_assignment
-        alone += _cold_solve(comp, nons | {sid}, values, inst, ct, sid, start, ranked_by=nons)[1]
-    assert out.nodes < alone
 
 
 def test_no_search_state_outlives_a_call():
@@ -433,64 +353,36 @@ def test_no_search_state_outlives_a_call():
     assert vcg_outcome(*_grid_sized_case(0)) == first
 
 
-@_search_only
-def test_node_budget_runs_out_in_a_resolve():
-    # The first grid-sized draw where some re-solve needs more nodes than the
-    # whole base solve; re-solves share what the base solve cached, so on
-    # most draws none does.
-    for seed in range(20):
-        inst, values, parts, nons, ct = _grid_sized_case(seed)
-        out = vcg_outcome(inst, values, parts, nons, ct)
-        # the base solve alone needs exactly `base` nodes: the least budget
-        # under which the plain optimum is found
-        low, high = 0, out.nodes
-        while low < high:
-            middle = (low + high) // 2
-            try:
-                optimal_packing(inst, values, parts, nons, ct, node_budget=middle)
-                high = middle
-            except ResourceLimitError:
-                low = middle + 1
-        base = low
-        assert 0 < base < out.nodes
-        # the base solve fits that budget, so a raise comes from a re-solve
-        try:
-            vcg_outcome(inst, values, parts, nons, ct, node_budget=base)
-        except ResourceLimitError:
-            break
-    else:
-        pytest.fail("no re-solve of seeds 0-19 needs more nodes than its base solve")
-    assert vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes) == out
-
-
 # --------------------------------------------------------------- max-sum
 
 
-def _searched(*args):
-    """``vcg_outcome`` with every component left to branch and bound."""
-    with _search_only:
+def _conditioned(*args):
+    """``vcg_outcome`` under an entry limit of 1,000, which conditions every
+    component of more than a few stations, mostly more than once."""
+    with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 1_000):
         return vcg_outcome(*args)
 
 
 def _assert_methods_agree(inst, values, participants, non_participants, ct):
-    """``vcg_outcome`` as shipped and by branch and bound alone give
+    """``vcg_outcome`` as shipped and under :func:`_conditioned` give
     bitwise-equal values, winners and prices, and valid optimal packings
     with the same stations on air; returns the outcome, or None when the
-    non-participants cannot all be placed."""
+    non-participants cannot all be placed. The branching compared is
+    conditioning, which branches on a station's states with no bound."""
     try:
         out = vcg_outcome(inst, values, participants, non_participants, ct)
     except UnpackableError:
         with pytest.raises(UnpackableError):
-            _searched(inst, values, participants, non_participants, ct)
+            _conditioned(inst, values, participants, non_participants, ct)
         return None
-    searched = _searched(inst, values, participants, non_participants, ct)
-    assert out.optimal_value == searched.optimal_value
-    assert out.winners == searched.winners
-    assert out.prices == searched.prices
-    assert out.restricted_values == searched.restricted_values
+    conditioned = _conditioned(inst, values, participants, non_participants, ct)
+    assert out.optimal_value == conditioned.optimal_value
+    assert out.winners == conditioned.winners
+    assert out.prices == conditioned.prices
+    assert out.restricted_values == conditioned.restricted_values
     assert validate_assignment(out.optimal_assignment, inst, ct)
-    assert validate_assignment(searched.optimal_assignment, inst, ct)
-    assert set(out.optimal_assignment) == set(searched.optimal_assignment)
+    assert validate_assignment(conditioned.optimal_assignment, inst, ct)
+    assert set(out.optimal_assignment) == set(conditioned.optimal_assignment)
     return out
 
 
@@ -527,40 +419,44 @@ def test_max_sum_and_branch_and_bound_agree_on_forced_draws(seed, n, channels, f
     _assert_methods_agree(inst, values, parts, nons, ClearingTarget(14 + channels))
 
 
-def _spying_solve_component():
-    """A stand-in for ``vcg._solve_component`` that records the stations of
-    each component it is given."""
-    solved = []
+def _spying_max_sum():
+    """A stand-in for ``vcg._max_sum`` that records the stations of each
+    part whose tables do not fit, so that it is conditioned on a station."""
+    refused = []
 
-    def spy(component, *args):
-        solved.append(frozenset(component.model.order))
-        return _solve_component(component, *args)
+    def spy(model, part, *args):
+        solved = _max_sum(model, part, *args)
+        if solved is None:
+            refused.append(frozenset(model.order[g] for g in part))
+        return solved
 
-    _solve_component = vcg._solve_component
-    return solved, spy
+    _max_sum = vcg._max_sum
+    return refused, spy
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_grid_sized_components_take_max_sum(seed):
     inst, values, parts, nons, ct = _grid_sized_case(seed)
-    solved, spy = _spying_solve_component()
-    with mock.patch.object(vcg, "_solve_component", spy):
+    refused, spy = _spying_max_sum()
+    with mock.patch.object(vcg, "_max_sum", spy):
         vcg_outcome(inst, values, parts, nons, ct)
     assert max(map(len, vcg._components(inst, ct))) >= 16
-    assert solved == []
+    assert refused == []
 
 
 def test_a_component_over_the_entry_limit_takes_branch_and_bound():
-    # the largest component needs 47,417 entries, the other two 112 and 36
+    # The largest component needs 47,417 entries, the other two 112 and 36,
+    # so under a limit of 1,000 only the largest is conditioned on a
+    # station: it branches on that station's states, with no bound.
     inst, values, parts, nons, ct = _grid_sized_case(0)
-    solved, spy = _spying_solve_component()
-    with mock.patch.object(vcg, "_solve_component", spy):
+    refused, spy = _spying_max_sum()
+    with mock.patch.object(vcg, "_max_sum", spy):
         with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 1_000):
             mixed = vcg_outcome(inst, values, parts, nons, ct)
-    largest = max(vcg._components(inst, ct), key=len)
-    # the base solve, then one re-solve per winner of that component
-    assert set(solved) == {frozenset(largest)}
-    assert len(solved) == 1 + len(set(mixed.winners) & set(largest))
+    largest = frozenset(max(vcg._components(inst, ct), key=len))
+    # the whole component first, then only parts of it
+    assert refused[0] == largest
+    assert all(part < largest for part in refused[1:])
     out = vcg_outcome(inst, values, parts, nons, ct)
     assert (mixed.optimal_value, mixed.winners, mixed.prices, mixed.restricted_values) == (
         out.optimal_value,
@@ -568,6 +464,8 @@ def test_a_component_over_the_entry_limit_takes_branch_and_bound():
         out.prices,
         out.restricted_values,
     )
+    assert set(mixed.optimal_assignment) == set(out.optimal_assignment)
+    assert mixed.nodes != out.nodes
 
 
 def test_max_sum_spends_its_table_entries_once():

@@ -4,14 +4,20 @@ shares no code with the packing search, so it checks the benchmark at grid
 size, beyond the reach of enumeration. Optima of equal value may differ, so
 values are compared, not packings."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repacksim import vcg
+from repacksim.auction import determine_participants
+from repacksim.experiment import _VALUES_STREAM, ExperimentConfig, derive_seed
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, UnpackableError
-from repacksim.vcg import vcg_outcome
+from repacksim.pricing import ScoringRule, volumes_for
+from repacksim.vcg import ResourceLimitError, vcg_outcome
 
 from references import milp_value
 from test_vcg import _grid_sized_case
@@ -70,3 +76,42 @@ def test_forced_draws_match_the_milp_oracle(seed, n, channels, forced):
     nons = [sid for k, sid in enumerate(sids) if k in forced]
     parts = [sid for sid in sids if sid not in nons]
     _assert_matches_milp(inst, values, parts, nons, ClearingTarget(14 + channels))
+
+
+def test_a_conditioned_component_matches_the_milp_oracle():
+    # Value profile 0 of `scripts/run_grid.py --seed 2 --stations 40`, with
+    # the scored rule's participants: all 40 stations, in one component whose
+    # tables would need 1,726,992 entries, so it is conditioned on a station.
+    cfg = ExperimentConfig(
+        bar_c=17,
+        generator=GeneratorParams(
+            n_stations=40,
+            channel_lo=14,
+            channel_hi=18,
+            co_channel_radius=0.35,
+            adjacent_channel_radius=0.1,
+            seed=2,
+        ),
+        master_seed=2,
+    )
+    inst, ct = cfg.load_instance(), ClearingTarget(cfg.bar_c)
+    values = sample_values(inst, cfg.sampler(derive_seed(cfg.master_seed, _VALUES_STREAM, 0)))
+    parts, nons = determine_participants(
+        inst, values, volumes_for(inst, ct, ScoringRule.FCC), cfg.c0_fcc
+    )
+    refused = []
+    max_sum = vcg._max_sum
+
+    def spy(model, part, *args):
+        solved = max_sum(model, part, *args)
+        if solved is None:
+            refused.append(len(part))
+        return solved
+
+    with mock.patch.object(vcg, "_max_sum", spy):
+        out = _assert_matches_milp(inst, values, parts, nons, ct)
+    assert refused == [40]
+    assert len(out.winners) == 24
+    assert vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes) == out
+    with pytest.raises(ResourceLimitError):
+        vcg_outcome(inst, values, parts, nons, ct, node_budget=out.nodes - 1)
