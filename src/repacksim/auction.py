@@ -80,6 +80,7 @@ from .model import (
     ClearingTarget,
     Instance,
     StationId,
+    UnknownStationError,
     UnpackableError,
     ValueProfile,
     station_sum,
@@ -292,10 +293,14 @@ def determine_participants(
     c0: float,
 ) -> tuple[tuple[StationId, ...], tuple[StationId, ...]]:
     """Split stations into participants and non-participants: a station
-    participates exactly when its value is strictly below its opening price."""
+    participates exactly when its value is strictly below its opening price.
+    A profile must value every station the instance declares, and no other."""
     missing = [s.id for s in inst.stations if s.id not in values]
     if missing:
         raise ValueError(f"value profile is missing stations {missing}")
+    if not inst.declares(values.keys()):
+        unknown = sorted(values.keys() - set(inst.station_ids()))
+        raise UnknownStationError(f"value profile names undeclared stations {unknown}")
     participants = []
     non_participants = []
     for st in inst.stations:

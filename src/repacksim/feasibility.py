@@ -17,10 +17,10 @@ Three checkers share one verdict contract:
   channels each station has left, with forward checking, which skips only
   prefixes that no valid assignment extends.
 
-The greedy scan, the enumeration and the search's packing model read each
-station's channels from the instance's channel table
-(:meth:`repacksim.model.Instance.channel_table`), built once per clearing
-target and kept as long as the instance.
+The greedy scan, the enumeration, the search's packing model and the exact
+benchmark (:mod:`repacksim.vcg`) read each station's channels from the
+instance's channel table (:meth:`repacksim.model.Instance.channel_table`),
+built once per clearing target and kept as long as the instance.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""The packing model shared by the feasibility checks, initial packing and
-the exact benchmark, and the feasibility checks' search.
+"""The feasibility checks' packing model, node counter and search.
 
 A :class:`PackingModel` is the packing problem over an ordered list of
 stations: each station's reduced-band channels, as bit masks, with the
-channels of the other listed stations that each one rules out.
+channels of the other listed stations that each one rules out. The
+feasibility checks and the initial packing's fallback build one.
 :func:`search` is depth-first search with forward checking over such a model
 (Haralick & Elliott, 1980), written as one loop with an explicit stack, so
 its cost does not depend on the caller's stack depth. It puts every station
-on air and stops at the first complete packing. :func:`parts_of` splits
-stations into parts that share no conflict, which the exact benchmark
-(:mod:`repacksim.vcg`) solves one by one.
+on air and stops at the first complete packing. The exact benchmark
+(:mod:`repacksim.vcg`) reads the channel table itself and shares only the
+node counter and :class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
@@ -99,38 +99,6 @@ class PackingModel:
                     if other > (sid, ch):
                         pairs.append(((sid, ch), other))
         return pairs
-
-
-def _flood(seed: int, within: int, neighbours: list[int], goal: int = 0) -> int:
-    """The stations of ``within`` reachable from ``seed``, or fewer once they
-    include all of ``goal``."""
-    reached = frontier = seed
-    while frontier and goal & ~reached:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= neighbours[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & within & ~reached
-        reached |= frontier
-    return reached
-
-
-def parts_of(within: int, neighbours: list[int]) -> list[list[int]]:
-    """The parts that the stations of ``within`` fall into, connected
-    through ``neighbours``: each a list in ascending order, and the parts in
-    the order of their first stations."""
-    parts = []
-    while within:
-        part = _flood(within & -within, within, neighbours, within)
-        within ^= part
-        stations = []
-        while part:
-            low = part & -part
-            stations.append(low.bit_length() - 1)
-            part ^= low
-        parts.append(stations)
-    return parts
 
 
 def search(model: PackingModel, counter: NodeCounter) -> Assignment | None:

@@ -7,6 +7,11 @@ component of the interference graph is solved on its own, by max-sum on a
 clique tree, conditioning on a station where its tables do not fit. The
 outcome is a function of the call's arguments.
 
+Stations are indexed by their position in the instance, with their channels
+and conflicts read from its channel table
+(:meth:`~repacksim.model.Instance.channel_table`); a flood over the
+conflicts of the channels still allowed splits them into parts.
+
 *Max-sum.* Each station is a variable; its states are its allowed
 reduced-band channels, plus off the air for a participant. A participant is
 worth its value on air, and a forbidden pair of channels is worth -inf. A
@@ -66,6 +71,7 @@ import numpy as np
 
 from .model import (
     Assignment,
+    ChannelEntry,
     ClearingTarget,
     Instance,
     StationId,
@@ -74,7 +80,10 @@ from .model import (
     station_sum,
 )
 from .search import NodeCounter as _NodeCounter
-from .search import PackingModel, ResourceLimitError, parts_of
+from .search import ResourceLimitError
+
+#: :meth:`~repacksim.model.Instance.channel_table` for one clearing target.
+_Table = tuple[tuple[ChannelEntry, ...], ...]
 
 #: Table entries a call may spend. An entry of the large tables that a
 #: conditioned call builds costs about 70 ns (2-core x86_64, Python 3.11),
@@ -114,55 +123,47 @@ def _partition_check(
     return parts, nons
 
 
-def _split(
-    inst: Instance, ct: ClearingTarget
-) -> tuple[PackingModel, list[int], list[list[int]]]:
-    """A packing model of every station, in ascending order, the bit mask of
-    each one's channels, and the connected components of the interference
-    graph as lists of its station indices, in the order of their first
-    stations, by :func:`parts_of`."""
-    model = PackingModel(inst, ct, inst.station_ids())
-    allowed = [sum(bit for bit, _, _ in opts) for opts in model.options]
-    everyone = (1 << len(model.order)) - 1
-    parts = parts_of(everyone, _linked(model, everyone, allowed))
-    return model, allowed, parts
+def _split(table: _Table) -> tuple[list[int], list[list[int]]]:
+    """The bit mask of each station's channels, and the connected components
+    of the interference graph, by :func:`_parts`."""
+    allowed = [sum(bit for _, bit, _, _ in row) for row in table]
+    return allowed, _parts(table, (1 << len(table)) - 1, allowed)
 
 
 def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
     """The connected components of the interference graph, each in ascending
     station order and in the order of their first stations."""
-    model, _, parts = _split(inst, ct)
-    return [[model.order[i] for i in part] for part in parts]
+    ids = inst.station_ids()
+    return [[ids[g] for g in part] for part in _split(inst.channel_table(ct))[1]]
 
 
 def _max_sum(
-    model: PackingModel,
+    table: _Table,
+    ids: tuple[StationId, ...],
     part: list[int],
     allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
     counter: _NodeCounter,
-    price: bool,
 ) -> tuple[Assignment | None, dict[StationId, Assignment | None]] | None:
-    """Exact max-value packing of ``model``'s stations ``part``, connected
-    through the conflicts of their ``allowed`` channels, by max-sum on a
-    clique tree; None when its tables would hold more than
-    :data:`MAX_SUM_ENTRIES` entries. ``allowed[g]`` is the bit mask of
-    station ``g``'s channels that the packing may use.
+    """Exact max-value packing of the stations at positions ``part`` of
+    ``table``, connected through the conflicts of their ``allowed``
+    channels, by max-sum on a clique tree; None when its tables would hold
+    more than :data:`MAX_SUM_ENTRIES` entries. ``allowed[g]`` is the bit
+    mask of the channels that the packing may give station ``ids[g]``.
 
     Returns the packing, None when the forced stations cannot all be placed,
-    and, with ``price``, for each participant the packing leaves off the air,
-    the best packing of the part with that station on air (None when it
-    cannot be), decoded from its max-marginals. The tables' entries are
-    spent from ``counter`` at once; :class:`ResourceLimitError` is raised
-    when fewer are left.
+    and, for each participant the packing leaves off the air, the best
+    packing of the part with that station on air (None when it cannot be),
+    decoded from its max-marginals. The tables' entries are spent from
+    ``counter`` at once; :class:`ResourceLimitError` is raised when fewer
+    are left.
     """
-    order, options = model.order, model.options
-    sids = [order[g] for g in part]
+    sids = [ids[g] for g in part]
     m = len(part)
-    # each station's allowed options; a participant's last state is off the air
-    kept = [[opt for opt in options[g] if allowed[g] & opt[0]] for g in part]
-    channels = [[ch for _, ch, _ in opts] for opts in kept]
+    # each station's allowed channels; a participant's last state is off the air
+    kept = [[row for row in table[g] if allowed[g] & row[1]] for g in part]
+    channels = [[ch for ch, _, _, _ in rows] for rows in kept]
     off = [sid not in forced for sid in sids]
     sizes = [len(chs) + o for chs, o in zip(channels, off)]
     if m == 1:
@@ -172,16 +173,16 @@ def _max_sum(
             return {sid: channels[0][0]}, {}
         if not off[0]:
             return None, {}
-        return {}, ({sid: None} if price else {})
+        return {}, {sid: None}
 
     # the option pairs that each pair of stations may not take
     local = {g: i for i, g in enumerate(part)}
-    rank = [{bit: k for k, (bit, _, _) in enumerate(opts)} for opts in kept]
+    rank = [{bit: k for k, (_, bit, _, _) in enumerate(rows)} for rows in kept]
     forbidden: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     near = [0] * m
-    for i, opts in enumerate(kept):
-        for k, (_, _, clash) in enumerate(opts):
-            for h, bit in clash:
+    for i, rows in enumerate(kept):
+        for k, (_, _, _, clashes) in enumerate(rows):
+            for h, bit in clashes:
                 j = local.get(h, -1)
                 if j > i and bit in rank[j]:
                     pair = forbidden.get((i, j))
@@ -231,7 +232,7 @@ def _max_sum(
     # the message it sends, its maximum over its frontal stations, lines up
     # with its parent's table by a reshape, with no transpose. Messages are
     # not kept: the downward pass takes each again from its table.
-    table: list = [None] * len(scope)
+    tables: list = [None] * len(scope)
     for n in reversed(nodes):
         sc = scope[n]
         t = np.zeros([sizes[u] for u in sc])
@@ -246,20 +247,20 @@ def _max_sum(
                     at[a], at[b] = pair if v < u else pair[::-1]
                     t[tuple(at)] = -np.inf
         for c in children[n]:
-            t += table[c].max(axis=front[c]).reshape(lined[c])
-        table[n] = t
+            t += tables[c].max(axis=front[c]).reshape(lined[c])
+        tables[n] = t
 
-    if table[0].max() == -np.inf:
+    if tables[0].max() == -np.inf:
         return None, {}
     packing = [0] * m
     for n in nodes:
-        _decode(table[n], frontal[n], [packing[u] for u in sep[n]], packing)
+        _decode(tables[n], frontal[n], [packing[u] for u in sep[n]], packing)
 
     def assignment(states: list[int]) -> Assignment:
         return {sids[v]: channels[v][k] for v, k in enumerate(states) if k < len(channels[v])}
 
     winners = [v for v in range(m) if off[v] and packing[v] == len(channels[v])]
-    if not price or not winners:
+    if not winners:
         return assignment(packing), {}
 
     # Downward pass: each table becomes the max-marginals of its scope. A
@@ -270,19 +271,19 @@ def _max_sum(
     # child's whole table, and the -inf - -inf there is set to -inf.
     with np.errstate(invalid="ignore"):
         for n in nodes:
-            t = table[n]
+            t = tables[n]
             for c in children[n]:
                 # the axes the child's separator lacks, and any of size 1
                 rest = tuple(a for a, size in enumerate(lined[c]) if size == 1)
-                mine = table[c].max(axis=front[c])
+                mine = tables[c].max(axis=front[c])
                 down = t.max(axis=rest).reshape(mine.shape) - mine
                 down[np.isnan(down)] = -np.inf
-                table[c] += down
+                tables[c] += down
 
     restricted: dict[StationId, Assignment | None] = {}
     for w in winners:
         n = node_of[w]
-        t = table[n]
+        t = tables[n]
         a = frontal[n].index(w)
         onair = t.max(axis=tuple(b for b in range(t.ndim) if b != a))[: len(channels[w])]
         if not onair.size or onair.max() == -np.inf:
@@ -298,7 +299,7 @@ def _max_sum(
         while n >= 0:
             chain.add(n)
             free = [u for u in scope[n] if u not in known]
-            sub = table[n][tuple(slice(None) if u not in known else states[u] for u in scope[n])]
+            sub = tables[n][tuple(slice(None) if u not in known else states[u] for u in scope[n])]
             for u, k in zip(free, np.unravel_index(int(sub.argmax()), sub.shape)):
                 states[u] = int(k)
             known.update(free)
@@ -306,7 +307,7 @@ def _max_sum(
         changed = {u for u in known if states[u] != packing[u]}
         for n in nodes:
             if n not in chain and not changed.isdisjoint(sep[n]):
-                _decode(table[n], frontal[n], [states[u] for u in sep[n]], states)
+                _decode(tables[n], frontal[n], [states[u] for u in sep[n]], states)
                 changed.update(u for u in frontal[n] if states[u] != packing[u])
         restricted[sids[w]] = assignment(states)
     return assignment(packing), restricted
@@ -374,45 +375,63 @@ def _min_fill(near: list[int]) -> tuple[list[int], list[list[int]]]:
     return elim, [[v, *sorted(later[v], key=pos.__getitem__)] for v in range(m)]
 
 
-def _linked(model: PackingModel, within: int, allowed: list[int]) -> list[int]:
+def _linked(table: _Table, within: int, allowed: list[int]) -> list[int]:
     """For each station of ``within``, the bit mask of the stations of
     ``within`` with an ``allowed`` channel that rules out one of its own
     allowed channels; 0 for any other station."""
-    near = [0] * len(model.order)
+    near = [0] * len(table)
     rest = within
     while rest:
         low = rest & -rest
         rest ^= low
         g = low.bit_length() - 1
-        for bit, _, clash in model.options[g]:
+        for _, bit, _, clashes in table[g]:
             if allowed[g] & bit:
-                for h, b in clash:
+                for h, b in clashes:
                     if within >> h & 1 and allowed[h] & b:
                         near[g] |= 1 << h
     return near
 
 
+def _parts(table: _Table, within: int, allowed: list[int]) -> list[list[int]]:
+    """The parts that the stations of ``within`` fall into, connected
+    through the conflicts of their ``allowed`` channels: each a list in
+    ascending order, and the parts in the order of their first stations."""
+    near = _linked(table, within, allowed)
+    parts = []
+    while within:
+        # flood out from the first station left
+        part = frontier = within & -within
+        while frontier:
+            low = frontier & -frontier
+            grown = near[low.bit_length() - 1] & ~part
+            part |= grown
+            frontier = frontier ^ low | grown
+        within ^= part
+        parts.append([g for g in range(part.bit_length()) if part >> g & 1])
+    return parts
+
+
 def _solve(
-    model: PackingModel,
+    table: _Table,
+    ids: tuple[StationId, ...],
     part: list[int],
     allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
     counter: _NodeCounter,
-    price: bool,
 ) -> tuple[Assignment | None, dict[StationId, Assignment | None]]:
     """:func:`_max_sum` of ``part``, conditioning on a station when its
     tables do not fit (see the module docstring); the same returns."""
-    solved = _max_sum(model, part, allowed, forced, values, counter, price)
+    solved = _max_sum(table, ids, part, allowed, forced, values, counter)
     if solved is not None:
         return solved
-    order = model.order
     within = sum(1 << g for g in part)
-    near = _linked(model, within, allowed)
+    near = _linked(table, within, allowed)
     s = min(part, key=lambda g: (-near[g].bit_count(), g))
     rest = within ^ 1 << s
-    sid = order[s]
-    states = [(ch, clash) for bit, ch, clash in model.options[s] if allowed[s] & bit]
+    sid = ids[s]
+    states = [(ch, clashes) for ch, bit, _, clashes in table[s] if allowed[s] & bit]
     if sid not in forced:
         states.append((None, ()))
     best: Assignment | None = None
@@ -431,8 +450,8 @@ def _solve(
             left[h] &= ~b
         packing: Assignment = {} if ch is None else {sid: ch}
         pieces = []
-        for piece in parts_of(rest, _linked(model, rest, left)):
-            found, restricted = _solve(model, piece, left, forced, values, counter, price)
+        for piece in _parts(table, rest, left):
+            found, restricted = _solve(table, ids, piece, left, forced, values, counter)
             if found is None:
                 break
             packing.update(found)
@@ -441,8 +460,6 @@ def _solve(
             value = station_sum(values, [o for o in packing if o not in forced])
             if best is None or value > best_value:
                 best, best_value = packing, value
-            if not price:
-                continue
             for w in packing:
                 if w not in forced:
                     offer(w, packing)
@@ -451,12 +468,12 @@ def _solve(
                     if lifted is not None:
                         swapped = dict(packing)
                         for g in piece:
-                            swapped.pop(order[g], None)
+                            swapped.pop(ids[g], None)
                         swapped.update(lifted)
                         offer(w, swapped)
-    if best is None or not price:
-        return best, {}
-    winners = [order[g] for g in part if order[g] not in forced and order[g] not in best]
+    if best is None:
+        return None, {}
+    winners = [ids[g] for g in part if ids[g] not in forced and ids[g] not in best]
     return best, {w: on_air[w][1] if w in on_air else None for w in winners}
 
 
@@ -466,18 +483,18 @@ def _solve_all(
     values: ValueProfile,
     nons: frozenset[StationId],
     counter: _NodeCounter,
-    price: bool,
 ) -> tuple[Assignment, dict[StationId, tuple[list[StationId], Assignment | None]]]:
     """Optimal packing of every component in turn by :func:`_solve`, all
-    spending ``counter``, and, with ``price``, each winner's component with
-    its packing with the winner on air. Raises :class:`UnpackableError` for
-    the first component whose non-participants cannot all be placed."""
-    model, allowed, parts = _split(inst, ct)
+    spending ``counter``, and each winner's component with its packing with
+    the winner on air. Raises :class:`UnpackableError` for the first
+    component whose non-participants cannot all be placed."""
+    table, ids = inst.channel_table(ct), inst.station_ids()
+    allowed, parts = _split(table)
     assignment: Assignment = {}
     restricted: dict[StationId, tuple[list[StationId], Assignment | None]] = {}
     for part in parts:
-        stations = [model.order[i] for i in part]
-        packing, winners = _solve(model, part, allowed, nons, values, counter, price)
+        stations = [ids[g] for g in part]
+        packing, winners = _solve(table, ids, part, allowed, nons, values, counter)
         if packing is None:
             raise UnpackableError(
                 f"non-participating stations in component {stations}"
@@ -496,13 +513,13 @@ def optimal_packing(
     ct: ClearingTarget,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[Assignment, float]:
-    """Exact value-maximizing packing. Participants may stay on air or not;
+    """Exact value-maximizing packing and its value: those of
+    :func:`vcg_outcome`. Participants may stay on air or not;
     non-participants must be packed. Raises :class:`UnpackableError` when the
     non-participants cannot all be placed, and :class:`ResourceLimitError`
     when the node budget runs out."""
-    parts, nons = _partition_check(inst, participants, non_participants)
-    assignment, _ = _solve_all(inst, ct, values, nons, _NodeCounter(node_budget), False)
-    return assignment, station_sum(values, parts.intersection(assignment))
+    outcome = vcg_outcome(inst, values, participants, non_participants, ct, node_budget)
+    return outcome.optimal_assignment, outcome.optimal_value
 
 
 def restricted_optimal_value(
@@ -548,7 +565,7 @@ def vcg_outcome(
     """
     parts, nons = _partition_check(inst, participants, non_participants)
     counter = _NodeCounter(node_budget)
-    assignment, packed = _solve_all(inst, ct, values, nons, counter, True)
+    assignment, packed = _solve_all(inst, ct, values, nons, counter)
     value = station_sum(values, parts.intersection(assignment))
 
     winners = tuple(sorted(parts - set(assignment)))

@@ -599,6 +599,14 @@ CLASHING_INSTANCE = (
             "Error: value profile is missing stations [2]",
         ),
         (
+            {"inst.txt": GOOD_INSTANCE, "values.txt": GOOD_VALUES + "99 5.0\n"},
+            [
+                "vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16",
+                "--scoring", "unscored",
+            ],
+            "Error: value profile names undeclared stations [99]",
+        ),
+        (
             {"inst.txt": GOOD_INSTANCE, "values.txt": GOOD_VALUES},
             [
                 "vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16",
@@ -641,6 +649,7 @@ CLASHING_INSTANCE = (
         "vcg-malformed-instance",
         "vcg-malformed-values",
         "vcg-missing-stations",
+        "vcg-undeclared-stations",
         "vcg-degenerate-fcc",
         "vcg-unpackable",
         "report-malformed-records",

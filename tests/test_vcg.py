@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repacksim import vcg
+from repacksim import search, vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, UnpackableError, interference_graph, validate_assignment
@@ -353,6 +353,17 @@ def test_no_search_state_outlives_a_call():
     assert vcg_outcome(*_grid_sized_case(0)) == first
 
 
+def test_the_benchmark_reads_the_channel_table_without_a_packing_model():
+    case = _grid_sized_case(0)
+    shipped, conditioned = vcg_outcome(*case), _conditioned(*case)
+    cut = mock.patch.object(
+        search.PackingModel, "__init__", side_effect=AssertionError("a packing model was cut")
+    )
+    with cut:
+        assert vcg_outcome(*case) == shipped
+        assert _conditioned(*case) == conditioned
+
+
 # --------------------------------------------------------------- max-sum
 
 
@@ -424,10 +435,10 @@ def _spying_max_sum():
     part whose tables do not fit, so that it is conditioned on a station."""
     refused = []
 
-    def spy(model, part, *args):
-        solved = _max_sum(model, part, *args)
+    def spy(table, ids, part, *args):
+        solved = _max_sum(table, ids, part, *args)
         if solved is None:
-            refused.append(frozenset(model.order[g] for g in part))
+            refused.append(frozenset(ids[g] for g in part))
         return solved
 
     _max_sum = vcg._max_sum

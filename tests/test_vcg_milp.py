@@ -102,8 +102,8 @@ def test_a_conditioned_component_matches_the_milp_oracle():
     refused = []
     max_sum = vcg._max_sum
 
-    def spy(model, part, *args):
-        solved = max_sum(model, part, *args)
+    def spy(table, ids, part, *args):
+        solved = max_sum(table, ids, part, *args)
         if solved is None:
             refused.append(len(part))
         return solved
