@@ -9,6 +9,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repacksim.experiment import (
     ExperimentConfig,
@@ -29,21 +30,25 @@ def main() -> int:
     parser.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_LIMIT)
     args = parser.parse_args()
 
-    cfg = ExperimentConfig(
-        bar_c=17,
-        generator=GeneratorParams(
-            n_stations=args.stations,
-            channel_lo=14,
-            channel_hi=18,
-            co_channel_radius=0.35,
-            adjacent_channel_radius=0.1,
-            seed=args.seed,
-        ),
-        n_value_profiles=args.profiles,
-        budget_steps=args.budget_steps,
-        master_seed=args.seed,
-        out_dir=args.out,
-    )
+    try:
+        cfg = ExperimentConfig(
+            bar_c=17,
+            generator=GeneratorParams(
+                n_stations=args.stations,
+                channel_lo=14,
+                channel_hi=18,
+                co_channel_radius=0.35,
+                adjacent_channel_radius=0.1,
+                seed=args.seed,
+            ),
+            n_value_profiles=args.profiles,
+            budget_steps=args.budget_steps,
+            master_seed=args.seed,
+            out_dir=args.out,
+        )
+    except ValueError as exc:
+        # one line and exit 1; exit 2 means some records are incomparable
+        sys.exit(f"run_grid.py: {exc}")
     result = run_experiment(cfg)
     csv_path, json_path = write_outputs(result, cfg.out_dir)
     print(report_text(result.rows), end="")

@@ -125,14 +125,15 @@ def _emit(text: str, out: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def generate(n_stations, channel_lo, channel_hi, co_radius, adj_radius, seed, out):
     """Generate a synthetic instance and write its canonical serialization."""
-    params = GeneratorParams(
-        n_stations=n_stations,
-        channel_lo=channel_lo,
-        channel_hi=channel_hi,
-        co_channel_radius=co_radius,
-        adjacent_channel_radius=adj_radius,
-        seed=seed,
-    )
+    with _reported(ValueError, "invalid option: "):
+        params = GeneratorParams(
+            n_stations=n_stations,
+            channel_lo=channel_lo,
+            channel_hi=channel_hi,
+            co_channel_radius=co_radius,
+            adjacent_channel_radius=adj_radius,
+            seed=seed,
+        )
     _emit(serialize_instance(generate_instance(params)), out)
 
 
@@ -148,9 +149,10 @@ def generate(n_stations, channel_lo, channel_hi, co_radius, adj_radius, seed, ou
 def values(instance_path, log_mean, log_sd, pop_exponent, seed, out):
     """Sample a value profile for an instance."""
     inst = _parse_file(parse_instance, instance_path, "instance")
-    params = ValueSamplerParams(
-        log_mean=log_mean, log_sd=log_sd, population_exponent=pop_exponent, seed=seed
-    )
+    with _reported(ValueError, "invalid option: "):
+        params = ValueSamplerParams(
+            log_mean=log_mean, log_sd=log_sd, population_exponent=pop_exponent, seed=seed
+        )
     _emit(serialize_values(sample_values(inst, params)), out)
 
 

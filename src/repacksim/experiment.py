@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise ValueError("need at least one value profile")
         if not self.cells:
             raise ValueError("need at least one cell")
+        twice = [c.key for i, c in enumerate(self.cells) if c in self.cells[:i]]
+        if twice:
+            raise ValueError(f"cell {twice[0]!r} is listed twice")
         if self.budget_steps < 1:
             raise ValueError("budget_steps must be positive")
         if self.master_seed < 0:
@@ -282,6 +285,10 @@ def records_csv(result: ExperimentResult) -> str:
 #: each is ``repr`` of the float and is read back by ``float``.
 _NON_FINITE = ("inf", "-inf", "nan")
 _RECORD_TYPES = get_type_hints(ComparisonRecord)
+#: The exact JSON type of each non-float record key: a boolean is no integer.
+_RECORD_KEYS = {"cell": str, "profile": int, "incomparable": bool, "reason": str} | {
+    name: kind for name, kind in _RECORD_TYPES.items() if kind is not float
+}
 
 
 def _spell_non_finite(data):
@@ -297,7 +304,7 @@ def _spell_non_finite(data):
 
 
 def _float_from_json(value) -> float:
-    if isinstance(value, str) and value not in _NON_FINITE:
+    if type(value) not in (int, float) and value not in _NON_FINITE:
         raise ValueError(f"not a number: {value!r}")
     return float(value)
 
@@ -432,7 +439,7 @@ def rows_from_json(text: str) -> list[RecordRow]:
     """Rebuild record rows from a records.json document, reading the strings
     ``"inf"``, ``"-inf"`` and ``"nan"`` back as floats. Raises ``ValueError``
     for a document that is not an object with a ``records`` list, or for a
-    record that is not an object or lacks a key."""
+    record that is not an object, lacks a key or holds a wrong JSON type."""
     data = json.loads(text)
     records = data.get("records") if isinstance(data, dict) else None
     if not isinstance(records, list):
@@ -441,6 +448,10 @@ def rows_from_json(text: str) -> list[RecordRow]:
     for number, entry in enumerate(records):
         if not isinstance(entry, dict):
             raise ValueError(f"record {number} is not an object")
+        for key, kind in _RECORD_KEYS.items():
+            if key in entry and type(entry[key]) is not kind:
+                got = type(entry[key]).__name__
+                raise ValueError(f"record {number} key {key!r} must be {kind.__name__}, not {got}")
         try:
             rows.append(_row_from_json(entry))
         except KeyError as exc:
@@ -453,10 +464,8 @@ def _row_from_json(entry: dict) -> RecordRow:
         return RecordRow(entry["cell"], entry["profile"], None, entry.get("reason", ""))
     record = ComparisonRecord(
         **{
-            f.name: _float_from_json(entry[f.name])
-            if _RECORD_TYPES[f.name] is float
-            else entry[f.name]
-            for f in fields(ComparisonRecord)
+            name: _float_from_json(entry[name]) if kind is float else entry[name]
+            for name, kind in _RECORD_TYPES.items()
         }
     )
     return RecordRow(entry["cell"], entry["profile"], record)

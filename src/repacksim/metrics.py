@@ -45,21 +45,26 @@ def value_loss(winners: Iterable[StationId], values: ValueProfile) -> float:
     return station_sum(values, winners)
 
 
+def _ratio(numerator: float, denominator: float, what: str) -> float:
+    """``numerator / denominator`` for non-negative ``what``: 0/0 is a perfect
+    outcome and maps to 1.0, and a positive amount over zero to infinity."""
+    if numerator < 0 or denominator < 0:
+        raise ValueError(f"{what} must be non-negative")
+    if denominator > 0:
+        return numerator / denominator
+    return 1.0 if numerator == 0 else math.inf
+
+
 def value_loss_ratio(auction_loss: float, optimal_loss: float) -> float:
-    """Auction loss over optimal loss. Both zero is a perfect outcome and maps
-    to 1.0; positive loss against a zero optimum is reported as infinity."""
-    if auction_loss < 0 or optimal_loss < 0:
-        raise ValueError("losses must be non-negative")
-    if optimal_loss > 0:
-        if auction_loss < optimal_loss * (1.0 - LOSS_CONSISTENCY_TOLERANCE):
-            raise ValueLossConsistencyError(
-                f"auction loss {auction_loss} fell below the optimal loss "
-                f"{optimal_loss}; the optimum oracle is inconsistent"
-            )
-        return auction_loss / optimal_loss
-    if auction_loss == 0:
-        return 1.0
-    return math.inf
+    """Auction loss over optimal loss, by :func:`_ratio`; a loss below a
+    positive optimum beyond rounding raises :class:`ValueLossConsistencyError`."""
+    ratio = _ratio(auction_loss, optimal_loss, "losses")
+    if auction_loss < optimal_loss * (1.0 - LOSS_CONSISTENCY_TOLERANCE):
+        raise ValueLossConsistencyError(
+            f"auction loss {auction_loss} fell below the optimal loss "
+            f"{optimal_loss}; the optimum oracle is inconsistent"
+        )
+    return ratio
 
 
 def cost(payments: Mapping[StationId, float]) -> float:
@@ -68,14 +73,8 @@ def cost(payments: Mapping[StationId, float]) -> float:
 
 
 def cost_fraction(cost_auction: float, cost_benchmark: float) -> float:
-    """Auction cost over benchmark cost, with the same zero conventions as
-    the value loss ratio."""
-    if cost_auction < 0 or cost_benchmark < 0:
-        raise ValueError("costs must be non-negative")
-    if cost_benchmark > 0:
-        return cost_auction / cost_benchmark
-    return 1.0 if cost_auction == 0 else math.inf
-
+    """Auction cost over benchmark cost, by :func:`_ratio`."""
+    return _ratio(cost_auction, cost_benchmark, "costs")
 
 
 def compare(
@@ -85,13 +84,15 @@ def compare(
     computed over the same participant set."""
     auction_loss = value_loss(outcome.winners, values)
     optimal_loss = value_loss(benchmark.winners, values)
+    cost_auction = cost(outcome.winners)
+    cost_vcg = cost(benchmark.prices)
     return ComparisonRecord(
         value_loss_auction=auction_loss,
         value_loss_optimal=optimal_loss,
         value_loss_ratio=value_loss_ratio(auction_loss, optimal_loss),
-        cost_auction=cost(outcome.winners),
-        cost_vcg=cost(benchmark.prices),
-        cost_fraction=cost_fraction(cost(outcome.winners), cost(benchmark.prices)),
+        cost_auction=cost_auction,
+        cost_vcg=cost_vcg,
+        cost_fraction=cost_fraction(cost_auction, cost_vcg),
         checker_timeout_count=outcome.checker_timeout_count,
         rounds=outcome.rounds,
     )

@@ -2,15 +2,20 @@
 
 The packing problem maximizes the total value of participating stations kept
 on air, subject to the forbidden pairs, at most one channel per station, and
-exactly one channel for every non-participating station. Each connected
-component of the interference graph is solved on its own, by max-sum on a
-clique tree, conditioning on a station where its tables do not fit. The
-outcome is a function of the call's arguments.
+exactly one channel for every non-participating station. The outcome is a
+function of the call's arguments.
 
 Stations are indexed by their position in the instance, with their channels
 and conflicts read from its channel table
-(:meth:`~repacksim.model.Instance.channel_table`); a flood over the
-conflicts of the channels still allowed splits them into parts.
+(:meth:`~repacksim.model.Instance.channel_table`).
+
+*The join* (:func:`_join`), at the top level and in every branch of a
+conditioned part: a flood over the conflicts of the channels still allowed
+splits the stations into parts, the components of the interference graph at
+the top level. Each part is solved on its own, by max-sum where its tables
+fit and by conditioning where they do not, and the packing is the union of
+the parts' packings. A winner's packing with it on air swaps its part's
+packing for that part's packing with the winner on air.
 
 *Max-sum.* Each station is a variable; its states are its allowed
 reduced-band channels, plus off the air for a participant. A participant is
@@ -29,15 +34,15 @@ A part whose tables would hold more than :data:`MAX_SUM_ENTRIES` entries is
 split by branching on the station with the most neighbours in it, the lower
 index breaking ties: on each channel it has left, and off the air for a
 participant. Each branch drops the channels that state rules out from the
-other stations, splits them into parts on the conflicts of the channels
-still allowed, and solves each part the same way. The best branch, the
-first on a tie, is the optimum.
+other stations and joins the parts of the rest. The best branch, the first
+on a tie, is the optimum; a branch that cannot place its forced stations is
+skipped.
 
 A winner's price is the drop in everyone else's optimal value caused by
 taking it off the air: optimal value minus the optimal value when the winner
 is forced to stay on air (its own value excluded). Losing stations are paid
-nothing. Forcing a winner on air changes only its own component, and every
-winner is priced from the same solve, with no re-solve:
+nothing. Forcing a winner on air changes only its own part, so every
+winner is priced from the same solve, with no re-solve, through the join:
 
 - In a max-sum part, one downward pass (max-propagation, Dawid, 1992) turns
   every table into the max-marginals of its stations, so each winner's best
@@ -47,8 +52,7 @@ winner is priced from the same solve, with no re-solve:
   cost of one solve, as Hershberger & Suri (2001) do for shortest paths.
 - In a conditioned part, a winner's packing is the best over the branches:
   the branch's own packing when it puts the winner on air, otherwise the
-  branch with the winner's part replaced by that part's packing with the
-  winner on air.
+  branch's join with the winner on air.
 
 A winner that cannot be on air gets a restricted value of 0. The optimum and
 each restricted value are summed by :func:`~repacksim.model.station_sum`
@@ -123,18 +127,13 @@ def _partition_check(
     return parts, nons
 
 
-def _split(table: _Table) -> tuple[list[int], list[list[int]]]:
-    """The bit mask of each station's channels, and the connected components
-    of the interference graph, by :func:`_parts`."""
-    allowed = [sum(bit for _, bit, _, _ in row) for row in table]
-    return allowed, _parts(table, (1 << len(table)) - 1, allowed)
-
-
 def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
     """The connected components of the interference graph, each in ascending
     station order and in the order of their first stations."""
-    ids = inst.station_ids()
-    return [[ids[g] for g in part] for part in _split(inst.channel_table(ct))[1]]
+    table, ids = inst.channel_table(ct), inst.station_ids()
+    # -1 has every bit set: each station may take any of its channels
+    parts = _parts(table, (1 << len(table)) - 1, [-1] * len(table))
+    return [[ids[g] for g in part] for part in parts]
 
 
 def _max_sum(
@@ -438,71 +437,65 @@ def _solve(
     best_value = 0.0
     # each participant's best packing on air so far, as (value without it, packing)
     on_air: dict[StationId, tuple[float, Assignment]] = {}
-
-    def offer(w: StationId, packing: Assignment) -> None:
-        value = station_sum(values, [o for o in packing if o not in forced and o != w])
-        if w not in on_air or value > on_air[w][0]:
-            on_air[w] = value, packing
-
     for ch, clash in states:
         left = list(allowed)
         for h, b in clash:
             left[h] &= ~b
         packing: Assignment = {} if ch is None else {sid: ch}
-        pieces = []
-        for piece in _parts(table, rest, left):
-            found, restricted = _solve(table, ids, piece, left, forced, values, counter)
-            if found is None:
-                break
-            packing.update(found)
-            pieces.append((piece, restricted))
-        else:
-            value = station_sum(values, [o for o in packing if o not in forced])
-            if best is None or value > best_value:
-                best, best_value = packing, value
-            for w in packing:
-                if w not in forced:
-                    offer(w, packing)
-            for piece, restricted in pieces:
-                for w, lifted in restricted.items():
-                    if lifted is not None:
-                        swapped = dict(packing)
-                        for g in piece:
-                            swapped.pop(ids[g], None)
-                        swapped.update(lifted)
-                        offer(w, swapped)
+        try:
+            swapped = _join(table, ids, rest, left, forced, values, counter, packing)
+        except UnpackableError:
+            continue
+        value = station_sum(values, [o for o in packing if o not in forced])
+        if best is None or value > best_value:
+            best, best_value = packing, value
+        offers = [(w, packing) for w in packing if w not in forced]
+        offers += [(w, p) for w, p in swapped.items() if p is not None]
+        for w, p in offers:
+            worth = station_sum(values, [o for o in p if o not in forced and o != w])
+            if w not in on_air or worth > on_air[w][0]:
+                on_air[w] = worth, p
     if best is None:
         return None, {}
     winners = [ids[g] for g in part if ids[g] not in forced and ids[g] not in best]
     return best, {w: on_air[w][1] if w in on_air else None for w in winners}
 
 
-def _solve_all(
-    inst: Instance,
-    ct: ClearingTarget,
+def _join(
+    table: _Table,
+    ids: tuple[StationId, ...],
+    within: int,
+    allowed: list[int],
+    forced: frozenset[StationId],
     values: ValueProfile,
-    nons: frozenset[StationId],
     counter: _NodeCounter,
-) -> tuple[Assignment, dict[StationId, tuple[list[StationId], Assignment | None]]]:
-    """Optimal packing of every component in turn by :func:`_solve`, all
-    spending ``counter``, and each winner's component with its packing with
-    the winner on air. Raises :class:`UnpackableError` for the first
-    component whose non-participants cannot all be placed."""
-    table, ids = inst.channel_table(ct), inst.station_ids()
-    allowed, parts = _split(table)
-    assignment: Assignment = {}
-    restricted: dict[StationId, tuple[list[StationId], Assignment | None]] = {}
-    for part in parts:
-        stations = [ids[g] for g in part]
-        packing, winners = _solve(table, ids, part, allowed, nons, values, counter)
-        if packing is None:
+    packing: Assignment,
+) -> dict[StationId, Assignment | None]:
+    """Solve each part of the stations ``within`` by :func:`_solve`, in the
+    order of :func:`_parts`, and add its packing to ``packing`` in place.
+
+    Returns, for each participant the parts leave off the air, ``packing``
+    with that station's part swapped for the part's packing with it on air,
+    or None when it cannot be on air. Raises :class:`UnpackableError` for
+    the first part whose forced stations cannot all be placed.
+    """
+    solved = []
+    for part in _parts(table, within, allowed):
+        found, restricted = _solve(table, ids, part, allowed, forced, values, counter)
+        if found is None:
             raise UnpackableError(
-                f"non-participating stations in component {stations}"
+                f"non-participating stations in component {[ids[g] for g in part]}"
                 " cannot be packed"
             )
-        assignment.update(packing)
-        restricted.update((sid, (stations, p)) for sid, p in winners.items())
-    return assignment, restricted
+        packing.update(found)
+        solved.append((part, restricted))
+    swapped: dict[StationId, Assignment | None] = {}
+    for part, restricted in solved:
+        stations = {ids[g] for g in part}
+        others = {o: ch for o, ch in packing.items() if o not in stations}
+        for w, lifted in restricted.items():
+            swapped[w] = None if lifted is None else {**others, **lifted}
+    return swapped
 
 
 def optimal_packing(
@@ -555,33 +548,27 @@ def vcg_outcome(
 ) -> VcgOutcome:
     """Optimal packing plus a price for every winner.
 
-    Forcing one winner on air only perturbs its own interference component,
-    so each restricted value takes that component's packing with the winner
-    on air, found by the same solve as the optimum (see the module
-    docstring), with the other components' packings unchanged. The solve
+    The packing joins the components of the interference graph, and each
+    restricted value is read from the join's packing with the winner on air
+    (see the module docstring). The solve
     spends at most ``node_budget`` table entries. Its tables are built and
     dropped by this call, so the outcome, its node count included, depends
     on the arguments alone.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
     counter = _NodeCounter(node_budget)
-    assignment, packed = _solve_all(inst, ct, values, nons, counter)
+    table, ids = inst.channel_table(ct), inst.station_ids()
+    everyone = (1 << len(table)) - 1
+    assignment: Assignment = {}
+    # -1 has every bit set: each station may take any of its channels
+    swapped = _join(table, ids, everyone, [-1] * len(table), nons, values, counter, assignment)
     value = station_sum(values, parts.intersection(assignment))
-
     winners = tuple(sorted(parts - set(assignment)))
-    prices: dict[StationId, float] = {}
-    restricted: dict[StationId, float] = {}
-    for sid in winners:
-        stations, packing = packed[sid]
-        if packing is None:
-            # Forcing the winner on air is infeasible: its price degenerates
-            # to the full optimal value.
-            restricted[sid] = 0.0
-        else:
-            merged = dict(assignment)
-            for other in stations:
-                merged.pop(other, None)
-            merged.update(packing)
-            restricted[sid] = station_sum(values, (parts - {sid}).intersection(merged))
-        prices[sid] = value - restricted[sid]
+    # A winner that cannot be forced on air is priced at the full optimum.
+    restricted = {
+        sid: 0.0 if swapped[sid] is None
+        else station_sum(values, (parts - {sid}).intersection(swapped[sid]))
+        for sid in winners
+    }
+    prices = {sid: value - restricted[sid] for sid in winners}
     return VcgOutcome(assignment, value, winners, prices, restricted, counter.spent)

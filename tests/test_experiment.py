@@ -441,6 +441,10 @@ def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
         ({"bar_c": True}, "config key 'bar_c' must be int, not bool"),
         ({"sampler": {"log_mean": "3"}}, "sampler key 'log_mean' must be float, not str"),
         ({"cells": "fcc:sat"}, "cells must be a list of strings"),
+        (
+            {"cells": ["fcc:sat", "fcc:sat", "unscored:greedy"]},
+            "cell 'fcc:sat' is listed twice",
+        ),
         ({"c0_fcc": -1.0}, "c0_fcc and c0_unscored must be positive"),
         ({"c0_unscored": 0}, "c0_fcc and c0_unscored must be positive"),
         ({"sampler": {"log_sd": 0}}, "log_sd must be positive"),
@@ -459,6 +463,7 @@ def test_cli_run_reports_an_unknown_key_in_one_line(tmp_path, config, key):
         "bool-for-int",
         "str-for-float",
         "str-for-cells",
+        "cell-twice",
         "negative-c0-fcc",
         "zero-c0-unscored",
         "zero-log-sd",
@@ -520,8 +525,12 @@ def test_config_from_mapping_rejects_a_config_that_is_not_an_object():
             ["--seed", "-1"],
             "Error: invalid option: master_seed must be a non-negative integer",
         ),
+        (
+            ["--cells", "fcc:sat,fcc:sat"],
+            "Error: invalid option: cell 'fcc:sat' is listed twice",
+        ),
     ],
-    ids=["cells", "budget-steps", "seed"],
+    ids=["cells", "budget-steps", "seed", "cells-twice"],
 )
 def test_cli_run_reports_an_invalid_flag_in_one_line(tmp_path, flags, line):
     data = {"bar_c": 16, "generator": {"n_stations": 4}, "out_dir": str(tmp_path / "out")}
@@ -565,6 +574,27 @@ def test_cli_run_reports_a_missing_instance_file_in_one_line(tmp_path):
 GOOD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14 1000 14,15\nSTATION 2 14 1000 14\n"
 GOOD_VALUES = "1 5.0\n2 7.0\n"
 BAD_INSTANCE = "CHANNELS 14 16\nSTATION 1 14\n"
+# one comparable record as records.json writes it
+GOOD_RECORD = {
+    "cell": "fcc:sat",
+    "profile": 0,
+    "incomparable": False,
+    "value_loss_auction": 1.0,
+    "value_loss_optimal": 1.0,
+    "value_loss_ratio": 1.0,
+    "cost_auction": 1.0,
+    "cost_vcg": 1.0,
+    "cost_fraction": 1.0,
+    "checker_timeout_count": 0,
+    "rounds": 1,
+}
+
+
+def _records(**changes) -> str:
+    """A records.json document of one record: GOOD_RECORD with ``changes``."""
+    return json.dumps({"records": [{**GOOD_RECORD, **changes}]})
+
+
 # two stations that clash on their one channel below 15; valued above any
 # opening price, neither takes part, so both must be packed
 CLASHING_INSTANCE = (
@@ -643,6 +673,64 @@ CLASHING_INSTANCE = (
             ["report", "--records", "records.json"],
             "Error: invalid records records.json: record 0 has no 'value_loss_auction'",
         ),
+        (
+            {"records.json": _records(cell=5)},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: record 0 key 'cell' must be str, not int",
+        ),
+        (
+            {"records.json": _records(profile="x")},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: record 0 key 'profile' must be int, not str",
+        ),
+        (
+            {"records.json": _records(rounds="x")},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: record 0 key 'rounds' must be int, not str",
+        ),
+        (
+            {"records.json": _records(checker_timeout_count=True)},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: "
+            "record 0 key 'checker_timeout_count' must be int, not bool",
+        ),
+        (
+            {"records.json": _records(incomparable=1)},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: "
+            "record 0 key 'incomparable' must be bool, not int",
+        ),
+        (
+            {"records.json": _records(incomparable=True, reason=None)},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: "
+            "record 0 key 'reason' must be str, not NoneType",
+        ),
+        (
+            {"records.json": _records(cost_vcg=None)},
+            ["report", "--records", "records.json"],
+            "Error: invalid records records.json: not a number: None",
+        ),
+        (
+            {},
+            ["generate", "--n-stations", "-1"],
+            "Error: invalid option: n_stations must be non-negative",
+        ),
+        (
+            {},
+            ["generate", "--n-stations", "3", "--channel-lo", "20", "--channel-hi", "14"],
+            "Error: invalid option: channel_lo must not exceed channel_hi",
+        ),
+        (
+            {},
+            ["generate", "--n-stations", "3", "--seed", "-2"],
+            "Error: invalid option: seed must be a non-negative integer",
+        ),
+        (
+            {"inst.txt": GOOD_INSTANCE},
+            ["values", "--instance", "inst.txt", "--log-sd", "0"],
+            "Error: invalid option: log_sd must be positive",
+        ),
     ],
     ids=[
         "values-malformed-instance",
@@ -656,6 +744,17 @@ CLASHING_INSTANCE = (
         "report-no-records",
         "report-records-not-a-list",
         "report-record-missing-keys",
+        "report-cell-not-a-string",
+        "report-profile-not-an-int",
+        "report-rounds-not-an-int",
+        "report-count-a-bool",
+        "report-incomparable-not-a-bool",
+        "report-reason-not-a-string",
+        "report-float-null",
+        "generate-negative-stations",
+        "generate-reversed-channels",
+        "generate-negative-seed",
+        "values-zero-log-sd",
     ],
 )
 def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, monkeypatch, files, args, line):
