@@ -63,6 +63,7 @@ from .pricing import (
     ScoringRule,
     volumes_for,
 )
+from .search import ResourceLimitError
 from .vcg import vcg_outcome
 
 
@@ -222,7 +223,7 @@ def vcg(instance_path, values_path, bar_c, scoring, c0, out):
         participants, non_participants = determine_participants(
             inst, profile, volumes, opening
         )
-    with _reported(UnpackableError):
+    with _reported((UnpackableError, ResourceLimitError)):
         outcome = vcg_outcome(inst, profile, participants, non_participants, ct)
     payload = {
         "optimal_value": outcome.optimal_value,

@@ -17,10 +17,11 @@ Three checkers share one verdict contract:
   channels each station has left, with forward checking, which skips only
   prefixes that no valid assignment extends.
 
-The greedy scan, the enumeration, the search's packing model and the exact
-benchmark (:mod:`repacksim.vcg`) read each station's channels from the
-instance's channel table (:meth:`repacksim.model.Instance.channel_table`),
-built once per clearing target and kept as long as the instance.
+The greedy scan, the search's packing model and the exact benchmark
+(:mod:`repacksim.vcg`) read each station's channels from the instance's
+channel table (:meth:`repacksim.model.Instance.channel_table`), built once
+per clearing target and kept as long as the instance. Enumeration reads the
+same cut of it as the search: the packing model's rows and rank array.
 """
 
 from __future__ import annotations
@@ -197,11 +198,9 @@ def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:
     Refuses search spaces whose domain-size product exceeds
     :data:`EXHAUSTIVE_SPACE_LIMIT`.
     """
-    inst = problem.inst
-    table = inst.channel_table(problem.ct)
     sids = problem.station_set()
-    positions = [inst.position(sid) for sid in sids]
-    rows = [table[pos] for pos in positions]
+    cut = PackingModel(problem.inst, problem.ct, sids)
+    rows, rank = cut.rows, cut.rank
     space = math.prod(len(row) for row in rows)
     if space > EXHAUSTIVE_SPACE_LIMIT:
         raise SearchSpaceError(
@@ -212,10 +211,6 @@ def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:
         # a station with no channel in the band, which no choice can block
         return Infeasible()
     n = len(rows)
-    # the problem index of each station of the instance, -1 outside it
-    rank = [-1] * len(table)
-    for i, pos in enumerate(positions):
-        rank[pos] = i
     full = [sum(bit for _, bit, _, _ in row) for row in rows]
     blocked = [0] * n
     chosen = [0] * n  # the option each station holds

@@ -1,15 +1,16 @@
 """The feasibility checks' packing model, node counter and search.
 
 A :class:`PackingModel` is the packing problem over an ordered list of
-stations: each station's reduced-band channels, as bit masks, with the
-channels of the other listed stations that each one rules out. The
-feasibility checks and the initial packing's fallback build one.
-:func:`search` is depth-first search with forward checking over such a model
-(Haralick & Elliott, 1980), written as one loop with an explicit stack, so
-its cost does not depend on the caller's stack depth. It puts every station
-on air and stops at the first complete packing. The exact benchmark
-(:mod:`repacksim.vcg`) reads the channel table itself and shares only the
-node counter and :class:`ResourceLimitError`.
+stations, cut from the instance's channel table: each station's row of the
+table and a rank array from instance positions to model indices. The
+feasibility checks and the initial packing's fallback build one, and
+enumeration reads the same cut. :func:`search` is depth-first search with
+forward checking over such a model (Haralick & Elliott, 1980), written as
+one loop with an explicit stack, so its cost does not depend on the
+caller's stack depth. It puts every station on air and stops at the first
+complete packing. The exact benchmark (:mod:`repacksim.vcg`) reads the
+channel table itself and shares only the node counter and
+:class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
@@ -51,15 +52,15 @@ class NodeCounter:
 
 
 class PackingModel:
-    """The stations of ``order``, each with its options cut from its row of
-    the instance's channel table (:meth:`~repacksim.model.Instance.channel_table`):
-    one per reduced-band channel, in ascending order, as ``(bit, channel,
-    clash)``, where bit ``k`` stands for ``universe[k]``, the k-th channel of
-    the instance's universe, and ``clash`` lists the ``(station index, bit)``
-    pairs of the listed stations that the channel rules out.
-    A station's ``hint`` channel, when it has one, is its first option."""
+    """The stations of ``order`` as a cut of the instance's channel table
+    (:meth:`~repacksim.model.Instance.channel_table`): ``rows`` holds each
+    station's row of ``(channel, bit, partners, clashes)`` entries, the
+    table's own tuple unless the station's ``hint`` channel moves to its
+    front, and ``rank`` maps each position of the instance to the station's
+    index in ``order``, -1 for a station outside it. Enumeration
+    (:func:`~repacksim.feasibility.check_exhaustive`) reads the same cut."""
 
-    __slots__ = ("order", "options", "universe")
+    __slots__ = ("order", "rows", "rank")
 
     def __init__(
         self,
@@ -69,34 +70,28 @@ class PackingModel:
         hint: Mapping[StationId, Channel] | None = None,
     ) -> None:
         self.order = list(order)
-        self.universe = inst.channel_universe
         table = inst.channel_table(ct)
-        positions = [inst.position(sid) for sid in self.order]
-        # the local index of each station of the instance in the model
-        local = {pos: i for i, pos in enumerate(positions)}
-        self.options = []
-        for sid, pos in zip(self.order, positions):
-            opts = [
-                (bit, ch, tuple([(local[p], b) for p, b in clashes if p in local]))
-                for ch, bit, _, clashes in table[pos]
-            ]
-            hinted = hint.get(sid) if hint is not None else None
-            for k, option in enumerate(opts):
-                if option[1] == hinted:
-                    opts.insert(0, opts.pop(k))
-                    break
-            self.options.append(opts)
+        self.rank = [-1] * len(table)
+        self.rows = []
+        for i, sid in enumerate(self.order):
+            pos = inst.position(sid)
+            self.rank[pos] = i
+            row = table[pos]
+            if hint and sid in hint:
+                k = next((k for k, entry in enumerate(row) if entry[0] == hint[sid]), 0)
+                if k:
+                    row = (row[k], *row[:k], *row[k + 1 :])
+            self.rows.append(row)
 
     @property
     def clauses(self) -> list[tuple[StationChannel, StationChannel]]:
         """Each forbidden pair among the stations once, from its lower pair,
-        in station then option order."""
-        pairs = []
-        for sid, opts in zip(self.order, self.options):
-            for _, ch, clash in opts:
-                for j, bit in clash:
-                    other = (self.order[j], self.universe[bit.bit_length() - 1])
-                    if other > (sid, ch):
+        in station then row order."""
+        rank, pairs = self.rank, []
+        for sid, row in zip(self.order, self.rows):
+            for ch, _, partners, clashes in row:
+                for other, (pos, _) in zip(partners, clashes):
+                    if rank[pos] >= 0 and other > (sid, ch):
                         pairs.append(((sid, ch), other))
         return pairs
 
@@ -106,20 +101,22 @@ def search(model: PackingModel, counter: NodeCounter) -> Assignment | None:
     its stations in the order they were decided; None when there is none.
 
     The next station to decide is the undecided one with the fewest channels
-    left, the lower index in ``model.order`` breaking ties. Its options are
-    tried in order. Assigning a channel removes the channels it rules out
-    from undecided stations, and a station left with none ends the branch.
-    Every option tried spends one node of ``counter``;
+    left, the lower index in ``model.order`` breaking ties. Its channels are
+    tried in the order of its row. Assigning a channel removes the channels
+    it rules out from undecided stations, and a station left with none ends
+    the branch. Every channel tried spends one node of ``counter``;
     :class:`ResourceLimitError` is raised when none are left.
     """
-    order, options = model.order, model.options
+    order, rows, rank = model.order, model.rows, model.rank
     n = len(order)
-    avail = [sum(bit for bit, _, _ in opts) for opts in options]
+    # The last slot stands for every station outside the model (rank -1):
+    # it shows no channels, so a clash with one removes nothing.
+    avail = [sum(bit for _, bit, _, _ in row) for row in rows] + [0]
     score = [avail[i].bit_count() * n + i for i in range(n)]
     undecided = set(range(n))
     left = counter.remaining
     # One frame per decided station: [station, its channels, its untried
-    # options, what its current channel removed, its current channel].
+    # entries, what its current channel removed, its current channel].
     stack: list[list] = []
     while undecided:
         i = min(map(score.__getitem__, undecided)) % n
@@ -127,7 +124,7 @@ def search(model: PackingModel, counter: NodeCounter) -> Assignment | None:
         mask = avail[i]
         # A decided station shows no channels, so restricting skips it.
         avail[i] = 0
-        stack.append([i, mask, iter(options[i]), (), None])
+        stack.append([i, mask, iter(rows[i]), (), None])
         # Move the deepest frame on to its next channel, dropping frames that
         # have none left; the search fails when no frame is left.
         while stack:
@@ -136,7 +133,7 @@ def search(model: PackingModel, counter: NodeCounter) -> Assignment | None:
             for j, b in removed:
                 avail[j] |= b
                 score[j] += n
-            for bit, ch, clash in untried:
+            for ch, bit, _, clashes in untried:
                 if not mask & bit:
                     continue
                 left -= 1
@@ -145,14 +142,14 @@ def search(model: PackingModel, counter: NodeCounter) -> Assignment | None:
                 # Remove the channels (i, ch) rules out from undecided
                 # stations; a station left with none ends the branch.
                 removed = []
-                for pair in clash:
-                    j, b = pair
+                for pos, b in clashes:
+                    j = rank[pos]
                     c = avail[j]
                     if c & b:
                         c ^= b
                         avail[j] = c
                         score[j] -= n
-                        removed.append(pair)
+                        removed.append((j, b))
                         if not c:
                             break
                 else:

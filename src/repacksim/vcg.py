@@ -127,15 +127,6 @@ def _partition_check(
     return parts, nons
 
 
-def _components(inst: Instance, ct: ClearingTarget) -> list[list[StationId]]:
-    """The connected components of the interference graph, each in ascending
-    station order and in the order of their first stations."""
-    table, ids = inst.channel_table(ct), inst.station_ids()
-    # -1 has every bit set: each station may take any of its channels
-    parts = _parts(table, (1 << len(table)) - 1, [-1] * len(table))
-    return [[ids[g] for g in part] for part in parts]
-
-
 def _max_sum(
     table: _Table,
     ids: tuple[StationId, ...],

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import fields
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from repacksim import cli, vcg
 from repacksim.auction import AuctionConfig
 from repacksim.cli import main
 from repacksim.experiment import (
@@ -777,6 +779,20 @@ def test_cli_vcg_reports_an_opening_price_that_is_not_positive_and_finite(
     res = CliRunner().invoke(main, [*args, "--scoring", "unscored", f"--c0={c0}"])
     assert res.exit_code == 1
     assert res.output.splitlines() == ["Error: c0 must be positive and finite"]
+
+
+def test_cli_vcg_reports_a_benchmark_out_of_budget_in_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.txt").write_text(GOOD_INSTANCE)
+    (tmp_path / "values.txt").write_text(GOOD_VALUES)
+    # no option sets the budget; one table entry is too few for any part
+    monkeypatch.setattr(cli, "vcg_outcome", functools.partial(vcg.vcg_outcome, node_budget=1))
+    args = ["vcg", "--instance", "inst.txt", "--values", "values.txt", "--bar-c", "16"]
+    res = CliRunner().invoke(main, [*args, "--scoring", "unscored"])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "Error: packing search exceeded its node budget; raise node_budget for an exact answer"
+    ]
 
 
 def test_cli_run_reports_a_degenerate_instance_in_one_line(tmp_path):

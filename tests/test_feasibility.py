@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repacksim import auction, feasibility
+from repacksim.auction import AuctionConfig, run_auction
 from repacksim.feasibility import (
     Budget,
     EXHAUSTIVE_SPACE_LIMIT,
@@ -21,7 +24,12 @@ from repacksim.feasibility import (
     encode,
     solve,
 )
-from repacksim.instances import GeneratorParams, generate_instance
+from repacksim.instances import (
+    GeneratorParams,
+    ValueSamplerParams,
+    generate_instance,
+    sample_values,
+)
 from repacksim.model import (
     ClearingTarget,
     UnknownStationError,
@@ -89,7 +97,21 @@ def test_undeclared_packed_station_is_rejected(checker):
 
 
 def _channels(model):
-    return [[ch for _, ch, _ in opts] for opts in model.options]
+    return [[ch for ch, *_ in row] for row in model.rows]
+
+
+def _options(model):
+    """Each station's entries as ``(bit, channel, clash)``, with its clashes
+    mapped through ``rank`` to model indices and the stations outside the
+    model dropped: the rows of :func:`_reference_options`."""
+    rank = model.rank
+    return [
+        [
+            (bit, ch, tuple((rank[pos], b) for pos, b in clashes if rank[pos] >= 0))
+            for ch, bit, _, clashes in row
+        ]
+        for row in model.rows
+    ]
 
 
 def test_encode_one_station_two_channels():
@@ -204,7 +226,14 @@ def test_packing_model_matches_a_build_from_the_constraints(drawn):
     for ct, order, hint in cases + cases[:1]:
         model = PackingModel(inst, ct, order, hint)
         assert model.order == order
-        assert model.options == _reference_options(inst, ct, order, hint)
+        ids = inst.station_ids()
+        assert model.rank == [order.index(sid) if sid in order else -1 for sid in ids]
+        assert _options(model) == _reference_options(inst, ct, order, hint)
+        # a row whose first channel stays first is the table's own
+        table = inst.channel_table(ct)
+        for sid, row in zip(order, model.rows):
+            own = table[inst.position(sid)]
+            assert row is own or row[0] is not own[0]
         # sorted, so a pair listed twice or from its upper end shows
         assert sorted(model.clauses) == _reference_clauses(inst, ct, order)
 
@@ -260,6 +289,43 @@ def test_solve_respects_polarity_hint():
     # without the hint the lowest channel comes first
     plain = solve(PackingModel(inst, p.ct, [1, 2]), STEP_BUDGET)
     assert plain.verdict == Feasible({1: 14, 2: 14})
+
+
+#: The SAT searches of the drawn auction below: their number, their steps,
+#: and the sha256 of their verdicts' reprs, certificates in the order given.
+PINNED_SEARCHES = (52, 834, "018378c15bf8cc8e19fa9c6c482f973c44dcf0ebbd797a40cb0e26c530250858")
+
+
+def test_the_searches_of_a_drawn_auction_are_pinned(monkeypatch):
+    # the run_grid.py geometry at 30 stations, where the greedy presolve
+    # leaves the search both feasible and infeasible checks
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=30,
+            channel_lo=14,
+            channel_hi=18,
+            co_channel_radius=0.35,
+            adjacent_channel_radius=0.1,
+            seed=5,
+        )
+    )
+    values = sample_values(inst, ValueSamplerParams(seed=5))
+    results = []
+
+    def recorded(model, budget):
+        results.append(solve(model, budget))
+        return results[-1]
+
+    monkeypatch.setattr(feasibility, "solve", recorded)
+    # a verdict memoized by an earlier auction would skip its search
+    auction._VERDICTS.clear()
+    run_auction(inst, values, AuctionConfig(ClearingTarget(17), seed=5))
+    verdicts = repr([r.verdict for r in results]).encode()
+    assert (
+        len(results),
+        sum(r.steps for r in results),
+        hashlib.sha256(verdicts).hexdigest(),
+    ) == PINNED_SEARCHES
 
 
 # ---------------------------------------------------------------- checkers

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -23,6 +24,26 @@ def test_the_readme_demo_writes_every_record(tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 + 25
     assert (out / "records.json").exists()
     assert capsys.readouterr().out.startswith("cell summaries")
+
+
+#: sha256 of the outputs of ``run_grid.py --seed 7 --stations 30``, the
+#: config whose SAT and enumeration checks are the largest of the demos.
+PINNED_30_STATION_DIGESTS = {
+    "records.csv": "0603fc4b09ccc91755a7ee9488265f9775e933ca782ec3bfeb56b67c5e3af082",
+    "records.json": "d1baada6c2678e5d0b2c459c33cb7959b0f7785d8db8f77d69edcb86b48a71cc",
+}
+
+
+def test_the_30_station_config_writes_pinned_bytes(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "grid30"
+    argv = ["run_grid.py", "--seed", "7", "--stations", "30", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert run_grid.main() == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in PINNED_30_STATION_DIGESTS
+    }
+    assert digests == PINNED_30_STATION_DIGESTS
 
 
 @pytest.mark.parametrize(

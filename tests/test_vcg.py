@@ -268,6 +268,18 @@ def _graph_components(inst, ct):
     return components
 
 
+def _solved_components(inst, ct):
+    """The parts that ``vcg_outcome`` hands max-sum when every station is a
+    participant, each in ascending position order, in the order solved. No
+    part is conditioned, so they are the interference components."""
+    solved, refused, spy = _spying_max_sum()
+    ids = inst.station_ids()
+    with mock.patch.object(vcg, "_max_sum", spy):
+        vcg_outcome(inst, dict.fromkeys(ids, 1.0), ids, [], ct)
+    assert refused == []
+    return solved
+
+
 @pytest.mark.parametrize("n", [10, 15, 20])
 @pytest.mark.parametrize("seed", range(1, 5))
 @pytest.mark.parametrize("bar_c", [15, 17])
@@ -284,7 +296,7 @@ def test_components_are_those_of_the_interference_graph(n, seed, bar_c):
         )
     )
     ct = ClearingTarget(bar_c)
-    assert vcg._components(inst, ct) == _graph_components(inst, ct)
+    assert _solved_components(inst, ct) == _graph_components(inst, ct)
 
 
 def test_components_of_stations_without_conflicts_or_channels():
@@ -295,8 +307,8 @@ def test_components_of_stations_without_conflicts_or_channels():
         [(3, 14, 3, 15), (3, 15, 6, 15), (2, 20, 4, 20), (4, 14, 5, 14)],
     )
     ct = ClearingTarget(17)
-    assert vcg._components(inst, ct) == _graph_components(inst, ct)
-    assert vcg._components(inst, ct) == [[1], [2], [3, 6], [4, 5]]
+    solved = _solved_components(inst, ct)
+    assert solved == _graph_components(inst, ct) == [[1], [2], [3, 6], [4, 5]]
 
 
 def _grid_sized_case(seed):
@@ -432,26 +444,29 @@ def test_max_sum_and_branch_and_bound_agree_on_forced_draws(seed, n, channels, f
 
 def _spying_max_sum():
     """A stand-in for ``vcg._max_sum`` that records the stations of each
-    part whose tables do not fit, so that it is conditioned on a station."""
-    refused = []
+    part it solves, as a list in position order, and of each part whose
+    tables do not fit, so that it is conditioned on a station."""
+    solved, refused = [], []
 
     def spy(table, ids, part, *args):
-        solved = _max_sum(table, ids, part, *args)
-        if solved is None:
+        packed = _max_sum(table, ids, part, *args)
+        if packed is None:
             refused.append(frozenset(ids[g] for g in part))
-        return solved
+        else:
+            solved.append([ids[g] for g in part])
+        return packed
 
     _max_sum = vcg._max_sum
-    return refused, spy
+    return solved, refused, spy
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_grid_sized_components_take_max_sum(seed):
     inst, values, parts, nons, ct = _grid_sized_case(seed)
-    refused, spy = _spying_max_sum()
+    _, refused, spy = _spying_max_sum()
     with mock.patch.object(vcg, "_max_sum", spy):
         vcg_outcome(inst, values, parts, nons, ct)
-    assert max(map(len, vcg._components(inst, ct))) >= 16
+    assert max(map(len, _graph_components(inst, ct))) >= 16
     assert refused == []
 
 
@@ -460,11 +475,11 @@ def test_a_component_over_the_entry_limit_takes_branch_and_bound():
     # so under a limit of 1,000 only the largest is conditioned on a
     # station: it branches on that station's states, with no bound.
     inst, values, parts, nons, ct = _grid_sized_case(0)
-    refused, spy = _spying_max_sum()
+    _, refused, spy = _spying_max_sum()
     with mock.patch.object(vcg, "_max_sum", spy):
         with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 1_000):
             mixed = vcg_outcome(inst, values, parts, nons, ct)
-    largest = frozenset(max(vcg._components(inst, ct), key=len))
+    largest = frozenset(max(_graph_components(inst, ct), key=len))
     # the whole component first, then only parts of it
     assert refused[0] == largest
     assert all(part < largest for part in refused[1:])
