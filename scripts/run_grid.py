@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repacksim.cli import _check_writable
 from repacksim.experiment import (
     ExperimentConfig,
     report_text,
@@ -49,6 +50,10 @@ def main() -> int:
     except ValueError as exc:
         # one line and exit 1; exit 2 means some records are incomparable
         sys.exit(f"run_grid.py: {exc}")
+    try:
+        _check_writable(cfg.out_dir)
+    except OSError as exc:
+        sys.exit(f"run_grid.py: cannot write {cfg.out_dir}: {exc}")
     result = run_experiment(cfg)
     csv_path, json_path = write_outputs(result, cfg.out_dir)
     print(report_text(result.rows), end="")

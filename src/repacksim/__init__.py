@@ -33,6 +33,7 @@ from .feasibility import (
     FeasibilityProblem,
     FeasibilityVerdict,
     Infeasible,
+    PackingModel,
     Timeout,
     check_exhaustive,
     check_greedy,
@@ -40,7 +41,6 @@ from .feasibility import (
     encode,
     solve,
 )
-from .search import PackingModel
 from .pricing import (
     ClockState,
     ScoringRule,

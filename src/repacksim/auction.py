@@ -68,6 +68,7 @@ from .feasibility import (
     FeasibilityProblem,
     FeasibilityVerdict,
     Infeasible,
+    PackingModel,
     SearchSpaceError,
     Timeout,
     check_exhaustive,
@@ -93,7 +94,6 @@ from .pricing import (
     offer_price,
     volumes_for,
 )
-from .search import PackingModel
 
 _TIEBREAK_STREAM = 3
 

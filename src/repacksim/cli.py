@@ -63,8 +63,7 @@ from .pricing import (
     ScoringRule,
     volumes_for,
 )
-from .search import ResourceLimitError
-from .vcg import vcg_outcome
+from .vcg import ResourceLimitError, vcg_outcome
 
 
 @click.group()

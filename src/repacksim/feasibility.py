@@ -8,35 +8,41 @@ Three checkers share one verdict contract:
   timeout, never infeasibility.
 * :func:`check_sat` is complete, in two layers as in SATFC (Frechette,
   Newman & Leyton-Brown, AAAI 2016): the greedy scan as a presolve, then
-  forward-checking search (:mod:`repacksim.search`) over every packed
-  station and the target, trying each packed station's current channel
-  first. It can also prove that no packing exists.
+  :func:`solve`, a forward-checking search over the packing model of every
+  packed station and the target (:func:`encode`), trying each packed
+  station's current channel first. It can also prove that no packing
+  exists.
 * :func:`check_exhaustive` enumerates joint assignments in lexicographic
   order and returns the first valid one; it is the small-scale ground truth
   the other checkers are measured against. It runs on bit masks of the
   channels each station has left, with forward checking, which skips only
   prefixes that no valid assignment extends.
 
-The greedy scan, the search's packing model and the exact benchmark
+The greedy scan, the packing model and the exact benchmark
 (:mod:`repacksim.vcg`) read each station's channels from the instance's
 channel table (:meth:`repacksim.model.Instance.channel_table`), built once
-per clearing target and kept as long as the instance. Enumeration reads the
-same cut of it as the search: the packing model's rows and rank array.
+per clearing target and kept as long as the instance. A
+:class:`PackingModel` is a cut of that table; enumeration reads the same cut
+as the search, and the initial packing's fallback searches one too. A
+search's limit is a count of steps, and running out of it is a
+:class:`Timeout` verdict, never an exception.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .model import (
     Assignment,
+    Channel,
     ClearingTarget,
     Instance,
+    StationChannel,
     StationId,
     validate_assignment,
 )
-from .search import NodeCounter, PackingModel, ResourceLimitError, search
 
 #: Exhaustive enumeration refuses joint search spaces larger than this.
 EXHAUSTIVE_SPACE_LIMIT = 10_000_000
@@ -47,7 +53,8 @@ class InvalidProblemError(ValueError):
 
 
 class SearchSpaceError(RuntimeError):
-    """The exhaustive checker refused a search space beyond its bound."""
+    """The exhaustive checker refused a search space beyond its bound, or the
+    initial packing's whole-set search ran out of steps undecided."""
 
 
 #: The step limit of a feasibility check unless a config sets another.
@@ -144,6 +151,50 @@ def check_greedy(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerd
     return Timeout() if certificate is None else Feasible(certificate)
 
 
+class PackingModel:
+    """The stations of ``order`` as a cut of the instance's channel table
+    (:meth:`~repacksim.model.Instance.channel_table`): ``rows`` holds each
+    station's row of ``(channel, bit, partners, clashes)`` entries, the
+    table's own tuple unless the station's ``hint`` channel moves to its
+    front, and ``rank`` maps each position of the instance to the station's
+    index in ``order``, -1 for a station outside it."""
+
+    __slots__ = ("order", "rows", "rank")
+
+    def __init__(
+        self,
+        inst: Instance,
+        ct: ClearingTarget,
+        order: Iterable[StationId],
+        hint: Mapping[StationId, Channel] | None = None,
+    ) -> None:
+        self.order = list(order)
+        table = inst.channel_table(ct)
+        self.rank = [-1] * len(table)
+        self.rows = []
+        for i, sid in enumerate(self.order):
+            pos = inst.position(sid)
+            self.rank[pos] = i
+            row = table[pos]
+            if hint and sid in hint:
+                k = next((k for k, entry in enumerate(row) if entry[0] == hint[sid]), 0)
+                if k:
+                    row = (row[k], *row[:k], *row[k + 1 :])
+            self.rows.append(row)
+
+    @property
+    def clauses(self) -> list[tuple[StationChannel, StationChannel]]:
+        """Each forbidden pair among the stations once, from its lower pair,
+        in station then row order."""
+        rank, pairs = self.rank, []
+        for sid, row in zip(self.order, self.rows):
+            for ch, _, partners, clashes in row:
+                for other, (pos, _) in zip(partners, clashes):
+                    if rank[pos] >= 0 and other > (sid, ch):
+                        pairs.append(((sid, ch), other))
+        return pairs
+
+
 def encode(problem: FeasibilityProblem) -> PackingModel:
     """The packing model of the packed stations plus the target, in station
     order, with each packed station's current channel as its first option."""
@@ -159,17 +210,79 @@ class SolveResult:
 
 
 def solve(model: PackingModel, budget: Budget) -> SolveResult:
-    """Search for a channel for every station of ``model`` and stop at the
-    first complete assignment, whose certificate lists the stations in
-    station order. Each channel tried is one step."""
-    counter = NodeCounter(budget.step_limit)
-    try:
-        found = search(model, counter)
-    except ResourceLimitError:
-        return SolveResult(Timeout(), counter.spent)
-    if found is None:
-        return SolveResult(Infeasible(), counter.spent)
-    return SolveResult(Feasible(dict(sorted(found.items()))), counter.spent)
+    """The first packing that puts every station of ``model`` on air, its
+    certificate listing the stations in station order; Infeasible when there
+    is none.
+
+    Depth-first search with forward checking (Haralick & Elliott, 1980),
+    written as one loop with an explicit stack, so its cost does not depend
+    on the caller's stack depth. The next station to decide is the undecided
+    one with the fewest channels left, the lower index in ``model.order``
+    breaking ties. Its channels are tried in the order of its row. Assigning
+    a channel removes the channels it rules out from undecided stations, and
+    a station left with none ends the branch. Each channel tried is one
+    step; the step past ``budget.step_limit`` ends the search in a Timeout.
+    """
+    order, rows, rank = model.order, model.rows, model.rank
+    n = len(order)
+    # The last slot stands for every station outside the model (rank -1):
+    # it shows no channels, so a clash with one removes nothing.
+    avail = [sum(bit for _, bit, _, _ in row) for row in rows] + [0]
+    score = [avail[i].bit_count() * n + i for i in range(n)]
+    undecided = set(range(n))
+    limit, steps = budget.step_limit, 0
+    # One frame per decided station: [station, its channels, its untried
+    # entries, what its current channel removed, its current channel].
+    stack: list[list] = []
+    while undecided:
+        i = min(map(score.__getitem__, undecided)) % n
+        undecided.discard(i)
+        mask = avail[i]
+        # A decided station shows no channels, so restricting skips it.
+        avail[i] = 0
+        stack.append([i, mask, iter(rows[i]), (), None])
+        # Move the deepest frame on to its next channel, dropping frames that
+        # have none left; the search fails when no frame is left.
+        while stack:
+            frame = stack[-1]
+            i, mask, untried, removed, _ = frame
+            for j, b in removed:
+                avail[j] |= b
+                score[j] += n
+            for ch, bit, _, clashes in untried:
+                if not mask & bit:
+                    continue
+                steps += 1
+                if steps > limit:
+                    return SolveResult(Timeout(), steps)
+                # Remove the channels (i, ch) rules out from undecided
+                # stations; a station left with none ends the branch.
+                removed = []
+                for pos, b in clashes:
+                    j = rank[pos]
+                    c = avail[j]
+                    if c & b:
+                        c ^= b
+                        avail[j] = c
+                        score[j] -= n
+                        removed.append((j, b))
+                        if not c:
+                            break
+                else:
+                    frame[3], frame[4] = removed, ch
+                    break
+                for j, b in removed:
+                    avail[j] |= b
+                    score[j] += n
+            else:
+                stack.pop()
+                avail[i] = mask
+                undecided.add(i)
+                continue
+            break
+        else:
+            return SolveResult(Infeasible(), steps)
+    return SolveResult(Feasible(dict(sorted((order[f[0]], f[4]) for f in stack))), steps)
 
 
 def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:

@@ -61,8 +61,9 @@ however they were found. :func:`restricted_optimal_value` gives the same
 restricted value by a cold solve of the forced problem.
 
 Node budget: a call spends the entries of every table it builds, in every
-part of every branch, from one counter, and pricing spends nothing more.
-The tables go with the call.
+part of every branch, from one :class:`NodeCounter`, and pricing spends
+nothing more. A call that would spend more than its budget raises
+:class:`ResourceLimitError`. The tables go with the call.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ from .model import (
     ValueProfile,
     station_sum,
 )
-from .search import NodeCounter as _NodeCounter
-from .search import ResourceLimitError
 
 #: :meth:`~repacksim.model.Instance.channel_table` for one clearing target.
 _Table = tuple[tuple[ChannelEntry, ...], ...]
@@ -98,6 +97,31 @@ DEFAULT_NODE_BUDGET = 1_000_000_000
 #: needs more is conditioned on a station. The largest component of one pass
 #: of the acceptance grid needs 239,428, 1.9 MB of float64.
 MAX_SUM_ENTRIES = 1 << 20
+
+
+class ResourceLimitError(RuntimeError):
+    """The exact benchmark ran out of its node budget; it never degrades to
+    an approximation."""
+
+
+class NodeCounter:
+    """The table entries a call has spent against its node budget."""
+
+    __slots__ = ("budget", "spent")
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.spent = 0
+
+    def spend(self, nodes: int) -> None:
+        """Spend ``nodes`` at once; :class:`ResourceLimitError` when fewer
+        are left."""
+        self.spent += nodes
+        if self.spent > self.budget:
+            # `run` records this text as the reason its rows are incomparable
+            raise ResourceLimitError(
+                f"exact benchmark exceeded its node budget of {self.budget} table entries"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,7 +158,7 @@ def _max_sum(
     allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
-    counter: _NodeCounter,
+    counter: NodeCounter,
 ) -> tuple[Assignment | None, dict[StationId, Assignment | None]] | None:
     """Exact max-value packing of the stations at positions ``part`` of
     ``table``, connected through the conflicts of their ``allowed``
@@ -409,7 +433,7 @@ def _solve(
     allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
-    counter: _NodeCounter,
+    counter: NodeCounter,
 ) -> tuple[Assignment | None, dict[StationId, Assignment | None]]:
     """:func:`_max_sum` of ``part``, conditioning on a station when its
     tables do not fit (see the module docstring); the same returns."""
@@ -459,7 +483,7 @@ def _join(
     allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
-    counter: _NodeCounter,
+    counter: NodeCounter,
     packing: Assignment,
 ) -> dict[StationId, Assignment | None]:
     """Solve each part of the stations ``within`` by :func:`_solve`, in the
@@ -547,7 +571,7 @@ def vcg_outcome(
     on the arguments alone.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
-    counter = _NodeCounter(node_budget)
+    counter = NodeCounter(node_budget)
     table, ids = inst.channel_table(ct), inst.station_ids()
     everyone = (1 << len(table)) - 1
     assignment: Assignment = {}

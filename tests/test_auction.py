@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repacksim import auction
 from repacksim.auction import (
     AuctionConfig,
+    AuctionOutcome,
     AuctionState,
     Bid,
     BidDecision,
@@ -221,6 +222,16 @@ def test_winner_paid_most_recent_accepted_offer():
     ]
     last_accepted = accepted[-1] if accepted else 10.0
     assert payment == last_accepted
+
+
+def test_cost_sums_the_winners_payments_in_station_order():
+    def outcome(winners):
+        return AuctionOutcome(winners, {}, tuple(winners), (), 0, 0, ())
+
+    assert outcome({}).cost() == 0
+    # 0.3 + 0.2 + 0.1 is 0.6; in station order the sum is 0.6000000000000001
+    cost = outcome({3: 0.3, 2: 0.2, 1: 0.1}).cost()
+    assert cost == 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 
 
 def test_payment_sequence_non_increasing_and_statuses_terminal():

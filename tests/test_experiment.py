@@ -160,6 +160,11 @@ def test_rows_from_json_rejects_other_strings_for_numbers():
         rows_from_json(bad)
 
 
+def test_rows_from_json_rejects_a_record_that_is_not_an_object():
+    with pytest.raises(ValueError, match="^record 0 is not an object$"):
+        rows_from_json('{"records": [3]}')
+
+
 def test_vcg_node_budget_marks_incomparable():
     result = run_experiment(small_config(vcg_node_budget=1))
     assert result.any_incomparable
@@ -167,6 +172,9 @@ def test_vcg_node_budget_marks_incomparable():
     assert "nan" in text
     rows = rows_from_json(records_json(result))
     assert all(r.incomparable for r in rows)
+    # the reason names the budget and its unit, not a setting
+    reason = "exact benchmark exceeded its node budget of 1 table entries"
+    assert [r.reason for r in rows] == [reason] * len(rows)
 
 
 def test_report_means_and_reference_point():
@@ -791,7 +799,7 @@ def test_cli_vcg_reports_a_benchmark_out_of_budget_in_one_line(tmp_path, monkeyp
     res = CliRunner().invoke(main, [*args, "--scoring", "unscored"])
     assert res.exit_code == 1
     assert res.output.splitlines() == [
-        "Error: packing search exceeded its node budget; raise node_budget for an exact answer"
+        "Error: exact benchmark exceeded its node budget of 1 table entries"
     ]
 
 

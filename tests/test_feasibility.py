@@ -15,6 +15,7 @@ from repacksim.feasibility import (
     FeasibilityProblem,
     Infeasible,
     InvalidProblemError,
+    PackingModel,
     SearchSpaceError,
     SolveResult,
     Timeout,
@@ -35,7 +36,6 @@ from repacksim.model import (
     UnknownStationError,
     validate_assignment,
 )
-from repacksim.search import PackingModel
 
 from conftest import mk_instance
 

@@ -32,6 +32,37 @@ def test_parse_sample():
     assert inst.station(2).population == 9000
 
 
+#: Malformed files and the exact error each raises: a parser, its text and
+#: the message.
+PARSE_ERRORS = [
+    (parse_instance, "CHANNELS 14 16\nCHANNELS 14 16\n", "line 2: duplicate CHANNELS line"),
+    (parse_instance, "CHANNELS 14\n", "line 1: CHANNELS expects two fields"),
+    (parse_instance, "CHANNELS 16 14\n", "line 1: empty channel range"),
+    (
+        parse_instance,
+        "CHANNELS 14 16\nSTATION 1 14 10 14\nCONSTRAINT 1 14 1\n",
+        "line 3: CONSTRAINT expects four fields",
+    ),
+    (
+        parse_instance,
+        "CHANNELS 14 16\nSTATION 1 14 10 14\nSTATION 2 15 10 15\nCONSTRAINT 1 15 2 15\n",
+        "line 4: channel 15 is outside the domain of station 1",
+    ),
+    (
+        parse_instance,
+        "CHANNELS 14 16\nSTATION 1 14 ten 14\n",
+        "line 2: invalid literal for int() with base 10: 'ten'",
+    ),
+    # checked on the whole instance, after every line is read
+    (
+        parse_instance,
+        "CHANNELS 14 16\nSTATION 1 20 10 20\n",
+        "station 1 domain channels [20] are outside the universe",
+    ),
+    (parse_values, "1 abc\n", "line 1: could not convert string to float: 'abc'"),
+]
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 3"):
         parse_instance("CHANNELS 14 16\nSTATION 1 14 10 14\nCONSTRAINT 1 14 9 14\n")
@@ -43,6 +74,10 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("STATION 1 14 10 14\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_instance("CHANNELS 14 16\nWIDGET 1\n")
+    for parse, text, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message, text
 
 
 def test_serialize_is_canonical_and_round_trips():
@@ -172,6 +207,8 @@ def test_sample_values_population_scaling():
 def test_sampler_param_validation():
     with pytest.raises(ValueError):
         ValueSamplerParams(log_sd=0.0)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        ValueSamplerParams(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["log_mean", "log_sd", "population_exponent"])

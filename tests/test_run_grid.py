@@ -62,3 +62,20 @@ def test_a_bad_argument_is_reported_in_one_line(tmp_path, monkeypatch, flags, me
     # a string exit code prints as one line and exits with status 1
     assert exc.value.code == f"run_grid.py: {message}"
     assert not out.exists()
+
+
+def test_an_out_under_a_regular_file_is_reported_before_the_run(tmp_path, monkeypatch):
+    (tmp_path / "file").write_text("a regular file\n")
+    out = tmp_path / "file" / "x"
+    argv = ["run_grid.py", "--stations", "4", "--profiles", "1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+
+    def refuse(cfg):
+        raise AssertionError("the experiment ran before its output path was checked")
+
+    monkeypatch.setattr(run_grid, "run_experiment", refuse)
+    with pytest.raises(SystemExit) as exc:
+        run_grid.main()
+    # one line and exit 1, as for a bad argument
+    assert exc.value.code.startswith(f"run_grid.py: cannot write {out}: ")
+    assert "Not a directory" in exc.value.code and "\n" not in exc.value.code

@@ -1,14 +1,22 @@
 """The feasibility checks' packing search runs in a loop, so its callers'
 stack depth is all the stack it needs, and it returns the first packing of
-every station or None."""
+every station or Infeasible."""
 
 import sys
 
 from repacksim.auction import CheckerKind, initial_assignment
-from repacksim.feasibility import Budget, Feasible, FeasibilityProblem, check_greedy, check_sat
+from repacksim.feasibility import (
+    Budget,
+    Feasible,
+    FeasibilityProblem,
+    Infeasible,
+    PackingModel,
+    check_greedy,
+    check_sat,
+    solve,
+)
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, validate_assignment
-from repacksim.search import NodeCounter, PackingModel, search
 from repacksim.vcg import optimal_packing
 
 from conftest import mk_instance
@@ -73,11 +81,11 @@ def test_the_search_returns_the_first_packing_or_none():
         [(1, {14}), (2, {14, 15}), (3, {14, 15, 16})],
         [(1, 14, 2, 14), (2, 15, 3, 15)],
     )
-    model = PackingModel(inst, ClearingTarget(17), [1, 2, 3])
-    counter = NodeCounter(100)
-    packing = search(model, counter)
+    result = solve(PackingModel(inst, ClearingTarget(17), [1, 2, 3]), Budget(100))
+    packing = result.verdict.certificate
     assert validate_assignment(packing, inst, ClearingTarget(17)) and len(packing) == 3
-    # one node per channel tried: 1 on 14, 2 on 15, 3 on 14
-    assert counter.spent == 3
+    # one step per channel tried: 1 on 14, 2 on 15, 3 on 14
+    assert result.steps == 3
     # under 15, stations 1 and 2 both have only channel 14
-    assert search(PackingModel(inst, ClearingTarget(15), [1, 2, 3]), NodeCounter(100)) is None
+    starved = solve(PackingModel(inst, ClearingTarget(15), [1, 2, 3]), Budget(100))
+    assert starved.verdict == Infeasible()

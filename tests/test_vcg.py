@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repacksim import search, vcg
+from repacksim import feasibility, vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
 from repacksim.model import ClearingTarget, UnpackableError, interference_graph, validate_assignment
@@ -369,7 +369,7 @@ def test_the_benchmark_reads_the_channel_table_without_a_packing_model():
     case = _grid_sized_case(0)
     shipped, conditioned = vcg_outcome(*case), _conditioned(*case)
     cut = mock.patch.object(
-        search.PackingModel, "__init__", side_effect=AssertionError("a packing model was cut")
+        feasibility.PackingModel, "__init__", side_effect=AssertionError("a packing model was cut")
     )
     with cut:
         assert vcg_outcome(*case) == shipped
