@@ -20,6 +20,7 @@ from repacksim.experiment import (
 )
 from repacksim.feasibility import DEFAULT_STEP_LIMIT
 from repacksim.instances import GeneratorParams
+from repacksim.model import UnpackableError
 
 
 def main() -> int:
@@ -54,7 +55,11 @@ def main() -> int:
         _check_writable(cfg.out_dir)
     except OSError as exc:
         sys.exit(f"run_grid.py: cannot write {cfg.out_dir}: {exc}")
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except UnpackableError as exc:
+        # a draw that no packing of the band holds: one line and exit 1
+        sys.exit(f"run_grid.py: {exc}")
     csv_path, json_path = write_outputs(result, cfg.out_dir)
     print(report_text(result.rows), end="")
     print(f"records: {csv_path}")

@@ -62,6 +62,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .feasibility import (
+    DECIDING_STEP_LIMIT,
     DEFAULT_STEP_LIMIT,
     Budget,
     Feasible,
@@ -109,10 +110,6 @@ _TIEBREAK_STREAM = 3
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
-
-# The whole-set fallback in initial packing gets a larger deterministic budget
-# than a single in-auction check.
-_FALLBACK_STEP_FLOOR = 1_000_000
 
 
 class CheckerKind(str, Enum):
@@ -330,7 +327,7 @@ def _whole_set_pack(
 ) -> Assignment:
     """Single joint solve used when station-by-station packing fails."""
     sids = sorted(sids)
-    steps = max(_FALLBACK_STEP_FLOOR, 20 * budget.step_limit)
+    steps = max(DECIDING_STEP_LIMIT, 20 * budget.step_limit)
     verdict = solve(PackingModel(inst, ct, sids), Budget(step_limit=steps)).verdict
     if isinstance(verdict, Feasible):
         return verdict.certificate

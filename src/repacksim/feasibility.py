@@ -12,25 +12,27 @@ Three checkers share one verdict contract:
   packed station and the target (:func:`encode`), trying each packed
   station's current channel first. It can also prove that no packing
   exists.
-* :func:`check_exhaustive` enumerates joint assignments in lexicographic
-  order and returns the first valid one; it is the small-scale ground truth
-  the other checkers are measured against. It runs on bit masks of the
-  channels each station has left, with forward checking, which skips only
-  prefixes that no valid assignment extends.
+* :func:`check_exhaustive` returns the lexicographically first valid joint
+  assignment; it is the small-scale ground truth the other checkers are
+  measured against.
 
-The greedy scan, the packing model and the exact benchmark
-(:mod:`repacksim.vcg`) read each station's channels from the instance's
-channel table (:meth:`repacksim.model.Instance.channel_table`), built once
-per clearing target and kept as long as the instance. A
-:class:`PackingModel` is a cut of that table; enumeration reads the same cut
-as the search, and the initial packing's fallback searches one too. A
-search's limit is a count of steps, and running out of it is a
-:class:`Timeout` verdict, never an exception.
+Both complete checkers run one search, depth-first with forward checking
+over bit masks of the channels each station has left, in two decision
+orders: :func:`solve` decides the station with the fewest channels left
+first, and enumeration decides the stations in id order. The greedy scan,
+the packing model and the exact benchmark (:mod:`repacksim.vcg`) read each
+station's channels from the instance's channel table
+(:meth:`repacksim.model.Instance.channel_table`), built once per clearing
+target and kept as long as the instance. A :class:`PackingModel` is a cut of
+that table, and every search runs over one, the initial packing's fallback
+included. A search's limit is a count of steps. Running out of it is a
+:class:`Timeout` verdict for a check that may time out; a search that must
+decide, enumeration or the initial packing's fallback, raises
+:class:`SearchSpaceError` instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -44,21 +46,22 @@ from .model import (
     validate_assignment,
 )
 
-#: Exhaustive enumeration refuses joint search spaces larger than this.
-EXHAUSTIVE_SPACE_LIMIT = 10_000_000
-
 
 class InvalidProblemError(ValueError):
     """The feasibility problem violates its structural invariants."""
 
 
 class SearchSpaceError(RuntimeError):
-    """The exhaustive checker refused a search space beyond its bound, or the
-    initial packing's whole-set search ran out of steps undecided."""
+    """A search that must decide ran out of steps undecided: the exhaustive
+    check, or the initial packing's whole-set search."""
 
 
 #: The step limit of a feasibility check unless a config sets another.
 DEFAULT_STEP_LIMIT = 50_000
+
+#: The step limit of a search that must decide: the exhaustive check's, and
+#: the least that the initial packing's whole-set search gets.
+DECIDING_STEP_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ class SolveResult:
     steps: int
 
 
-def solve(model: PackingModel, budget: Budget) -> SolveResult:
+def _search(model: PackingModel, step_limit: int, weight: int) -> SolveResult:
     """The first packing that puts every station of ``model`` on air, its
     certificate listing the stations in station order; Infeasible when there
     is none.
@@ -217,20 +220,23 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
     Depth-first search with forward checking (Haralick & Elliott, 1980),
     written as one loop with an explicit stack, so its cost does not depend
     on the caller's stack depth. The next station to decide is the undecided
-    one with the fewest channels left, the lower index in ``model.order``
-    breaking ties. Its channels are tried in the order of its row. Assigning
-    a channel removes the channels it rules out from undecided stations, and
-    a station left with none ends the branch. Each channel tried is one
-    step; the step past ``budget.step_limit`` ends the search in a Timeout.
+    one with the lowest score ``channels_left * weight + index``: a weight of
+    ``len(model.order)`` decides the station with the fewest channels left
+    first, the lower index breaking ties, and a weight of 0 decides the
+    stations in the order of ``model.order``. A station's channels are tried
+    in the order of its row. Assigning a channel removes the channels it
+    rules out from undecided stations, and a station left with none ends the
+    branch. Each channel tried is one step; the step past ``step_limit`` ends
+    the search in a Timeout.
     """
     order, rows, rank = model.order, model.rows, model.rank
     n = len(order)
     # The last slot stands for every station outside the model (rank -1):
     # it shows no channels, so a clash with one removes nothing.
     avail = [sum(bit for _, bit, _, _ in row) for row in rows] + [0]
-    score = [avail[i].bit_count() * n + i for i in range(n)]
+    score = [avail[i].bit_count() * weight + i for i in range(n)]
     undecided = set(range(n))
-    limit, steps = budget.step_limit, 0
+    steps = 0
     # One frame per decided station: [station, its channels, its untried
     # entries, what its current channel removed, its current channel].
     stack: list[list] = []
@@ -248,12 +254,12 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
             i, mask, untried, removed, _ = frame
             for j, b in removed:
                 avail[j] |= b
-                score[j] += n
+                score[j] += weight
             for ch, bit, _, clashes in untried:
                 if not mask & bit:
                     continue
                 steps += 1
-                if steps > limit:
+                if steps > step_limit:
                     return SolveResult(Timeout(), steps)
                 # Remove the channels (i, ch) rules out from undecided
                 # stations; a station left with none ends the branch.
@@ -264,7 +270,7 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
                     if c & b:
                         c ^= b
                         avail[j] = c
-                        score[j] -= n
+                        score[j] -= weight
                         removed.append((j, b))
                         if not c:
                             break
@@ -273,7 +279,7 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
                     break
                 for j, b in removed:
                     avail[j] |= b
-                    score[j] += n
+                    score[j] += weight
             else:
                 stack.pop()
                 avail[i] = mask
@@ -283,6 +289,12 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
         else:
             return SolveResult(Infeasible(), steps)
     return SolveResult(Feasible(dict(sorted((order[f[0]], f[4]) for f in stack))), steps)
+
+
+def solve(model: PackingModel, budget: Budget) -> SolveResult:
+    """The search (:func:`_search`) deciding the station with the fewest
+    channels left first, within ``budget``'s step limit."""
+    return _search(model, budget.step_limit, len(model.order))
 
 
 def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:
@@ -297,63 +309,25 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
 
 
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:
-    """Enumerate all joint channel assignments in lexicographic order: the
-    stations in id order, each station's channels ascending. Returns the
-    lexicographically first valid certificate, otherwise Infeasible; never
-    times out.
+    """The lexicographically first valid certificate, the stations in id
+    order and each station's channels ascending; otherwise Infeasible.
 
-    Each station's channels ruled out by the choices before it are a
-    ``blocked`` mask. A choice blocks its clashes at the later stations of
-    the problem and is undone at once when it blocks every channel of one of
-    them (forward checking); such a prefix has no valid completion, so the
-    first certificate is the one plain enumeration finds.
-
-    Refuses search spaces whose domain-size product exceeds
-    :data:`EXHAUSTIVE_SPACE_LIMIT`.
+    This is the search of :func:`solve` deciding the stations in id order
+    over the model with no hint: lexicographic enumeration with forward
+    checking, which skips only prefixes that no valid assignment extends, so
+    its first certificate is the one plain enumeration finds. It never times
+    out: a search still undecided after :data:`DECIDING_STEP_LIMIT` steps
+    raises :class:`SearchSpaceError`.
     """
-    sids = problem.station_set()
-    cut = PackingModel(problem.inst, problem.ct, sids)
-    rows, rank = cut.rows, cut.rank
-    space = math.prod(len(row) for row in rows)
-    if space > EXHAUSTIVE_SPACE_LIMIT:
-        raise SearchSpaceError(
-            f"joint search space {space} exceeds the enumeration bound "
-            f"{EXHAUSTIVE_SPACE_LIMIT}"
-        )
-    if not space:
-        # a station with no channel in the band, which no choice can block
+    model = PackingModel(problem.inst, problem.ct, problem.station_set())
+    if not all(model.rows):
+        # a station with no channel in the band, which the search in station
+        # order would reach only after every choice of the stations before it
         return Infeasible()
-    n = len(rows)
-    full = [sum(bit for _, bit, _, _ in row) for row in rows]
-    blocked = [0] * n
-    chosen = [0] * n  # the option each station holds
-    marks = [0] * n  # the trail's length before each station's choice
-    trail: list[tuple[int, int]] = []  # (station, mask before) per narrowing
-    i = k = 0
-    while i < n:
-        row, mask = rows[i], blocked[i]
-        while k < len(row) and row[k][1] & mask:
-            k += 1
-        if k < len(row):
-            chosen[i], marks[i] = k, len(trail)
-            for pos, bit in row[k][3]:
-                j = rank[pos]
-                if j > i and not blocked[j] & bit:
-                    trail.append((j, blocked[j]))
-                    blocked[j] |= bit
-                    if blocked[j] == full[j]:
-                        break
-            else:
-                i, k = i + 1, 0
-                continue
-        elif i:
-            i -= 1
-        else:
-            return Infeasible()
-        # undo station i's choice, latest narrowing first, and try its next
-        k = chosen[i] + 1
-        mark = marks[i]
-        while len(trail) > mark:
-            j, mask = trail.pop()
-            blocked[j] = mask
-    return Feasible({sid: rows[i][chosen[i]][0] for i, sid in enumerate(sids)})
+    # not through solve, so that a wrapper counting SAT searches sees no other
+    verdict = _search(model, DECIDING_STEP_LIMIT, 0).verdict
+    if isinstance(verdict, Timeout):
+        raise SearchSpaceError(
+            f"enumeration undecided within {DECIDING_STEP_LIMIT} steps"
+        )
+    return verdict

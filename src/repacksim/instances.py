@@ -100,9 +100,11 @@ def _tokenize(text: str):
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance file. Raises :class:`ParseError` with a line number on
-    malformed lines, unknown stations, or duplicate declarations."""
+    malformed lines, unknown stations, duplicate declarations, or channels
+    outside the CHANNELS range."""
     channels: tuple[int, int] | None = None
     stations: dict[StationId, Station] = {}
+    station_lines: dict[StationId, int] = {}
     raw_constraints: list[tuple[int, int, int, int, int]] = []
 
     for lineno, tok in _tokenize(text):
@@ -127,6 +129,7 @@ def parse_instance(text: str) -> Instance:
                 if sid in stations:
                     raise ParseError(f"line {lineno}: duplicate station id {sid}")
                 stations[sid] = Station(sid, domain, pop, pre)
+                station_lines[sid] = lineno
             elif kind == "CONSTRAINT":
                 if len(tok) != 5:
                     raise ParseError(f"line {lineno}: CONSTRAINT expects four fields")
@@ -142,6 +145,15 @@ def parse_instance(text: str) -> Instance:
 
     if channels is None:
         raise ParseError("missing CHANNELS line")
+
+    lo, hi = channels
+    for sid, station in stations.items():
+        extra = sorted(ch for ch in station.domain if not lo <= ch <= hi)
+        if extra:
+            raise ParseError(
+                f"line {station_lines[sid]}: station {sid} domain channels {extra} "
+                f"are outside the CHANNELS range {lo}-{hi}"
+            )
 
     constraints = set()
     for lineno, s1, c1, s2, c2 in raw_constraints:
@@ -159,7 +171,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
 
-    universe = tuple(range(channels[0], channels[1] + 1))
+    universe = tuple(range(lo, hi + 1))
     try:
         return Instance(tuple(stations.values()), frozenset(constraints), universe)
     except ValueError as exc:

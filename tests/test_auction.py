@@ -120,10 +120,10 @@ def test_initial_assignment_reports_a_fallback_left_undecided(monkeypatch):
         [(a, c, b, c) for a in range(5) for b in range(a + 1, 5) for c in chans],
     )
     ct, budget = ClearingTarget(18), Budget(step_limit=1)
-    monkeypatch.setattr(auction, "_FALLBACK_STEP_FLOOR", 20)
+    monkeypatch.setattr(auction, "DECIDING_STEP_LIMIT", 20)
     with pytest.raises(SearchSpaceError, match="undecided within the fallback budget"):
         initial_assignment(inst, range(5), ct, CheckerKind.GREEDY, budget)
-    monkeypatch.setattr(auction, "_FALLBACK_STEP_FLOOR", 64)
+    monkeypatch.setattr(auction, "DECIDING_STEP_LIMIT", 64)
     with pytest.raises(UnpackableError):
         initial_assignment(inst, range(5), ct, CheckerKind.GREEDY, budget)
 

@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from repacksim import auction, feasibility
 from repacksim.auction import AuctionConfig, run_auction
 from repacksim.feasibility import (
     Budget,
-    EXHAUSTIVE_SPACE_LIMIT,
     Feasible,
     FeasibilityProblem,
     Infeasible,
@@ -338,14 +336,30 @@ def test_check_sat_empty_reduced_domain_is_infeasible():
     assert check_exhaustive(p) == Infeasible()
 
 
-def test_exhaustive_refuses_oversized_spaces():
+def test_exhaustive_decides_an_unconstrained_space_in_one_step_per_station(monkeypatch):
+    # 16**7 joint assignments with no constraint: the first channel of each
+    # station fits, so enumeration takes 7 steps, and refuses with 6
     chans = set(range(14, 30))
     inst = mk_instance([(i, chans) for i in range(7)], universe=chans)
     packed = {i: 14 for i in range(1, 7)}
     p = FeasibilityProblem(0, packed, inst, ClearingTarget(30))
-    assert 16**7 > EXHAUSTIVE_SPACE_LIMIT
-    with pytest.raises(SearchSpaceError):
+    monkeypatch.setattr(feasibility, "DECIDING_STEP_LIMIT", 7)
+    assert list(check_exhaustive(p).certificate.items()) == [(i, 14) for i in range(7)]
+    monkeypatch.setattr(feasibility, "DECIDING_STEP_LIMIT", 6)
+    with pytest.raises(SearchSpaceError, match="enumeration undecided within 6 steps"):
         check_exhaustive(p)
+
+
+def test_exhaustive_does_not_reach_the_sat_search(monkeypatch):
+    # enumeration runs the search under a private name, so a wrapper on
+    # ``solve`` (the benchmark's SAT counters hook one) sees SAT searches only
+    def refuse(model, budget):
+        raise AssertionError("check_exhaustive called feasibility.solve")
+
+    monkeypatch.setattr(feasibility, "solve", refuse)
+    inst = mk_instance([(1, {14, 15}), (2, {14, 15})], [(1, 14, 2, 14)])
+    p = FeasibilityProblem(2, {1: 14}, inst, ClearingTarget(16))
+    assert check_exhaustive(p) == Feasible({1: 14, 2: 15})
 
 
 def test_exhaustive_returns_lexicographically_first():
@@ -487,16 +501,10 @@ def _reference_sat(problem):
 def _reference_exhaustive(problem):
     """Lexicographic enumeration on a dict of the channels chosen so far, one
     recursive call per station, testing each channel against every partner
-    already chosen."""
+    already chosen. It never refuses."""
     inst, ct = problem.inst, problem.ct
     sids = problem.station_set()
     domains = [sorted(ct.reduced(inst.station(sid).domain)) for sid in sids]
-    space = math.prod(len(d) for d in domains)
-    if space > EXHAUSTIVE_SPACE_LIMIT:
-        raise SearchSpaceError(
-            f"joint search space {space} exceeds the enumeration bound "
-            f"{EXHAUSTIVE_SPACE_LIMIT}"
-        )
     conflicts = inst.conflicts_in_band(ct)
     chosen = {}
 
@@ -581,7 +589,9 @@ def test_checkers_match_their_references_on_two_targets(problems):
 
 @given(st.lists(st.integers(1, 5), min_size=6, max_size=14), st.integers(0, 13))
 @settings(max_examples=100, deadline=None)
-def test_exhaustive_refuses_what_the_reference_refuses(sizes, at):
+def test_exhaustive_decides_every_drawn_space_as_the_reference_does(sizes, at):
+    # joint spaces of up to 5**14 assignments, which a bound on their size
+    # would refuse; the steps enumeration takes do not grow with them
     universe = tuple(range(14, 19))
     stations = [(sid, set(universe[:size])) for sid, size in enumerate(sizes)]
     # conflicts off channel 14, where every station is packed
@@ -592,18 +602,26 @@ def test_exhaustive_refuses_what_the_reference_refuses(sizes, at):
     target = at % len(sizes)
     packed = {sid: 14 for sid in range(len(sizes)) if sid != target}
     p = FeasibilityProblem(target, packed, inst, ClearingTarget(19))
-    assert _outcome(check_exhaustive, p) == _outcome(_reference_exhaustive, p)
-
-
-@pytest.mark.parametrize("fives, refused", [(7, False), (8, True)])
-def test_exhaustive_searches_a_space_at_the_bound(fives, refused):
-    # seven stations of two channels and ``fives`` of five: 10**7 is the bound
-    universe = (14, 15, 16, 17, 18)
-    stations = [(sid, {14, 15}) for sid in range(7)]
-    stations += [(sid, set(universe)) for sid in range(7, 7 + fives)]
-    inst = mk_instance(stations, [(0, 14, 1, 14)], universe=universe)
-    packed = {sid: 14 for sid in range(1, 7 + fives)}
-    p = FeasibilityProblem(0, packed, inst, ClearingTarget(19))
     outcome = _outcome(check_exhaustive, p)
+    assert outcome[0] != "SearchSpaceError"
     assert outcome == _outcome(_reference_exhaustive, p)
-    assert (outcome[0] == "SearchSpaceError") == refused
+
+
+@pytest.mark.parametrize("limit, refused", [(13_699, False), (13_698, True)])
+def test_exhaustive_refuses_past_its_step_limit(monkeypatch, limit, refused):
+    # pigeonhole: 8 stations on 7 shared channels, every pair clashing on
+    # every channel. Enumeration needs 7 + 7*6 + ... + 7! = 13,699 steps to
+    # prove that no packing exists.
+    chans = set(range(14, 21))
+    inst = mk_instance(
+        [(s, chans) for s in range(8)],
+        [(a, c, b, c) for a in range(8) for b in range(a + 1, 8) for c in chans],
+    )
+    packed = {s: 13 + s for s in range(1, 8)}
+    p = FeasibilityProblem(0, packed, inst, ClearingTarget(21))
+    monkeypatch.setattr(feasibility, "DECIDING_STEP_LIMIT", limit)
+    outcome = _outcome(check_exhaustive, p)
+    if refused:
+        assert outcome == ("SearchSpaceError", f"enumeration undecided within {limit} steps")
+    else:
+        assert outcome == ("Infeasible", None) == _outcome(_reference_exhaustive, p)

@@ -53,11 +53,16 @@ PARSE_ERRORS = [
         "CHANNELS 14 16\nSTATION 1 14 ten 14\n",
         "line 2: invalid literal for int() with base 10: 'ten'",
     ),
-    # checked on the whole instance, after every line is read
+    # checked after every line is read, as the CHANNELS line may come later
     (
         parse_instance,
         "CHANNELS 14 16\nSTATION 1 20 10 20\n",
-        "station 1 domain channels [20] are outside the universe",
+        "line 2: station 1 domain channels [20] are outside the CHANNELS range 14-16",
+    ),
+    (
+        parse_instance,
+        "STATION 1 14 10 14\nSTATION 2 13 10 13,14\nCHANNELS 14 16\n",
+        "line 2: station 2 domain channels [13] are outside the CHANNELS range 14-16",
     ),
     (parse_values, "1 abc\n", "line 1: could not convert string to float: 'abc'"),
 ]

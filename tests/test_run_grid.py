@@ -46,6 +46,30 @@ def test_the_30_station_config_writes_pinned_bytes(tmp_path, monkeypatch, capsys
     assert digests == PINNED_30_STATION_DIGESTS
 
 
+def test_a_30_station_draw_past_the_old_enumeration_bound_is_comparable(tmp_path, monkeypatch):
+    # one exhaustive check of seed 1 has a joint space of 25,509,168
+    # assignments; enumeration decides it in 598 steps, so no record is lost
+    out = tmp_path / "grid30"
+    argv = ["run_grid.py", "--seed", "1", "--stations", "30", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert run_grid.main() == 0
+    rows = (out / "records.csv").read_text().splitlines()[1:]
+    # an incomparable row reads nan for its cost fraction and loss ratio
+    assert len(rows) == 25 and not any("nan" in row for row in rows)
+
+
+def test_an_unpackable_draw_is_reported_in_one_line(tmp_path, monkeypatch):
+    out = tmp_path / "grid30"
+    argv = ["run_grid.py", "--seed", "10", "--stations", "30", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        run_grid.main()
+    assert exc.value.code == (
+        "run_grid.py: stations [3, 6, 12, 14, 17, 23] cannot be jointly packed "
+        "in the reduced band"
+    )
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
