@@ -14,8 +14,11 @@ deterministic: checker budgets count search steps, not seconds.
 
 Every processed bid goes into the round log as an immutable named tuple
 (``ProcessedBid``, grouped per round in ``RoundRecord``) holding plain
-strings. The round loop keeps the active stations in station order: those
-whose processed bid left them active. An active station accepted every offer
+strings. The round loop itself plays on plain tuples: a played round is kept
+as plain rows in those fields' order and wrapped into the named tuples on
+the log's first read, so an auction whose log nobody reads never builds them.
+The round loop keeps the active stations in station order: those whose
+processed bid left them active. An active station accepted every offer
 so far, so its price reduction is its last accepted price minus its new offer.
 
 The clock advances from event to event (next-event time advance). A round
@@ -202,8 +205,10 @@ class _QuietStretch(NamedTuple):
 
 
 class RoundLog(Sequence):
-    """One auction's round log: its played rounds and its skipped quiet
-    stretches. The first read expands every stretch into the records its
+    """One auction's round log: its played rounds, as plain
+    ``(round_index, clock, rows, final_resolution)`` tuples of plain rows,
+    and its skipped quiet stretches. The first read wraps every played round
+    into its ``RoundRecord`` and expands every stretch into the records its
     rounds would have logged, so the log reads as the tuple of all its
     records: ``repr``, ``==``, ``len``, iteration and indexing agree with
     that tuple, and a slice is a tuple."""
@@ -212,7 +217,7 @@ class RoundLog(Sequence):
 
     def __init__(
         self,
-        parts: list[RoundRecord | _QuietStretch],
+        parts: list[tuple | _QuietStretch],
         length: int,
         vols: Mapping[StationId, float],
         clocks: tuple[float, ...],
@@ -228,7 +233,9 @@ class RoundLog(Sequence):
                 if type(part) is _QuietStretch:
                     records.extend(self._quiet_rounds(part))
                 else:
-                    records.append(part)
+                    round_index, clock, rows, final = part
+                    bids = tuple(map(ProcessedBid._make, rows))
+                    records.append(RoundRecord(round_index, clock, bids, final))
             self._records, self._parts = tuple(records), None
         return self._records
 
@@ -247,7 +254,7 @@ class RoundLog(Sequence):
                     for sid, _, reduction, offer in ordered
                 ),
             )
-            accepted = {bid.station: bid.offer for bid in bids}
+            accepted = {sid: offer for sid, _, _, offer in bids}
 
     def __len__(self) -> int:
         return self._length
@@ -456,7 +463,7 @@ _station = itemgetter(0)
 _reduction = itemgetter(2)
 
 
-def _processing_order(bids: list[Bid], seed: int, round_index: int) -> list[Bid]:
+def _processing_order(bids: list[tuple], seed: int, round_index: int) -> list[tuple]:
     """Sort bids by descending price reduction, breaking ties with a shuffle
     drawn per round index so the order never depends on map iteration
     order. A round without ties needs no shuffle: ranks could not change
@@ -476,17 +483,22 @@ def _round_bids(
     current: float,
     decided: Mapping[StationId, BidDecision],
     values: ValueProfile | None = None,
-) -> list[Bid]:
-    """One round's bids at clock ``current``, in station order. A station's
-    decision comes from ``decided``, else it bids truthfully on its value;
-    its price reduction is its price in ``accepted`` minus its new offer."""
+) -> list[tuple]:
+    """One round's bids at clock ``current``, in station order, as plain
+    tuples in ``Bid``'s field order. A station's decision comes from
+    ``decided``, else it bids truthfully on its value; its price reduction
+    is its price in ``accepted`` minus its new offer, which must be
+    non-negative as in ``Bid``."""
     bids = []
     for sid in active:
         offer = offer_price(vols[sid], current)
         decision = decided.get(sid)
         if decision is None:
             decision = truthful_bid(values[sid], offer)
-        bids.append(Bid(sid, decision, accepted[sid] - offer, offer))
+        reduction = accepted[sid] - offer
+        if not reduction >= 0:  # NaN fails too
+            raise ValueError("price reduction must be non-negative")
+        bids.append((sid, decision, reduction, offer))
     return bids
 
 
@@ -522,13 +534,15 @@ def _first_exit_round(c0: float, vol: float, value: float) -> int:
 
 
 def process_bids(
-    state: AuctionState, bids: list[Bid], seed: int, round_index: int
-) -> tuple[ProcessedBid, ...]:
+    state: AuctionState, bids: list[tuple], seed: int, round_index: int
+) -> tuple[tuple, ...]:
     """Process one round's bids in order. Each bid is checked against the
     packed set as it stands at that moment: exits repack immediately, so a
-    later bid in the same round sees the updated assignment."""
+    later bid in the same round sees the updated assignment. Returns plain
+    rows in ``ProcessedBid``'s field order, which the round log wraps on its
+    first read."""
     last_accepted = state.last_accepted
-    log: list[ProcessedBid] = []
+    log: list[tuple] = []
     for sid, decision, reduction, offer in _processing_order(bids, seed, round_index):
         verdict = state.check(sid)
         exiting = decision is EXIT
@@ -552,7 +566,7 @@ def process_bids(
             state.payments[sid] = payment
             new_status = _FROZEN
         log.append(
-            ProcessedBid(
+            (
                 sid,
                 _EXIT if exiting else _ACCEPT,
                 reduction,
@@ -608,7 +622,7 @@ def run_auction(
     }
     # active stations in station order; a station leaves once it exits or freezes
     active = sorted(participants)
-    parts: list[RoundRecord | _QuietStretch] = []
+    parts: list[tuple | _QuietStretch] = []
     round_index = 0  # the last round played or skipped
     # whether every active station holds a feasible verdict for the packed set
     settled = False
@@ -620,9 +634,9 @@ def run_auction(
             # then as good as holding: each station is re-checked in order,
             # and the packable ones exit while the rest freeze at zero.
             round_index += 1
-            bids = [Bid(sid, EXIT, 0.0, 0.0) for sid in active]
+            bids = [(sid, EXIT, 0.0, 0.0) for sid in active]
             processed = process_bids(state, bids, seed, round_index)
-            parts.append(RoundRecord(round_index, 0.0, processed, final_resolution=True))
+            parts.append((round_index, 0.0, processed, True))
             break
 
         hooked = [sid for sid in active if sid in strategies]
@@ -662,9 +676,9 @@ def run_auction(
         bids = _round_bids(active, vols, last_accepted, current, decided, values)
         packed = state.packed
         processed = process_bids(state, bids, seed, round_index)
-        parts.append(RoundRecord(round_index, current, processed))
+        parts.append((round_index, current, processed, False))
         settled = state.packed is packed
-        active = sorted([p.station for p in processed if p.new_status == _ACTIVE])
+        active = sorted([row[0] for row in processed if row[5] == _ACTIVE])
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
     return AuctionOutcome(

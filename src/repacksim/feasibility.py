@@ -241,7 +241,9 @@ def _search(model: PackingModel, step_limit: int, weight: int) -> SolveResult:
     # entries, what its current channel removed, its current channel].
     stack: list[list] = []
     while undecided:
-        i = min(map(score.__getitem__, undecided)) % n
+        # With weight 0 the undecided stations are the ones after the
+        # decided prefix, so the lowest index is the stack's length.
+        i = min(map(score.__getitem__, undecided)) % n if weight else len(stack)
         undecided.discard(i)
         mask = avail[i]
         # A decided station shows no channels, so restricting skips it.

@@ -1004,6 +1004,32 @@ def test_round_log_records_are_immutable():
             setattr(obj, name, None)
 
 
+def test_round_log_records_keep_their_types(monkeypatch):
+    # A plain tuple equals the named tuple with the same fields, so the
+    # comparisons against the reference auction cannot catch a played round
+    # whose rows were never wrapped.
+    _forget_memoized_work()
+    played = _played_rounds(monkeypatch)
+    log = _logged_auction(CheckerKind.SAT).round_log
+    indices = [rec.round_index for rec in log]
+    final = [rec.round_index for rec in log if rec.final_resolution]
+    # played rounds, skipped ones and a final resolution that was played
+    assert played and set(indices) - set(played)
+    assert final == [indices[-1]] and final[0] in played
+    for rec in log:
+        assert type(rec) is RoundRecord
+        assert type(rec.bids) is tuple and rec.bids
+        assert all(type(bid) is ProcessedBid for bid in rec.bids)
+
+
+@pytest.mark.parametrize("accepted", [4.0, math.nan], ids=["negative", "nan"])
+def test_round_bids_reject_a_price_reduction_that_is_not_non_negative(accepted):
+    # station 1's offer at clock 5 is 5.0: above a last accepted price of 4
+    for decided, values in (({1: BidDecision.ACCEPT}, None), ({}, {1: 0.0})):
+        with pytest.raises(ValueError, match="^price reduction must be non-negative$"):
+            auction._round_bids([1], {1: 1.0}, {1: accepted}, 5.0, decided, values)
+
+
 def test_bid_rejects_a_negative_price_reduction():
     with pytest.raises(ValueError, match="non-negative"):
         Bid(1, BidDecision.ACCEPT, price_reduction=-1.0, offer=5.0)
