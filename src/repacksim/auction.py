@@ -22,16 +22,18 @@ processed bid left them active. An active station accepted every offer
 so far, so its price reduction is its last accepted price minus its new offer.
 
 The clock advances from event to event (next-event time advance). A round
-is quiet when it does not follow an exit and no station decides to exit in
-it: every active station then already holds a feasible verdict for the
-packed set, so the round can only lower last accepted prices. The loop skips
-each quiet stretch in one step. A truthful station's first exit round comes
-from bisection over the memoized clock trajectory, since its offers only
-fall; a station with a strategy hook is asked once per round, and the
-decisions of the round that ends a stretch are carried into playing it. The
-round log (``RoundLog``) holds the played rounds and the skipped stretches
-and expands each stretch into its records on first read, so it reads as the
-tuple of every round's record.
+is quiet when no station decides to exit in it and every active station
+fits the packed set: its accept is then feasible and no bid changes the
+packed set, so the round can only lower last accepted prices. After a
+played round with no exit every active station already holds a feasible
+verdict; after an exit, the loop asks each active station the question its
+accept would ask. The loop skips each quiet stretch in one step. A truthful
+station's first exit round comes from bisection over the memoized clock
+trajectory, since its offers only fall; a station with a strategy hook is
+asked once per round, and the decisions of the round that ends a stretch
+are carried into playing it. The round log (``RoundLog``) holds the played
+rounds and the skipped stretches and expands each stretch into its records
+on first read, so it reads as the tuple of every round's record.
 
 Auctions on one instance repeat most of each other's work, so three pure
 computations are memoized in-process and shared across auctions: the
@@ -48,6 +50,10 @@ packed set whenever an exit replaces that set, building the key once per
 exit, and fills it on a miss; a later auction that reaches the same packed
 set finds the verdicts already there. A verdict from a table is shared and
 read-only; an exit copies the certificate it keeps as the packed assignment.
+An accept reads no certificate, so for a station that fits beside the
+packed set as it stands the table holds a shared "fits" marker, which reads
+as feasible, in place of the checker's verdict; an exit that finds the
+marker runs the checker and keeps its verdict instead.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ from .feasibility import (
     check_exhaustive,
     check_greedy,
     check_sat,
+    _fit_target,
     solve,
 )
 from .model import (
@@ -388,6 +395,9 @@ class _VerdictMemo:
     another order is another problem. Instances match by identity; a
     different one clears the memo. The least recently fetched table is evicted
     first; an auction that still holds it goes on filling it alone.
+
+    A table may hold the ``_FITS`` marker in place of a verdict, which only
+    accepting bids read (:meth:`AuctionState.check`).
     """
 
     def __init__(self, size: int) -> None:
@@ -415,6 +425,9 @@ class _VerdictMemo:
 
 _VERDICTS = _VerdictMemo(_VERDICT_MEMO_SIZE)
 
+#: What an accepting bid records for a station that fits (``AuctionState.check``).
+_FITS = Feasible({})
+
 
 @dataclass
 class AuctionState:
@@ -435,19 +448,31 @@ class AuctionState:
         default_factory=dict, init=False, repr=False
     )
 
-    def check(self, sid: StationId) -> FeasibilityVerdict:
+    def check(self, sid: StationId, accepting: bool = False) -> FeasibilityVerdict:
         """Feasibility of packing ``sid`` with the current packed set, from
         the shared verdict table of that set, which a miss fills. The table
         hands the same verdict to later auctions, so it is read-only: an exit
-        copies the certificate it keeps."""
+        copies the certificate it keeps.
+
+        An ``accepting`` bid reads no certificate, so it asks only whether
+        ``sid`` fits beside the packed set as it stands; if so, the table
+        records ``_FITS`` and no checker runs. Greedy and SAT say Feasible
+        from the same fit, and under exhaustive the fit is a packing, though
+        an enumeration undecided after ``DECIDING_STEP_LIMIT`` steps (no
+        workload comes near) would have raised. Any other check replaces the
+        marker with the checker's verdict, so exit certificates hold."""
         if self._keyed is not self.packed:
             packed = tuple(self.packed.items())
             key = (self.ct.bar_c, self.checker, self.budget.step_limit, packed)
             self._keyed, self._verdicts = self.packed, _VERDICTS.table(self.inst, key)
         verdict = self._verdicts.get(sid)
-        if verdict is None:
+        if verdict is None or (verdict is _FITS and not accepting):
             problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
-            verdict = self._verdicts[sid] = _run_checker(self.checker, problem, self.budget)
+            if accepting and _fit_target(problem) is not None:
+                verdict = _FITS
+            else:
+                verdict = _run_checker(self.checker, problem, self.budget)
+            self._verdicts[sid] = verdict
         return verdict
 
 
@@ -502,23 +527,13 @@ def _round_bids(
     return bids
 
 
-def _hook_decisions(
-    hooked: list[StationId],
-    strategies: Mapping[StationId, BidStrategy],
-    round_index: int,
-    vols: Mapping[StationId, float],
-    current: float,
-    values: ValueProfile,
-) -> dict[StationId, BidDecision]:
-    """Ask each hooked station, in station order, about its offer in one
-    round."""
-    decided = {}
-    for sid in hooked:
-        decision = strategies[sid](round_index, offer_price(vols[sid], current), values[sid])
-        if decision is not ACCEPT and decision is not EXIT:
-            decision = BidDecision(decision)  # "exit" is EXIT; junk raises
-        decided[sid] = decision
-    return decided
+def _hook_decisions(hooked: list[StationId], answers: list) -> dict[StationId, BidDecision]:
+    """The answers of the hooked stations, in station order, as decisions:
+    "exit" is EXIT, and junk raises."""
+    return {
+        sid: answer if answer is ACCEPT or answer is EXIT else BidDecision(answer)
+        for sid, answer in zip(hooked, answers)
+    }
 
 
 @lru_cache(maxsize=_EXIT_ROUND_MEMO_SIZE)
@@ -544,8 +559,8 @@ def process_bids(
     last_accepted = state.last_accepted
     log: list[tuple] = []
     for sid, decision, reduction, offer in _processing_order(bids, seed, round_index):
-        verdict = state.check(sid)
         exiting = decision is EXIT
+        verdict = state.check(sid, not exiting)
         payment = None
         cls = verdict.__class__
         if cls is Feasible:
@@ -639,40 +654,54 @@ def run_auction(
             parts.append((round_index, 0.0, processed, True))
             break
 
+        # the next round in which a truthful station decides to exit
+        event = min([exit_round[sid] for sid in active if sid in exit_round], default=horizon)
+        if not settled and event > round_index + 1:
+            # after an exit (or the initial packing) the next round is quiet
+            # too if every active station fits, which is all its accept asks
+            settled = all(state.check(sid, True).__class__ is Feasible for sid in active)
+        if not settled:
+            event = round_index + 1  # the next round is played
+        # Find the next round in which any station decides to exit; the
+        # rounds before it are quiet. A hooked station is asked once per
+        # round, and the decisions of the round that is played are kept.
         hooked = [sid for sid in active if sid in strategies]
-        decided = None
-        if settled:
-            # Find the next round in which a station decides to exit; the
-            # rounds before it are quiet.
-            event = min([exit_round[sid] for sid in active if sid in exit_round], default=horizon)
-            if hooked:
-                for r in range(round_index + 1, min(event + 1, horizon)):
-                    decided = _hook_decisions(hooked, strategies, r, vols, clocks[r], values)
-                    if r == event or EXIT in decided.values():
-                        event = r
-                        break
-                else:
-                    event, decided = horizon, None
-            if event > round_index + 1:
-                last = event - 1
-                parts.append(
-                    _QuietStretch(
-                        round_index + 1,
-                        last,
-                        tuple(active),
-                        {sid: last_accepted[sid] for sid in active},
-                    )
+        decided = {}
+        if hooked:
+            for r in range(round_index + 1, min(event + 1, horizon)):
+                current = clocks[r]
+                answers = [
+                    strategies[sid](r, offer_price(vols[sid], current), values[sid])
+                    for sid in hooked
+                ]
+                if r < event:
+                    for answer in answers:
+                        if answer is not ACCEPT:
+                            break
+                    else:
+                        continue  # every hooked station accepts
+                decided = _hook_decisions(hooked, answers)
+                if r == event or EXIT in decided.values():
+                    event = r
+                    break
+        if event > round_index + 1:
+            last = event - 1
+            parts.append(
+                _QuietStretch(
+                    round_index + 1,
+                    last,
+                    tuple(active),
+                    {sid: last_accepted[sid] for sid in active},
                 )
-                for sid in active:
-                    last_accepted[sid] = offer_price(vols[sid], clocks[last])
-                round_index = last
-                if event == horizon:
-                    continue  # the stretch ran into clock zero: the stall test is next
+            )
+            for sid in active:
+                last_accepted[sid] = offer_price(vols[sid], clocks[last])
+            round_index = last
+            if event == horizon:
+                continue  # the stretch ran into clock zero: the stall test is next
 
         round_index += 1
         current = clocks[round_index]
-        if decided is None:
-            decided = _hook_decisions(hooked, strategies, round_index, vols, current, values)
         bids = _round_bids(active, vols, last_accepted, current, decided, values)
         packed = state.packed
         processed = process_bids(state, bids, seed, round_index)

@@ -360,6 +360,23 @@ def test_strategy_decision_that_is_no_decision_raises():
         )
 
 
+def test_a_junk_decision_in_a_round_that_would_be_skipped_raises():
+    # neither station ever exits and both fit, so every round until clock
+    # zero is quiet: the hook's one junk answer falls in a skipped stretch
+    inst = mk_instance([(1, {14}), (2, {15})])
+
+    def junk_in_round_7(round_index, offer, value):
+        return "bogus" if round_index == 7 else BidDecision.ACCEPT
+
+    with pytest.raises(ValueError, match="bogus"):
+        run_auction(
+            inst,
+            {1: 0.0, 2: 0.0},
+            unscored_config(ClearingTarget(16), 10.0),
+            strategies={2: junk_in_round_7},
+        )
+
+
 def test_fcc_scoring_orders_processing_by_volume():
     # two stations, distinct volumes, both exit in the same round: the higher
     # volume one (bigger price reduction) is processed first
@@ -720,8 +737,9 @@ def test_a_quiet_stretch_into_clock_zero_ends_in_the_final_resolution(monkeypatc
     assert got.rounds == expected.rounds == horizon
     assert got.round_log == expected.round_log
     assert [rec.round_index for rec in got.round_log if rec.final_resolution] == [horizon]
-    # the first round, station 1's exit, the round after it and the resolution
-    assert played == [1, exit_round, exit_round + 1, horizon]
+    # station 1's exit and the resolution: the rounds before the exit and
+    # the ones after it are quiet, since station 2 fits beside station 1
+    assert played == [exit_round, horizon]
 
 
 def _criterion_5_case(k):
@@ -759,10 +777,10 @@ def test_only_rounds_that_can_change_the_auction_are_played(monkeypatch):
         assert len(played) < out.rounds
         log = out.round_log
         for r in played:
-            # round 1 follows the initial packing
-            follows_exit = r == 1 or any(b.new_status == "exited" for b in log[r - 2].bids)
-            holds_exit = any(b.decision == "exit" for b in log[r - 1].bids)
-            assert follows_exit or holds_exit
+            record = log[r - 1]
+            holds_exit = any(b.decision == "exit" for b in record.bids)
+            freezes = any(b.new_status == "frozen" for b in record.bids)
+            assert holds_exit or freezes or record.final_resolution
 
 
 def test_hooks_are_asked_what_the_reference_asks():
@@ -788,6 +806,69 @@ def test_hooks_are_asked_what_the_reference_asks():
             asked.append(calls)
         assert asked[0] == asked[1]
         assert asked[0]
+
+
+def _fits(problem):
+    """Whether the target has a reduced-band channel that clashes with no
+    packed station where it stands."""
+    clashes = set()
+    for con in problem.inst.constraints:
+        clashes.add((con.first, con.second))
+        clashes.add((con.second, con.first))
+    packed = problem.packed.items()
+    return any(
+        all(((problem.target, ch), pair) not in clashes for pair in packed)
+        for ch in problem.ct.reduced(problem.inst.station(problem.target).domain)
+    )
+
+
+def test_exhaustive_enumeration_runs_only_for_exits_and_stations_that_do_not_fit(monkeypatch):
+    asking = []  # whether the check in progress is an accepting bid's
+    runs = []  # (accepting, fits) of each enumeration run for a bid
+    check, enumerate_ = AuctionState.check, auction.check_exhaustive
+
+    def recording_check(state, sid, accepting=False):
+        asking.append(accepting)
+        try:
+            return check(state, sid, accepting)
+        finally:
+            asking.pop()
+
+    def counting(problem):
+        if asking:  # not the initial packing
+            runs.append((asking[-1], _fits(problem)))
+        return enumerate_(problem)
+
+    monkeypatch.setattr(AuctionState, "check", recording_check)
+    monkeypatch.setattr(auction, "check_exhaustive", counting)
+    _forget_memoized_work()
+    for k in range(4):
+        inst, values, config = _criterion_5_case(k)
+        config = dataclasses.replace(config, checker=CheckerKind.EXHAUSTIVE)
+        assert run_auction(inst, values, config) == reference_auction(inst, values, config, {})
+    assert (True, True) not in runs
+    # both kinds of run that remain happen
+    assert (False, True) in runs and (True, False) in runs
+
+
+def test_an_exit_replaces_a_fits_marker_another_auction_left():
+    # Station 2 stays on air on channel 14; station 1 fits beside it on 15,
+    # but the lexicographically first packing moves station 2 to 15.
+    inst = mk_instance(
+        [(1, {14, 15}), (2, {14, 15}), (3, {16})],
+        [(1, 14, 2, 14), (1, 15, 2, 15)],
+    )
+    config = unscored_config(ClearingTarget(17), 10.0, CheckerKind.EXHAUSTIVE)
+    _forget_memoized_work()
+    # station 1 accepts beside {2: 14} until station 3 exits beside it
+    first = {1: 0.0, 2: 10.0, 3: 6.0}
+    assert run_auction(inst, first, config) == reference_auction(inst, first, config, {})
+    assert any(t.get(1) is auction._FITS for t in auction._VERDICTS.tables.values())
+    # station 1 exits beside {2: 14}, where the marker stands
+    second = {1: 9.9, 2: 10.0, 3: 0.0}
+    got = run_auction(inst, second, config)
+    assert got == reference_auction(inst, second, config, {})
+    assert got.final_assignment == {1: 14, 2: 15, 3: 16}
 
 
 def _bids(reductions):

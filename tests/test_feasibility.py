@@ -290,8 +290,15 @@ def test_solve_respects_polarity_hint():
 
 
 #: The SAT searches of the drawn auction below: their number, their steps,
-#: and the sha256 of their verdicts' reprs, certificates in the order given.
-PINNED_SEARCHES = (52, 834, "018378c15bf8cc8e19fa9c6c482f973c44dcf0ebbd797a40cb0e26c530250858")
+#: the sha256 of their verdicts' reprs, certificates in the order given, and
+#: the sha256 of the sorted reprs of their results, which does not depend on
+#: the order the auction asks in.
+PINNED_SEARCHES = (
+    52,
+    834,
+    "00c9218e964bebfe9dbe4bece15c8b9191e2767b86bc8abf4441ac3abacb7bb6",
+    "add8e2a7141c4f3602713fd9442a28f60b7477183dc7f57218d6908fb5b139ee",
+)
 
 
 def test_the_searches_of_a_drawn_auction_are_pinned(monkeypatch):
@@ -319,10 +326,12 @@ def test_the_searches_of_a_drawn_auction_are_pinned(monkeypatch):
     auction._VERDICTS.clear()
     run_auction(inst, values, AuctionConfig(ClearingTarget(17), seed=5))
     verdicts = repr([r.verdict for r in results]).encode()
+    searches = repr(sorted(map(repr, results))).encode()
     assert (
         len(results),
         sum(r.steps for r in results),
         hashlib.sha256(verdicts).hexdigest(),
+        hashlib.sha256(searches).hexdigest(),
     ) == PINNED_SEARCHES
 
 
