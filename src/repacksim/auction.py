@@ -35,13 +35,24 @@ are carried into playing it. The round log (``RoundLog``) holds the played
 rounds and the skipped stretches and expands each stretch into its records
 on first read, so it reads as the tuple of every round's record.
 
-Auctions on one instance repeat most of each other's work, so three pure
+Auctions on one instance repeat most of each other's work, so four pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count), a truthful station's first
-exit round for an (opening price, volume, value), and the checker verdicts
-for a (clearing target, checker, step limit, packed assignment) on the most
-recent instance. A memo hit returns what the computation would have
-returned, so outcomes do not depend on which auctions ran before.
+exit round for an (opening price, volume, value), the checker verdicts for a
+(clearing target, checker, step limit, packed assignment) on the most
+recent instance, and the most recent truthful run of an (instance, config,
+value profile) with its state after each played round. A memo hit returns
+what the computation would have returned, so outcomes do not depend on
+which auctions ran before.
+
+Only an auction with strategy hooks reads the truthful run: until a hooked
+station answers otherwise than it would bid truthfully, the auction is the
+truthful one. So it asks its hooked stations once per round, as a played
+auction would, and compares each answer with the truthful bid. At the first
+round that differs it resumes from the truthful run's state after its last
+played round before that one, with the answers so far, and plays on; if no
+answer differs before the hooked stations leave, its outcome is the truthful
+run's.
 
 Within one auction a station's verdict can change only when an exit replaces
 the packed set, so the verdicts are kept in one layer: a table per packed
@@ -62,7 +73,7 @@ import math
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
@@ -116,7 +127,9 @@ _TIEBREAK_STREAM = 3
 # distinct ones 32,520 times, and ``grid`` and ``sweep`` hit the memo as
 # often with 256 entries as with 4,096. The verdict memo counts packed-set
 # tables: one pass of ``truthful``, ``grid`` and ``sweep`` peaks at 38, 73
-# and 348 tables on one instance, so 512 evicts none of them.
+# and 348 tables on one instance, so 512 evicts none of them. The truthful
+# run memo keeps one run (``_TRUTHFUL_RUN``): criterion 5 runs each
+# instance's deviations back to back.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
@@ -159,26 +172,6 @@ class AuctionConfig:
 
     def initial_price(self) -> float:
         return self.c0 if self.c0 is not None else default_initial_clock_price(self.scoring)
-
-
-class _BidFields(NamedTuple):
-    station: StationId
-    decision: BidDecision
-    price_reduction: float
-    offer: float
-
-
-class Bid(_BidFields):
-    """One station's answer to its offer in one round."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, station: StationId, decision: BidDecision, price_reduction: float, offer: float
-    ) -> Bid:
-        if not price_reduction >= 0:  # NaN fails too
-            raise ValueError("price reduction must be non-negative")
-        return _BidFields.__new__(cls, station, decision, price_reduction, offer)
 
 
 class ProcessedBid(NamedTuple):
@@ -460,7 +453,9 @@ class AuctionState:
         from the same fit, and under exhaustive the fit is a packing, though
         an enumeration undecided after ``DECIDING_STEP_LIMIT`` steps (no
         workload comes near) would have raised. Any other check replaces the
-        marker with the checker's verdict, so exit certificates hold."""
+        marker with the checker's verdict, so exit certificates hold. Under
+        greedy, an accept that does not fit records a Timeout at once: the
+        greedy checker would only repeat the scan."""
         if self._keyed is not self.packed:
             packed = tuple(self.packed.items())
             key = (self.ct.bar_c, self.checker, self.budget.step_limit, packed)
@@ -470,6 +465,8 @@ class AuctionState:
             problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
             if accepting and _fit_target(problem) is not None:
                 verdict = _FITS
+            elif accepting and self.checker is CheckerKind.GREEDY:
+                verdict = Timeout()
             else:
                 verdict = _run_checker(self.checker, problem, self.budget)
             self._verdicts[sid] = verdict
@@ -510,10 +507,10 @@ def _round_bids(
     values: ValueProfile | None = None,
 ) -> list[tuple]:
     """One round's bids at clock ``current``, in station order, as plain
-    tuples in ``Bid``'s field order. A station's decision comes from
-    ``decided``, else it bids truthfully on its value; its price reduction
-    is its price in ``accepted`` minus its new offer, which must be
-    non-negative as in ``Bid``."""
+    ``(station, decision, price reduction, offer)`` tuples. A station's
+    decision comes from ``decided``, else it bids truthfully on its value;
+    its price reduction is its price in ``accepted`` minus its new offer,
+    which must be non-negative."""
     bids = []
     for sid in active:
         offer = offer_price(vols[sid], current)
@@ -594,53 +591,111 @@ def process_bids(
     return tuple(log)
 
 
-def run_auction(
-    inst: Instance,
-    values: ValueProfile,
-    config: AuctionConfig,
-    strategies: Mapping[StationId, BidStrategy] | None = None,
-) -> AuctionOutcome:
-    """Run the clock auction to completion and return the outcome with a full
-    round log.
+class _Snapshot(NamedTuple):
+    """An auction's state after round ``round_index`` (0: before the first),
+    when its round log holds ``parts`` parts. ``packed`` is shared, since the
+    round loop only ever replaces it; the dicts are the snapshot's own, and
+    a restore copies them."""
 
-    ``strategies`` overrides the truthful bidder for selected stations; it is
-    a simulation hook and does not change participation, which is always
-    decided by value against opening price.
-    """
+    round_index: int
+    parts: int
+    packed: Assignment
+    last_accepted: dict[StationId, float]
+    payments: dict[StationId, float]
+    timeout_count: int
+    active: tuple[StationId, ...]
+    settled: bool
+
+
+class _Opening(NamedTuple):
+    """What an auction fixes before its first round, and its state then.
+    ``exit_rounds`` holds each participant's truthful first exit round."""
+
+    vols: VolumeTable
+    participants: tuple[StationId, ...]
+    non_participants: tuple[StationId, ...]
+    clocks: tuple[float, ...]
+    exit_rounds: dict[StationId, int]
+    start: _Snapshot
+
+
+class _TruthfulRun(NamedTuple):
+    """The truthful run of an (instance identity, config, value profile
+    items) ``key``: its opening, its state after the opening and after each
+    played round before the final resolution, its round log's parts, and its
+    outcome, None when the run raised. ``inst`` keeps the instance whose
+    identity the key holds alive."""
+
+    key: tuple
+    inst: Instance
+    opening: _Opening
+    snapshots: list[_Snapshot]
+    parts: list[tuple | _QuietStretch]
+    outcome: AuctionOutcome | None
+
+
+#: The most recent truthful run that an auction with hooks asked for.
+_TRUTHFUL_RUN: list[_TruthfulRun] = []
+
+
+def _open(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _Opening:
+    """Set an auction up: volumes, participants, the initial packing, the
+    clock and the truthful exit rounds."""
     c0 = config.initial_price()
     vols = volumes_for(inst, config.ct, config.scoring)
     participants, non_participants = determine_participants(inst, values, vols, c0)
-    packed0 = initial_assignment(
+    packed = initial_assignment(
         inst, non_participants, config.ct, config.checker, config.budget
     )
-
     # The opening price counts as accepted: participation implies the station
     # took the round-zero offer.
-    last_accepted = {sid: offer_price(vols[sid], c0) for sid in participants}
+    accepted = {sid: offer_price(vols[sid], c0) for sid in participants}
+    exit_rounds = {sid: _first_exit_round(c0, vols[sid], values[sid]) for sid in participants}
+    start = _Snapshot(0, 0, packed, accepted, {}, 0, tuple(sorted(participants)), False)
+    return _Opening(
+        vols, participants, non_participants, clock_trajectory(c0), exit_rounds, start
+    )
+
+
+def _play(
+    inst: Instance,
+    values: ValueProfile,
+    config: AuctionConfig,
+    opening: _Opening,
+    start: _Snapshot,
+    parts: list[tuple | _QuietStretch],
+    strategies: Mapping[StationId, BidStrategy],
+    asked: Mapping[int, list] | None = None,
+    snapshots: list[_Snapshot] | None = None,
+) -> AuctionOutcome:
+    """Play the auction on from ``start`` to its outcome, appending to
+    ``parts``, the round log's parts up to ``start``. ``asked`` holds the
+    hooked stations' answers in rounds they were already asked in, which
+    are not asked again; ``snapshots``, when given, gets the state after
+    each played round but the final resolution."""
     state = AuctionState(
         inst=inst,
         ct=config.ct,
         checker=config.checker,
         budget=config.budget,
-        last_accepted=last_accepted,
-        packed=packed0,
+        last_accepted=dict(start.last_accepted),
+        payments=dict(start.payments),
+        packed=start.packed,
+        timeout_count=start.timeout_count,
     )
-
-    strategies = strategies or {}
+    last_accepted = state.last_accepted
+    asked = asked or {}
     seed = config.seed
-    clocks = clock_trajectory(c0)
+    vols, clocks = opening.vols, opening.clocks
     horizon = len(clocks)  # the round after the clock first reaches zero
-    exit_round = {
-        sid: _first_exit_round(c0, vols[sid], values[sid])
-        for sid in participants
-        if sid not in strategies
-    }
+    exit_round = opening.exit_rounds
+    if strategies:
+        exit_round = {sid: e for sid, e in exit_round.items() if sid not in strategies}
     # active stations in station order; a station leaves once it exits or freezes
-    active = sorted(participants)
-    parts: list[tuple | _QuietStretch] = []
-    round_index = 0  # the last round played or skipped
+    active = list(start.active)
+    round_index = start.round_index  # the last round played or skipped
     # whether every active station holds a feasible verdict for the packed set
-    settled = False
+    settled = start.settled
 
     while active:
         if clocks[round_index] == 0.0 and all(last_accepted[sid] == 0.0 for sid in active):
@@ -669,11 +724,13 @@ def run_auction(
         decided = {}
         if hooked:
             for r in range(round_index + 1, min(event + 1, horizon)):
-                current = clocks[r]
-                answers = [
-                    strategies[sid](r, offer_price(vols[sid], current), values[sid])
-                    for sid in hooked
-                ]
+                answers = asked.get(r)
+                if answers is None:
+                    current = clocks[r]
+                    answers = [
+                        strategies[sid](r, offer_price(vols[sid], current), values[sid])
+                        for sid in hooked
+                    ]
                 if r < event:
                     for answer in answers:
                         if answer is not ACCEPT:
@@ -708,14 +765,111 @@ def run_auction(
         parts.append((round_index, current, processed, False))
         settled = state.packed is packed
         active = sorted([row[0] for row in processed if row[5] == _ACTIVE])
+        if snapshots is not None:
+            snapshots.append(
+                _Snapshot(
+                    round_index,
+                    len(parts),
+                    state.packed,
+                    dict(last_accepted),
+                    dict(state.payments),
+                    state.timeout_count,
+                    tuple(active),
+                    settled,
+                )
+            )
 
     winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
     return AuctionOutcome(
         winners=winners,
-        final_assignment=state.packed,
-        participants=participants,
-        non_participants=non_participants,
+        # a resumed auction may end on the packed set of a snapshot
+        final_assignment=dict(state.packed),
+        participants=opening.participants,
+        non_participants=opening.non_participants,
         rounds=round_index,
         checker_timeout_count=state.timeout_count,
         round_log=RoundLog(parts, round_index, vols, clocks, seed),
     )
+
+
+def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _TruthfulRun:
+    """The memoized truthful run of ``inst``, ``values`` and ``config``,
+    played on a miss."""
+    key = (id(inst), config, tuple(values.items()))
+    if _TRUTHFUL_RUN and _TRUTHFUL_RUN[0].key == key:
+        return _TRUTHFUL_RUN[0]
+    opening = _open(inst, values, config)
+    snapshots, parts = [opening.start], []
+    try:
+        outcome = _play(
+            inst, values, config, opening, opening.start, parts, {}, snapshots=snapshots
+        )
+    except SearchSpaceError:
+        # an enumeration left undecided, which a deviation that leaves the
+        # truthful path before it need not reach
+        outcome = None
+    _TRUTHFUL_RUN[:] = [_TruthfulRun(key, inst, opening, snapshots, parts, outcome)]
+    return _TRUTHFUL_RUN[0]
+
+
+def _resumed(
+    inst: Instance,
+    values: ValueProfile,
+    config: AuctionConfig,
+    strategies: Mapping[StationId, BidStrategy],
+) -> AuctionOutcome:
+    """The auction with ``strategies``, resumed from its truthful run at the
+    first round where a hooked station answers otherwise than truthfully."""
+    run = _truthful_run(inst, values, config)
+    opening = run.opening
+    if run.outcome is None:
+        return _play(inst, values, config, opening, opening.start, [], strategies)
+    vols, clocks, exit_rounds = opening.vols, opening.clocks, opening.exit_rounds
+    snapshots = run.snapshots
+    for i, snap in enumerate(snapshots):
+        # each hooked station's hook, volume, value and truthful exit round
+        hooked = [
+            (strategies[sid], vols[sid], values[sid], exit_rounds[sid])
+            for sid in snap.active
+            if sid in strategies
+        ]
+        if not hooked:
+            break
+        # the rounds up to the next one played, or up to the last before the
+        # horizon, the last round in which a station is asked
+        last = snapshots[i + 1].round_index if i + 1 < len(snapshots) else len(clocks) - 1
+        asked = {}
+        for r in range(snap.round_index + 1, last + 1):
+            current = clocks[r]
+            answers = asked[r] = []
+            truthful = True
+            for ask, vol, value, exit_round in hooked:
+                answer = ask(r, offer_price(vol, current), value)
+                answers.append(answer)
+                truthful = truthful and answer is (EXIT if r >= exit_round else ACCEPT)
+            if not truthful:
+                parts = run.parts[: snap.parts]
+                return _play(inst, values, config, opening, snap, parts, strategies, asked)
+    out = run.outcome
+    return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
+
+
+def run_auction(
+    inst: Instance,
+    values: ValueProfile,
+    config: AuctionConfig,
+    strategies: Mapping[StationId, BidStrategy] | None = None,
+) -> AuctionOutcome:
+    """Run the clock auction to completion and return the outcome with a full
+    round log.
+
+    ``strategies`` overrides the truthful bidder for selected stations; it is
+    a simulation hook and does not change participation, which is always
+    decided by value against opening price. An auction with hooks resumes
+    the memoized truthful run where a hooked station first leaves the
+    truthful path.
+    """
+    if strategies:
+        return _resumed(inst, values, config, strategies)
+    opening = _open(inst, values, config)
+    return _play(inst, values, config, opening, opening.start, [], {})

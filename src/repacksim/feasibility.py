@@ -43,7 +43,6 @@ from .model import (
     Instance,
     StationChannel,
     StationId,
-    validate_assignment,
 )
 
 
@@ -101,7 +100,7 @@ class FeasibilityProblem:
 
     ``packed`` must itself be a valid assignment; construction checks only the
     cheap structural facts, that the instance declares every station and that
-    the target is not packed; :meth:`validate` runs the full check.
+    the target is not packed.
     """
 
     target: StationId
@@ -120,10 +119,6 @@ class FeasibilityProblem:
             raise InvalidProblemError(
                 f"target station {self.target} is already packed"
             )
-
-    def validate(self) -> None:
-        if not validate_assignment(self.packed, self.inst, self.ct):
-            raise InvalidProblemError("packed assignment is not valid")
 
     def station_set(self) -> list[StationId]:
         return sorted({*self.packed, self.target})

@@ -8,12 +8,13 @@ solved by HiGHS (Huangfu & Hall, Math. Prog. Computation 10, 2018) through
 checks: the auction's memos and round skipping, or the packing search.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.optimize
 
 from repacksim.auction import (
     AuctionOutcome,
-    Bid,
     BidDecision,
     CheckerKind,
     ProcessedBid,
@@ -30,6 +31,25 @@ from repacksim.feasibility import (
     check_sat,
 )
 from repacksim.pricing import initial_clock, next_clock, offer_price, volumes_for
+
+
+class _BidFields(NamedTuple):
+    station: int
+    decision: BidDecision
+    price_reduction: float
+    offer: float
+
+
+class Bid(_BidFields):
+    """One station's answer to its offer in one round; a price reduction
+    that is negative or NaN is refused, as the auction refuses it."""
+
+    __slots__ = ()
+
+    def __new__(cls, station, decision, price_reduction, offer):
+        if not price_reduction >= 0:  # NaN fails too
+            raise ValueError("price reduction must be non-negative")
+        return _BidFields.__new__(cls, station, decision, price_reduction, offer)
 
 
 def reference_order(bids, seed, round_index):

@@ -12,7 +12,6 @@ from repacksim.auction import (
     AuctionConfig,
     AuctionOutcome,
     AuctionState,
-    Bid,
     BidDecision,
     CheckerKind,
     ProcessedBid,
@@ -52,7 +51,7 @@ from repacksim.pricing import (
 )
 
 from conftest import mk_instance
-from references import reference_auction, reference_order
+from references import Bid, reference_auction, reference_order
 
 BUDGET = Budget(step_limit=50_000)
 
@@ -517,6 +516,7 @@ PINNED_DIGESTS = (PINNED_OUTCOME_DIGEST, PINNED_BATCH_DIGEST)
 def _forget_memoized_work():
     auction._VERDICTS.clear()
     auction._tiebreak_order.cache_clear()
+    auction._TRUTHFUL_RUN.clear()
 
 
 def test_pinned_outcomes_do_not_depend_on_memoized_work():
@@ -806,6 +806,186 @@ def test_hooks_are_asked_what_the_reference_asks():
             asked.append(calls)
         assert asked[0] == asked[1]
         assert asked[0]
+
+
+def _first_untruthful_round(strategies, inst, values, config):
+    """The first round in which a hooked station's answer differs from its
+    truthful bid, infinity when none does before the clock reaches zero."""
+    vols = volumes_for(inst, config.ct, config.scoring)
+    clocks = clock_trajectory(config.initial_price())
+    for r in range(1, len(clocks)):
+        for sid, hook in sorted(strategies.items()):
+            offer = offer_price(vols[sid], clocks[r])
+            if hook(r, offer, values[sid]) is not truthful_bid(values[sid], offer):
+                return r
+    return math.inf
+
+
+def _criterion_5_deviations(inst, values, config):
+    """Every participant alone exiting at every round up to the clock's
+    horizon, and never exiting, as criterion 5 runs them."""
+    horizon = len(clock_trajectory(config.initial_price()))
+    participants = run_auction(inst, values, config).participants
+    return [
+        {sid: hook}
+        for sid in participants
+        for hook in (*map(_exit_at, range(1, horizon + 1)), _never_exit)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_deviations_resumed_from_the_truthful_run_match_the_reference(monkeypatch, k):
+    inst, values, config = _criterion_5_case(k)
+    jobs = _criterion_5_deviations(inst, values, config)
+    expected = [reference_auction(inst, values, config, strategies) for strategies in jobs]
+    played = _played_rounds(monkeypatch)
+    cold = []
+    for strategies in jobs:
+        _forget_memoized_work()
+        cold.append(run_auction(inst, values, config, strategies))
+    warm = []
+    for strategies in jobs:
+        played.clear()
+        warm.append(run_auction(inst, values, config, strategies))
+        # the rounds before the first untruthful answer are the truthful
+        # run's, so none of them is played again
+        first = _first_untruthful_round(strategies, inst, values, config)
+        assert min(played, default=math.inf) >= first
+    packed_order = [list(out.final_assignment.items()) for out in expected]
+    for outcomes in (cold, warm):
+        assert outcomes == expected
+        assert [list(out.final_assignment.items()) for out in outcomes] == packed_order
+
+
+def test_two_hooked_stations_resume_from_the_truthful_run():
+    inst, values, config = _criterion_5_case(2)
+    first, second, third = run_auction(inst, values, config).participants[:3]
+    rounds = (None, 1, 9, 20, 30, 52, 53)
+    jobs = [
+        {a: _never_exit if r is None else _exit_at(r), b: _never_exit if q is None else _exit_at(q)}
+        for a, b in ((first, second), (second, third))
+        for r in rounds
+        for q in rounds
+    ]
+    _forget_memoized_work()
+    for strategies in jobs:
+        expected = reference_auction(inst, values, config, strategies)
+        got = run_auction(inst, values, config, strategies)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+
+class _HookFailed(Exception):
+    pass
+
+
+def test_a_hook_that_raises_leaves_the_truthful_run_as_it_was():
+    inst, values, config = _criterion_5_case(3)
+    first, second = run_auction(inst, values, config).participants[:2]
+
+    def raising_at(r):
+        def hook(round_index, offer, value):
+            if round_index >= r:
+                raise _HookFailed(round_index)
+            return truthful_bid(value, offer)
+
+        return hook
+
+    _forget_memoized_work()
+    # raising while the answers are still truthful, then after another
+    # station left the truthful path at round 2, so on a resumed state
+    for strategies in ({first: raising_at(5)}, {first: _exit_at(2), second: raising_at(12)}):
+        with pytest.raises(_HookFailed):
+            run_auction(inst, values, config, strategies)
+        for after in ({first: _exit_at(2)}, {second: _never_exit}, {first: _exit_at(40)}):
+            expected = reference_auction(inst, values, config, after)
+            got = run_auction(inst, values, config, after)
+            assert got == expected
+            assert repr(got) == repr(expected)
+
+
+def test_mutating_resumed_outcomes_cannot_change_later_auctions():
+    inst, values, config = _criterion_5_case(2)
+    sid = run_auction(inst, values, config).participants[0]
+    jobs = [s for s in _criterion_5_deviations(inst, values, config) if sid in s]
+    _forget_memoized_work()
+    for strategies in jobs:
+        out = run_auction(inst, values, config, strategies)
+        out.final_assignment.clear()
+        out.final_assignment[-1] = 99
+        out.winners[-1] = 1.0
+    for strategies in jobs:
+        expected = reference_auction(inst, values, config, strategies)
+        got = run_auction(inst, values, config, strategies)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+
+def test_a_resumed_auction_that_ends_on_the_truthful_packed_set_hands_out_a_copy():
+    # Three stations share channel 14 and conflict pairwise. Truthfully,
+    # station 3 exits in round 9 after 1 and 2 accepted (seed 1's order),
+    # and in round 10 station 1 exits and 2 accepts: both freeze beside
+    # station 3. Station 1 accepting instead freezes all the same, so the
+    # auction resumed after round 9 ends on that round's packed set.
+    inst = mk_instance(
+        [(1, {14}), (2, {14}), (3, {14})], [(1, 14, 2, 14), (1, 14, 3, 14), (2, 14, 3, 14)]
+    )
+    values = {1: 6.2, 2: 1.0, 3: 6.5}
+    config = unscored_config(ClearingTarget(15), 10.0, seed=1)
+    strategies = {1: _exit_at(20)}
+    expected = reference_auction(inst, values, config, strategies)
+    assert expected.final_assignment == {3: 14} and expected.rounds == 10
+    _forget_memoized_work()
+    for _ in range(2):
+        got = run_auction(inst, values, config, strategies)
+        assert got == expected
+        got.final_assignment.clear()
+
+
+def test_a_deviation_plays_on_when_the_truthful_run_raises_after_it_leaves(monkeypatch):
+    inst, values, config = _criterion_5_case(1)
+    truthful = run_auction(inst, values, config)
+    sid = next(
+        bid.station
+        for record in truthful.round_log[2:]
+        for bid in record.bids
+        if bid.decision == "exit" and not record.final_resolution
+    )
+    process = auction.process_bids
+
+    def refusing_the_truthful_exit(state, bids, seed, round_index):
+        # only the truthful run has station ``sid`` exit after round 2
+        if any(bid[0] == sid and bid[1] is BidDecision.EXIT for bid in bids) and round_index > 2:
+            raise SearchSpaceError("refused")
+        return process(state, bids, seed, round_index)
+
+    monkeypatch.setattr(auction, "process_bids", refusing_the_truthful_exit)
+    _forget_memoized_work()
+    with pytest.raises(SearchSpaceError):
+        run_auction(inst, values, config)
+    strategies = {sid: _exit_at(2)}
+    for _ in range(2):  # the failed truthful run is memoized too
+        got = run_auction(inst, values, config, strategies)
+        assert got == reference_auction(inst, values, config, strategies)
+
+
+def test_a_value_profile_changed_between_hooked_auctions_is_not_resumed_from_the_old_run():
+    inst, values, config = _criterion_5_case(1)
+    participants = run_auction(inst, values, config).participants
+    sid, other = participants[0], participants[-1]
+    strategies = {sid: _exit_at(30)}
+    _forget_memoized_work()
+    assert run_auction(inst, values, config, strategies) == reference_auction(
+        inst, values, config, strategies
+    )
+    # the same dict, changed in place: the other station now exits in round
+    # 1 of the truthful run, and then it does not participate
+    for value in (config.c0 * 0.99, config.c0 * 2):
+        values[other] = value
+        expected = reference_auction(inst, values, config, strategies)
+        got = run_auction(inst, values, config, strategies)
+        assert got == expected
+        assert repr(got) == repr(expected)
 
 
 def _fits(problem):
@@ -1109,14 +1289,3 @@ def test_round_bids_reject_a_price_reduction_that_is_not_non_negative(accepted):
     for decided, values in (({1: BidDecision.ACCEPT}, None), ({}, {1: 0.0})):
         with pytest.raises(ValueError, match="^price reduction must be non-negative$"):
             auction._round_bids([1], {1: 1.0}, {1: accepted}, 5.0, decided, values)
-
-
-def test_bid_rejects_a_negative_price_reduction():
-    with pytest.raises(ValueError, match="non-negative"):
-        Bid(1, BidDecision.ACCEPT, price_reduction=-1.0, offer=5.0)
-
-
-def test_bid_rejects_a_price_reduction_that_is_not_a_number():
-    with pytest.raises(ValueError, match="non-negative"):
-        Bid(1, BidDecision.ACCEPT, price_reduction=math.nan, offer=5.0)
-    assert Bid(1, BidDecision.ACCEPT, 0.5, 5.0) == (1, BidDecision.ACCEPT, 0.5, 5.0)
