@@ -1289,3 +1289,15 @@ def test_round_bids_reject_a_price_reduction_that_is_not_non_negative(accepted):
     for decided, values in (({1: BidDecision.ACCEPT}, None), ({}, {1: 0.0})):
         with pytest.raises(ValueError, match="^price reduction must be non-negative$"):
             auction._round_bids([1], {1: 1.0}, {1: accepted}, 5.0, decided, values)
+
+
+def test_bid_rejects_a_negative_price_reduction():
+    # the reference auction's Bid refuses what the round loop refuses
+    with pytest.raises(ValueError, match="non-negative"):
+        Bid(1, BidDecision.ACCEPT, price_reduction=-1.0, offer=5.0)
+
+
+def test_bid_rejects_a_price_reduction_that_is_not_a_number():
+    with pytest.raises(ValueError, match="non-negative"):
+        Bid(1, BidDecision.ACCEPT, price_reduction=math.nan, offer=5.0)
+    assert Bid(1, BidDecision.ACCEPT, 0.5, 5.0) == (1, BidDecision.ACCEPT, 0.5, 5.0)
