@@ -40,10 +40,10 @@ computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count), a truthful station's first
 exit round for an (opening price, volume, value), the checker verdicts for a
 (clearing target, checker, step limit, packed assignment) on the most
-recent instance, and the most recent truthful run of an (instance, config,
-value profile) with its state after each played round. A memo hit returns
-what the computation would have returned, so outcomes do not depend on
-which auctions ran before.
+recent instance, and the two most recent truthful runs of an (instance,
+config, value profile) with their state after each played round. A memo hit
+returns what the computation would have returned, so outcomes do not depend
+on which auctions ran before.
 
 Only an auction with strategy hooks reads the truthful run: until a hooked
 station answers otherwise than it would bid truthfully, the auction is the
@@ -61,10 +61,10 @@ packed set whenever an exit replaces that set, building the key once per
 exit, and fills it on a miss; a later auction that reaches the same packed
 set finds the verdicts already there. A verdict from a table is shared and
 read-only; an exit copies the certificate it keeps as the packed assignment.
-An accept reads no certificate, so for a station that fits beside the
-packed set as it stands the table holds a shared "fits" marker, which reads
-as feasible, in place of the checker's verdict; an exit that finds the
-marker runs the checker and keeps its verdict instead.
+An accept reads no certificate: it scans its station's channel-table row
+against the packed set, building no problem, and for a station that fits
+the table holds a shared "fits" marker, read as feasible, in place of the
+checker's verdict; an exit that finds it runs the checker instead.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ from .feasibility import (
     check_exhaustive,
     check_greedy,
     check_sat,
-    _fit_target,
+    _fit_channel,
     solve,
 )
 from .model import (
@@ -128,11 +128,13 @@ _TIEBREAK_STREAM = 3
 # often with 256 entries as with 4,096. The verdict memo counts packed-set
 # tables: one pass of ``truthful``, ``grid`` and ``sweep`` peaks at 38, 73
 # and 348 tables on one instance, so 512 evicts none of them. The truthful
-# run memo keeps one run (``_TRUTHFUL_RUN``): criterion 5 runs each
-# instance's deviations back to back.
+# run memo keeps two runs: criterion 5 runs each instance's deviations back
+# to back, and a caller that alternates hooked auctions between two
+# instances or value profiles would otherwise replay a whole run per auction.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
+_TRUTHFUL_RUN_MEMO_SIZE = 2
 
 
 class CheckerKind(str, Enum):
@@ -447,27 +449,28 @@ class AuctionState:
         hands the same verdict to later auctions, so it is read-only: an exit
         copies the certificate it keeps.
 
-        An ``accepting`` bid reads no certificate, so it asks only whether
-        ``sid`` fits beside the packed set as it stands; if so, the table
-        records ``_FITS`` and no checker runs. Greedy and SAT say Feasible
-        from the same fit, and under exhaustive the fit is a packing, though
-        an enumeration undecided after ``DECIDING_STEP_LIMIT`` steps (no
-        workload comes near) would have raised. Any other check replaces the
-        marker with the checker's verdict, so exit certificates hold. Under
-        greedy, an accept that does not fit records a Timeout at once: the
-        greedy checker would only repeat the scan."""
+        An ``accepting`` bid asks only whether ``sid`` fits beside the packed
+        set as it stands, scanning its channel-table row with no problem
+        built; if so, the table records ``_FITS`` and no checker runs. Greedy
+        and SAT say Feasible from the same scan, and under exhaustive the fit
+        is a packing, though an enumeration undecided after
+        ``DECIDING_STEP_LIMIT`` steps (no workload comes near) would have
+        raised. Any other check replaces the marker with the checker's
+        verdict, so exit certificates hold. Under greedy, an accept that does
+        not fit records a Timeout at once, as the checker would only rescan."""
         if self._keyed is not self.packed:
             packed = tuple(self.packed.items())
             key = (self.ct.bar_c, self.checker, self.budget.step_limit, packed)
             self._keyed, self._verdicts = self.packed, _VERDICTS.table(self.inst, key)
         verdict = self._verdicts.get(sid)
         if verdict is None or (verdict is _FITS and not accepting):
-            problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
-            if accepting and _fit_target(problem) is not None:
+            row = self.inst.channel_table(self.ct)[self.inst.position(sid)]
+            if accepting and _fit_channel(row, self.packed) is not None:
                 verdict = _FITS
             elif accepting and self.checker is CheckerKind.GREEDY:
                 verdict = Timeout()
             else:
+                problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
                 verdict = _run_checker(self.checker, problem, self.budget)
             self._verdicts[sid] = verdict
         return verdict
@@ -621,12 +624,11 @@ class _Opening(NamedTuple):
 
 class _TruthfulRun(NamedTuple):
     """The truthful run of an (instance identity, config, value profile
-    items) ``key``: its opening, its state after the opening and after each
+    items) key: its opening, its state after the opening and after each
     played round before the final resolution, its round log's parts, and its
     outcome, None when the run raised. ``inst`` keeps the instance whose
     identity the key holds alive."""
 
-    key: tuple
     inst: Instance
     opening: _Opening
     snapshots: list[_Snapshot]
@@ -634,8 +636,9 @@ class _TruthfulRun(NamedTuple):
     outcome: AuctionOutcome | None
 
 
-#: The most recent truthful run that an auction with hooks asked for.
-_TRUTHFUL_RUN: list[_TruthfulRun] = []
+#: The truthful runs that auctions with hooks asked for most recently, by
+#: key, the least recently asked for first.
+_TRUTHFUL_RUNS: OrderedDict[tuple, _TruthfulRun] = OrderedDict()
 
 
 def _open(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _Opening:
@@ -796,8 +799,10 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
     """The memoized truthful run of ``inst``, ``values`` and ``config``,
     played on a miss."""
     key = (id(inst), config, tuple(values.items()))
-    if _TRUTHFUL_RUN and _TRUTHFUL_RUN[0].key == key:
-        return _TRUTHFUL_RUN[0]
+    run = _TRUTHFUL_RUNS.get(key)
+    if run is not None:
+        _TRUTHFUL_RUNS.move_to_end(key)
+        return run
     opening = _open(inst, values, config)
     snapshots, parts = [opening.start], []
     try:
@@ -808,8 +813,10 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
         # an enumeration left undecided, which a deviation that leaves the
         # truthful path before it need not reach
         outcome = None
-    _TRUTHFUL_RUN[:] = [_TruthfulRun(key, inst, opening, snapshots, parts, outcome)]
-    return _TRUTHFUL_RUN[0]
+    run = _TRUTHFUL_RUNS[key] = _TruthfulRun(inst, opening, snapshots, parts, outcome)
+    if len(_TRUTHFUL_RUNS) > _TRUTHFUL_RUN_MEMO_SIZE:
+        _TRUTHFUL_RUNS.popitem(last=False)
+    return run
 
 
 def _resumed(

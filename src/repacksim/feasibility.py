@@ -3,11 +3,12 @@ packed set of stations in the reduced band?
 
 Three checkers share one verdict contract:
 
-* :func:`check_greedy` scans the target's channels against the packed
-  assignment without moving anything; when no channel fits it reports a
-  timeout, never infeasibility.
+* :func:`check_greedy` scans the target's channel-table row against the
+  packed assignment without moving anything (:func:`_fit_channel`, the scan
+  the auction's accept question makes too); when no channel fits it reports
+  a timeout, never infeasibility.
 * :func:`check_sat` is complete, in two layers as in SATFC (Frechette,
-  Newman & Leyton-Brown, AAAI 2016): the greedy scan as a presolve, then
+  Newman & Leyton-Brown, AAAI 2016): the same scan as a presolve, then
   :func:`solve`, a forward-checking search over the packing model of every
   packed station and the target (:func:`encode`), trying each packed
   station's current channel first. It can also prove that no packing
@@ -39,6 +40,7 @@ from typing import Iterable, Mapping
 from .model import (
     Assignment,
     Channel,
+    ChannelEntry,
     ClearingTarget,
     Instance,
     StationChannel,
@@ -123,16 +125,21 @@ class FeasibilityProblem:
     def station_set(self) -> list[StationId]:
         return sorted({*self.packed, self.target})
 
+    def target_row(self) -> tuple[ChannelEntry, ...]:
+        """The target's row of the instance's channel table."""
+        return self.inst.channel_table(self.ct)[self.inst.position(self.target)]
 
-def _fit_target(problem: FeasibilityProblem) -> Assignment | None:
-    """The packed assignment plus the target on its lowest reduced-band
-    channel that fits beside it as it stands, or None."""
-    inst, packed, target = problem.inst, problem.packed, problem.target
-    for ch, _, partners, _ in inst.channel_table(problem.ct)[inst.position(target)]:
-        if all(packed.get(osid) != och for osid, och in partners):
-            certificate = dict(packed)
-            certificate[target] = ch
-            return certificate
+
+def _fit_channel(row: tuple[ChannelEntry, ...], packed: Assignment) -> Channel | None:
+    """The lowest channel of ``row``, a station's channel-table row, that
+    clashes with no station of ``packed`` where it stands, or None."""
+    get = packed.get
+    for ch, _, partners, _ in row:
+        for osid, och in partners:
+            if get(osid) == och:
+                break
+        else:
+            return ch
     return None
 
 
@@ -145,8 +152,8 @@ def check_greedy(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerd
     interface parity but not consumed.
     """
     del budget
-    certificate = _fit_target(problem)
-    return Timeout() if certificate is None else Feasible(certificate)
+    ch = _fit_channel(problem.target_row(), problem.packed)
+    return Timeout() if ch is None else Feasible({**problem.packed, problem.target: ch})
 
 
 class PackingModel:
@@ -299,9 +306,9 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
     moving, otherwise the search over :func:`encode`. Infeasible exactly when
     the search exhausts every assignment. Certificates list their stations in
     id order, so equal packings are equal as ordered items too."""
-    certificate = _fit_target(problem)
-    if certificate is not None:
-        return Feasible(dict(sorted(certificate.items())))
+    ch = _fit_channel(problem.target_row(), problem.packed)
+    if ch is not None:
+        return Feasible(dict(sorted([*problem.packed.items(), (problem.target, ch)])))
     return solve(encode(problem), budget).verdict
 
 

@@ -516,7 +516,7 @@ PINNED_DIGESTS = (PINNED_OUTCOME_DIGEST, PINNED_BATCH_DIGEST)
 def _forget_memoized_work():
     auction._VERDICTS.clear()
     auction._tiebreak_order.cache_clear()
-    auction._TRUTHFUL_RUN.clear()
+    auction._TRUTHFUL_RUNS.clear()
 
 
 def test_pinned_outcomes_do_not_depend_on_memoized_work():
@@ -988,6 +988,30 @@ def test_a_value_profile_changed_between_hooked_auctions_is_not_resumed_from_the
         assert repr(got) == repr(expected)
 
 
+def test_the_truthful_run_memo_keeps_the_two_most_recent_runs(monkeypatch):
+    opened = []
+    open_ = auction._open
+
+    def recording_open(inst, values, config):
+        opened.append(inst)
+        return open_(inst, values, config)
+
+    monkeypatch.setattr(auction, "_open", recording_open)
+    cases = {k: _criterion_5_case(k) for k in (1, 2, 3)}
+    _forget_memoized_work()
+    # alternating between two instances plays each truthful run once; a
+    # third evicts the least recently asked for, instance 2, though instance
+    # 1's run was played first
+    for k, plays in [(1, 1), (2, 1), (1, 0), (2, 0), (1, 0), (3, 1), (1, 0), (2, 1)]:
+        inst, values, config = cases[k]
+        strategies = {run_auction(inst, values, config).participants[0]: _exit_at(20)}
+        opened.clear()
+        got = run_auction(inst, values, config, strategies)
+        assert len(opened) == plays
+        assert got == reference_auction(inst, values, config, strategies)
+    assert len(auction._TRUTHFUL_RUNS) == auction._TRUTHFUL_RUN_MEMO_SIZE
+
+
 def _fits(problem):
     """Whether the target has a reduced-band channel that clashes with no
     packed station where it stands."""
@@ -1029,6 +1053,74 @@ def test_exhaustive_enumeration_runs_only_for_exits_and_stations_that_do_not_fit
     assert (True, True) not in runs
     # both kinds of run that remain happen
     assert (False, True) in runs and (True, False) in runs
+
+
+def _grid_sized_case():
+    """A draw of the directional grid's size and generator settings."""
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=31,
+            channel_lo=14,
+            channel_hi=17,
+            co_channel_radius=0.26,
+            adjacent_channel_radius=0.065,
+            seed=1001,
+        )
+    )
+    values = sample_values(
+        inst,
+        ValueSamplerParams(log_mean=8.0, log_sd=1.0, population_exponent=0.7, seed=20_013),
+    )
+    return inst, values, AuctionConfig(ct=ClearingTarget(17), seed=1001)
+
+
+@pytest.mark.parametrize("checker", [CheckerKind.GREEDY, CheckerKind.SAT])
+@pytest.mark.parametrize(
+    "case", [lambda: _criterion_5_case(1), _grid_sized_case], ids=["criterion-5", "grid"]
+)
+def test_accepting_checks_build_a_problem_only_for_a_checker_run(monkeypatch, case, checker):
+    asking = []  # per check in progress: its counts if it is an accepting bid's
+    calls = []  # per accepting check: (problems built, checker runs, fits)
+    check, run_checker = AuctionState.check, auction._run_checker
+    problem = auction.FeasibilityProblem
+
+    def recording_check(state, sid, accepting=False):
+        asking.append([0, 0] if accepting else None)
+        try:
+            verdict = check(state, sid, accepting)
+        finally:
+            counts = asking.pop()
+        if counts is not None:
+            calls.append((*counts, verdict is auction._FITS))
+        return verdict
+
+    def counting(counter, fn):
+        def counted(*args):
+            if asking and asking[-1] is not None:
+                asking[-1][counter] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(AuctionState, "check", recording_check)
+    monkeypatch.setattr(auction, "FeasibilityProblem", counting(0, problem))
+    monkeypatch.setattr(auction, "_run_checker", counting(1, run_checker))
+    inst, values, config = case()
+    config = dataclasses.replace(config, checker=checker)
+    _forget_memoized_work()
+    got = run_auction(inst, values, config)
+    expected = reference_auction(inst, values, config, {})
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert any(fits for _, _, fits in calls)
+    # an accept builds a problem only for the checker it runs: never when
+    # the station fits, and never under greedy
+    assert all(built == runs for built, runs, _ in calls)
+    assert not any(built for built, _, fits in calls if fits)
+    if checker is CheckerKind.GREEDY:
+        assert sum(built for built, _, _ in calls) == 0
+    else:  # SAT searches for an accept that does not fit
+        assert any(runs for _, runs, _ in calls)
 
 
 def test_an_exit_replaces_a_fits_marker_another_auction_left():

@@ -496,6 +496,63 @@ def _reference_fit_target(problem):
     return None
 
 
+def _reference_fit_channel(problem):
+    certificate = _reference_fit_target(problem)
+    return None if certificate is None else certificate[problem.target]
+
+
+def _fit_channel(problem):
+    return feasibility._fit_channel(problem.target_row(), problem.packed)
+
+
+def _packed_by_the_checkers(inst, ct, checker):
+    """Each packed set that ``checker`` builds adding the stations one at a
+    time in id order, the empty set first; a station it cannot add stays out."""
+    packed = {}
+    yield packed
+    for sid in inst.station_ids():
+        verdict = checker(FeasibilityProblem(sid, packed, inst, ct), STEP_BUDGET)
+        if isinstance(verdict, Feasible):
+            packed = verdict.certificate
+            yield packed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_channel_picks_the_reference_channel_beside_packed_sets_the_checkers_built(seed):
+    rng = np.random.default_rng(seed)
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=int(rng.integers(4, 13)),
+            channel_lo=14,
+            channel_hi=int(rng.integers(15, 19)),
+            co_channel_radius=float(rng.uniform(0.15, 0.6)),
+            adjacent_channel_radius=float(rng.uniform(0.0, 0.15)),
+            seed=seed,
+        )
+    )
+    answers = set()
+    for bar_c in range(15, 20):
+        ct = ClearingTarget(bar_c)
+        for checker in (check_greedy, check_sat):
+            for packed in _packed_by_the_checkers(inst, ct, checker):
+                for target in inst.station_ids():
+                    if target not in packed:
+                        p = FeasibilityProblem(target, packed, inst, ct)
+                        channel = _fit_channel(p)
+                        assert channel == _reference_fit_channel(p)
+                        answers.add(channel)
+    # the scan both finds channels and finds none
+    assert None in answers and len(answers) > 1
+
+
+def test_fit_channel_finds_none_for_a_target_with_no_reduced_band_channel():
+    inst = mk_instance([(1, {16, 17}), (2, {14, 16})], [(1, 16, 2, 16)])
+    for packed in ({}, {2: 14}):
+        p = FeasibilityProblem(1, packed, inst, ClearingTarget(16))
+        assert p.target_row() == ()
+        assert _fit_channel(p) is None is _reference_fit_channel(p)
+
+
 def _reference_greedy(problem):
     certificate = _reference_fit_target(problem)
     return Timeout() if certificate is None else Feasible(certificate)
@@ -595,6 +652,16 @@ def test_checkers_match_their_references_on_two_targets(problems):
         expected = _outcome(_reference_exhaustive, p)
         if expected[0] in ("Feasible", "Infeasible"):
             assert _outcome(_sat, p)[0] == expected[0]
+
+
+@given(_problems_on_two_targets())
+@settings(max_examples=200, deadline=None)
+def test_fit_channel_picks_the_reference_channel_on_drawn_problems(problems):
+    for p in problems:
+        assert _fit_channel(p) == _reference_fit_channel(p)
+        # with nothing packed, the target's lowest reduced-band channel
+        empty = FeasibilityProblem(p.target, {}, p.inst, p.ct)
+        assert _fit_channel(empty) == _reference_fit_channel(empty)
 
 
 @given(st.lists(st.integers(1, 5), min_size=6, max_size=14), st.integers(0, 13))
