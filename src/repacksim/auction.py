@@ -40,10 +40,10 @@ computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count), a truthful station's first
 exit round for an (opening price, volume, value), the checker verdicts for a
 (clearing target, checker, step limit, packed assignment) on the most
-recent instance, and the two most recent truthful runs of an (instance,
-config, value profile) with their state after each played round. A memo hit
-returns what the computation would have returned, so outcomes do not depend
-on which auctions ran before.
+recent instance, and the most recent truthful run of an (instance, config,
+value profile) with its state after each played round. A memo hit returns
+what the computation would have returned, so outcomes do not depend on
+which auctions ran before.
 
 Only an auction with strategy hooks reads the truthful run: until a hooked
 station answers otherwise than it would bid truthfully, the auction is the
@@ -128,13 +128,11 @@ _TIEBREAK_STREAM = 3
 # often with 256 entries as with 4,096. The verdict memo counts packed-set
 # tables: one pass of ``truthful``, ``grid`` and ``sweep`` peaks at 38, 73
 # and 348 tables on one instance, so 512 evicts none of them. The truthful
-# run memo keeps two runs: criterion 5 runs each instance's deviations back
-# to back, and a caller that alternates hooked auctions between two
-# instances or value profiles would otherwise replay a whole run per auction.
+# run memo keeps one run (``_TRUTHFUL_RUN``): criterion 5 runs each
+# instance's deviations back to back.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
-_TRUTHFUL_RUN_MEMO_SIZE = 2
 
 
 class CheckerKind(str, Enum):
@@ -464,8 +462,7 @@ class AuctionState:
             self._keyed, self._verdicts = self.packed, _VERDICTS.table(self.inst, key)
         verdict = self._verdicts.get(sid)
         if verdict is None or (verdict is _FITS and not accepting):
-            row = self.inst.channel_table(self.ct)[self.inst.position(sid)]
-            if accepting and _fit_channel(row, self.packed) is not None:
+            if accepting and _fit_channel(self.inst, self.ct, sid, self.packed) is not None:
                 verdict = _FITS
             elif accepting and self.checker is CheckerKind.GREEDY:
                 verdict = Timeout()
@@ -624,11 +621,12 @@ class _Opening(NamedTuple):
 
 class _TruthfulRun(NamedTuple):
     """The truthful run of an (instance identity, config, value profile
-    items) key: its opening, its state after the opening and after each
+    items) ``key``: its opening, its state after the opening and after each
     played round before the final resolution, its round log's parts, and its
     outcome, None when the run raised. ``inst`` keeps the instance whose
     identity the key holds alive."""
 
+    key: tuple
     inst: Instance
     opening: _Opening
     snapshots: list[_Snapshot]
@@ -636,9 +634,8 @@ class _TruthfulRun(NamedTuple):
     outcome: AuctionOutcome | None
 
 
-#: The truthful runs that auctions with hooks asked for most recently, by
-#: key, the least recently asked for first.
-_TRUTHFUL_RUNS: OrderedDict[tuple, _TruthfulRun] = OrderedDict()
+#: The most recent truthful run that an auction with hooks asked for.
+_TRUTHFUL_RUN: list[_TruthfulRun] = []
 
 
 def _open(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _Opening:
@@ -799,10 +796,8 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
     """The memoized truthful run of ``inst``, ``values`` and ``config``,
     played on a miss."""
     key = (id(inst), config, tuple(values.items()))
-    run = _TRUTHFUL_RUNS.get(key)
-    if run is not None:
-        _TRUTHFUL_RUNS.move_to_end(key)
-        return run
+    if _TRUTHFUL_RUN and _TRUTHFUL_RUN[0].key == key:
+        return _TRUTHFUL_RUN[0]
     opening = _open(inst, values, config)
     snapshots, parts = [opening.start], []
     try:
@@ -813,10 +808,8 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
         # an enumeration left undecided, which a deviation that leaves the
         # truthful path before it need not reach
         outcome = None
-    run = _TRUTHFUL_RUNS[key] = _TruthfulRun(inst, opening, snapshots, parts, outcome)
-    if len(_TRUTHFUL_RUNS) > _TRUTHFUL_RUN_MEMO_SIZE:
-        _TRUTHFUL_RUNS.popitem(last=False)
-    return run
+    _TRUTHFUL_RUN[:] = [_TruthfulRun(key, inst, opening, snapshots, parts, outcome)]
+    return _TRUTHFUL_RUN[0]
 
 
 def _resumed(

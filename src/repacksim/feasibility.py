@@ -40,7 +40,6 @@ from typing import Iterable, Mapping
 from .model import (
     Assignment,
     Channel,
-    ChannelEntry,
     ClearingTarget,
     Instance,
     StationChannel,
@@ -125,16 +124,14 @@ class FeasibilityProblem:
     def station_set(self) -> list[StationId]:
         return sorted({*self.packed, self.target})
 
-    def target_row(self) -> tuple[ChannelEntry, ...]:
-        """The target's row of the instance's channel table."""
-        return self.inst.channel_table(self.ct)[self.inst.position(self.target)]
 
-
-def _fit_channel(row: tuple[ChannelEntry, ...], packed: Assignment) -> Channel | None:
-    """The lowest channel of ``row``, a station's channel-table row, that
-    clashes with no station of ``packed`` where it stands, or None."""
+def _fit_channel(
+    inst: Instance, ct: ClearingTarget, target: StationId, packed: Assignment
+) -> Channel | None:
+    """The lowest channel of ``target``'s channel-table row that clashes with
+    no station of ``packed`` where it stands, or None."""
     get = packed.get
-    for ch, _, partners, _ in row:
+    for ch, _, partners, _ in inst.channel_table(ct)[inst.position(target)]:
         for osid, och in partners:
             if get(osid) == och:
                 break
@@ -152,7 +149,7 @@ def check_greedy(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerd
     interface parity but not consumed.
     """
     del budget
-    ch = _fit_channel(problem.target_row(), problem.packed)
+    ch = _fit_channel(problem.inst, problem.ct, problem.target, problem.packed)
     return Timeout() if ch is None else Feasible({**problem.packed, problem.target: ch})
 
 
@@ -306,7 +303,7 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
     moving, otherwise the search over :func:`encode`. Infeasible exactly when
     the search exhausts every assignment. Certificates list their stations in
     id order, so equal packings are equal as ordered items too."""
-    ch = _fit_channel(problem.target_row(), problem.packed)
+    ch = _fit_channel(problem.inst, problem.ct, problem.target, problem.packed)
     if ch is not None:
         return Feasible(dict(sorted([*problem.packed.items(), (problem.target, ch)])))
     return solve(encode(problem), budget).verdict

@@ -516,7 +516,7 @@ PINNED_DIGESTS = (PINNED_OUTCOME_DIGEST, PINNED_BATCH_DIGEST)
 def _forget_memoized_work():
     auction._VERDICTS.clear()
     auction._tiebreak_order.cache_clear()
-    auction._TRUTHFUL_RUNS.clear()
+    auction._TRUTHFUL_RUN.clear()
 
 
 def test_pinned_outcomes_do_not_depend_on_memoized_work():
@@ -986,30 +986,6 @@ def test_a_value_profile_changed_between_hooked_auctions_is_not_resumed_from_the
         got = run_auction(inst, values, config, strategies)
         assert got == expected
         assert repr(got) == repr(expected)
-
-
-def test_the_truthful_run_memo_keeps_the_two_most_recent_runs(monkeypatch):
-    opened = []
-    open_ = auction._open
-
-    def recording_open(inst, values, config):
-        opened.append(inst)
-        return open_(inst, values, config)
-
-    monkeypatch.setattr(auction, "_open", recording_open)
-    cases = {k: _criterion_5_case(k) for k in (1, 2, 3)}
-    _forget_memoized_work()
-    # alternating between two instances plays each truthful run once; a
-    # third evicts the least recently asked for, instance 2, though instance
-    # 1's run was played first
-    for k, plays in [(1, 1), (2, 1), (1, 0), (2, 0), (1, 0), (3, 1), (1, 0), (2, 1)]:
-        inst, values, config = cases[k]
-        strategies = {run_auction(inst, values, config).participants[0]: _exit_at(20)}
-        opened.clear()
-        got = run_auction(inst, values, config, strategies)
-        assert len(opened) == plays
-        assert got == reference_auction(inst, values, config, strategies)
-    assert len(auction._TRUTHFUL_RUNS) == auction._TRUTHFUL_RUN_MEMO_SIZE
 
 
 def _fits(problem):

@@ -502,7 +502,7 @@ def _reference_fit_channel(problem):
 
 
 def _fit_channel(problem):
-    return feasibility._fit_channel(problem.target_row(), problem.packed)
+    return feasibility._fit_channel(problem.inst, problem.ct, problem.target, problem.packed)
 
 
 def _packed_by_the_checkers(inst, ct, checker):
@@ -549,7 +549,7 @@ def test_fit_channel_finds_none_for_a_target_with_no_reduced_band_channel():
     inst = mk_instance([(1, {16, 17}), (2, {14, 16})], [(1, 16, 2, 16)])
     for packed in ({}, {2: 14}):
         p = FeasibilityProblem(1, packed, inst, ClearingTarget(16))
-        assert p.target_row() == ()
+        assert p.inst.channel_table(p.ct)[p.inst.position(1)] == ()
         assert _fit_channel(p) is None is _reference_fit_channel(p)
 
 
