@@ -9,10 +9,11 @@ Three checkers share one verdict contract:
   a timeout, never infeasibility.
 * :func:`check_sat` is complete, in two layers as in SATFC (Frechette,
   Newman & Leyton-Brown, AAAI 2016): the same scan as a presolve, then
-  :func:`solve`, a forward-checking search over the packing model of every
-  packed station and the target (:func:`encode`), trying each packed
-  station's current channel first. It can also prove that no packing
-  exists.
+  :func:`solve`, a forward-checking search over the packing model of the
+  target's interference component among the packed stations
+  (:func:`encode`), trying each packed station's current channel first;
+  every other packed station keeps its channel. It can also prove that no
+  packing exists.
 * :func:`check_exhaustive` returns the lexicographically first valid joint
   assignment; it is the small-scale ground truth the other checkers are
   measured against.
@@ -198,11 +199,26 @@ class PackingModel:
 
 
 def encode(problem: FeasibilityProblem) -> PackingModel:
-    """The packing model of the packed stations plus the target, in station
-    order, with each packed station's current channel as its first option."""
-    return PackingModel(
-        problem.inst, problem.ct, problem.station_set(), hint=problem.packed
-    )
+    """The packing model of the target's interference component among the
+    packed stations, in station order, with each packed station's current
+    channel as its first option.
+
+    The component is flooded from the target over the channel table's
+    partners: a packed station joins when one of its reduced-band channels
+    clashes with one of a member's. No channel of a packed station outside
+    it clashes with any channel of a station inside it."""
+    inst, packed = problem.inst, problem.packed
+    table = inst.channel_table(problem.ct)
+    unreached = set(packed)
+    component = [problem.target]
+    # the loop reads the stations appended while it runs
+    for sid in component:
+        for _, _, partners, _ in table[inst.position(sid)]:
+            for osid, _ in partners:
+                if osid in unreached:
+                    unreached.remove(osid)
+                    component.append(osid)
+    return PackingModel(inst, problem.ct, sorted(component), hint=packed)
 
 
 @dataclass(frozen=True)
@@ -300,13 +316,36 @@ def solve(model: PackingModel, budget: Budget) -> SolveResult:
 
 def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict:
     """Complete check: the greedy presolve when the target fits with nobody
-    moving, otherwise the search over :func:`encode`. Infeasible exactly when
-    the search exhausts every assignment. Certificates list their stations in
-    id order, so equal packings are equal as ordered items too."""
+    moving, otherwise the search over the target's interference component
+    (:func:`encode`), every other packed station keeping its channel.
+    Infeasible exactly when the search exhausts every assignment of the
+    component. Certificates list their stations in id order, so equal
+    packings are equal as ordered items too.
+
+    The component search decides as the search over every packed station
+    and the target would, wherever that one finishes within the budget, with
+    an equal certificate and no more steps. No reduced-band channel of a
+    station outside the component clashes with a station inside it, so
+    neither part's decisions remove the other's channels. The whole search's
+    pick among the component's stations then depends on the component
+    alone, and their relative index order is the same in both models. So it
+    decides them in the same order, on the same channels, as the component
+    search does. Each station outside the component tries its packed channel
+    first, and those channels form a valid packing, so they never block one
+    another. One leaves its packed channel only after the component's search
+    below it has failed, and its other channels leave the component as it
+    was, so that search fails again: on every branch that succeeds, it keeps
+    its packed channel. The component search's steps are therefore a
+    subsequence of the whole search's: a whole search that finishes is
+    matched, and a whole search that times out may be decided.
+    """
     ch = _fit_channel(problem.inst, problem.ct, problem.target, problem.packed)
     if ch is not None:
         return Feasible(dict(sorted([*problem.packed.items(), (problem.target, ch)])))
-    return solve(encode(problem), budget).verdict
+    verdict = solve(encode(problem), budget).verdict
+    if isinstance(verdict, Feasible):
+        return Feasible(dict(sorted({**problem.packed, **verdict.certificate}.items())))
+    return verdict
 
 
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repacksim import auction, feasibility
 from repacksim.auction import AuctionConfig, run_auction
 from repacksim.feasibility import (
+    DECIDING_STEP_LIMIT,
+    DEFAULT_STEP_LIMIT,
     Budget,
     Feasible,
     FeasibilityProblem,
@@ -280,7 +282,9 @@ def test_solve_step_budget_timeout():
 
 
 def test_solve_respects_polarity_hint():
-    inst = mk_instance([(1, {14, 15}), (2, {14, 15})])
+    # the clash on 15 puts station 1 in the target's component, and the
+    # model that encode builds
+    inst = mk_instance([(1, {14, 15}), (2, {14, 15})], [(1, 15, 2, 15)])
     p = FeasibilityProblem(2, {1: 15}, inst, ClearingTarget(16))
     verdict = solve(encode(p), STEP_BUDGET).verdict
     assert isinstance(verdict, Feasible)
@@ -293,18 +297,25 @@ def test_solve_respects_polarity_hint():
 #: The SAT searches of the drawn auction below: their number, their steps,
 #: the sha256 of their verdicts' reprs, certificates in the order given, and
 #: the sha256 of the sorted reprs of their results, which does not depend on
-#: the order the auction asks in.
+#: the order the auction asks in. A search covers the target's interference
+#: component, so its certificate lists the component's stations only.
 PINNED_SEARCHES = (
     52,
-    834,
-    "00c9218e964bebfe9dbe4bece15c8b9191e2767b86bc8abf4441ac3abacb7bb6",
-    "add8e2a7141c4f3602713fd9442a28f60b7477183dc7f57218d6908fb5b139ee",
+    522,
+    "e7954219c39eaad24c42d7936a63ec39d8d35b26055e2278a7b807c3092ff394",
+    "a82a02d9a24afb610038cccdd016fdf2d93a235fa09cf6034f40d66023bca6ee",
 )
 
+#: The same auction's ``check_sat`` calls: their number and the sha256 of
+#: their verdicts' reprs, in the order asked. These were pinned while the
+#: search still covered every packed station, and a search restricted to the
+#: target's component must leave them as they were.
+PINNED_CHECKS = (65, "572a3d57a0e9ccd1591c58e0f1a0fd6a551565f9d7998379633ff2c0a1e8afdd")
 
-def test_the_searches_of_a_drawn_auction_are_pinned(monkeypatch):
-    # the run_grid.py geometry at 30 stations, where the greedy presolve
-    # leaves the search both feasible and infeasible checks
+
+def _run_the_drawn_auction():
+    """A sat auction on the run_grid.py geometry at 30 stations, where the
+    greedy presolve leaves the search both feasible and infeasible checks."""
     inst = generate_instance(
         GeneratorParams(
             n_stations=30,
@@ -316,24 +327,41 @@ def test_the_searches_of_a_drawn_auction_are_pinned(monkeypatch):
         )
     )
     values = sample_values(inst, ValueSamplerParams(seed=5))
-    results = []
-
-    def recorded(model, budget):
-        results.append(solve(model, budget))
-        return results[-1]
-
-    monkeypatch.setattr(feasibility, "solve", recorded)
     # a verdict memoized by an earlier auction would skip its search
     auction._VERDICTS.clear()
     run_auction(inst, values, AuctionConfig(ClearingTarget(17), seed=5))
-    verdicts = repr([r.verdict for r in results]).encode()
+
+
+def test_the_searches_of_a_drawn_auction_are_pinned(monkeypatch):
+    results, verdicts = [], []
+
+    def searched(model, budget):
+        results.append(solve(model, budget))
+        return results[-1]
+
+    def checked(problem, budget):
+        verdicts.append(check_sat(problem, budget))
+        return verdicts[-1]
+
+    monkeypatch.setattr(feasibility, "solve", searched)
+    monkeypatch.setattr(auction, "check_sat", checked)
+    _run_the_drawn_auction()
     searches = repr(sorted(map(repr, results))).encode()
     assert (
         len(results),
         sum(r.steps for r in results),
-        hashlib.sha256(verdicts).hexdigest(),
+        hashlib.sha256(repr([r.verdict for r in results]).encode()).hexdigest(),
         hashlib.sha256(searches).hexdigest(),
     ) == PINNED_SEARCHES
+    assert (len(verdicts), hashlib.sha256(repr(verdicts).encode()).hexdigest()) == PINNED_CHECKS
+
+
+def _whole_search(problem, budget):
+    """The search over every packed station and the target, each packed
+    station's channel first: the model that ``check_sat`` would search
+    without cutting out the target's component."""
+    model = PackingModel(problem.inst, problem.ct, problem.station_set(), hint=problem.packed)
+    return solve(model, budget)
 
 
 # ---------------------------------------------------------------- checkers
@@ -562,7 +590,7 @@ def _reference_sat(problem):
     certificate = _reference_fit_target(problem)
     if certificate is not None:
         return Feasible(dict(sorted(certificate.items())))
-    return solve(encode(problem), STEP_BUDGET).verdict
+    return _whole_search(problem, STEP_BUDGET).verdict
 
 
 def _reference_exhaustive(problem):
@@ -595,15 +623,20 @@ def _reference_exhaustive(problem):
     return Infeasible()
 
 
+def _items(verdict):
+    """A verdict with its certificate's items in order."""
+    if isinstance(verdict, Feasible):
+        return "Feasible", list(verdict.certificate.items())
+    return type(verdict).__name__, None
+
+
 def _outcome(checker, problem):
-    """A verdict with its certificate's items in order, or the error raised."""
+    """A verdict as :func:`_items` gives it, or the error raised."""
     try:
         verdict = checker(problem)
     except SearchSpaceError as error:
         return type(error).__name__, str(error)
-    if isinstance(verdict, Feasible):
-        return "Feasible", list(verdict.certificate.items())
-    return type(verdict).__name__, None
+    return _items(verdict)
 
 
 def _sat(problem):
@@ -662,6 +695,67 @@ def test_fit_channel_picks_the_reference_channel_on_drawn_problems(problems):
         # with nothing packed, the target's lowest reduced-band channel
         empty = FeasibilityProblem(p.target, {}, p.inst, p.ct)
         assert _fit_channel(empty) == _reference_fit_channel(empty)
+
+
+def _assert_the_component_search_matches_the_whole_search(problem, budget):
+    """For a problem the greedy presolve leaves to the search: where the
+    whole search finishes, ``check_sat`` gives its verdict and certificate,
+    items in the same order; its search takes no more steps; and where the
+    whole search times out, a verdict it reaches is the whole search's with
+    room to finish. Returns the two searches' verdict types."""
+    whole = _whole_search(problem, budget)
+    part = solve(encode(problem), budget)
+    verdict = check_sat(problem, budget)
+    assert part.steps <= whole.steps
+    if isinstance(whole.verdict, Timeout):
+        if not isinstance(verdict, Timeout):
+            decided = _whole_search(problem, Budget(DECIDING_STEP_LIMIT)).verdict
+            assert _items(verdict) == _items(decided)
+    else:
+        assert _items(verdict) == _items(whole.verdict)
+    return type(whole.verdict), type(verdict)
+
+
+@given(
+    _problems_on_two_targets(),
+    st.integers(0, 10_000),
+    st.integers(1, 40) | st.just(STEP_BUDGET.step_limit),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_component_search_matches_the_whole_search_on_drawn_problems(problems, seed, limit):
+    # small limits time out both searches, or the whole one only; the
+    # generator's problems add more stations and channels
+    budget = Budget(limit)
+    for p in [*problems, _random_problem(seed + 120_000)]:
+        if _fit_channel(p) is None:
+            _assert_the_component_search_matches_the_whole_search(p, budget)
+
+
+def test_the_component_search_matches_the_whole_search_on_a_drawn_auction(monkeypatch):
+    problems = []
+
+    def encoded(problem):
+        problems.append(problem)
+        return encode(problem)
+
+    monkeypatch.setattr(feasibility, "encode", encoded)
+    _run_the_drawn_auction()
+    monkeypatch.undo()
+    # the auction's own budget, and budgets that cut the searches short
+    seen = {
+        _assert_the_component_search_matches_the_whole_search(p, Budget(limit))
+        for p in problems
+        for limit in (2, 5, 10, DEFAULT_STEP_LIMIT)
+    }
+    # both searches decide both ways and give up, and the component search
+    # decides both ways on checks the whole search gives up on
+    assert seen == {
+        (Feasible, Feasible),
+        (Infeasible, Infeasible),
+        (Timeout, Timeout),
+        (Timeout, Feasible),
+        (Timeout, Infeasible),
+    }
 
 
 @given(st.lists(st.integers(1, 5), min_size=6, max_size=14), st.integers(0, 13))
