@@ -35,15 +35,14 @@ are carried into playing it. The round log (``RoundLog``) holds the played
 rounds and the skipped stretches and expands each stretch into its records
 on first read, so it reads as the tuple of every round's record.
 
-Auctions on one instance repeat most of each other's work, so four pure
+Auctions on one instance repeat most of each other's work, so three pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count), a truthful station's first
-exit round for an (opening price, volume, value), the checker verdicts for a
-(clearing target, checker, step limit, packed assignment) on the most
-recent instance, and the most recent truthful run of an (instance, config,
-value profile) with its state after each played round. A memo hit returns
-what the computation would have returned, so outcomes do not depend on
-which auctions ran before.
+exit round for an (opening price, volume, value), and the most recent
+truthful run of an (instance, config, value profile) with its state after
+each played round and the checker verdicts that it and its deviations
+found. A memo hit returns what the computation would have returned, so
+outcomes do not depend on which auctions ran before.
 
 Only an auction with strategy hooks reads the truthful run: until a hooked
 station answers otherwise than it would bid truthfully, the auction is the
@@ -56,11 +55,13 @@ run's.
 
 Within one auction a station's verdict can change only when an exit replaces
 the packed set, so the verdicts are kept in one layer: a table per packed
-set, from target station to verdict. An auction fetches the table of its
-packed set whenever an exit replaces that set, building the key once per
-exit, and fills it on a miss; a later auction that reaches the same packed
-set finds the verdicts already there. A verdict from a table is shared and
-read-only; an exit copies the certificate it keeps as the packed assignment.
+set, from target station to verdict. An auction without hooks keeps its
+own tables and shares none. A truthful run keeps its tables by the packed
+set's ordered items, and each of its deviations fetches the table of its
+packed set whenever an exit replaces that set and fills it on a miss, so a
+deviation that reaches a packed set the run or an earlier deviation reached
+finds the verdicts already there. A verdict from a table is read-only; an
+exit copies the certificate it keeps as the packed assignment.
 An accept reads no certificate: it scans its station's channel-table row
 against the packed set, building no problem, and for a station that fits
 the table holds a shared "fits" marker, read as feasible, in place of the
@@ -122,14 +123,16 @@ _TIEBREAK_STREAM = 3
 # Memo bounds. Each holds one instance's working set in criterion 5, whose
 # auctions on an instance run back to back: over its 50 instances its played
 # rounds draw about 5,700 distinct tie-break keys (at most 182 on one
-# instance). First exit rounds repeat within the auctions of one value
-# profile: a pass of the benchmark's ``truthful`` workload asks for 120
-# distinct ones 32,520 times, and ``grid`` and ``sweep`` hit the memo as
-# often with 256 entries as with 4,096. The verdict memo counts packed-set
-# tables: one pass of ``truthful``, ``grid`` and ``sweep`` peaks at 38, 73
-# and 348 tables on one instance, so 512 evicts none of them. The truthful
-# run memo keeps one run (``_TRUTHFUL_RUN``): criterion 5 runs each
-# instance's deviations back to back.
+# instance). One seed-1 pass of the benchmark's workloads, read from
+# ``cache_info()`` after clearing the memos, asks for tie-break ranks 13,928
+# times with 1,999 misses on ``truthful`` (every unscored bid ties), and
+# 508 and 12,429 times, all misses, on ``grid`` and ``sweep``. It asks for
+# first exit rounds 240 times with 120 misses on ``truthful``, 3,303 with
+# 2,222 on ``grid`` and 37,250 with 14,827 on ``sweep``, the same misses
+# with 256 entries as with 4,096. The verdict bound counts one truthful
+# run's packed-set tables: a ``truthful`` pass peaks at 38, so 512 evicts
+# none. The truthful run memo keeps one run (``_TRUTHFUL_RUN``): criterion 5
+# runs each instance's deviations back to back.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
@@ -169,6 +172,8 @@ class AuctionConfig:
     def __post_init__(self) -> None:
         if self.c0 is not None and not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError("c0 must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
     def initial_price(self) -> float:
         return self.c0 if self.c0 is not None else default_initial_clock_price(self.scoring)
@@ -376,48 +381,6 @@ def truthful_bid(value: float, new_offer: float) -> BidDecision:
     return ACCEPT if new_offer >= value else EXIT
 
 
-class _VerdictMemo:
-    """Verdict tables of the most recent instance's checks, shared across
-    auctions: one table per packed set, from target station to verdict.
-
-    A checker is a pure function of the instance, the clearing target, its
-    kind and budget, the target station and the packed assignment, so a
-    verdict in a table is the one it would compute. A table keys as the
-    clearing target, checker, step limit and the packed assignment's ordered
-    items: the greedy certificate keeps the packed order, so an equal dict in
-    another order is another problem. Instances match by identity; a
-    different one clears the memo. The least recently fetched table is evicted
-    first; an auction that still holds it goes on filling it alone.
-
-    A table may hold the ``_FITS`` marker in place of a verdict, which only
-    accepting bids read (:meth:`AuctionState.check`).
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.inst: Instance | None = None
-        self.tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]] = OrderedDict()
-
-    def clear(self) -> None:
-        self.inst = None
-        self.tables.clear()
-
-    def table(self, inst: Instance, key: tuple) -> dict[StationId, FeasibilityVerdict]:
-        if inst is not self.inst:
-            self.clear()
-            self.inst = inst
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = {}
-            if len(self.tables) > self.size:
-                self.tables.popitem(last=False)
-        else:
-            self.tables.move_to_end(key)
-        return table
-
-
-_VERDICTS = _VerdictMemo(_VERDICT_MEMO_SIZE)
-
 #: What an accepting bid records for a station that fits (``AuctionState.check``).
 _FITS = Feasible({})
 
@@ -434,6 +397,9 @@ class AuctionState:
     payments: dict[StationId, float] = field(default_factory=dict)
     packed: Assignment = field(default_factory=dict)
     timeout_count: int = 0
+    # verdict tables shared with other auctions, by the packed set's ordered
+    # items; None keeps a table of this auction's own per packed set
+    tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]] | None = None
     # the ``packed`` that ``_verdicts`` holds the verdicts for, by station;
     # both are replaced when ``packed`` is
     _keyed: Assignment | None = field(default=None, init=False, repr=False)
@@ -443,9 +409,12 @@ class AuctionState:
 
     def check(self, sid: StationId, accepting: bool = False) -> FeasibilityVerdict:
         """Feasibility of packing ``sid`` with the current packed set, from
-        the shared verdict table of that set, which a miss fills. The table
-        hands the same verdict to later auctions, so it is read-only: an exit
-        copies the certificate it keeps.
+        the verdict table of that set, which a miss fills. A table in
+        ``tables`` hands the same verdict to later auctions, so verdicts are
+        read-only: an exit copies the certificate it keeps. The table a
+        fetch misses is added as the most recently used, evicting the least
+        recently used beyond ``_VERDICT_MEMO_SIZE``; an auction that still
+        holds an evicted table goes on filling it alone.
 
         An ``accepting`` bid asks only whether ``sid`` fits beside the packed
         set as it stands, scanning its channel-table row with no problem
@@ -457,9 +426,20 @@ class AuctionState:
         verdict, so exit certificates hold. Under greedy, an accept that does
         not fit records a Timeout at once, as the checker would only rescan."""
         if self._keyed is not self.packed:
-            packed = tuple(self.packed.items())
-            key = (self.ct.bar_c, self.checker, self.budget.step_limit, packed)
-            self._keyed, self._verdicts = self.packed, _VERDICTS.table(self.inst, key)
+            self._keyed, tables = self.packed, self.tables
+            if tables is None:
+                self._verdicts = {}
+            else:
+                # the greedy certificate keeps the packed order, so an equal
+                # dict in another order is another problem
+                key = tuple(self.packed.items())
+                self._verdicts = tables.get(key)
+                if self._verdicts is None:
+                    self._verdicts = tables[key] = {}
+                    if len(tables) > _VERDICT_MEMO_SIZE:
+                        tables.popitem(last=False)
+                else:
+                    tables.move_to_end(key)
         verdict = self._verdicts.get(sid)
         if verdict is None or (verdict is _FITS and not accepting):
             if accepting and _fit_channel(self.inst, self.ct, sid, self.packed) is not None:
@@ -622,9 +602,15 @@ class _Opening(NamedTuple):
 class _TruthfulRun(NamedTuple):
     """The truthful run of an (instance identity, config, value profile
     items) ``key``: its opening, its state after the opening and after each
-    played round before the final resolution, its round log's parts, and its
-    outcome, None when the run raised. ``inst`` keeps the instance whose
-    identity the key holds alive."""
+    played round before the final resolution, its round log's parts, its
+    outcome, None when the run raised, and the verdict tables that it and
+    its deviations share. ``inst`` keeps the instance whose identity the key
+    holds alive.
+
+    A checker is a pure function of the instance, the config's clearing
+    target, checker and budget, the target station and the packed
+    assignment, so within one run's key a table needs only the packed set.
+    """
 
     key: tuple
     inst: Instance
@@ -632,6 +618,7 @@ class _TruthfulRun(NamedTuple):
     snapshots: list[_Snapshot]
     parts: list[tuple | _QuietStretch]
     outcome: AuctionOutcome | None
+    tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]]
 
 
 #: The most recent truthful run that an auction with hooks asked for.
@@ -667,12 +654,14 @@ def _play(
     strategies: Mapping[StationId, BidStrategy],
     asked: Mapping[int, list] | None = None,
     snapshots: list[_Snapshot] | None = None,
+    tables: OrderedDict | None = None,
 ) -> AuctionOutcome:
     """Play the auction on from ``start`` to its outcome, appending to
     ``parts``, the round log's parts up to ``start``. ``asked`` holds the
     hooked stations' answers in rounds they were already asked in, which
     are not asked again; ``snapshots``, when given, gets the state after
-    each played round but the final resolution."""
+    each played round but the final resolution; ``tables`` are the verdict
+    tables of ``AuctionState.tables``."""
     state = AuctionState(
         inst=inst,
         ct=config.ct,
@@ -682,6 +671,7 @@ def _play(
         payments=dict(start.payments),
         packed=start.packed,
         timeout_count=start.timeout_count,
+        tables=tables,
     )
     last_accepted = state.last_accepted
     asked = asked or {}
@@ -799,16 +789,16 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
     if _TRUTHFUL_RUN and _TRUTHFUL_RUN[0].key == key:
         return _TRUTHFUL_RUN[0]
     opening = _open(inst, values, config)
-    snapshots, parts = [opening.start], []
+    snapshots, parts, tables = [opening.start], [], OrderedDict()
     try:
         outcome = _play(
-            inst, values, config, opening, opening.start, parts, {}, snapshots=snapshots
+            inst, values, config, opening, opening.start, parts, {}, None, snapshots, tables
         )
     except SearchSpaceError:
         # an enumeration left undecided, which a deviation that leaves the
         # truthful path before it need not reach
         outcome = None
-    _TRUTHFUL_RUN[:] = [_TruthfulRun(key, inst, opening, snapshots, parts, outcome)]
+    _TRUTHFUL_RUN[:] = [_TruthfulRun(key, inst, opening, snapshots, parts, outcome, tables)]
     return _TRUTHFUL_RUN[0]
 
 
@@ -823,7 +813,9 @@ def _resumed(
     run = _truthful_run(inst, values, config)
     opening = run.opening
     if run.outcome is None:
-        return _play(inst, values, config, opening, opening.start, [], strategies)
+        return _play(
+            inst, values, config, opening, opening.start, [], strategies, tables=run.tables
+        )
     vols, clocks, exit_rounds = opening.vols, opening.clocks, opening.exit_rounds
     snapshots = run.snapshots
     for i, snap in enumerate(snapshots):
@@ -849,7 +841,10 @@ def _resumed(
                 truthful = truthful and answer is (EXIT if r >= exit_round else ACCEPT)
             if not truthful:
                 parts = run.parts[: snap.parts]
-                return _play(inst, values, config, opening, snap, parts, strategies, asked)
+                return _play(
+                    inst, values, config, opening, snap, parts, strategies, asked,
+                    tables=run.tables,
+                )
     out = run.outcome
     return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
 

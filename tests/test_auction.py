@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -405,6 +406,9 @@ def test_config_validation():
     for c0 in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             AuctionConfig(ct=ct, c0=c0)
+    # a negative seed would reach numpy's tie-break draw only at the first tie
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        AuctionConfig(ct=ct, seed=-1)
     assert AuctionConfig(ct=ct).initial_price() == 900.0
     assert (
         AuctionConfig(ct=ct, scoring=ScoringRule.UNSCORED).initial_price()
@@ -517,7 +521,6 @@ PINNED_DIGESTS = (PINNED_OUTCOME_DIGEST, PINNED_BATCH_DIGEST)
 
 
 def _forget_memoized_work():
-    auction._VERDICTS.clear()
     auction._tiebreak_order.cache_clear()
     auction._TRUTHFUL_RUN.clear()
 
@@ -536,12 +539,14 @@ def test_pinned_outcomes_do_not_depend_on_memoized_work():
 @pytest.mark.parametrize("size", [1, auction._VERDICT_MEMO_SIZE])
 def test_pinned_outcomes_do_not_depend_on_table_eviction_or_auction_order(monkeypatch, size):
     # with one table, each exit's packed set evicts the table of the one
-    # before, and a set met again is checked afresh
-    monkeypatch.setattr(auction._VERDICTS, "size", size)
+    # before from its truthful run's tables, and a set met again is checked
+    # afresh
+    monkeypatch.setattr(auction, "_VERDICT_MEMO_SIZE", size)
     pairs = _pinned_instances()
     _forget_memoized_work()
     assert _digests(_pinned_batch(pairs)) == PINNED_DIGESTS
-    # backwards, each auction meets the tables of the ones after it
+    # backwards, the deviations fill their truthful run's tables in another
+    # order, and each meets the tables of the ones after it
     _forget_memoized_work()
     backward = [
         (steps, run_auction(*pairs[k], cfg, strategies))
@@ -551,14 +556,14 @@ def test_pinned_outcomes_do_not_depend_on_table_eviction_or_auction_order(monkey
 
 
 def test_an_auction_keeps_filling_a_table_the_memo_evicted(monkeypatch):
-    monkeypatch.setattr(auction._VERDICTS, "size", 1)
-    _forget_memoized_work()
+    monkeypatch.setattr(auction, "_VERDICT_MEMO_SIZE", 1)
     inst, _ = _pinned_instances()[0]
     ct, budget = ClearingTarget(16), Budget(step_limit=50_000)
     first, *rest = inst.station_ids()
     lowest = min(ct.reduced(inst.station(first).domain))
+    tables = OrderedDict()
     states = [
-        AuctionState(inst, ct, CheckerKind.SAT, budget, {}, packed=packed)
+        AuctionState(inst, ct, CheckerKind.SAT, budget, {}, packed=packed, tables=tables)
         for packed in ({}, {first: lowest})
     ]
     # the two states take turns, so each fetch evicts the other's table
@@ -567,7 +572,52 @@ def test_an_auction_keeps_filling_a_table_the_memo_evicted(monkeypatch):
             expected = check_sat(FeasibilityProblem(sid, state.packed, inst, ct), budget)
             assert state.check(sid) == expected
             assert state.check(sid) is state.check(sid)
-    assert len(auction._VERDICTS.tables) == 1
+    assert len(tables) == 1
+
+
+def _recorded_checker_runs(monkeypatch):
+    """The target and packed items of every checker run that ``auction.py``
+    makes from here on, in order."""
+    runs = []
+    run_checker = auction._run_checker
+
+    def recording(kind, problem, budget):
+        runs.append((problem.target, tuple(problem.packed.items())))
+        return run_checker(kind, problem, budget)
+
+    monkeypatch.setattr(auction, "_run_checker", recording)
+    return runs
+
+
+def test_an_auction_without_hooks_runs_the_same_checkers_when_run_twice(monkeypatch):
+    # it keeps its verdicts to itself, so a second run meets none of them
+    inst, values, config = _criterion_5_case(1)
+    n_packed = len(determine_participants(inst, values, unscored_volumes(inst), config.c0)[1])
+    runs = _recorded_checker_runs(monkeypatch)
+    first = run_auction(inst, values, config)
+    once = list(runs)
+    assert len(once) > n_packed  # the rounds run checkers, not only the initial packing
+    runs.clear()
+    assert run_auction(inst, values, config) == first
+    assert runs == once
+
+
+def test_a_second_equal_hooked_auction_runs_no_checker(monkeypatch):
+    inst, values, config = _criterion_5_case(1)
+    opening = auction._open(inst, values, config)
+    # a station that would accept in round 1 exits in it, so the deviation
+    # leaves the truthful run at once and its exit runs a checker
+    sid = next(s for s in opening.participants if opening.exit_rounds[s] > 1)
+    strategies = {sid: _exit_at(1)}
+    _forget_memoized_work()
+    runs = _recorded_checker_runs(monkeypatch)
+    first = run_auction(inst, values, config, strategies)
+    assert first == reference_auction(inst, values, config, strategies)
+    assert runs
+    runs.clear()
+    # the truthful run keeps the verdicts its deviations found too
+    assert run_auction(inst, values, config, strategies) == first
+    assert runs == []
 
 
 def test_mutating_returned_assignments_cannot_change_later_auctions():
@@ -578,9 +628,10 @@ def test_mutating_returned_assignments_cannot_change_later_auctions():
     for _, out in first:
         out.final_assignment.clear()
     # an exit keeps the certificate of a verdict that later auctions get
-    # from the same memo
+    # from the same tables
     inst, _ = pairs[0]
     for checker, steps in PINNED_CHECKERS:
+        tables = OrderedDict()
         for sid in inst.station_ids():
             for _ in range(2):  # a miss, then a hit
                 state = AuctionState(
@@ -589,6 +640,7 @@ def test_mutating_returned_assignments_cannot_change_later_auctions():
                     checker=checker,
                     budget=Budget(step_limit=steps),
                     last_accepted={sid: 0.0},
+                    tables=tables,
                 )
                 process_bids(state, [Bid(sid, BidDecision.EXIT, 0.0, 0.0)], 0, 1)
                 state.packed.clear()
@@ -640,7 +692,8 @@ def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scor
     )
     sids = inst.station_ids()
     strategies = {sids[i % n]: _exit_at(r) for i, r in exits}
-    # truthful first, so the run with exits also meets verdicts from the memo
+    # truthful first, then with exits, which resumes from a truthful run
+    # of its own and meets the verdicts that run left
     for chosen in ({}, strategies):
         expected = _outcome_or_error(reference_auction, inst, values, config, chosen)
         got = _outcome_or_error(run_auction, inst, values, config, chosen)
@@ -1110,15 +1163,18 @@ def test_an_exit_replaces_a_fits_marker_another_auction_left():
         [(1, 14, 2, 14), (1, 15, 2, 15)],
     )
     config = unscored_config(ClearingTarget(17), 10.0, CheckerKind.EXHAUSTIVE)
+    values = {1: 0.0, 2: 10.0, 3: 6.0}
     _forget_memoized_work()
-    # station 1 accepts beside {2: 14} until station 3 exits beside it
-    first = {1: 0.0, 2: 10.0, 3: 6.0}
-    assert run_auction(inst, first, config) == reference_auction(inst, first, config, {})
-    assert any(t.get(1) is auction._FITS for t in auction._VERDICTS.tables.values())
-    # station 1 exits beside {2: 14}, where the marker stands
-    second = {1: 9.9, 2: 10.0, 3: 0.0}
-    got = run_auction(inst, second, config)
-    assert got == reference_auction(inst, second, config, {})
+    # truthfully, station 1 accepts beside {2: 14} until station 3 exits
+    # beside it, so a hook that never exits gets the truthful run's outcome
+    truthful = {1: _never_exit}
+    got = run_auction(inst, values, config, truthful)
+    assert got == reference_auction(inst, values, config, truthful)
+    assert auction._TRUTHFUL_RUN[0].tables[((2, 14),)][1] is auction._FITS
+    # station 1 exits beside {2: 14}, where the truthful run left the marker
+    deviation = {1: _exit_at(1)}
+    got = run_auction(inst, values, config, deviation)
+    assert got == reference_auction(inst, values, config, deviation)
     assert got.final_assignment == {1: 14, 2: 15, 3: 16}
 
 

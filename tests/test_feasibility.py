@@ -327,8 +327,6 @@ def _run_the_drawn_auction():
         )
     )
     values = sample_values(inst, ValueSamplerParams(seed=5))
-    # a verdict memoized by an earlier auction would skip its search
-    auction._VERDICTS.clear()
     run_auction(inst, values, AuctionConfig(ClearingTarget(17), seed=5))
 
 
