@@ -71,6 +71,7 @@ checker's verdict; an exit that finds it runs the checker instead.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -172,7 +173,7 @@ class AuctionConfig:
     def __post_init__(self) -> None:
         if self.c0 is not None and not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError("c0 must be positive and finite")
-        if self.seed < 0:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
     def initial_price(self) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
@@ -101,7 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"cell {twice[0]!r} is listed twice")
         if self.budget_steps < 1:
             raise ValueError("budget_steps must be positive")
-        if self.master_seed < 0:
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
         if not (math.isfinite(self.c0_fcc) and math.isfinite(self.c0_unscored)):
             raise ValueError("c0_fcc and c0_unscored must be finite")

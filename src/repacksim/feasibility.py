@@ -25,11 +25,14 @@ first, and enumeration decides the stations in id order. The greedy scan,
 the packing model and the exact benchmark (:mod:`repacksim.vcg`) read each
 station's channels from the instance's channel table
 (:meth:`repacksim.model.Instance.channel_table`), built once per clearing
-target and kept as long as the instance. A :class:`PackingModel` is a cut of
-that table, and every search runs over one, the initial packing's fallback
-included. A search's limit is a count of steps. Running out of it is a
-:class:`Timeout` verdict for a check that may time out; a search that must
-decide, enumeration or the initial packing's fallback, raises
+target and kept as long as the instance. The component flood and the packing
+model read each station's neighbour ids and channel mask from the clash view
+kept beside it (:meth:`repacksim.model.Instance.clash_view`), so a search's
+set-up reads no partner list and sums no bits. A :class:`PackingModel` is a
+cut of that table, and every search runs over one, the initial packing's
+fallback included. A search's limit is a count of steps. Running out of it
+is a :class:`Timeout` verdict for a check that may time out; a search that
+must decide, enumeration or the initial packing's fallback, raises
 :class:`SearchSpaceError` instead.
 """
 
@@ -130,13 +133,11 @@ def _fit_channel(
     inst: Instance, ct: ClearingTarget, target: StationId, packed: Assignment
 ) -> Channel | None:
     """The lowest channel of ``target``'s channel-table row that clashes with
-    no station of ``packed`` where it stands, or None."""
-    get = packed.get
+    no station of ``packed`` where it stands, or None: a channel fits when
+    none of its partners is an item of ``packed``."""
+    placed = packed.items()
     for ch, _, partners, _ in inst.channel_table(ct)[inst.position(target)]:
-        for osid, och in partners:
-            if get(osid) == och:
-                break
-        else:
+        if placed.isdisjoint(partners):
             return ch
     return None
 
@@ -159,10 +160,13 @@ class PackingModel:
     (:meth:`~repacksim.model.Instance.channel_table`): ``rows`` holds each
     station's row of ``(channel, bit, partners, clashes)`` entries, the
     table's own tuple unless the station's ``hint`` channel moves to its
-    front, and ``rank`` maps each position of the instance to the station's
-    index in ``order``, -1 for a station outside it."""
+    front, ``masks`` each station's channel bits from the clash view
+    (:meth:`~repacksim.model.Instance.clash_view`), and ``rank`` maps each
+    position of the instance to the station's index in ``order``, -1 for a
+    station outside it. A hint that is already first, outside the row, or
+    for a station with no channel in the band leaves the row as it is."""
 
-    __slots__ = ("order", "rows", "rank")
+    __slots__ = ("order", "rows", "rank", "masks")
 
     def __init__(
         self,
@@ -172,18 +176,22 @@ class PackingModel:
         hint: Mapping[StationId, Channel] | None = None,
     ) -> None:
         self.order = list(order)
-        table = inst.channel_table(ct)
+        table, view = inst.channel_table(ct), inst.clash_view(ct)
         self.rank = [-1] * len(table)
         self.rows = []
+        self.masks = []
         for i, sid in enumerate(self.order):
             pos = inst.position(sid)
             self.rank[pos] = i
             row = table[pos]
-            if hint and sid in hint:
-                k = next((k for k, entry in enumerate(row) if entry[0] == hint[sid]), 0)
-                if k:
-                    row = (row[k], *row[:k], *row[k + 1 :])
+            first = hint.get(sid) if hint else None
+            if first is not None and row and row[0][0] != first:
+                for k, entry in enumerate(row):
+                    if entry[0] == first:
+                        row = (entry, *row[:k], *row[k + 1 :])
+                        break
             self.rows.append(row)
+            self.masks.append(view[pos][0])
 
     @property
     def clauses(self) -> list[tuple[StationChannel, StationChannel]]:
@@ -203,21 +211,21 @@ def encode(problem: FeasibilityProblem) -> PackingModel:
     packed stations, in station order, with each packed station's current
     channel as its first option.
 
-    The component is flooded from the target over the channel table's
-    partners: a packed station joins when one of its reduced-band channels
-    clashes with one of a member's. No channel of a packed station outside
-    it clashes with any channel of a station inside it."""
+    The component is flooded from the target over the clash view's
+    neighbour ids (:meth:`~repacksim.model.Instance.clash_view`), meeting
+    each neighbour once: a packed station joins when one of its reduced-band
+    channels clashes with one of a member's. No channel of a packed station
+    outside it clashes with any channel of a station inside it."""
     inst, packed = problem.inst, problem.packed
-    table = inst.channel_table(problem.ct)
+    view = inst.clash_view(problem.ct)
     unreached = set(packed)
     component = [problem.target]
     # the loop reads the stations appended while it runs
     for sid in component:
-        for _, _, partners, _ in table[inst.position(sid)]:
-            for osid, _ in partners:
-                if osid in unreached:
-                    unreached.remove(osid)
-                    component.append(osid)
+        reached = unreached.intersection(view[inst.position(sid)][1])
+        if reached:
+            unreached -= reached
+            component += reached
     return PackingModel(inst, problem.ct, sorted(component), hint=packed)
 
 
@@ -248,7 +256,7 @@ def _search(model: PackingModel, step_limit: int, weight: int) -> SolveResult:
     n = len(order)
     # The last slot stands for every station outside the model (rank -1):
     # it shows no channels, so a clash with one removes nothing.
-    avail = [sum(bit for _, bit, _, _ in row) for row in rows] + [0]
+    avail = [*model.masks, 0]
     score = [avail[i].bit_count() * weight + i for i in range(n)]
     undecided = set(range(n))
     steps = 0

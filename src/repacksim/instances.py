@@ -15,6 +15,7 @@ then constraints in canonical order. A value profile file holds one
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ class GeneratorParams:
             raise ValueError(
                 "adjacent_channel_radius must lie in [0, co_channel_radius]"
             )
-        if self.seed < 0:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 
@@ -86,7 +87,7 @@ class ValueSamplerParams:
                 raise ValueError(f"{name} must be finite")
         if self.log_sd <= 0:
             raise ValueError("log_sd must be positive")
-        if self.seed < 0:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 

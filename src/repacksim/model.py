@@ -7,6 +7,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping
 
 StationId = int
@@ -24,6 +25,9 @@ StationChannel = tuple[StationId, Channel]
 #: One channel of a station in :meth:`Instance.channel_table`:
 #: ``(channel, bit, partners, clashes)``.
 ChannelEntry = tuple[Channel, int, tuple[StationChannel, ...], tuple[tuple[int, int], ...]]
+
+#: One station in :meth:`Instance.clash_view`: ``(mask, neighbours)``.
+StationClashes = tuple[int, tuple[StationId, ...]]
 
 
 class UnknownStationError(ValueError):
@@ -193,10 +197,23 @@ class Instance:
 
         Built once per target and memoized, as the conflict index is.
         """
-        memo: dict = self._table_memo  # type: ignore[attr-defined]
-        cached = memo.get(ct.bar_c)
-        if cached is not None:
-            return cached
+        cached = self._table_memo.get(ct.bar_c)  # type: ignore[attr-defined]
+        return (cached or self._build_band(ct))[0]
+
+    def clash_view(self, ct: ClearingTarget) -> tuple[StationClashes, ...]:
+        """Per station, in station order, ``(mask, neighbours)``: the sum of
+        the bits of its :meth:`channel_table` row, and the ids, ascending, of
+        the other stations that one of its reduced-band channels clashes
+        with.
+
+        Built with the channel table and kept in the same memo.
+        """
+        cached = self._table_memo.get(ct.bar_c)  # type: ignore[attr-defined]
+        return (cached or self._build_band(ct))[1]
+
+    def _build_band(self, ct: ClearingTarget) -> tuple:
+        """The channel table and clash view of ``ct``, built together and
+        memoized under its ``bar_c``."""
         conflicts = self.conflicts_in_band(ct)
         bit_of = {ch: 1 << k for k, ch in enumerate(self.channel_universe)}
         channels = [sorted(ct.reduced(st.domain)) for st in self.stations]
@@ -207,16 +224,24 @@ class Instance:
             for pos, st in enumerate(self.stations)
             for ch in channels[pos]
         }
-        table = []
+        station_of = itemgetter(0)
+        table, view = [], []
         for st, chs in zip(self.stations, channels):
             row = []
+            mask = 0
+            neighbours = set()
             for ch in chs:
                 partners = conflicts.get((st.id, ch), ())
-                row.append((ch, bit_of[ch], partners, tuple(atoms[p] for p in partners)))
+                bit = bit_of[ch]
+                row.append((ch, bit, partners, tuple(atoms[p] for p in partners)))
+                mask |= bit
+                neighbours.update(map(station_of, partners))
+            neighbours.discard(st.id)
             table.append(tuple(row))
-        frozen = tuple(table)
-        memo[ct.bar_c] = frozen
-        return frozen
+            view.append((mask, tuple(sorted(neighbours))))
+        band = (tuple(table), tuple(view))
+        self._table_memo[ct.bar_c] = band  # type: ignore[attr-defined]
+        return band
 
 
 def station_sum(amounts: Mapping[StationId, float], stations: Iterable[StationId]) -> float:
@@ -249,8 +274,6 @@ def interference_graph(
     inst: Instance, ct: ClearingTarget
 ) -> dict[StationId, set[StationId]]:
     """Undirected graph with an edge per station pair sharing at least one
-    forbidden pair whose channels both survive the clearing target."""
-    graph: dict[StationId, set[StationId]] = {s.id: set() for s in inst.stations}
-    for (sid, _), partners in inst.conflicts_in_band(ct).items():
-        graph[sid].update(osid for osid, _ in partners if osid != sid)
-    return graph
+    forbidden pair whose channels both survive the clearing target: the
+    neighbours of :meth:`Instance.clash_view`."""
+    return {s.id: set(nbrs) for s, (_, nbrs) in zip(inst.stations, inst.clash_view(ct))}

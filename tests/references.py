@@ -4,8 +4,11 @@
 :func:`milp_packing` the benchmark's packing problem as a 0-1 program built
 from the instance's constraints, the station domains and the clearing target,
 solved by HiGHS (Huangfu & Hall, Math. Prog. Computation 10, 2018) through
-``scipy.optimize.milp``. Neither shares code with the part of the program it
-checks: the auction's memos and round skipping, or the packing search.
+``scipy.optimize.milp``. :func:`reference_component` is the SAT check's
+interference component flooded over every partner entry of the conflict
+index. None shares code with the part of the program it checks: the
+auction's memos and round skipping, the packing search, or the per-station
+clash view that the component flood reads.
 """
 
 from typing import NamedTuple
@@ -134,6 +137,25 @@ def reference_auction(inst, values, config, strategies):
         checker_timeout_count=timeouts,
         round_log=tuple(log),
     )
+
+
+def reference_component(problem):
+    """The target's interference component among the packed stations, in
+    station order: a flood from the target over every partner of every
+    reduced-band channel of each station it reaches, so it meets a neighbour
+    once per clashing pair of channels."""
+    inst, ct = problem.inst, problem.ct
+    conflicts = inst.conflicts_in_band(ct)
+    unreached = set(problem.packed)
+    component = [problem.target]
+    # the loop reads the stations appended while it runs
+    for sid in component:
+        for ch in sorted(ct.reduced(inst.station(sid).domain)):
+            for osid, _ in conflicts.get((sid, ch), ()):
+                if osid in unreached:
+                    unreached.remove(osid)
+                    component.append(osid)
+    return sorted(component)
 
 
 def milp_packing(inst, values, participants, non_participants, ct):

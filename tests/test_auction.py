@@ -407,8 +407,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             AuctionConfig(ct=ct, c0=c0)
     # a negative seed would reach numpy's tie-break draw only at the first tie
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        AuctionConfig(ct=ct, seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            AuctionConfig(ct=ct, seed=seed)
+    # numpy's integers are integers
+    assert AuctionConfig(ct=ct, seed=np.int64(3)).seed == 3
     assert AuctionConfig(ct=ct).initial_price() == 900.0
     assert (
         AuctionConfig(ct=ct, scoring=ScoringRule.UNSCORED).initial_price()

@@ -85,6 +85,10 @@ def test_config_validation():
         small_config(n_value_profiles=0)
     with pytest.raises(ValueError):
         small_config(cells=())
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="^master_seed must be a non-negative integer$"):
+            small_config(master_seed=seed)
+    assert small_config(master_seed=np.int64(3)).master_seed == 3
 
 
 @pytest.mark.parametrize("field", ["c0_fcc", "c0_unscored"])

@@ -33,11 +33,15 @@ from repacksim.instances import (
 )
 from repacksim.model import (
     ClearingTarget,
+    Instance,
+    InterferenceConstraint,
     UnknownStationError,
+    interference_graph,
     validate_assignment,
 )
 
 from conftest import mk_instance
+from references import reference_component
 
 STEP_BUDGET = Budget(step_limit=100_000)
 
@@ -229,7 +233,9 @@ def test_packing_model_matches_a_build_from_the_constraints(drawn):
         assert model.order == order
         ids = inst.station_ids()
         assert model.rank == [order.index(sid) if sid in order else -1 for sid in ids]
-        assert _options(model) == _reference_options(inst, ct, order, hint)
+        options = _reference_options(inst, ct, order, hint)
+        assert _options(model) == options
+        assert model.masks == [sum(bit for bit, _, _ in row) for row in options]
         # a row whose first channel stays first is the table's own
         table = inst.channel_table(ct)
         for sid, row in zip(order, model.rows):
@@ -237,6 +243,53 @@ def test_packing_model_matches_a_build_from_the_constraints(drawn):
             assert row is own or row[0] is not own[0]
         # sorted, so a pair listed twice or from its upper end shows
         assert sorted(model.clauses) == _reference_clauses(inst, ct, order)
+
+
+def test_a_hint_for_a_station_with_no_channel_in_the_band_leaves_its_row_empty():
+    inst = mk_instance([(1, {14, 15}), (2, {19})], [(1, 14, 2, 19)])
+    model = PackingModel(inst, ClearingTarget(16), [1, 2], hint={1: 15, 2: 19})
+    assert _channels(model) == [[15, 14], []]
+    # bits in universe order: 14, 15, 19
+    assert model.masks == [0b011, 0]
+
+
+@st.composite
+def _instance_with_self_clashes(draw):
+    """A drawn instance (see :func:`_drawn_instance`) with constraints added
+    between two channels of one station, which no packing realizes."""
+    inst = draw(_drawn_instance())
+    added = set()
+    for s in inst.stations:
+        pairs = [(a, b) for a in sorted(s.domain) for b in sorted(s.domain) if a < b]
+        if pairs:
+            for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+                added.add(InterferenceConstraint((s.id, a), (s.id, b)))
+    return Instance(inst.stations, inst.constraints | added, inst.channel_universe)
+
+
+@given(
+    _instance_with_self_clashes(),
+    st.lists(st.integers(15, 20), min_size=2, max_size=3, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_clash_view_matches_the_constraints(inst, bars):
+    bit = {ch: 1 << k for k, ch in enumerate(inst.channel_universe)}
+    # the first target again after the others: each keeps its own view
+    for bar_c in bars + bars[:1]:
+        ct = ClearingTarget(bar_c)
+        view = inst.clash_view(ct)
+        assert len(view) == len(inst.stations)
+        graph = interference_graph(inst, ct)
+        for s, (mask, neighbours) in zip(inst.stations, view):
+            assert mask == sum(bit[ch] for ch in s.domain if ch < bar_c)
+            assert list(neighbours) == sorted(set(neighbours))
+            assert set(neighbours) == graph[s.id]
+            assert set(neighbours) == {
+                other[0]
+                for con in inst.constraints
+                for mine, other in ((con.first, con.second), (con.second, con.first))
+                if mine[0] == s.id != other[0] and max(mine[1], other[1]) < bar_c
+            }
 
 
 # ---------------------------------------------------------------- solve
@@ -649,11 +702,12 @@ _CHECKERS_AND_REFERENCES = [
 
 
 @st.composite
-def _problems_on_two_targets(draw):
-    """A drawn instance (see :func:`_drawn_instance`) and, per clearing
-    target, a problem whose packed stations were placed in a drawn order;
-    conflicts reach stations outside each problem."""
-    inst = draw(_drawn_instance())
+def _problems_on_two_targets(draw, instances=_drawn_instance()):
+    """An instance drawn from ``instances`` (by default
+    :func:`_drawn_instance`) and, per clearing target, a problem whose packed
+    stations were placed in a drawn order; conflicts reach stations outside
+    each problem."""
+    inst = draw(instances)
     ids = inst.station_ids()
     bars = draw(st.lists(st.integers(16, 19), min_size=2, max_size=2, unique=True))
     problems = []
@@ -693,6 +747,18 @@ def test_fit_channel_picks_the_reference_channel_on_drawn_problems(problems):
         # with nothing packed, the target's lowest reduced-band channel
         empty = FeasibilityProblem(p.target, {}, p.inst, p.ct)
         assert _fit_channel(empty) == _reference_fit_channel(empty)
+
+
+@given(_problems_on_two_targets(_instance_with_self_clashes()))
+@settings(max_examples=200, deadline=None)
+def test_encode_cuts_the_component_the_partner_flood_reaches(problems):
+    for p in problems:
+        model = encode(p)
+        flooded = PackingModel(p.inst, p.ct, reference_component(p), hint=p.packed)
+        assert model.order == flooded.order
+        assert model.rows == flooded.rows
+        assert model.rank == flooded.rank
+        assert model.masks == flooded.masks
 
 
 def _assert_the_component_search_matches_the_whole_search(problem, budget):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,10 @@ def test_generate_param_validation():
         GeneratorParams(n_stations=1, channel_lo=20, channel_hi=14)
     with pytest.raises(ValueError):
         GeneratorParams(n_stations=1, co_channel_radius=0.1, adjacent_channel_radius=0.2)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            GeneratorParams(n_stations=1, seed=seed)
+    assert GeneratorParams(n_stations=1, seed=np.int64(3)).seed == 3
 
 
 @given(
@@ -212,8 +217,10 @@ def test_sample_values_population_scaling():
 def test_sampler_param_validation():
     with pytest.raises(ValueError):
         ValueSamplerParams(log_sd=0.0)
-    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
-        ValueSamplerParams(seed=-1)
+    for seed in (-1, 2.5):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            ValueSamplerParams(seed=seed)
+    assert ValueSamplerParams(seed=np.int64(3)).seed == 3
 
 
 @pytest.mark.parametrize("field", ["log_mean", "log_sd", "population_exponent"])
