@@ -5,9 +5,9 @@ clock times volume, answers with accept or exit, and the bids are processed
 one at a time in descending order of price reduction (ties shuffled by a
 seeded stream drawn per round). Processing a bid first asks the feasibility
 checker whether the bidder still fits alongside the packed stations: if it
-does, an exit permanently packs it and an accept just lowers its standing
-price; if it does not (or the checker times out), the station freezes and is
-owed the last price it accepted. Frozen stations are the auction's winners.
+does, an exit permanently packs it and an accept keeps it bidding; if not
+(or the checker times out), the station freezes and is owed its price, its
+offer at the previous clock. Frozen stations are the auction's winners.
 
 Given an instance, a value profile and a config, the whole run is
 deterministic: checker budgets count search steps, not seconds.
@@ -19,15 +19,16 @@ as plain rows in those fields' order and wrapped into the named tuples on
 the log's first read, so an auction whose log nobody reads never builds them.
 The round loop keeps the active stations in station order: those whose
 processed bid left them active. An active station accepted every offer
-so far, so its price reduction is its last accepted price minus its new offer.
+so far, so its price reduction is its offer at the previous clock minus its
+new offer: the clock sets every price, and none is stored.
 
 The clock advances from event to event (next-event time advance). A round
 is quiet when no station decides to exit in it and every active station
 fits the packed set: its accept is then feasible and no bid changes the
-packed set, so the round can only lower last accepted prices. After a
-played round with no exit every active station already holds a feasible
-verdict; after an exit, the loop asks each active station the question its
-accept would ask. The loop skips each quiet stretch in one step. A truthful
+packed set, so the round only lowers offers. After a played round with no
+exit every active station already holds a feasible verdict; after an exit,
+the loop asks each active station the question its accept would ask. The
+loop skips each quiet stretch in one step. A truthful
 station's first exit round comes from bisection over the memoized clock
 trajectory, since its offers only fall; a station with a strategy hook is
 asked once per round, and the decisions of the round that ends a stretch
@@ -171,6 +172,9 @@ class AuctionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a plain string becomes its member, as the rules compare by identity
+        object.__setattr__(self, "scoring", ScoringRule(self.scoring))
+        object.__setattr__(self, "checker", CheckerKind(self.checker))
         if self.c0 is not None and not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError("c0 must be positive and finite")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
@@ -201,13 +205,12 @@ class RoundRecord(NamedTuple):
 
 class _QuietStretch(NamedTuple):
     """Rounds ``first`` to ``last``, skipped as quiet: each station of
-    ``active`` accepted every offer and stayed feasible. ``accepted`` holds
-    their last accepted prices before ``first``."""
+    ``active`` accepted every offer and stayed feasible, so each round's
+    prices are the offers at the clock before it."""
 
     first: int
     last: int
     active: tuple[StationId, ...]
-    accepted: dict[StationId, float]
 
 
 class RoundLog(Sequence):
@@ -247,20 +250,19 @@ class RoundLog(Sequence):
 
     def _quiet_rounds(self, stretch: _QuietStretch) -> Iterable[RoundRecord]:
         everyone_accepts = dict.fromkeys(stretch.active, ACCEPT)
-        accepted = stretch.accepted
+        vols, clocks = self._vols, self._clocks
         for round_index in range(stretch.first, stretch.last + 1):
-            current = self._clocks[round_index]
-            bids = _round_bids(stretch.active, self._vols, accepted, current, everyone_accepts)
+            previous, current = clocks[round_index - 1], clocks[round_index]
+            bids = _round_bids(stretch.active, vols, previous, current, everyone_accepts)
             ordered = _processing_order(bids, self._seed, round_index)
             yield RoundRecord(
                 round_index,
                 current,
                 tuple(
                     ProcessedBid(sid, _ACCEPT, reduction, offer, _FEASIBLE, _ACTIVE)
-                    for sid, _, reduction, offer in ordered
+                    for sid, _, reduction, offer, _ in ordered
                 ),
             )
-            accepted = {sid: offer for sid, _, _, offer in bids}
 
     def __len__(self) -> int:
         return self._length
@@ -394,7 +396,6 @@ class AuctionState:
     ct: ClearingTarget
     checker: CheckerKind
     budget: Budget
-    last_accepted: dict[StationId, float]
     payments: dict[StationId, float] = field(default_factory=dict)
     packed: Assignment = field(default_factory=dict)
     timeout_count: int = 0
@@ -482,26 +483,29 @@ def _processing_order(bids: list[tuple], seed: int, round_index: int) -> list[tu
 def _round_bids(
     active: Iterable[StationId],
     vols: Mapping[StationId, float],
-    accepted: Mapping[StationId, float],
+    previous: float,
     current: float,
     decided: Mapping[StationId, BidDecision],
     values: ValueProfile | None = None,
 ) -> list[tuple]:
     """One round's bids at clock ``current``, in station order, as plain
-    ``(station, decision, price reduction, offer)`` tuples. A station's
-    decision comes from ``decided``, else it bids truthfully on its value;
-    its price reduction is its price in ``accepted`` minus its new offer,
+    ``(station, decision, price reduction, offer, price)`` tuples. A
+    station's decision comes from ``decided``, else it bids truthfully on its
+    value; its price is its offer at the ``previous`` clock, which it
+    accepted, and its price reduction is that price minus its new offer,
     which must be non-negative."""
     bids = []
     for sid in active:
-        offer = offer_price(vols[sid], current)
+        vol = vols[sid]
+        offer = offer_price(vol, current)
+        price = offer_price(vol, previous)
         decision = decided.get(sid)
         if decision is None:
             decision = truthful_bid(values[sid], offer)
-        reduction = accepted[sid] - offer
+        reduction = price - offer
         if not reduction >= 0:  # NaN fails too
             raise ValueError("price reduction must be non-negative")
-        bids.append((sid, decision, reduction, offer))
+        bids.append((sid, decision, reduction, offer, price))
     return bids
 
 
@@ -529,14 +533,14 @@ def _first_exit_round(c0: float, vol: float, value: float) -> int:
 def process_bids(
     state: AuctionState, bids: list[tuple], seed: int, round_index: int
 ) -> tuple[tuple, ...]:
-    """Process one round's bids in order. Each bid is checked against the
-    packed set as it stands at that moment: exits repack immediately, so a
-    later bid in the same round sees the updated assignment. Returns plain
-    rows in ``ProcessedBid``'s field order, which the round log wraps on its
-    first read."""
-    last_accepted = state.last_accepted
+    """Process one round's bids, the plain tuples of ``_round_bids``, in
+    order. Each bid is checked against the packed set as it stands at that
+    moment: exits repack immediately, so a later bid in the same round sees
+    the updated assignment. A station that freezes is paid its bid's price.
+    Returns plain rows in ``ProcessedBid``'s field order, which the round log
+    wraps on its first read."""
     log: list[tuple] = []
-    for sid, decision, reduction, offer in _processing_order(bids, seed, round_index):
+    for sid, decision, reduction, offer, price in _processing_order(bids, seed, round_index):
         exiting = decision is EXIT
         verdict = state.check(sid, not exiting)
         payment = None
@@ -547,7 +551,6 @@ def process_bids(
                 state.packed = dict(verdict.certificate)
                 new_status = _EXITED
             else:
-                last_accepted[sid] = offer
                 new_status = _ACTIVE
         else:
             if cls is Timeout:
@@ -555,8 +558,7 @@ def process_bids(
                 state.timeout_count += 1
             else:
                 verdict_name = _INFEASIBLE
-            payment = last_accepted[sid]
-            state.payments[sid] = payment
+            payment = state.payments[sid] = price
             new_status = _FROZEN
         log.append(
             (
@@ -575,13 +577,13 @@ def process_bids(
 class _Snapshot(NamedTuple):
     """An auction's state after round ``round_index`` (0: before the first),
     when its round log holds ``parts`` parts. ``packed`` is shared, since the
-    round loop only ever replaces it; the dicts are the snapshot's own, and
-    a restore copies them."""
+    round loop only ever replaces it; ``payments`` is the snapshot's own, and
+    a restore copies it. It holds no price: an active station's price is its
+    offer at the clock of ``round_index``."""
 
     round_index: int
     parts: int
     packed: Assignment
-    last_accepted: dict[StationId, float]
     payments: dict[StationId, float]
     timeout_count: int
     active: tuple[StationId, ...]
@@ -635,11 +637,8 @@ def _open(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _Openi
     packed = initial_assignment(
         inst, non_participants, config.ct, config.checker, config.budget
     )
-    # The opening price counts as accepted: participation implies the station
-    # took the round-zero offer.
-    accepted = {sid: offer_price(vols[sid], c0) for sid in participants}
     exit_rounds = {sid: _first_exit_round(c0, vols[sid], values[sid]) for sid in participants}
-    start = _Snapshot(0, 0, packed, accepted, {}, 0, tuple(sorted(participants)), False)
+    start = _Snapshot(0, 0, packed, {}, 0, tuple(sorted(participants)), False)
     return _Opening(
         vols, participants, non_participants, clock_trajectory(c0), exit_rounds, start
     )
@@ -668,13 +667,11 @@ def _play(
         ct=config.ct,
         checker=config.checker,
         budget=config.budget,
-        last_accepted=dict(start.last_accepted),
         payments=dict(start.payments),
         packed=start.packed,
         timeout_count=start.timeout_count,
         tables=tables,
     )
-    last_accepted = state.last_accepted
     asked = asked or {}
     seed = config.seed
     vols, clocks = opening.vols, opening.clocks
@@ -689,13 +686,13 @@ def _play(
     settled = start.settled
 
     while active:
-        if clocks[round_index] == 0.0 and all(last_accepted[sid] == 0.0 for sid in active):
-            # At clock zero with every offer accepted at zero, no round can
-            # change an offer and the rounds would repeat forever. Exiting is
-            # then as good as holding: each station is re-checked in order,
-            # and the packable ones exit while the rest freeze at zero.
+        if clocks[round_index] == 0.0:
+            # At clock zero every price is zero, no round can change an offer
+            # and the rounds would repeat forever. Exiting is then as good as
+            # holding: each station is re-checked in order, and the packable
+            # ones exit while the rest freeze at zero.
             round_index += 1
-            bids = [(sid, EXIT, 0.0, 0.0) for sid in active]
+            bids = [(sid, EXIT, 0.0, 0.0, 0.0) for sid in active]
             processed = process_bids(state, bids, seed, round_index)
             parts.append((round_index, 0.0, processed, True))
             break
@@ -733,24 +730,14 @@ def _play(
                     event = r
                     break
         if event > round_index + 1:
-            last = event - 1
-            parts.append(
-                _QuietStretch(
-                    round_index + 1,
-                    last,
-                    tuple(active),
-                    {sid: last_accepted[sid] for sid in active},
-                )
-            )
-            for sid in active:
-                last_accepted[sid] = offer_price(vols[sid], clocks[last])
-            round_index = last
+            parts.append(_QuietStretch(round_index + 1, event - 1, tuple(active)))
+            round_index = event - 1
             if event == horizon:
                 continue  # the stretch ran into clock zero: the stall test is next
 
+        previous, current = clocks[round_index], clocks[round_index + 1]
         round_index += 1
-        current = clocks[round_index]
-        bids = _round_bids(active, vols, last_accepted, current, decided, values)
+        bids = _round_bids(active, vols, previous, current, decided, values)
         packed = state.packed
         processed = process_bids(state, bids, seed, round_index)
         parts.append((round_index, current, processed, False))
@@ -762,7 +749,6 @@ def _play(
                     round_index,
                     len(parts),
                     state.packed,
-                    dict(last_accepted),
                     dict(state.payments),
                     state.timeout_count,
                     tuple(active),

@@ -6,11 +6,12 @@ Seed derivation is documented and pure: every seed is
 ``SeedSequence([master_seed, stream, *indices]).generate_state(1)[0]`` with
 stream 10 for value profiles and stream 11 for auction tie-breaking. Two runs
 with the same config and master seed therefore produce byte-identical output
-files.
+files, whichever directory they run from.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -121,10 +122,15 @@ class ExperimentConfig:
         return self.c0_fcc if scoring is ScoringRule.FCC else self.c0_unscored
 
     def load_instance(self) -> Instance:
-        if self.instance_path is not None:
-            return parse_instance(Path(self.instance_path).read_text())
-        assert self.generator is not None
-        return generate_instance(self.generator)
+        return _load(self)[0]
+
+
+def _load(cfg: ExperimentConfig) -> tuple[Instance, str | None]:
+    """The config's instance and the SHA-256 of the text it was parsed from."""
+    if cfg.instance_path is None:
+        return generate_instance(cfg.generator), None
+    text = Path(cfg.instance_path).read_text()
+    return parse_instance(text), hashlib.sha256(text.encode()).hexdigest()
 
 
 def _check_fields(where: str, data: object, cls: type, known: Iterable[str] = ()) -> None:
@@ -207,6 +213,7 @@ class RecordRow:
 class ExperimentResult:
     config: ExperimentConfig
     rows: tuple[RecordRow, ...]
+    instance_sha256: str | None = None  # of an instance file's text
 
     @property
     def any_incomparable(self) -> bool:
@@ -217,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (cell, profile) auction and compare each against the exact
     benchmark over the participant set that auction ran, computed once per
     distinct set per profile."""
-    inst = cfg.load_instance()
+    inst, instance_sha256 = _load(cfg)
     ct = ClearingTarget(cfg.bar_c)
     budget = Budget(step_limit=cfg.budget_steps)
     rows: list[RecordRow] = []
@@ -259,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 )
 
     rows.sort(key=lambda r: (r.cell, r.profile))
-    return ExperimentResult(cfg, tuple(rows))
+    return ExperimentResult(cfg, tuple(rows), instance_sha256)
 
 
 def _csv_lines(rows: Iterable[RecordRow]) -> list[str]:
@@ -316,8 +323,12 @@ def records_json(result: ExperimentResult) -> str:
     cfg = result.config
     cfg_data = asdict(cfg)
     cfg_data["cells"] = [c.key for c in cfg.cells]
-    # the output location is not part of the experiment's identity
+    # the output location and the instance file's directory are not part of
+    # the experiment's identity; the file's name and content are
     del cfg_data["out_dir"]
+    if cfg.instance_path is not None:
+        cfg_data["instance_path"] = Path(cfg.instance_path).name
+        cfg_data["instance_sha256"] = result.instance_sha256
     records = []
     for row in result.rows:
         entry: dict = {

@@ -8,7 +8,8 @@ solved by HiGHS (Huangfu & Hall, Math. Prog. Computation 10, 2018) through
 interference component flooded over every partner entry of the conflict
 index. None shares code with the part of the program it checks: the
 auction's memos and round skipping, the packing search, or the per-station
-clash view that the component flood reads.
+clash view that the component flood reads. The reference auction stores each
+active station's last accepted price, which the auction derives from the clock.
 """
 
 from typing import NamedTuple

@@ -222,6 +222,35 @@ def test_winner_paid_most_recent_accepted_offer():
     ]
     last_accepted = accepted[-1] if accepted else 10.0
     assert payment == last_accepted
+    # On drawn auctions, hooked and not, under both scoring rules: an active
+    # bid's offer is its volume times its record's clock, and a station that
+    # freezes is paid its offer at the previous record's clock, c0 in round
+    # 1 and zero at the final resolution.
+    frozen = final = 0
+    for k, (inst, values) in enumerate(_pinned_instances()):
+        sids = inst.station_ids()
+        for scoring in ScoringRule:
+            c0 = max(values.values()) * 1.5 if scoring is ScoringRule.UNSCORED else None
+            config = AuctionConfig(ClearingTarget(16), scoring=scoring, c0=c0, seed=k)
+            vols = volumes_for(inst, config.ct, scoring)
+            hooks = {sids[0]: _exit_at(4), sids[1]: _never_exit}
+            for strategies in (None, hooks):
+                out = run_auction(inst, values, config, strategies)
+                previous = config.initial_price()
+                for rec in out.round_log:
+                    for b in rec.bids:
+                        price = offer_price(vols[b.station], previous)
+                        assert b.price_reduction == price - b.offer
+                        if b.new_status == "active":
+                            assert b.offer == offer_price(vols[b.station], rec.clock)
+                        elif b.new_status == "frozen":
+                            assert b.payment == out.winners[b.station] == price
+                            frozen += 1
+                            if rec.final_resolution:
+                                assert b.payment == 0.0
+                                final += 1
+                    previous = rec.clock
+    assert frozen and final
 
 
 def test_cost_sums_the_winners_payments_in_station_order():
@@ -417,6 +446,23 @@ def test_config_validation():
         AuctionConfig(ct=ct, scoring=ScoringRule.UNSCORED).initial_price()
         == 900_000_000.0
     )
+
+
+def test_config_given_plain_strings_runs_the_rules_they_name():
+    # The rules compare a config's scoring and checker by identity, so a
+    # plain string once ran unscored volumes at the unscored opening price,
+    # under the exhaustive checker.
+    inst = generate_instance(GeneratorParams(n_stations=10, seed=3))
+    values = sample_values(inst, ValueSamplerParams(seed=3))
+    ct = ClearingTarget(18)
+    plain = AuctionConfig(ct, scoring="fcc", checker="greedy")
+    members = AuctionConfig(ct, scoring=ScoringRule.FCC, checker=CheckerKind.GREEDY)
+    assert plain.scoring is ScoringRule.FCC and plain.checker is CheckerKind.GREEDY
+    assert plain.initial_price() == 900.0
+    assert run_auction(inst, values, plain) == run_auction(inst, values, members)
+    for name, junk in (("scoring", "FCC"), ("checker", "SAT")):
+        with pytest.raises(ValueError, match=repr(junk)):
+            AuctionConfig(ct, **{name: junk})
 
 
 # ------------------------------------------------------- memoized work
@@ -642,10 +688,10 @@ def test_mutating_returned_assignments_cannot_change_later_auctions():
                     ct=ClearingTarget(16),
                     checker=checker,
                     budget=Budget(step_limit=steps),
-                    last_accepted={sid: 0.0},
                     tables=tables,
                 )
-                process_bids(state, [Bid(sid, BidDecision.EXIT, 0.0, 0.0)], 0, 1)
+                # (station, decision, price reduction, offer, price)
+                process_bids(state, [(sid, BidDecision.EXIT, 0.0, 0.0, 0.0)], 0, 1)
                 state.packed.clear()
                 state.packed[-1] = 99
     assert _digests(_pinned_batch(pairs)) == PINNED_DIGESTS
@@ -1413,12 +1459,13 @@ def test_round_log_records_keep_their_types(monkeypatch):
         assert all(type(bid) is ProcessedBid for bid in rec.bids)
 
 
-@pytest.mark.parametrize("accepted", [4.0, math.nan], ids=["negative", "nan"])
-def test_round_bids_reject_a_price_reduction_that_is_not_non_negative(accepted):
-    # station 1's offer at clock 5 is 5.0: above a last accepted price of 4
+@pytest.mark.parametrize("previous", [4.0, math.nan], ids=["negative", "nan"])
+def test_round_bids_reject_a_price_reduction_that_is_not_non_negative(previous):
+    # station 1's offer at clock 5 is 5.0: above its price of 4 at a previous
+    # clock of 4, and a NaN price gives a NaN reduction
     for decided, values in (({1: BidDecision.ACCEPT}, None), ({}, {1: 0.0})):
         with pytest.raises(ValueError, match="^price reduction must be non-negative$"):
-            auction._round_bids([1], {1: 1.0}, {1: accepted}, 5.0, decided, values)
+            auction._round_bids([1], {1: 1.0}, previous, 5.0, decided, values)
 
 
 def test_bid_rejects_a_negative_price_reduction():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -33,6 +34,7 @@ from repacksim.instances import (
     generate_instance,
     parse_instance,
     sample_values,
+    serialize_instance,
 )
 from repacksim.metrics import ComparisonRecord
 from repacksim.model import ClearingTarget
@@ -117,6 +119,23 @@ def test_rerun_is_byte_identical(tmp_path):
     csv_path, json_path = write_outputs(first, cfg.out_dir)
     assert csv_path.read_text() == records_csv(first)
     assert json_path.read_text() == records_json(first)
+
+
+def test_records_json_names_an_instance_file_by_its_name_and_content(tmp_path):
+    # one file copied into two directories: the run records neither directory
+    text = serialize_instance(generate_instance(small_config().generator))
+    documents = []
+    for where in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        where.mkdir(parents=True)
+        (where / "inst.txt").write_text(text)
+        cfg = small_config(generator=None, instance_path=str(where / "inst.txt"))
+        documents.append(records_json(run_experiment(cfg)))
+    assert documents[0] == documents[1]
+    config = json.loads(documents[0])["config"]
+    assert config["instance_path"] == "inst.txt"
+    assert config["instance_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    # a generated instance has no file to name
+    assert "instance_sha256" not in json.loads(records_json(run_experiment(small_config())))["config"]
 
 
 def test_records_round_trip_through_json():
