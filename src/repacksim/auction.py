@@ -56,13 +56,14 @@ run's.
 
 Within one auction a station's verdict can change only when an exit replaces
 the packed set, so the verdicts are kept in one layer: a table per packed
-set, from target station to verdict. An auction without hooks keeps its
-own tables and shares none. A truthful run keeps its tables by the packed
-set's ordered items, and each of its deviations fetches the table of its
-packed set whenever an exit replaces that set and fills it on a miss, so a
-deviation that reaches a packed set the run or an earlier deviation reached
-finds the verdicts already there. A verdict from a table is read-only; an
-exit copies the certificate it keeps as the packed assignment.
+set, from target station to verdict, keyed by the set's ordered items. Every
+auction fetches the table of its packed set whenever an exit replaces that
+set, and fills it on a miss. An auction without hooks starts from no tables,
+and since each of its exits adds a station it never meets a set twice; a
+truthful run shares its tables with its deviations, so a deviation that
+reaches a packed set the run or an earlier deviation reached finds the
+verdicts already there. A verdict from a table is read-only; an exit copies
+the certificate it keeps as the packed assignment.
 An accept reads no certificate: it scans its station's channel-table row
 against the packed set, building no problem, and for a station that fits
 the table holds a shared "fits" marker, read as feasible, in place of the
@@ -131,10 +132,12 @@ _TIEBREAK_STREAM = 3
 # 508 and 12,429 times, all misses, on ``grid`` and ``sweep``. It asks for
 # first exit rounds 240 times with 120 misses on ``truthful``, 3,303 with
 # 2,222 on ``grid`` and 37,250 with 14,827 on ``sweep``, the same misses
-# with 256 entries as with 4,096. The verdict bound counts one truthful
-# run's packed-set tables: a ``truthful`` pass peaks at 38, so 512 evicts
-# none. The truthful run memo keeps one run (``_TRUTHFUL_RUN``): criterion 5
-# runs each instance's deviations back to back.
+# with 256 entries as with 4,096. The verdict bound counts the packed-set
+# tables of one truthful run, or of one auction without hooks: a
+# ``truthful`` pass peaks at 38, so 512 evicts none, and an auction past 512
+# exits evicts tables it never reads again. The truthful run memo keeps one
+# run (``_TRUTHFUL_RUN``): criterion 5 runs each instance's deviations back
+# to back.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
@@ -390,18 +393,20 @@ _FITS = Feasible({})
 
 @dataclass
 class AuctionState:
-    """Mutable per-run state shared by the round loop and bid processing."""
+    """Mutable per-run state shared by the round loop and bid processing:
+    the packed set and the verdict tables. What a frozen station is paid and
+    which verdicts timed out are read from the round log."""
 
     inst: Instance
     ct: ClearingTarget
     checker: CheckerKind
     budget: Budget
-    payments: dict[StationId, float] = field(default_factory=dict)
     packed: Assignment = field(default_factory=dict)
-    timeout_count: int = 0
-    # verdict tables shared with other auctions, by the packed set's ordered
-    # items; None keeps a table of this auction's own per packed set
-    tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]] | None = None
+    # verdict tables by the packed set's ordered items; a truthful run
+    # shares its own with its deviations
+    tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]] = field(
+        default_factory=OrderedDict
+    )
     # the ``packed`` that ``_verdicts`` holds the verdicts for, by station;
     # both are replaced when ``packed`` is
     _keyed: Assignment | None = field(default=None, init=False, repr=False)
@@ -412,11 +417,11 @@ class AuctionState:
     def check(self, sid: StationId, accepting: bool = False) -> FeasibilityVerdict:
         """Feasibility of packing ``sid`` with the current packed set, from
         the verdict table of that set, which a miss fills. A table in
-        ``tables`` hands the same verdict to later auctions, so verdicts are
-        read-only: an exit copies the certificate it keeps. The table a
-        fetch misses is added as the most recently used, evicting the least
-        recently used beyond ``_VERDICT_MEMO_SIZE``; an auction that still
-        holds an evicted table goes on filling it alone.
+        ``tables`` hands the same verdict to every auction that shares it, so
+        verdicts are read-only: an exit copies the certificate it keeps. The
+        table a fetch misses is added as the most recently used, evicting the
+        least recently used beyond ``_VERDICT_MEMO_SIZE``; an auction that
+        still holds an evicted table goes on filling it alone.
 
         An ``accepting`` bid asks only whether ``sid`` fits beside the packed
         set as it stands, scanning its channel-table row with no problem
@@ -429,19 +434,16 @@ class AuctionState:
         not fit records a Timeout at once, as the checker would only rescan."""
         if self._keyed is not self.packed:
             self._keyed, tables = self.packed, self.tables
-            if tables is None:
-                self._verdicts = {}
+            # the greedy certificate keeps the packed order, so an equal dict
+            # in another order is another problem
+            key = tuple(self.packed.items())
+            self._verdicts = tables.get(key)
+            if self._verdicts is None:
+                self._verdicts = tables[key] = {}
+                if len(tables) > _VERDICT_MEMO_SIZE:
+                    tables.popitem(last=False)
             else:
-                # the greedy certificate keeps the packed order, so an equal
-                # dict in another order is another problem
-                key = tuple(self.packed.items())
-                self._verdicts = tables.get(key)
-                if self._verdicts is None:
-                    self._verdicts = tables[key] = {}
-                    if len(tables) > _VERDICT_MEMO_SIZE:
-                        tables.popitem(last=False)
-                else:
-                    tables.move_to_end(key)
+                tables.move_to_end(key)
         verdict = self._verdicts.get(sid)
         if verdict is None or (verdict is _FITS and not accepting):
             if accepting and _fit_channel(self.inst, self.ct, sid, self.packed) is not None:
@@ -536,9 +538,9 @@ def process_bids(
     """Process one round's bids, the plain tuples of ``_round_bids``, in
     order. Each bid is checked against the packed set as it stands at that
     moment: exits repack immediately, so a later bid in the same round sees
-    the updated assignment. A station that freezes is paid its bid's price.
-    Returns plain rows in ``ProcessedBid``'s field order, which the round log
-    wraps on its first read."""
+    the updated assignment. A station that freezes is paid its bid's price,
+    which only its row records. Returns plain rows in ``ProcessedBid``'s
+    field order, which the round log wraps on its first read."""
     log: list[tuple] = []
     for sid, decision, reduction, offer, price in _processing_order(bids, seed, round_index):
         exiting = decision is EXIT
@@ -553,12 +555,8 @@ def process_bids(
             else:
                 new_status = _ACTIVE
         else:
-            if cls is Timeout:
-                verdict_name = _TIMEOUT
-                state.timeout_count += 1
-            else:
-                verdict_name = _INFEASIBLE
-            payment = state.payments[sid] = price
+            verdict_name = _TIMEOUT if cls is Timeout else _INFEASIBLE
+            payment = price
             new_status = _FROZEN
         log.append(
             (
@@ -577,15 +575,13 @@ def process_bids(
 class _Snapshot(NamedTuple):
     """An auction's state after round ``round_index`` (0: before the first),
     when its round log holds ``parts`` parts. ``packed`` is shared, since the
-    round loop only ever replaces it; ``payments`` is the snapshot's own, and
-    a restore copies it. It holds no price: an active station's price is its
-    offer at the clock of ``round_index``."""
+    round loop only ever replaces it. It holds no price and no payment: an
+    active station's price is its offer at the clock of ``round_index``, and
+    the log's first ``parts`` parts hold what each frozen station is paid."""
 
     round_index: int
     parts: int
     packed: Assignment
-    payments: dict[StationId, float]
-    timeout_count: int
     active: tuple[StationId, ...]
     settled: bool
 
@@ -638,7 +634,7 @@ def _open(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _Openi
         inst, non_participants, config.ct, config.checker, config.budget
     )
     exit_rounds = {sid: _first_exit_round(c0, vols[sid], values[sid]) for sid in participants}
-    start = _Snapshot(0, 0, packed, {}, 0, tuple(sorted(participants)), False)
+    start = _Snapshot(0, 0, packed, tuple(sorted(participants)), False)
     return _Opening(
         vols, participants, non_participants, clock_trajectory(c0), exit_rounds, start
     )
@@ -652,24 +648,23 @@ def _play(
     start: _Snapshot,
     parts: list[tuple | _QuietStretch],
     strategies: Mapping[StationId, BidStrategy],
+    tables: OrderedDict,
     asked: Mapping[int, list] | None = None,
     snapshots: list[_Snapshot] | None = None,
-    tables: OrderedDict | None = None,
 ) -> AuctionOutcome:
     """Play the auction on from ``start`` to its outcome, appending to
-    ``parts``, the round log's parts up to ``start``. ``asked`` holds the
-    hooked stations' answers in rounds they were already asked in, which
-    are not asked again; ``snapshots``, when given, gets the state after
-    each played round but the final resolution; ``tables`` are the verdict
-    tables of ``AuctionState.tables``."""
+    ``parts``, the round log's parts up to ``start``, whose frozen rows give
+    the winners' payments and the timeouts. ``tables`` are the verdict tables
+    of ``AuctionState.tables``; ``asked`` holds the hooked stations' answers
+    in rounds they were already asked in, which are not asked again;
+    ``snapshots``, when given, gets the state after each played round but
+    the final resolution."""
     state = AuctionState(
         inst=inst,
         ct=config.ct,
         checker=config.checker,
         budget=config.budget,
-        payments=dict(start.payments),
         packed=start.packed,
-        timeout_count=start.timeout_count,
         tables=tables,
     )
     asked = asked or {}
@@ -745,18 +740,19 @@ def _play(
         active = sorted([row[0] for row in processed if row[5] == _ACTIVE])
         if snapshots is not None:
             snapshots.append(
-                _Snapshot(
-                    round_index,
-                    len(parts),
-                    state.packed,
-                    dict(state.payments),
-                    state.timeout_count,
-                    tuple(active),
-                    settled,
-                )
+                _Snapshot(round_index, len(parts), state.packed, tuple(active), settled)
             )
 
-    winners = {sid: state.payments[sid] for sid in sorted(state.payments)}
+    # the log's frozen rows: a station freezes once, and only a played round
+    # freezes one
+    frozen = [
+        row
+        for part in parts
+        if type(part) is not _QuietStretch
+        for row in part[2]
+        if row[5] == _FROZEN
+    ]
+    winners = {row[0]: row[6] for row in sorted(frozen, key=_station)}
     return AuctionOutcome(
         winners=winners,
         # a resumed auction may end on the packed set of a snapshot
@@ -764,7 +760,7 @@ def _play(
         participants=opening.participants,
         non_participants=opening.non_participants,
         rounds=round_index,
-        checker_timeout_count=state.timeout_count,
+        checker_timeout_count=sum(row[4] == _TIMEOUT for row in frozen),
         round_log=RoundLog(parts, round_index, vols, clocks, seed),
     )
 
@@ -779,7 +775,7 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
     snapshots, parts, tables = [opening.start], [], OrderedDict()
     try:
         outcome = _play(
-            inst, values, config, opening, opening.start, parts, {}, None, snapshots, tables
+            inst, values, config, opening, opening.start, parts, {}, tables, None, snapshots
         )
     except SearchSpaceError:
         # an enumeration left undecided, which a deviation that leaves the
@@ -800,9 +796,7 @@ def _resumed(
     run = _truthful_run(inst, values, config)
     opening = run.opening
     if run.outcome is None:
-        return _play(
-            inst, values, config, opening, opening.start, [], strategies, tables=run.tables
-        )
+        return _play(inst, values, config, opening, opening.start, [], strategies, run.tables)
     vols, clocks, exit_rounds = opening.vols, opening.clocks, opening.exit_rounds
     snapshots = run.snapshots
     for i, snap in enumerate(snapshots):
@@ -829,8 +823,7 @@ def _resumed(
             if not truthful:
                 parts = run.parts[: snap.parts]
                 return _play(
-                    inst, values, config, opening, snap, parts, strategies, asked,
-                    tables=run.tables,
+                    inst, values, config, opening, snap, parts, strategies, run.tables, asked
                 )
     out = run.outcome
     return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
@@ -854,4 +847,4 @@ def run_auction(
     if strategies:
         return _resumed(inst, values, config, strategies)
     opening = _open(inst, values, config)
-    return _play(inst, values, config, opening, opening.start, [], {})
+    return _play(inst, values, config, opening, opening.start, [], {}, OrderedDict())

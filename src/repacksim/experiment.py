@@ -49,6 +49,11 @@ class Cell:
     scoring: ScoringRule
     checker: CheckerKind
 
+    def __post_init__(self) -> None:
+        # a plain string becomes its member, as the rules compare by identity
+        object.__setattr__(self, "scoring", ScoringRule(self.scoring))
+        object.__setattr__(self, "checker", CheckerKind(self.checker))
+
     @property
     def key(self) -> str:
         return f"{self.scoring.value}:{self.checker.value}"
@@ -120,9 +125,6 @@ class ExperimentConfig:
 
     def c0_for(self, scoring: ScoringRule) -> float:
         return self.c0_fcc if scoring is ScoringRule.FCC else self.c0_unscored
-
-    def load_instance(self) -> Instance:
-        return _load(self)[0]
 
 
 def _load(cfg: ExperimentConfig) -> tuple[Instance, str | None]:

@@ -66,13 +66,14 @@ def unscored_volumes(inst: Instance) -> VolumeTable:
 
 
 def volumes_for(inst: Instance, ct: ClearingTarget, rule: ScoringRule) -> VolumeTable:
-    if rule is ScoringRule.FCC:
+    # a plain string becomes its member, as the rules compare by identity
+    if ScoringRule(rule) is ScoringRule.FCC:
         return fcc_volumes(inst, ct)
     return unscored_volumes(inst)
 
 
 def default_initial_clock_price(rule: ScoringRule) -> float:
-    return DEFAULT_C0_FCC if rule is ScoringRule.FCC else DEFAULT_C0_UNSCORED
+    return DEFAULT_C0_FCC if ScoringRule(rule) is ScoringRule.FCC else DEFAULT_C0_UNSCORED
 
 
 class _ClockFields(NamedTuple):

@@ -612,7 +612,7 @@ def test_an_auction_keeps_filling_a_table_the_memo_evicted(monkeypatch):
     lowest = min(ct.reduced(inst.station(first).domain))
     tables = OrderedDict()
     states = [
-        AuctionState(inst, ct, CheckerKind.SAT, budget, {}, packed=packed, tables=tables)
+        AuctionState(inst, ct, CheckerKind.SAT, budget, packed=packed, tables=tables)
         for packed in ({}, {first: lowest})
     ]
     # the two states take turns, so each fetch evicts the other's table
@@ -748,6 +748,13 @@ def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scor
         got = _outcome_or_error(run_auction, inst, values, config, chosen)
         assert got == expected
         assert repr(got) == repr(expected)  # the packed order too
+        if isinstance(got, AuctionOutcome):
+            # the round log accounts for every payment and every timeout
+            bids = [bid for record in got.round_log for bid in record.bids]
+            frozen = {bid.station: bid.payment for bid in bids if bid.new_status == "frozen"}
+            assert got.winners == frozen
+            timeouts = sum(bid.verdict == "timeout" for bid in bids)
+            assert got.checker_timeout_count == timeouts
 
 
 def _never_exit(round_index, offer, value):

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from repacksim import cli, vcg
-from repacksim.auction import AuctionConfig
+from repacksim.auction import AuctionConfig, CheckerKind
 from repacksim.cli import main
 from repacksim.experiment import (
     Cell,
@@ -38,6 +38,7 @@ from repacksim.instances import (
 )
 from repacksim.metrics import ComparisonRecord
 from repacksim.model import ClearingTarget
+from repacksim.pricing import ScoringRule
 
 from references import milp_packing, milp_value, reference_auction
 
@@ -78,6 +79,16 @@ def test_cell_parsing():
         "unscored:greedy",
         "unscored:exhaustive",
     ]
+
+
+def test_a_cell_given_plain_strings_holds_the_members_they_name():
+    # the runs compare a cell's rules by identity, and its key reads their values
+    plain = Cell("fcc", "sat")
+    assert plain == Cell.parse("fcc:sat") and plain.key == "fcc:sat"
+    assert plain.scoring is ScoringRule.FCC and plain.checker is CheckerKind.SAT
+    for scoring, checker, junk in (("FCC", "sat", "FCC"), ("fcc", "SAT", "SAT")):
+        with pytest.raises(ValueError, match=repr(junk)):
+            Cell(scoring, checker)
 
 
 def test_config_validation():

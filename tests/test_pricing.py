@@ -148,6 +148,22 @@ def test_default_opening_prices():
     assert default_initial_clock_price(ScoringRule.UNSCORED) == 900_000_000.0
 
 
+def test_a_plain_string_rule_is_the_rule_it_names():
+    # The rules compare by identity, so "fcc" once fell through to the
+    # unscored volumes and the unscored opening price.
+    inst = mk_instance([(1, {14}, 4, 14), (2, {14}, 9, 14)], [(1, 14, 2, 14)])
+    ct = ClearingTarget(15)
+    for rule in ScoringRule:
+        assert volumes_for(inst, ct, rule.value) == volumes_for(inst, ct, rule)
+        assert default_initial_clock_price(rule.value) == default_initial_clock_price(rule)
+    assert volumes_for(inst, ct, "fcc") != unscored_volumes(inst)
+    for junk in ("FCC", "scored"):
+        with pytest.raises(ValueError, match=repr(junk)):
+            volumes_for(inst, ct, junk)
+        with pytest.raises(ValueError, match=repr(junk)):
+            default_initial_clock_price(junk)
+
+
 @given(st.floats(min_value=1e-6, max_value=1e10))
 @settings(max_examples=60, deadline=None)
 def test_clock_reaches_exactly_zero_fast(c0):

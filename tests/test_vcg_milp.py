@@ -94,7 +94,7 @@ def test_a_conditioned_component_matches_the_milp_oracle():
         ),
         master_seed=2,
     )
-    inst, ct = cfg.load_instance(), ClearingTarget(cfg.bar_c)
+    inst, ct = generate_instance(cfg.generator), ClearingTarget(cfg.bar_c)
     values = sample_values(inst, cfg.sampler(derive_seed(cfg.master_seed, _VALUES_STREAM, 0)))
     parts, nons = determine_participants(
         inst, values, volumes_for(inst, ct, ScoringRule.FCC), cfg.c0_fcc
