@@ -430,8 +430,7 @@ class AuctionState:
         is a packing, though an enumeration undecided after
         ``DECIDING_STEP_LIMIT`` steps (no workload comes near) would have
         raised. Any other check replaces the marker with the checker's
-        verdict, so exit certificates hold. Under greedy, an accept that does
-        not fit records a Timeout at once, as the checker would only rescan."""
+        verdict, so exit certificates hold."""
         if self._keyed is not self.packed:
             self._keyed, tables = self.packed, self.tables
             # the greedy certificate keeps the packed order, so an equal dict
@@ -448,8 +447,6 @@ class AuctionState:
         if verdict is None or (verdict is _FITS and not accepting):
             if accepting and _fit_channel(self.inst, self.ct, sid, self.packed) is not None:
                 verdict = _FITS
-            elif accepting and self.checker is CheckerKind.GREEDY:
-                verdict = Timeout()
             else:
                 problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
                 verdict = _run_checker(self.checker, problem, self.budget)

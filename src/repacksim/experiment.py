@@ -106,7 +106,7 @@ class ExperimentConfig:
         twice = [c.key for i, c in enumerate(self.cells) if c in self.cells[:i]]
         if twice:
             raise ValueError(f"cell {twice[0]!r} is listed twice")
-        if self.budget_steps < 1:
+        if not isinstance(self.budget_steps, numbers.Integral) or self.budget_steps < 1:
             raise ValueError("budget_steps must be positive")
         if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
@@ -114,7 +114,7 @@ class ExperimentConfig:
             raise ValueError("c0_fcc and c0_unscored must be finite")
         if not (self.c0_fcc > 0 and self.c0_unscored > 0):
             raise ValueError("c0_fcc and c0_unscored must be positive")
-        if self.vcg_node_budget < 1:
+        if not isinstance(self.vcg_node_budget, numbers.Integral) or self.vcg_node_budget < 1:
             raise ValueError("vcg_node_budget must be positive")
         self.sampler(0)  # ValueSamplerParams owns the checks on the sampler fields
 
@@ -124,7 +124,8 @@ class ExperimentConfig:
         return ValueSamplerParams(**params, seed=seed)
 
     def c0_for(self, scoring: ScoringRule) -> float:
-        return self.c0_fcc if scoring is ScoringRule.FCC else self.c0_unscored
+        # a plain string becomes its member, as the rules compare by identity
+        return self.c0_fcc if ScoringRule(scoring) is ScoringRule.FCC else self.c0_unscored
 
 
 def _load(cfg: ExperimentConfig) -> tuple[Instance, str | None]:

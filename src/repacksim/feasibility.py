@@ -38,6 +38,7 @@ must decide, enumeration or the initial packing's fallback, raises
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -76,7 +77,7 @@ class Budget:
     step_limit: int
 
     def __post_init__(self) -> None:
-        if self.step_limit <= 0:
+        if not isinstance(self.step_limit, numbers.Integral) or self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
 
 

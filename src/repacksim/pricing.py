@@ -9,9 +9,9 @@ Volumes are computed once up front and never change; a
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 from .model import ClearingTarget, Instance, StationId
 
@@ -76,27 +76,22 @@ def default_initial_clock_price(rule: ScoringRule) -> float:
     return DEFAULT_C0_FCC if ScoringRule(rule) is ScoringRule.FCC else DEFAULT_C0_UNSCORED
 
 
-class _ClockFields(NamedTuple):
+@dataclass(frozen=True)
+class ClockState:
+    """Shared descending price level: the initial price, the current price,
+    and the round index. Building one checks all three."""
+
     c0: float
     current: float
     round_index: int = 0
 
-
-class ClockState(_ClockFields):
-    """Shared descending price level: the initial price, the current price,
-    and the round index. Building one checks all three; :func:`next_clock`,
-    whose result meets the checks by construction, skips them."""
-
-    __slots__ = ()
-
-    def __new__(cls, c0: float, current: float, round_index: int = 0) -> ClockState:
-        if c0 <= 0:
+    def __post_init__(self) -> None:
+        if self.c0 <= 0:
             raise ValueError("initial clock price must be positive")
-        if not 0 <= current <= c0:
+        if not 0 <= self.current <= self.c0:
             raise ValueError("clock must stay within [0, c0]")
-        if round_index < 0:
+        if self.round_index < 0:
             raise ValueError("round index must be non-negative")
-        return _ClockFields.__new__(cls, c0, current, round_index)
 
 
 def initial_clock(c0: float) -> ClockState:
@@ -117,8 +112,7 @@ def next_clock(state: ClockState) -> ClockState:
     lowered = max(0.0, state.current - decrement(state.current, state.c0))
     if lowered == state.current:
         lowered = 0.0
-    # within [0, state.current], so the checks of a ClockState hold
-    return _ClockFields.__new__(ClockState, state.c0, lowered, state.round_index + 1)
+    return ClockState(state.c0, lowered, state.round_index + 1)
 
 
 @lru_cache(maxsize=64)

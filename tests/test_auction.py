@@ -1202,13 +1202,11 @@ def test_accepting_checks_build_a_problem_only_for_a_checker_run(monkeypatch, ca
     assert repr(got) == repr(expected)
     assert any(fits for _, _, fits in calls)
     # an accept builds a problem only for the checker it runs: never when
-    # the station fits, and never under greedy
+    # the station fits. An accept that does not fit runs its auction's
+    # checker, greedy's included, as only the fit is answered in its place.
     assert all(built == runs for built, runs, _ in calls)
     assert not any(built for built, _, fits in calls if fits)
-    if checker is CheckerKind.GREEDY:
-        assert sum(built for built, _, _ in calls) == 0
-    else:  # SAT searches for an accept that does not fit
-        assert any(runs for _, runs, _ in calls)
+    assert any(runs for _, runs, _ in calls)
 
 
 def test_an_exit_replaces_a_fits_marker_another_auction_left():
@@ -1464,6 +1462,14 @@ def test_round_log_records_keep_their_types(monkeypatch):
         assert type(rec) is RoundRecord
         assert type(rec.bids) is tuple and rec.bids
         assert all(type(bid) is ProcessedBid for bid in rec.bids)
+
+
+def test_a_round_log_is_not_equal_to_a_list_of_its_records():
+    # a log equals a tuple of its records or another log, and nothing else
+    log = _logged_auction(CheckerKind.SAT).round_log
+    assert log == tuple(log)
+    assert log != list(log)
+    assert log.__eq__(list(log)) is NotImplemented
 
 
 @pytest.mark.parametrize("previous", [4.0, math.nan], ids=["negative", "nan"])

@@ -111,6 +111,26 @@ def test_config_rejects_an_opening_price_that_is_not_finite(field, c0):
         small_config(**{field: c0})
 
 
+@pytest.mark.parametrize("field", ["budget_steps", "vcg_node_budget"])
+@pytest.mark.parametrize("limit", [math.nan, 2.5, 0])
+def test_config_rejects_a_limit_that_is_not_a_positive_integer(field, limit):
+    # no count exceeds NaN, so a NaN limit would turn its limit off
+    with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+        small_config(**{field: limit})
+    assert getattr(small_config(**{field: np.int64(3)}), field) == 3
+
+
+def test_c0_for_reads_a_plain_string_rule_as_the_rule_it_names():
+    # the rules compare by identity, so "fcc" once read the unscored price
+    cfg = small_config(c0_fcc=7.0, c0_unscored=8.0)
+    for rule in ScoringRule:
+        assert cfg.c0_for(rule.value) == cfg.c0_for(rule)
+    assert cfg.c0_for("fcc") == 7.0
+    for junk in ("FCC", "scored"):
+        with pytest.raises(ValueError, match=repr(junk)):
+            cfg.c0_for(junk)
+
+
 def test_run_experiment_produces_grid():
     result = run_experiment(small_config())
     assert len(result.rows) == 4  # 2 cells x 2 profiles
@@ -893,6 +913,33 @@ def test_cli_reports_an_output_path_it_cannot_write_in_one_line(
     assert "Not a directory" in line
     # only report prints before it writes: the summary
     assert res.stdout.startswith("cell summaries") if command == "report" else not res.stdout
+
+
+def test_cli_run_reports_an_output_directory_it_may_not_write_in_one_line(
+    tmp_path, monkeypatch
+):
+    # the tests may run as root, who may write anywhere, so the refusal is
+    # patched in rather than made with chmod
+    monkeypatch.chdir(tmp_path)
+    generator = {"n_stations": 5, "channel_lo": 14, "channel_hi": 18, "seed": 5}
+    (tmp_path / "config.json").write_text(
+        json.dumps({"bar_c": 17, "generator": generator, "n_value_profiles": 1})
+    )
+    access = cli.os.access
+    monkeypatch.setattr(
+        cli.os, "access", lambda path, mode: not mode & cli.os.W_OK and access(path, mode)
+    )
+
+    def refuse(cfg):
+        raise AssertionError("the experiment ran before its output path was checked")
+
+    monkeypatch.setattr("repacksim.cli.run_experiment", refuse)
+    res = CliRunner().invoke(main, ["run", "--config", "config.json", "--out", "out"])
+    assert res.exit_code == 1
+    [line] = res.stderr.splitlines()
+    assert line.startswith("Error: cannot write out: ")
+    assert "Permission denied" in line
+    assert not res.stdout and not (tmp_path / "out").exists()
 
 
 def _documented_seed(master_seed, stream, *indices):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -556,8 +557,11 @@ def test_encoding_sat_iff_enumeration_feasible(seed):
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        Budget(step_limit=0)
+    # no step count exceeds NaN, so a NaN limit would never time out
+    for limit in (0, -1, 2.5, math.nan):
+        with pytest.raises(ValueError, match="^step_limit must be positive$"):
+            Budget(step_limit=limit)
+    assert Budget(step_limit=np.int64(3)).step_limit == 3
 
 
 # ---------------------------------------------------------------- references

@@ -65,6 +65,11 @@ PARSE_ERRORS = [
         "STATION 1 14 10 14\nSTATION 2 13 10 13,14\nCHANNELS 14 16\n",
         "line 2: station 2 domain channels [13] are outside the CHANNELS range 14-16",
     ),
+    (
+        parse_instance,
+        "CHANNELS 14 16\nSTATION 1 14 10 14\nCONSTRAINT 1 14 1 14\n",
+        "line 3: degenerate constraint on (1, 14)",
+    ),
     (parse_values, "1 abc\n", "line 1: could not convert string to float: 'abc'"),
 ]
 
