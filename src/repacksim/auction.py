@@ -45,29 +45,28 @@ each played round and the checker verdicts that it and its deviations
 found. A memo hit returns what the computation would have returned, so
 outcomes do not depend on which auctions ran before.
 
-Only an auction with strategy hooks reads the truthful run: until a hooked
-station answers otherwise than it would bid truthfully, the auction is the
-truthful one. So it asks its hooked stations once per round, as a played
-auction would, and compares each answer with the truthful bid. At the first
-round that differs it resumes from the truthful run's state after its last
-played round before that one, with the answers so far, and plays on; if no
-answer differs before the hooked stations leave, its outcome is the truthful
-run's.
+Every auction reads its truthful run: until a hooked station answers
+otherwise than it would bid truthfully, the auction is the truthful one. So
+it asks its hooked stations once per round, as a played auction would, and
+compares each answer with the truthful bid. At the first round that differs
+it resumes from the truthful run's state after its last played round before
+that one, with the answers so far, and plays on; if no answer differs before
+the hooked stations leave, its outcome is the truthful run's. An auction
+without hooks never leaves the truthful path, so its outcome is the run's.
 
 Within one auction a station's verdict can change only when an exit replaces
 the packed set, so the verdicts are kept in one layer: a table per packed
 set, from target station to verdict, keyed by the set's ordered items. Every
 auction fetches the table of its packed set whenever an exit replaces that
-set, and fills it on a miss. An auction without hooks starts from no tables,
-and since each of its exits adds a station it never meets a set twice; a
-truthful run shares its tables with its deviations, so a deviation that
-reaches a packed set the run or an earlier deviation reached finds the
-verdicts already there. A verdict from a table is read-only; an exit copies
-the certificate it keeps as the packed assignment.
-An accept reads no certificate: it scans its station's channel-table row
-against the packed set, building no problem, and for a station that fits
-the table holds a shared "fits" marker, read as feasible, in place of the
-checker's verdict; an exit that finds it runs the checker instead.
+set, and fills it on a miss. A truthful run shares its tables with the
+auctions resumed from it, so one that reaches a packed set the run or an
+earlier deviation reached finds the verdicts already there. A verdict from
+a table is read-only; an exit copies the certificate it keeps as the packed
+assignment. An accept reads no certificate: it scans its station's
+channel-table row against the packed set, building no problem, and for a
+station that fits the table holds a shared "fits" marker, read as feasible,
+in place of the checker's verdict; an exit that finds it runs the checker
+instead.
 """
 
 from __future__ import annotations
@@ -133,10 +132,10 @@ _TIEBREAK_STREAM = 3
 # first exit rounds 240 times with 120 misses on ``truthful``, 3,303 with
 # 2,222 on ``grid`` and 37,250 with 14,827 on ``sweep``, the same misses
 # with 256 entries as with 4,096. The verdict bound counts the packed-set
-# tables of one truthful run, or of one auction without hooks: a
-# ``truthful`` pass peaks at 38, so 512 evicts none, and an auction past 512
-# exits evicts tables it never reads again. The truthful run memo keeps one
-# run (``_TRUTHFUL_RUN``): criterion 5 runs each instance's deviations back
+# tables of one truthful run and its deviations: a ``truthful`` pass peaks
+# at 38, so 512 evicts none, and a run past 512 exits evicts tables it never
+# reads again. The truthful run memo keeps one run (``_TRUTHFUL_RUN``):
+# criterion 5 runs each instance's truthful auction and its deviations back
 # to back.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
@@ -583,25 +582,14 @@ class _Snapshot(NamedTuple):
     settled: bool
 
 
-class _Opening(NamedTuple):
-    """What an auction fixes before its first round, and its state then.
-    ``exit_rounds`` holds each participant's truthful first exit round."""
-
-    vols: VolumeTable
-    participants: tuple[StationId, ...]
-    non_participants: tuple[StationId, ...]
-    clocks: tuple[float, ...]
-    exit_rounds: dict[StationId, int]
-    start: _Snapshot
-
-
 class _TruthfulRun(NamedTuple):
     """The truthful run of an (instance identity, config, value profile
-    items) ``key``: its opening, its state after the opening and after each
-    played round before the final resolution, its round log's parts, its
-    outcome, None when the run raised, and the verdict tables that it and
-    its deviations share. ``inst`` keeps the instance whose identity the key
-    holds alive.
+    items) ``key``: what it fixes before round 1 (``exit_rounds`` holds each
+    participant's truthful first exit round), its state then and after each
+    played round but the final resolution, its round log's parts, the
+    verdict tables that it and every auction resumed from it share, and its
+    outcome, None when it raised. ``inst`` keeps the instance whose identity
+    the key holds alive.
 
     A checker is a pure function of the instance, the config's clearing
     target, checker and budget, the target station and the packed
@@ -610,67 +598,47 @@ class _TruthfulRun(NamedTuple):
 
     key: tuple
     inst: Instance
-    opening: _Opening
+    values: ValueProfile
+    config: AuctionConfig
+    vols: VolumeTable
+    participants: tuple[StationId, ...]
+    non_participants: tuple[StationId, ...]
+    clocks: tuple[float, ...]
+    exit_rounds: dict[StationId, int]
     snapshots: list[_Snapshot]
     parts: list[tuple | _QuietStretch]
-    outcome: AuctionOutcome | None
     tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]]
+    outcome: AuctionOutcome | None = None
 
 
-#: The most recent truthful run that an auction with hooks asked for.
+#: The most recent truthful run that an auction asked for.
 _TRUTHFUL_RUN: list[_TruthfulRun] = []
 
 
-def _open(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _Opening:
-    """Set an auction up: volumes, participants, the initial packing, the
-    clock and the truthful exit rounds."""
-    c0 = config.initial_price()
-    vols = volumes_for(inst, config.ct, config.scoring)
-    participants, non_participants = determine_participants(inst, values, vols, c0)
-    packed = initial_assignment(
-        inst, non_participants, config.ct, config.checker, config.budget
-    )
-    exit_rounds = {sid: _first_exit_round(c0, vols[sid], values[sid]) for sid in participants}
-    start = _Snapshot(0, 0, packed, tuple(sorted(participants)), False)
-    return _Opening(
-        vols, participants, non_participants, clock_trajectory(c0), exit_rounds, start
-    )
-
-
 def _play(
-    inst: Instance,
-    values: ValueProfile,
-    config: AuctionConfig,
-    opening: _Opening,
+    run: _TruthfulRun,
     start: _Snapshot,
     parts: list[tuple | _QuietStretch],
     strategies: Mapping[StationId, BidStrategy],
-    tables: OrderedDict,
     asked: Mapping[int, list] | None = None,
     snapshots: list[_Snapshot] | None = None,
 ) -> AuctionOutcome:
-    """Play the auction on from ``start`` to its outcome, appending to
-    ``parts``, the round log's parts up to ``start``, whose frozen rows give
-    the winners' payments and the timeouts. ``tables`` are the verdict tables
-    of ``AuctionState.tables``; ``asked`` holds the hooked stations' answers
-    in rounds they were already asked in, which are not asked again;
-    ``snapshots``, when given, gets the state after each played round but
-    the final resolution."""
+    """Play ``run``'s auction with ``strategies`` on from ``start`` to its
+    outcome, appending to ``parts``, the round log's parts up to ``start``,
+    whose frozen rows give the winners' payments and the timeouts. Checks
+    read and fill the run's verdict tables; ``asked`` holds the hooked
+    stations' answers in rounds they were already asked in, which are not
+    asked again; ``snapshots``, when given, gets the state after each played
+    round but the final resolution."""
+    config, values = run.config, run.values
     state = AuctionState(
-        inst=inst,
-        ct=config.ct,
-        checker=config.checker,
-        budget=config.budget,
-        packed=start.packed,
-        tables=tables,
+        run.inst, config.ct, config.checker, config.budget, start.packed, run.tables
     )
     asked = asked or {}
     seed = config.seed
-    vols, clocks = opening.vols, opening.clocks
+    vols, clocks = run.vols, run.clocks
     horizon = len(clocks)  # the round after the clock first reaches zero
-    exit_round = opening.exit_rounds
-    if strategies:
-        exit_round = {sid: e for sid, e in exit_round.items() if sid not in strategies}
+    exit_round = {sid: e for sid, e in run.exit_rounds.items() if sid not in strategies}
     # active stations in station order; a station leaves once it exits or freezes
     active = list(start.active)
     round_index = start.round_index  # the last round played or skipped
@@ -754,8 +722,8 @@ def _play(
         winners=winners,
         # a resumed auction may end on the packed set of a snapshot
         final_assignment=dict(state.packed),
-        participants=opening.participants,
-        non_participants=opening.non_participants,
+        participants=run.participants,
+        non_participants=run.non_participants,
         rounds=round_index,
         checker_timeout_count=sum(row[4] == _TIMEOUT for row in frozen),
         round_log=RoundLog(parts, round_index, vols, clocks, seed),
@@ -764,38 +732,62 @@ def _play(
 
 def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _TruthfulRun:
     """The memoized truthful run of ``inst``, ``values`` and ``config``,
-    played on a miss."""
+    played on a miss after the memo lets go of the run it held."""
     key = (id(inst), config, tuple(values.items()))
     if _TRUTHFUL_RUN and _TRUTHFUL_RUN[0].key == key:
         return _TRUTHFUL_RUN[0]
-    opening = _open(inst, values, config)
-    snapshots, parts, tables = [opening.start], [], OrderedDict()
+    _TRUTHFUL_RUN.clear()
+    c0 = config.initial_price()
+    vols = volumes_for(inst, config.ct, config.scoring)
+    participants, non_participants = determine_participants(inst, values, vols, c0)
+    packed = initial_assignment(inst, non_participants, config.ct, config.checker, config.budget)
+    run = _TruthfulRun(
+        key,
+        inst,
+        values,
+        config,
+        vols,
+        participants,
+        non_participants,
+        clock_trajectory(c0),
+        {sid: _first_exit_round(c0, vols[sid], values[sid]) for sid in participants},
+        [_Snapshot(0, 0, packed, tuple(sorted(participants)), False)],
+        [],
+        OrderedDict(),
+    )
     try:
-        outcome = _play(
-            inst, values, config, opening, opening.start, parts, {}, tables, None, snapshots
-        )
+        run = run._replace(outcome=_play(run, run.snapshots[0], run.parts, {}, None, run.snapshots))
     except SearchSpaceError:
         # an enumeration left undecided, which a deviation that leaves the
         # truthful path before it need not reach
-        outcome = None
-    _TRUTHFUL_RUN[:] = [_TruthfulRun(key, inst, opening, snapshots, parts, outcome, tables)]
-    return _TRUTHFUL_RUN[0]
+        pass
+    _TRUTHFUL_RUN.append(run)
+    return run
 
 
-def _resumed(
+def run_auction(
     inst: Instance,
     values: ValueProfile,
     config: AuctionConfig,
-    strategies: Mapping[StationId, BidStrategy],
+    strategies: Mapping[StationId, BidStrategy] | None = None,
 ) -> AuctionOutcome:
-    """The auction with ``strategies``, resumed from its truthful run at the
-    first round where a hooked station answers otherwise than truthfully."""
+    """Run the clock auction to completion and return the outcome with a full
+    round log.
+
+    ``strategies`` overrides the truthful bidder for selected stations; it is
+    a simulation hook and does not change participation, which is always
+    decided by value against opening price. Every auction reads the memoized
+    truthful run and resumes it where a hooked station first leaves the
+    truthful path; an auction that never leaves it gets a copy of the run's
+    outcome.
+    """
+    strategies = strategies or {}
     run = _truthful_run(inst, values, config)
-    opening = run.opening
     if run.outcome is None:
-        return _play(inst, values, config, opening, opening.start, [], strategies, run.tables)
-    vols, clocks, exit_rounds = opening.vols, opening.clocks, opening.exit_rounds
-    snapshots = run.snapshots
+        # the truthful run raised: played again from the start, an auction
+        # without hooks raises again
+        return _play(run, run.snapshots[0], [], strategies)
+    vols, clocks, exit_rounds, snapshots = run.vols, run.clocks, run.exit_rounds, run.snapshots
     for i, snap in enumerate(snapshots):
         # each hooked station's hook, volume, value and truthful exit round
         hooked = [
@@ -818,30 +810,6 @@ def _resumed(
                 answers.append(answer)
                 truthful = truthful and answer is (EXIT if r >= exit_round else ACCEPT)
             if not truthful:
-                parts = run.parts[: snap.parts]
-                return _play(
-                    inst, values, config, opening, snap, parts, strategies, run.tables, asked
-                )
+                return _play(run, snap, run.parts[: snap.parts], strategies, asked)
     out = run.outcome
     return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
-
-
-def run_auction(
-    inst: Instance,
-    values: ValueProfile,
-    config: AuctionConfig,
-    strategies: Mapping[StationId, BidStrategy] | None = None,
-) -> AuctionOutcome:
-    """Run the clock auction to completion and return the outcome with a full
-    round log.
-
-    ``strategies`` overrides the truthful bidder for selected stations; it is
-    a simulation hook and does not change participation, which is always
-    decided by value against opening price. An auction with hooks resumes
-    the memoized truthful run where a hooked station first leaves the
-    truthful path.
-    """
-    if strategies:
-        return _resumed(inst, values, config, strategies)
-    opening = _open(inst, values, config)
-    return _play(inst, values, config, opening, opening.start, [], {}, OrderedDict())

@@ -99,6 +99,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.instance_path is None) == (self.generator is None):
             raise ValueError("configure exactly one of instance_path or generator")
+        if not isinstance(self.n_value_profiles, numbers.Integral):
+            raise ValueError("n_value_profiles must be an integer")
         if self.n_value_profiles < 1:
             raise ValueError("need at least one value profile")
         if not self.cells:

@@ -55,6 +55,9 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_stations", "channel_lo", "channel_hi"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_stations < 0:
             raise ValueError("n_stations must be non-negative")
         if self.channel_lo > self.channel_hi:

@@ -639,24 +639,46 @@ def _recorded_checker_runs(monkeypatch):
 
 
 def test_an_auction_without_hooks_runs_the_same_checkers_when_run_twice(monkeypatch):
-    # it keeps its verdicts to itself, so a second run meets none of them
+    # an auction without hooks is its instance's truthful run: an equal one
+    # right after it reads the memoized run, and one after an auction with
+    # another key plays it again
     inst, values, config = _criterion_5_case(1)
     n_packed = len(determine_participants(inst, values, unscored_volumes(inst), config.c0)[1])
+    _forget_memoized_work()
     runs = _recorded_checker_runs(monkeypatch)
     first = run_auction(inst, values, config)
     once = list(runs)
     assert len(once) > n_packed  # the rounds run checkers, not only the initial packing
     runs.clear()
     assert run_auction(inst, values, config) == first
+    assert runs == []
+    run_auction(*_criterion_5_case(2))
+    runs.clear()
+    assert run_auction(inst, values, config) == first
     assert runs == once
+
+
+def test_a_never_exit_deviation_after_the_truthful_auction_runs_no_checker(monkeypatch):
+    inst, values, config = _criterion_5_case(1)
+    _forget_memoized_work()
+    truthful = run_auction(inst, values, config)
+    runs = _recorded_checker_runs(monkeypatch)
+    # each winner froze on an accept, so never exiting is its truthful path
+    # and the deviation reads the run the truthful auction left
+    assert len(truthful.winners) > 1
+    for sid in truthful.winners:
+        got = run_auction(inst, values, config, {sid: _never_exit})
+        assert got.winners == truthful.winners
+        assert got == truthful
+    assert runs == []
 
 
 def test_a_second_equal_hooked_auction_runs_no_checker(monkeypatch):
     inst, values, config = _criterion_5_case(1)
-    opening = auction._open(inst, values, config)
+    run = auction._truthful_run(inst, values, config)
     # a station that would accept in round 1 exits in it, so the deviation
     # leaves the truthful run at once and its exit runs a checker
-    sid = next(s for s in opening.participants if opening.exit_rounds[s] > 1)
+    sid = next(s for s in run.participants if run.exit_rounds[s] > 1)
     strategies = {sid: _exit_at(1)}
     _forget_memoized_work()
     runs = _recorded_checker_runs(monkeypatch)
@@ -1073,8 +1095,9 @@ def test_a_deviation_plays_on_when_the_truthful_run_raises_after_it_leaves(monke
 
     monkeypatch.setattr(auction, "process_bids", refusing_the_truthful_exit)
     _forget_memoized_work()
-    with pytest.raises(SearchSpaceError):
-        run_auction(inst, values, config)
+    for _ in range(2):  # the auction without hooks raises on a memo hit too
+        with pytest.raises(SearchSpaceError):
+            run_auction(inst, values, config)
     strategies = {sid: _exit_at(2)}
     for _ in range(2):  # the failed truthful run is memoized too
         got = run_auction(inst, values, config, strategies)

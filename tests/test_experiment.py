@@ -104,6 +104,13 @@ def test_config_validation():
     assert small_config(master_seed=np.int64(3)).master_seed == 3
 
 
+def test_config_rejects_a_number_of_value_profiles_that_is_not_an_integer():
+    # a float would pass the range check and fail when the profiles are drawn
+    with pytest.raises(ValueError, match="^n_value_profiles must be an integer$"):
+        small_config(n_value_profiles=2.5)
+    assert small_config(n_value_profiles=np.int64(2)).n_value_profiles == 2
+
+
 @pytest.mark.parametrize("field", ["c0_fcc", "c0_unscored"])
 @pytest.mark.parametrize("c0", [math.inf, math.nan])
 def test_config_rejects_an_opening_price_that_is_not_finite(field, c0):

@@ -154,6 +154,16 @@ def test_generate_param_validation():
     assert GeneratorParams(n_stations=1, seed=np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize("field", ["n_stations", "channel_lo", "channel_hi"])
+def test_generator_rejects_a_count_or_channel_that_is_not_an_integer(field):
+    # a float would pass the range checks and fail deep in the generator
+    kwargs = {"n_stations": 3, field: 14.5}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        GeneratorParams(**kwargs)
+    kwargs[field] = np.int64(14)
+    assert getattr(GeneratorParams(**kwargs), field) == 14
+
+
 @given(
     st.integers(min_value=0, max_value=14),
     st.integers(min_value=0, max_value=2**32 - 1),

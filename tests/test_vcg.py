@@ -421,7 +421,7 @@ def test_max_sum_and_branch_and_bound_agree_at_grid_size(seed):
     forced=st.sets(st.integers(min_value=0, max_value=15), max_size=4),
 )
 @settings(max_examples=100, deadline=None)
-def test_max_sum_and_branch_and_bound_agree_on_forced_draws(seed, n, channels, forced):
+def test_max_sum_and_conditioning_agree_on_forced_draws(seed, n, channels, forced):
     rng = np.random.default_rng(seed)
     inst = generate_instance(
         GeneratorParams(
@@ -470,7 +470,7 @@ def test_grid_sized_components_take_max_sum(seed):
     assert refused == []
 
 
-def test_a_component_over_the_entry_limit_takes_branch_and_bound():
+def test_a_component_over_the_entry_limit_takes_conditioning():
     # The largest component needs 47,417 entries, the other two 112 and 36,
     # so under a limit of 1,000 only the largest is conditioned on a
     # station: it branches on that station's states, with no bound.
