@@ -42,8 +42,9 @@ tie-break ranks of a (seed, round, bid count), a truthful station's first
 exit round for an (opening price, volume, value), and the most recent
 truthful run of an (instance, config, value profile) with its state after
 each played round and the checker verdicts that it and its deviations
-found. A memo hit returns what the computation would have returned, so
-outcomes do not depend on which auctions ran before.
+found. Two more memos go with that run: the never-exit run of one station,
+and the tails its auctions played. A memo hit returns what the computation
+would have returned, so outcomes do not depend on which auctions ran before.
 
 Every auction reads its truthful run: until a hooked station answers
 otherwise than it would bid truthfully, the auction is the truthful one. So
@@ -53,6 +54,21 @@ it resumes from the truthful run's state after its last played round before
 that one, with the answers so far, and plays on; if no answer differs before
 the hooked stations leave, its outcome is the truthful run's. An auction
 without hooks never leaves the truthful path, so its outcome is the run's.
+
+A single-minded bidder's strategies come down to the round in which it
+exits, so one station's deviations share their rounds: exiting in round r
+agrees with never exiting through round r - 1. The first time a lone hooked
+station accepts where it would truthfully exit, its never-exit run, a
+truthful run in which its exit round is past the horizon, is played once
+from the truthful run's state before that round, with its own snapshots.
+An auction whose lone hooked station accepts there follows that run the
+same way: it resumes the run at its first other answer, or takes the run's
+outcome. Once no active station has a hook, the rest of an auction depends
+only on its run, round index, packed set and active stations; an auction
+that reaches a state from which an earlier one on the same run played a
+round appends what that one played from there and stops. The runs that
+record snapshots, the truthful and the never-exit ones, neither read nor
+fill these tails.
 
 Within one auction a station's verdict can change only when an exit replaces
 the packed set, so the verdicts are kept in one layer: a table per packed
@@ -126,20 +142,24 @@ _TIEBREAK_STREAM = 3
 # auctions on an instance run back to back: over its 50 instances its played
 # rounds draw about 5,700 distinct tie-break keys (at most 182 on one
 # instance). One seed-1 pass of the benchmark's workloads, read from
-# ``cache_info()`` after clearing the memos, asks for tie-break ranks 13,928
+# ``cache_info()`` after clearing the memos, asks for tie-break ranks 4,872
 # times with 1,999 misses on ``truthful`` (every unscored bid ties), and
 # 508 and 12,429 times, all misses, on ``grid`` and ``sweep``. It asks for
-# first exit rounds 240 times with 120 misses on ``truthful``, 3,303 with
+# first exit rounds 120 times, all misses, on ``truthful``, 3,303 with
 # 2,222 on ``grid`` and 37,250 with 14,827 on ``sweep``, the same misses
 # with 256 entries as with 4,096. The verdict bound counts the packed-set
 # tables of one truthful run and its deviations: a ``truthful`` pass peaks
 # at 38, so 512 evicts none, and a run past 512 exits evicts tables it never
 # reads again. The truthful run memo keeps one run (``_TRUTHFUL_RUN``):
 # criterion 5 runs each instance's truthful auction and its deviations back
-# to back.
+# to back, one station's after another. That run keeps the never-exit run of
+# one station, replaced when another station needs its own, so at most two
+# runs are alive at once; and at most ``_TAIL_MEMO_SIZE`` tails, after which
+# it records no more: a ``truthful`` pass peaks at 88 per run.
 _TIEBREAK_MEMO_SIZE = 256
 _VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
+_TAIL_MEMO_SIZE = 512
 
 
 class CheckerKind(str, Enum):
@@ -594,6 +614,14 @@ class _TruthfulRun(NamedTuple):
     A checker is a pure function of the instance, the config's clearing
     target, checker and budget, the target station and the packed
     assignment, so within one run's key a table needs only the packed set.
+
+    A station's never-exit run is a run of the same key in which that
+    station's exit round is past the horizon: it shares the truthful run's
+    snapshots and parts up to the station's truthful exit round, and its
+    tables and tails. ``tails`` holds what an auction played from each
+    state in which no active station has a hook, keyed by the round index
+    and the packed and active stations, since all else it plays from there
+    is fixed by the key.
     """
 
     key: tuple
@@ -608,6 +636,10 @@ class _TruthfulRun(NamedTuple):
     snapshots: list[_Snapshot]
     parts: list[tuple | _QuietStretch]
     tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]]
+    # the never-exit run of at most one station, by station
+    never_exit: dict[StationId, _TruthfulRun]
+    # hook-free state -> (parts played from it, final packed set, rounds)
+    tails: dict[tuple, tuple]
     outcome: AuctionOutcome | None = None
 
 
@@ -629,11 +661,16 @@ def _play(
     read and fill the run's verdict tables; ``asked`` holds the hooked
     stations' answers in rounds they were already asked in, which are not
     asked again; ``snapshots``, when given, gets the state after each played
-    round but the final resolution."""
+    round but the final resolution. An auction that records no snapshots
+    reads and fills the run's tails: from a hook-free state that an earlier
+    one played from, it appends what that one played and stops."""
     config, values = run.config, run.values
     state = AuctionState(
         run.inst, config.ct, config.checker, config.budget, start.packed, run.tables
     )
+    tails = run.tails if snapshots is None else None
+    # each hook-free state this auction plays a round from, with its parts' count
+    starts: list[tuple[tuple, int]] = []
     asked = asked or {}
     seed = config.seed
     vols, clocks = run.vols, run.clocks
@@ -695,6 +732,16 @@ def _play(
             if event == horizon:
                 continue  # the stretch ran into clock zero: the stall test is next
 
+        if tails is not None and not hooked:
+            # all that the rest of the auction reads: ``settled`` is set
+            # afresh by the round played next
+            key = (round_index, tuple(state.packed.items()), tuple(active))
+            tail = tails.get(key)
+            if tail is not None:
+                played, state.packed, round_index = tail
+                parts.extend(played)
+                break
+            starts.append((key, len(parts)))
         previous, current = clocks[round_index], clocks[round_index + 1]
         round_index += 1
         bids = _round_bids(active, vols, previous, current, decided, values)
@@ -708,6 +755,9 @@ def _play(
                 _Snapshot(round_index, len(parts), state.packed, tuple(active), settled)
             )
 
+    for key, count in starts:
+        if len(tails) < _TAIL_MEMO_SIZE:
+            tails[key] = (tuple(parts[count:]), state.packed, round_index)
     # the log's frozen rows: a station freezes once, and only a played round
     # freezes one
     frozen = [
@@ -728,6 +778,19 @@ def _play(
         checker_timeout_count=sum(row[4] == _TIMEOUT for row in frozen),
         round_log=RoundLog(parts, round_index, vols, clocks, seed),
     )
+
+
+def _played(run: _TruthfulRun, strategies: Mapping[StationId, BidStrategy]) -> _TruthfulRun:
+    """``run`` played on with ``strategies`` from its last snapshot, adding
+    to its snapshots and parts, with its outcome, which stays None when the
+    play raises ``SearchSpaceError``."""
+    try:
+        outcome = _play(run, run.snapshots[-1], run.parts, strategies, None, run.snapshots)
+    except SearchSpaceError:
+        # an enumeration left undecided, which a deviation that leaves the
+        # run before it need not reach
+        return run
+    return run._replace(outcome=outcome)
 
 
 def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _TruthfulRun:
@@ -754,15 +817,79 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
         [_Snapshot(0, 0, packed, tuple(sorted(participants)), False)],
         [],
         OrderedDict(),
+        {},
+        {},
     )
-    try:
-        run = run._replace(outcome=_play(run, run.snapshots[0], run.parts, {}, None, run.snapshots))
-    except SearchSpaceError:
-        # an enumeration left undecided, which a deviation that leaves the
-        # truthful path before it need not reach
-        pass
+    run = _played(run, {})
     _TRUTHFUL_RUN.append(run)
     return run
+
+
+def _accepts(round_index: int, offer: float, value: float) -> BidDecision:
+    return ACCEPT
+
+
+def _never_exit_run(run: _TruthfulRun, sid: StationId, i: int) -> _TruthfulRun:
+    """The memoized never-exit run of ``sid``: ``run`` up to its ``i``-th
+    snapshot, the last before ``sid`` exits in it, played on with ``sid``
+    accepting every offer. It replaces the never-exit run of any other
+    station."""
+    never_exit = run.never_exit.get(sid)
+    if never_exit is None:
+        run.never_exit.clear()
+        snap = run.snapshots[i]
+        never_exit = run.never_exit[sid] = _played(
+            run._replace(
+                exit_rounds={**run.exit_rounds, sid: len(run.clocks)},
+                snapshots=run.snapshots[: i + 1],
+                parts=run.parts[: snap.parts],
+                never_exit={},
+            ),
+            {sid: _accepts},
+        )
+    return never_exit
+
+
+def _departure(
+    run: _TruthfulRun,
+    strategies: Mapping[StationId, BidStrategy],
+    asked: dict[int, list],
+    first: int = 0,
+    asked_to: int = 0,
+) -> tuple[int, int] | None:
+    """Where an auction with ``strategies`` leaves ``run``, following its
+    snapshots from the ``first``-th: the index of the last snapshot before the
+    first round in which a hooked station answers otherwise than it bids in
+    ``run``, and that round; None if no answer differs before the hooked
+    stations leave. Rounds up to ``asked_to`` were asked already and bid as
+    in ``run``; ``asked`` gets each later round's answers, in the order of
+    the hooked stations."""
+    vols, values, clocks, exit_rounds = run.vols, run.values, run.clocks, run.exit_rounds
+    snapshots = run.snapshots
+    for i in range(first, len(snapshots)):
+        snap = snapshots[i]
+        # each hooked station's hook, volume, value and exit round in the run
+        hooked = [
+            (strategies[sid], vols[sid], values[sid], exit_rounds[sid])
+            for sid in snap.active
+            if sid in strategies
+        ]
+        if not hooked:
+            return None
+        # the rounds up to the next one played, or up to the last before the
+        # horizon, the last round in which a station is asked
+        last = snapshots[i + 1].round_index if i + 1 < len(snapshots) else len(clocks) - 1
+        for r in range(max(snap.round_index, asked_to) + 1, last + 1):
+            current = clocks[r]
+            answers = asked[r] = []
+            bid_as_in_run = True
+            for ask, vol, value, exit_round in hooked:
+                answer = ask(r, offer_price(vol, current), value)
+                answers.append(answer)
+                bid_as_in_run = bid_as_in_run and answer is (EXIT if r >= exit_round else ACCEPT)
+            if not bid_as_in_run:
+                return i, r
+    return None
 
 
 def run_auction(
@@ -779,7 +906,8 @@ def run_auction(
     decided by value against opening price. Every auction reads the memoized
     truthful run and resumes it where a hooked station first leaves the
     truthful path; an auction that never leaves it gets a copy of the run's
-    outcome.
+    outcome. A lone hooked station that accepts where it would exit follows
+    its memoized never-exit run the same way.
     """
     strategies = strategies or {}
     run = _truthful_run(inst, values, config)
@@ -787,29 +915,19 @@ def run_auction(
         # the truthful run raised: played again from the start, an auction
         # without hooks raises again
         return _play(run, run.snapshots[0], [], strategies)
-    vols, clocks, exit_rounds, snapshots = run.vols, run.clocks, run.exit_rounds, run.snapshots
-    for i, snap in enumerate(snapshots):
-        # each hooked station's hook, volume, value and truthful exit round
-        hooked = [
-            (strategies[sid], vols[sid], values[sid], exit_rounds[sid])
-            for sid in snap.active
-            if sid in strategies
-        ]
-        if not hooked:
-            break
-        # the rounds up to the next one played, or up to the last before the
-        # horizon, the last round in which a station is asked
-        last = snapshots[i + 1].round_index if i + 1 < len(snapshots) else len(clocks) - 1
-        asked = {}
-        for r in range(snap.round_index + 1, last + 1):
-            current = clocks[r]
-            answers = asked[r] = []
-            truthful = True
-            for ask, vol, value, exit_round in hooked:
-                answer = ask(r, offer_price(vol, current), value)
-                answers.append(answer)
-                truthful = truthful and answer is (EXIT if r >= exit_round else ACCEPT)
-            if not truthful:
-                return _play(run, snap, run.parts[: snap.parts], strategies, asked)
-    out = run.outcome
-    return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
+    asked: dict[int, list] = {}
+    left = _departure(run, strategies, asked)
+    if left is not None:
+        i, r = left
+        hooked = [sid for sid in run.snapshots[i].active if sid in strategies]
+        if len(hooked) == 1 and asked[r][0] is ACCEPT:
+            never_exit = _never_exit_run(run, hooked[0], i)
+            # one that raised is not followed: the auction plays on as before
+            if never_exit.outcome is not None:
+                run = never_exit
+                left = _departure(run, strategies, asked, i, r)
+    if left is None:
+        out = run.outcome
+        return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
+    snap = run.snapshots[left[0]]
+    return _play(run, snap, run.parts[: snap.parts], strategies, asked)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -726,19 +727,8 @@ def _outcome_or_error(auction_fn, *args):
         return type(error)
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=4, max_value=8),
-    checker=st.sampled_from(list(CheckerKind)),
-    steps=st.sampled_from([2, 50_000]),
-    scoring=st.sampled_from(list(ScoringRule)),
-    exits=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=12)),
-        max_size=4,
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scoring, exits):
+def _drawn_case(seed, n, checker, steps, scoring):
+    """A drawn instance of ``n`` stations, its value profile and a config."""
     inst = generate_instance(
         GeneratorParams(
             n_stations=n,
@@ -761,6 +751,23 @@ def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scor
         budget=Budget(step_limit=steps),
         seed=seed,
     )
+    return inst, values, config
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4, max_value=8),
+    checker=st.sampled_from(list(CheckerKind)),
+    steps=st.sampled_from([2, 50_000]),
+    scoring=st.sampled_from(list(ScoringRule)),
+    exits=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=12)),
+        max_size=4,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scoring, exits):
+    inst, values, config = _drawn_case(seed, n, checker, steps, scoring)
     sids = inst.station_ids()
     strategies = {sids[i % n]: _exit_at(r) for i, r in exits}
     # truthful first, then with exits, which resumes from a truthful run
@@ -781,6 +788,31 @@ def test_auction_matches_a_reference_without_memos(seed, n, checker, steps, scor
 
 def _never_exit(round_index, offer, value):
     return BidDecision.ACCEPT
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4, max_value=7),
+    checker=st.sampled_from(list(CheckerKind)),
+    steps=st.sampled_from([2, 50_000]),
+    scoring=st.sampled_from(list(ScoringRule)),
+    rounds=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_station_deviations_in_a_row_match_a_reference(
+    seed, n, checker, steps, scoring, rounds
+):
+    # each station never exiting, then exiting in each drawn round, as
+    # criterion 5 runs them: later ones follow the station's never-exit run
+    # and the tails that earlier ones left on the same truthful run
+    inst, values, config = _drawn_case(seed, n, checker, steps, scoring)
+    _forget_memoized_work()
+    for sid in inst.station_ids():
+        for hook in (_never_exit, *map(_exit_at, rounds)):
+            expected = _outcome_or_error(reference_auction, inst, values, config, {sid: hook})
+            got = _outcome_or_error(run_auction, inst, values, config, {sid: hook})
+            assert got == expected
+            assert repr(got) == repr(expected)
 
 
 @given(
@@ -905,7 +937,10 @@ def test_only_rounds_that_can_change_the_auction_are_played(monkeypatch):
     inst, values, config = _criterion_5_case(1)
     played = _played_rounds(monkeypatch)
     participants = run_auction(inst, values, config).participants
-    for strategies in ({}, *({sid: _exit_at(9)} for sid in participants)):
+    # a station's never-exit auction comes first: it plays the station's
+    # never-exit run, which a later exit past its truthful exit round follows
+    deviations = [{sid: hook} for sid in participants for hook in (_never_exit, _exit_at(9))]
+    for strategies in ({}, *deviations):
         played.clear()
         out = run_auction(inst, values, config, strategies)
         assert len(played) < out.rounds
@@ -940,6 +975,31 @@ def test_hooks_are_asked_what_the_reference_asks():
             asked.append(calls)
         assert asked[0] == asked[1]
         assert asked[0]
+
+
+def test_a_lone_hook_on_its_never_exit_run_is_asked_what_the_reference_asks():
+    # never exiting plays the station's never-exit run, which the later
+    # exits past its truthful exit round follow: each hook is still asked
+    # once in each round the station is active
+    inst, values, config = _criterion_5_case(2)
+    run = auction._truthful_run(inst, values, config)
+    _forget_memoized_work()
+    for sid in run.participants:
+        for exit_round in (None, run.exit_rounds[sid] + 1, 30, 52):
+            asked = []
+            for auction_fn in (run_auction, reference_auction):
+                calls = []
+
+                def hook(round_index, offer, value):
+                    calls.append((round_index, offer, value))
+                    if exit_round is not None and round_index >= exit_round:
+                        return BidDecision.EXIT
+                    return BidDecision.ACCEPT
+
+                auction_fn(inst, values, config, {sid: hook})
+                asked.append(calls)
+            assert asked[0] == asked[1]
+            assert asked[0]
 
 
 def _first_untruthful_round(strategies, inst, values, config):
@@ -989,6 +1049,97 @@ def test_deviations_resumed_from_the_truthful_run_match_the_reference(monkeypatc
     for outcomes in (cold, warm):
         assert outcomes == expected
         assert [list(out.final_assignment.items()) for out in outcomes] == packed_order
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_after_a_never_exit_auction_an_exit_plays_no_round_before_it(monkeypatch, k):
+    # exiting in round r agrees with never exiting through round r - 1, so
+    # once a station's never-exit run is played, an exit past its truthful
+    # exit round resumes that run where the exit comes
+    inst, values, config = _criterion_5_case(k)
+    run = auction._truthful_run(inst, values, config)
+    horizon = len(run.clocks)
+    played = _played_rounds(monkeypatch)
+    _forget_memoized_work()
+    run_auction(inst, values, config)
+    later = 0  # exits after the station's truthful exit round
+    for sid in run.participants:
+        run_auction(inst, values, config, {sid: _never_exit})
+        for r in range(1, horizon + 1):
+            strategies = {sid: _exit_at(r)}
+            played.clear()
+            got = run_auction(inst, values, config, strategies)
+            assert got == reference_auction(inst, values, config, strategies)
+            assert min(played, default=math.inf) >= r
+            later += r > run.exit_rounds[sid]
+    assert later
+
+
+def test_no_round_is_played_twice_from_a_hook_free_state(monkeypatch):
+    # once no active station has a hook, the rest of an auction depends
+    # only on its run and state, so a deviation that reaches a state an
+    # earlier deviation on the same run played from plays no round after it
+    inst, values, config = _criterion_5_case(1)
+    run = auction._truthful_run(inst, values, config)
+    jobs = [
+        {sid: _exit_at(r)} for sid in run.participants for r in range(1, run.exit_rounds[sid])
+    ]
+    process = auction.process_bids
+    hooked = set()
+    seen = []
+
+    def recording(state, bids, seed, round_index):
+        if not hooked.intersection(bid[0] for bid in bids):
+            seen.append((round_index, tuple(state.packed.items()), tuple(bid[0] for bid in bids)))
+        return process(state, bids, seed, round_index)
+
+    _forget_memoized_work()
+    run_auction(inst, values, config)
+    monkeypatch.setattr(auction, "process_bids", recording)
+    for strategies in jobs:
+        hooked = set(strategies)
+        got = run_auction(inst, values, config, strategies)
+        assert got == reference_auction(inst, values, config, strategies)
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+def test_the_never_exit_run_goes_with_its_truthful_run():
+    inst, values, config = _criterion_5_case(1)
+    _forget_memoized_work()
+    # a station that exits truthfully before the final resolution
+    sid = next(
+        bid.station
+        for record in run_auction(inst, values, config).round_log
+        for bid in record.bids
+        if bid.decision == "exit" and not record.final_resolution
+    )
+    run_auction(inst, values, config, {sid: _never_exit})
+    outcome = weakref.ref(auction._TRUTHFUL_RUN[0].never_exit[sid].outcome)
+    assert outcome() is not None
+    run_auction(*_criterion_5_case(2))
+    assert outcome() is None
+
+
+def test_forgetting_memoized_work_leaves_cold_runs_cold(monkeypatch):
+    inst, values, config = _criterion_5_case(2)
+    jobs = _criterion_5_deviations(inst, values, config)
+    played = _played_rounds(monkeypatch)
+
+    def pass_played():
+        # the rounds the deviations play, with the truthful run in place
+        run_auction(inst, values, config)
+        played.clear()
+        outcomes = [run_auction(inst, values, config, strategies) for strategies in jobs]
+        return list(played), outcomes
+
+    _forget_memoized_work()
+    cold, expected = pass_played()
+    warm, outcomes = pass_played()
+    # a warm pass follows the never-exit run and the tails the cold one left
+    assert len(warm) < len(cold) and outcomes == expected
+    _forget_memoized_work()
+    assert pass_played() == (cold, expected)
 
 
 def test_two_hooked_stations_resume_from_the_truthful_run():

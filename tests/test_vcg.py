@@ -410,7 +410,7 @@ def _assert_methods_agree(inst, values, participants, non_participants, ct):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_max_sum_and_branch_and_bound_agree_at_grid_size(seed):
+def test_max_sum_and_conditioning_agree_at_grid_size(seed):
     assert _assert_methods_agree(*_grid_sized_case(seed)).winners
 
 
