@@ -17,7 +17,9 @@ the pairs the change won: a strictly better value by the metric's direction.
 It also holds how many pairs had equal output digests, each side's failed
 records, the named counters of the traced (``--trace 1``) runs, work counts
 measured outside the benchmark (``--work``), and the environment and both
-commits of the paired runs; a run without a pair is left out.
+commits of the paired runs; a run without a pair is left out. When both
+sides report the same commit, the summary marks it ``same_commit`` and the
+script prints a warning: the change's runs did not come from its own commit.
 """
 
 from __future__ import annotations
@@ -128,6 +130,13 @@ def summarize(
 
     # only the paired runs describe the two sides compared
     before, after = [parent[p] for p in pairs], [change[p] for p in pairs]
+    commits = {
+        "parent": _one_of({r["environment"].get("git_commit") for r in before}),
+        "change": _one_of({r["environment"].get("git_commit") for r in after}),
+    }
+    if commits["parent"] == commits["change"]:
+        # a change measured before it was committed reports its parent's hash
+        commits["same_commit"] = True
     return {
         "label": label,
         "protocol": "alternating parent/change runs of perfbench/run.py --trace 0, "
@@ -136,10 +145,7 @@ def summarize(
             key: _one_of({r["environment"].get(key) for r in (*before, *after)})
             for key in ("nproc", "cpu_count", "machine", "python")
         },
-        "commits": {
-            "parent": _one_of({r["environment"].get("git_commit") for r in before}),
-            "change": _one_of({r["environment"].get("git_commit") for r in after}),
-        },
+        "commits": commits,
         "workloads": workloads,
         "work_counts": traced,
     }
@@ -189,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(summary, indent=1) + "\n")
+    if summary["commits"].get("same_commit"):
+        print(f"warning: the parent's and the change's runs report the same commit "
+              f"{summary['commits']['parent']}", file=sys.stderr)
     for name, entry in summary["workloads"].items():
         for metric, m in entry["metrics"].items():
             print(f"{name:9s} {metric:12s} parent {m['parent']['median']:.6g} "

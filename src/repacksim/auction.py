@@ -51,9 +51,18 @@ otherwise than it would bid truthfully, the auction is the truthful one. So
 it asks its hooked stations once per round, as a played auction would, and
 compares each answer with the truthful bid. At the first round that differs
 it resumes from the truthful run's state after its last played round before
-that one, with the answers so far, and plays on; if no answer differs before
-the hooked stations leave, its outcome is the truthful run's. An auction
-without hooks never leaves the truthful path, so its outcome is the run's.
+that one, with that round's answers, and plays on; if no answer differs
+before the hooked stations leave, its outcome is the truthful run's. The
+rounds between that state and the first that differs were quiet in the run
+and accepted by every hooked station, so the resumed auction asks its hooks
+from the round after, and no round is asked twice. An auction without hooks
+never leaves the truthful path, so its outcome is the run's.
+
+An offer is read as volume times clock. ``offer_price`` checks that both
+are non-negative; ``determine_participants`` calls it on every station's
+volume at the opening price, and the clock trajectory never goes below
+zero, so the rounds multiply the two directly and every offer keeps the
+bits ``offer_price`` would give it.
 
 A single-minded bidder's strategies come down to the round in which it
 exits, so one station's deviations share their rounds: exiting in round r
@@ -515,11 +524,11 @@ def _round_bids(
     bids = []
     for sid in active:
         vol = vols[sid]
-        offer = offer_price(vol, current)
-        price = offer_price(vol, previous)
+        offer = vol * current
+        price = vol * previous
         decision = decided.get(sid)
         if decision is None:
-            decision = truthful_bid(values[sid], offer)
+            decision = ACCEPT if offer >= values[sid] else EXIT  # truthful_bid
         reduction = price - offer
         if not reduction >= 0:  # NaN fails too
             raise ValueError("price reduction must be non-negative")
@@ -544,7 +553,7 @@ def _first_exit_round(c0: float, vol: float, value: float) -> int:
     declines."""
     clocks = clock_trajectory(c0)
     return bisect_left(
-        clocks, True, 1, key=lambda c: truthful_bid(value, offer_price(vol, c)) is EXIT
+        clocks, True, 1, key=lambda c: truthful_bid(value, vol * c) is EXIT
     )
 
 
@@ -652,18 +661,21 @@ def _play(
     start: _Snapshot,
     parts: list[tuple | _QuietStretch],
     strategies: Mapping[StationId, BidStrategy],
-    asked: Mapping[int, list] | None = None,
+    departure: tuple[int, list] | None = None,
     snapshots: list[_Snapshot] | None = None,
 ) -> AuctionOutcome:
     """Play ``run``'s auction with ``strategies`` on from ``start`` to its
     outcome, appending to ``parts``, the round log's parts up to ``start``,
     whose frozen rows give the winners' payments and the timeouts. Checks
-    read and fill the run's verdict tables; ``asked`` holds the hooked
-    stations' answers in rounds they were already asked in, which are not
-    asked again; ``snapshots``, when given, gets the state after each played
-    round but the final resolution. An auction that records no snapshots
-    reads and fills the run's tails: from a hook-free state that an earlier
-    one played from, it appends what that one played and stops."""
+    read and fill the run's verdict tables. ``departure``, when given, is the
+    round in which the auction leaves ``run`` and the hooked stations'
+    answers in it, from ``_departure``: every round between ``start`` and
+    that one was quiet in ``run`` and each hooked station accepted it, so
+    hooks are asked from the round after it, and no round is asked twice.
+    ``snapshots``, when given, gets the state after each played round but
+    the final resolution. An auction that records no snapshots reads and
+    fills the run's tails: from a hook-free state that an earlier one played
+    from, it appends what that one played and stops."""
     config, values = run.config, run.values
     state = AuctionState(
         run.inst, config.ct, config.checker, config.budget, start.packed, run.tables
@@ -671,11 +683,10 @@ def _play(
     tails = run.tails if snapshots is None else None
     # each hook-free state this auction plays a round from, with its parts' count
     starts: list[tuple[tuple, int]] = []
-    asked = asked or {}
+    left, left_answers = departure or (0, None)
     seed = config.seed
-    vols, clocks = run.vols, run.clocks
+    vols, clocks, exit_rounds = run.vols, run.clocks, run.exit_rounds
     horizon = len(clocks)  # the round after the clock first reaches zero
-    exit_round = {sid: e for sid, e in run.exit_rounds.items() if sid not in strategies}
     # active stations in station order; a station leaves once it exits or freezes
     active = list(start.active)
     round_index = start.round_index  # the last round played or skipped
@@ -695,7 +706,9 @@ def _play(
             break
 
         # the next round in which a truthful station decides to exit
-        event = min([exit_round[sid] for sid in active if sid in exit_round], default=horizon)
+        event = min(
+            [exit_rounds[sid] for sid in active if sid not in strategies], default=horizon
+        )
         if not settled and event > round_index + 1:
             # after an exit (or the initial packing) the next round is quiet
             # too if every active station fits, which is all its accept asks
@@ -708,13 +721,13 @@ def _play(
         hooked = [sid for sid in active if sid in strategies]
         decided = {}
         if hooked:
-            for r in range(round_index + 1, min(event + 1, horizon)):
-                answers = asked.get(r)
-                if answers is None:
+            for r in range(max(round_index + 1, left), min(event + 1, horizon)):
+                if r == left:
+                    answers = left_answers
+                else:
                     current = clocks[r]
                     answers = [
-                        strategies[sid](r, offer_price(vols[sid], current), values[sid])
-                        for sid in hooked
+                        strategies[sid](r, vols[sid] * current, values[sid]) for sid in hooked
                     ]
                 if r < event:
                     for answer in answers:
@@ -853,42 +866,57 @@ def _never_exit_run(run: _TruthfulRun, sid: StationId, i: int) -> _TruthfulRun:
 def _departure(
     run: _TruthfulRun,
     strategies: Mapping[StationId, BidStrategy],
-    asked: dict[int, list],
     first: int = 0,
     asked_to: int = 0,
-) -> tuple[int, int] | None:
+) -> tuple[int, int, list] | None:
     """Where an auction with ``strategies`` leaves ``run``, following its
     snapshots from the ``first``-th: the index of the last snapshot before the
     first round in which a hooked station answers otherwise than it bids in
-    ``run``, and that round; None if no answer differs before the hooked
-    stations leave. Rounds up to ``asked_to`` were asked already and bid as
-    in ``run``; ``asked`` gets each later round's answers, in the order of
-    the hooked stations."""
-    vols, values, clocks, exit_rounds = run.vols, run.values, run.clocks, run.exit_rounds
-    snapshots = run.snapshots
+    ``run``, that round, and the hooked stations' answers in it, in station
+    order; None if no answer differs before the hooked stations leave.
+    Rounds up to ``asked_to`` were asked already and bid as in ``run``. Each
+    later round asks each hooked station once, offering its volume times the
+    round's clock, and compares the answer with its bid in ``run``."""
+    clocks, snapshots = run.clocks, run.snapshots
+    vols, values, exit_rounds = run.vols, run.values, run.exit_rounds
+    # each hooked station's id, hook, volume, value and exit round in the run;
+    # a station is dropped once it leaves a snapshot's active set
+    hooked = [
+        (sid, strategies[sid], vols[sid], values[sid], exit_rounds[sid])
+        for sid in snapshots[first].active
+        if sid in strategies
+    ]
     for i in range(first, len(snapshots)):
         snap = snapshots[i]
-        # each hooked station's hook, volume, value and exit round in the run
-        hooked = [
-            (strategies[sid], vols[sid], values[sid], exit_rounds[sid])
-            for sid in snap.active
-            if sid in strategies
-        ]
+        active = snap.active
+        for h in hooked:
+            if h[0] not in active:
+                hooked = [h for h in hooked if h[0] in active]
+                break
         if not hooked:
             return None
         # the rounds up to the next one played, or up to the last before the
         # horizon, the last round in which a station is asked
         last = snapshots[i + 1].round_index if i + 1 < len(snapshots) else len(clocks) - 1
-        for r in range(max(snap.round_index, asked_to) + 1, last + 1):
+        rounds = range(max(snap.round_index, asked_to) + 1, last + 1)
+        if len(hooked) == 1:
+            # a lone hook, as every criterion 5 deviation has: no answer list
+            _, ask, vol, value, exit_round = hooked[0]
+            for r in rounds:
+                answer = ask(r, vol * clocks[r], value)
+                if answer is not (EXIT if r >= exit_round else ACCEPT):
+                    return i, r, [answer]
+            continue
+        for r in rounds:
             current = clocks[r]
-            answers = asked[r] = []
+            answers = []
             bid_as_in_run = True
-            for ask, vol, value, exit_round in hooked:
-                answer = ask(r, offer_price(vol, current), value)
+            for _, ask, vol, value, exit_round in hooked:
+                answer = ask(r, vol * current, value)
                 answers.append(answer)
                 bid_as_in_run = bid_as_in_run and answer is (EXIT if r >= exit_round else ACCEPT)
             if not bid_as_in_run:
-                return i, r
+                return i, r, answers
     return None
 
 
@@ -915,19 +943,19 @@ def run_auction(
         # the truthful run raised: played again from the start, an auction
         # without hooks raises again
         return _play(run, run.snapshots[0], [], strategies)
-    asked: dict[int, list] = {}
-    left = _departure(run, strategies, asked)
+    left = _departure(run, strategies)
     if left is not None:
-        i, r = left
-        hooked = [sid for sid in run.snapshots[i].active if sid in strategies]
-        if len(hooked) == 1 and asked[r][0] is ACCEPT:
-            never_exit = _never_exit_run(run, hooked[0], i)
+        i, r, answers = left
+        if len(answers) == 1 and answers[0] is ACCEPT:
+            sid = next(sid for sid in run.snapshots[i].active if sid in strategies)
+            never_exit = _never_exit_run(run, sid, i)
             # one that raised is not followed: the auction plays on as before
             if never_exit.outcome is not None:
                 run = never_exit
-                left = _departure(run, strategies, asked, i, r)
+                left = _departure(run, strategies, i, r)
     if left is None:
         out = run.outcome
         return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
-    snap = run.snapshots[left[0]]
-    return _play(run, snap, run.parts[: snap.parts], strategies, asked)
+    i, r, answers = left
+    snap = run.snapshots[i]
+    return _play(run, snap, run.parts[: snap.parts], strategies, (r, answers))

@@ -129,7 +129,12 @@ def clock_trajectory(c0: float) -> tuple[float, ...]:
 
 
 def offer_price(volume: float, clock: float) -> float:
-    """Dollar offer for a station: its volume times the base clock."""
+    """Dollar offer for a station: its volume times the base clock, refusing
+    a negative volume or clock. In the package only
+    ``auction.determine_participants`` calls it, on every station's volume
+    at the opening price; the auction's rounds then multiply the same
+    volumes by the clock trajectory, which never goes below zero, so they
+    read each offer as ``volume * clock`` without the check."""
     if volume < 0 or clock < 0:
         raise ValueError("volume and clock must be non-negative")
     return volume * clock

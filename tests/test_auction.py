@@ -1002,6 +1002,97 @@ def test_a_lone_hook_on_its_never_exit_run_is_asked_what_the_reference_asks():
             assert asked[0]
 
 
+def _drawn_hook(kind, x):
+    """A hook's answers as a function of (round index, offer, value):
+    exiting from round ``x`` on, as the strings "accept" and "exit" from
+    round ``x`` on, or once the offer falls below ``x`` times the value."""
+    if kind == "round":
+        return _exit_at(x)
+    if kind == "strings":
+        return lambda round_index, offer, value: "exit" if round_index >= x else "accept"
+    return lambda round_index, offer, value: (
+        BidDecision.EXIT if offer < x * value else BidDecision.ACCEPT
+    )
+
+
+def _asked_and_outcome(auction_fn, inst, values, config, answers):
+    """The ``(station, round, offer, value)`` calls of an auction whose
+    hooks answer as ``answers`` says, by station, and its outcome or error.
+    The reference reads decisions only, so its hooks hand it each answer as
+    one."""
+    calls = []
+    read = BidDecision if auction_fn is reference_auction else lambda answer: answer
+
+    def recorded(sid, answer):
+        def hook(round_index, offer, value):
+            calls.append((sid, round_index, offer, value))
+            return read(answer(round_index, offer, value))
+
+        return hook
+
+    strategies = {sid: recorded(sid, answer) for sid, answer in answers.items()}
+    return calls, _outcome_or_error(auction_fn, inst, values, config, strategies)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4, max_value=7),
+    checker=st.sampled_from(list(CheckerKind)),
+    steps=st.sampled_from([2, 50_000]),
+    scoring=st.sampled_from(list(ScoringRule)),
+    # exit rounds over the clock's horizon of about 53 rounds and past it,
+    # and fractions of the value below and above it
+    hooks=st.lists(
+        st.tuples(st.sampled_from(["round", "strings"]), st.integers(1, 70))
+        | st.tuples(st.just("fraction"), st.floats(0.0, 2.0)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_lone_hook_in_a_row_is_asked_what_the_reference_asks(
+    seed, n, checker, steps, scoring, hooks
+):
+    # each station's hooks in a row on one instance, so that later ones
+    # walk the never-exit run and reach the tails that earlier ones left
+    inst, values, config = _drawn_case(seed, n, checker, steps, scoring)
+    _forget_memoized_work()
+    for sid in inst.station_ids():
+        for kind, x in hooks:
+            answers = {sid: _drawn_hook(kind, x)}
+            got_calls, got = _asked_and_outcome(run_auction, inst, values, config, answers)
+            calls, expected = _asked_and_outcome(reference_auction, inst, values, config, answers)
+            assert got == expected
+            assert repr(got) == repr(expected)
+            if isinstance(got, AuctionOutcome):
+                assert got_calls == calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_hook_that_leaves_with_the_run_is_no_longer_asked(k):
+    # one hooked station bids truthfully, so it leaves in the round it
+    # leaves the truthful run, while the other is still asked
+    inst, values, config = _criterion_5_case(k)
+    run = auction._truthful_run(inst, values, config)
+    horizon = len(run.clocks)
+    first, second = sorted(run.participants, key=run.exit_rounds.get)[:2]
+    assert run.exit_rounds[first] < run.exit_rounds[second] < horizon
+    _forget_memoized_work()
+    for r in (run.exit_rounds[second] + 1, horizon - 1, horizon + 1):
+        answers = {
+            first: lambda round_index, offer, value: truthful_bid(value, offer),
+            second: _exit_at(r),
+        }
+        got_calls, got = _asked_and_outcome(run_auction, inst, values, config, answers)
+        calls, expected = _asked_and_outcome(reference_auction, inst, values, config, answers)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert got_calls == calls
+        # the truthful station is asked through its exit round only
+        last_asked = {sid: round_index for sid, round_index, _, _ in calls}
+        assert last_asked[first] == run.exit_rounds[first] < last_asked[second]
+
+
 def _first_untruthful_round(strategies, inst, values, config):
     """The first round in which a hooked station's answer differs from its
     truthful bid, infinity when none does before the clock reaches zero."""

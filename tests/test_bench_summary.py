@@ -92,3 +92,17 @@ def test_summary_without_pairs_is_an_error(tmp_path, capsys):
 def _write(path, data):
     path.write_text(json.dumps(data))
     return path
+
+
+def test_summary_of_runs_on_one_commit_is_marked_and_warned(tmp_path, capsys):
+    # a change measured before it was committed reports its parent's hash
+    for side in ("parent", "change"):
+        _result(tmp_path / side, "grid", 1, 0, {"ops_per_s": 1.0, "op_p50_ms": 1.0}, "aaa")
+    out = tmp_path / "out.json"
+    assert bench_summary.main([
+        "--label", "x", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--benchmark", str(_write(tmp_path / "BENCHMARK.json", BENCHMARK)), "--out", str(out),
+    ]) == 0
+    commits = json.loads(out.read_text())["commits"]
+    assert commits == {"parent": "aaa", "change": "aaa", "same_commit": True}
+    assert "same commit aaa" in capsys.readouterr().err
