@@ -19,7 +19,7 @@ records, the named counters of the traced (``--trace 1``) runs, work counts
 measured outside the benchmark (``--work``), and the environment and both
 commits of the paired runs; a run without a pair is left out. When both
 sides report the same commit, the summary marks it ``same_commit`` and the
-script prints a warning: the change's runs did not come from its own commit.
+script prints a warning: the change may have been measured uncommitted.
 """
 
 from __future__ import annotations
