@@ -15,8 +15,9 @@ deterministic: checker budgets count search steps, not seconds.
 Every processed bid goes into the round log as an immutable named tuple
 (``ProcessedBid``, grouped per round in ``RoundRecord``) holding plain
 strings. The round loop itself plays on plain tuples: a played round is kept
-as plain rows in those fields' order and wrapped into the named tuples on
-the log's first read, so an auction whose log nobody reads never builds them.
+as plain rows in those fields' order, with the packed set and the active
+stations after it, and wrapped into the named tuples on the log's first
+read, so an auction whose log nobody reads never builds them.
 The round loop keeps the active stations in station order: those whose
 processed bid left them active. An active station accepted every offer
 so far, so its price reduction is its offer at the previous clock minus its
@@ -40,11 +41,12 @@ Auctions on one instance repeat most of each other's work, so three pure
 computations are memoized in-process and shared across auctions: the
 tie-break ranks of a (seed, round, bid count), a truthful station's first
 exit round for an (opening price, volume, value), and the most recent
-truthful run of an (instance, config, value profile) with its state after
-each played round and the checker verdicts that it and its deviations
-found. Two more memos go with that run: the never-exit run of one station,
-and the tails its auctions played. A memo hit returns what the computation
-would have returned, so outcomes do not depend on which auctions ran before.
+truthful run of an (instance, config, value profile) with its round log,
+whose played rounds hold its state after each, and the checker verdicts
+that it and its deviations found. Two more memos go with that run: the
+never-exit run of one station, and the tails its auctions played. A memo
+hit returns what the computation would have returned, so outcomes do not
+depend on which auctions ran before.
 
 Every auction reads its truthful run: until a hooked station answers
 otherwise than it would bid truthfully, the auction is the truthful one. So
@@ -69,15 +71,15 @@ exits, so one station's deviations share their rounds: exiting in round r
 agrees with never exiting through round r - 1. The first time a lone hooked
 station accepts where it would truthfully exit, its never-exit run, a
 truthful run in which its exit round is past the horizon, is played once
-from the truthful run's state before that round, with its own snapshots.
-An auction whose lone hooked station accepts there follows that run the
-same way: it resumes the run at its first other answer, or takes the run's
-outcome. Once no active station has a hook, the rest of an auction depends
-only on its run, round index, packed set and active stations; an auction
+on from the truthful run's round log up to that round. An auction whose
+lone hooked station accepts there follows that run the same way: it
+resumes the run at its first other answer, or takes the run's outcome.
+Once no active station has a hook, the rest of an auction depends only on
+its run, round index, packed set and active stations; an auction with hooks
 that reaches a state from which an earlier one on the same run played a
-round appends what that one played from there and stops. The runs that
-record snapshots, the truthful and the never-exit ones, neither read nor
-fill these tails.
+round appends what that one played from there and stops. Never-exit runs
+read and fill these tails too; the truthful run, which has no hooks,
+neither reads nor fills them.
 
 Within one auction a station's verdict can change only when an exit replaces
 the packed set, so the verdicts are kept in one layer: a table per packed
@@ -99,7 +101,6 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -156,19 +157,16 @@ _TIEBREAK_STREAM = 3
 # 508 and 12,429 times, all misses, on ``grid`` and ``sweep``. It asks for
 # first exit rounds 120 times, all misses, on ``truthful``, 3,303 with
 # 2,222 on ``grid`` and 37,250 with 14,827 on ``sweep``, the same misses
-# with 256 entries as with 4,096. The verdict bound counts the packed-set
-# tables of one truthful run and its deviations: a ``truthful`` pass peaks
-# at 38, so 512 evicts none, and a run past 512 exits evicts tables it never
-# reads again. The truthful run memo keeps one run (``_TRUTHFUL_RUN``):
-# criterion 5 runs each instance's truthful auction and its deviations back
-# to back, one station's after another. That run keeps the never-exit run of
-# one station, replaced when another station needs its own, so at most two
-# runs are alive at once; and at most ``_TAIL_MEMO_SIZE`` tails, after which
-# it records no more: a ``truthful`` pass peaks at 88 per run.
+# with 256 entries as with 4,096. The truthful run memo keeps one run
+# (``_TRUTHFUL_RUN``): criterion 5 runs each instance's truthful auction and
+# its deviations back to back, one station's after another. That run keeps
+# the never-exit run of one station, replaced when another station needs its
+# own, so at most two runs are alive at once. A run records its first
+# ``_RUN_MEMO_SIZE`` verdict tables and its first ``_RUN_MEMO_SIZE`` tails,
+# and no more: a ``truthful`` pass peaks at 38 tables and 88 tails per run.
 _TIEBREAK_MEMO_SIZE = 256
-_VERDICT_MEMO_SIZE = 512
 _EXIT_ROUND_MEMO_SIZE = 256
-_TAIL_MEMO_SIZE = 512
+_RUN_MEMO_SIZE = 512
 
 
 class CheckerKind(str, Enum):
@@ -246,8 +244,9 @@ class _QuietStretch(NamedTuple):
 
 class RoundLog(Sequence):
     """One auction's round log: its played rounds, as plain
-    ``(round_index, clock, rows, final_resolution)`` tuples of plain rows,
-    and its skipped quiet stretches. The first read wraps every played round
+    ``(round_index, clock, rows, final_resolution, packed, active)`` tuples
+    of plain rows and the state after the round, and its skipped quiet
+    stretches. The first read wraps every played round
     into its ``RoundRecord`` and expands every stretch into the records its
     rounds would have logged, so the log reads as the tuple of all its
     records: ``repr``, ``==``, ``len``, iteration and indexing agree with
@@ -273,7 +272,7 @@ class RoundLog(Sequence):
                 if type(part) is _QuietStretch:
                     records.extend(self._quiet_rounds(part))
                 else:
-                    round_index, clock, rows, final = part
+                    round_index, clock, rows, final, _, _ = part
                     bids = tuple(map(ProcessedBid._make, rows))
                     records.append(RoundRecord(round_index, clock, bids, final))
             self._records, self._parts = tuple(records), None
@@ -432,9 +431,7 @@ class AuctionState:
     packed: Assignment = field(default_factory=dict)
     # verdict tables by the packed set's ordered items; a truthful run
     # shares its own with its deviations
-    tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]] = field(
-        default_factory=OrderedDict
-    )
+    tables: dict[tuple, dict[StationId, FeasibilityVerdict]] = field(default_factory=dict)
     # the ``packed`` that ``_verdicts`` holds the verdicts for, by station;
     # both are replaced when ``packed`` is
     _keyed: Assignment | None = field(default=None, init=False, repr=False)
@@ -446,10 +443,10 @@ class AuctionState:
         """Feasibility of packing ``sid`` with the current packed set, from
         the verdict table of that set, which a miss fills. A table in
         ``tables`` hands the same verdict to every auction that shares it, so
-        verdicts are read-only: an exit copies the certificate it keeps. The
-        table a fetch misses is added as the most recently used, evicting the
-        least recently used beyond ``_VERDICT_MEMO_SIZE``; an auction that
-        still holds an evicted table goes on filling it alone.
+        verdicts are read-only: an exit copies the certificate it keeps. A
+        fetch that misses adds its table to ``tables`` while they hold fewer
+        than ``_RUN_MEMO_SIZE``; past that, the auction keeps the table to
+        itself and fills it alone.
 
         An ``accepting`` bid asks only whether ``sid`` fits beside the packed
         set as it stands, scanning its channel-table row with no problem
@@ -466,11 +463,9 @@ class AuctionState:
             key = tuple(self.packed.items())
             self._verdicts = tables.get(key)
             if self._verdicts is None:
-                self._verdicts = tables[key] = {}
-                if len(tables) > _VERDICT_MEMO_SIZE:
-                    tables.popitem(last=False)
-            else:
-                tables.move_to_end(key)
+                self._verdicts = {}
+                if len(tables) < _RUN_MEMO_SIZE:
+                    tables[key] = self._verdicts
         verdict = self._verdicts.get(sid)
         if verdict is None or (verdict is _FITS and not accepting):
             if accepting and _fit_channel(self.inst, self.ct, sid, self.packed) is not None:
@@ -597,28 +592,21 @@ def process_bids(
     return tuple(log)
 
 
-class _Snapshot(NamedTuple):
-    """An auction's state after round ``round_index`` (0: before the first),
-    when its round log holds ``parts`` parts. ``packed`` is shared, since the
-    round loop only ever replaces it. It holds no price and no payment: an
-    active station's price is its offer at the clock of ``round_index``, and
-    the log's first ``parts`` parts hold what each frozen station is paid."""
-
-    round_index: int
-    parts: int
-    packed: Assignment
-    active: tuple[StationId, ...]
-    settled: bool
-
-
 class _TruthfulRun(NamedTuple):
     """The truthful run of an (instance identity, config, value profile
     items) ``key``: what it fixes before round 1 (``exit_rounds`` holds each
-    participant's truthful first exit round), its state then and after each
-    played round but the final resolution, its round log's parts, the
-    verdict tables that it and every auction resumed from it share, and its
-    outcome, None when it raised. ``inst`` keeps the instance whose identity
-    the key holds alive.
+    participant's truthful first exit round, ``packed`` the initial packing),
+    its round log's parts, each played one holding the state after its
+    round, the verdict tables that it and every auction resumed from it
+    share, and its outcome, None when it raised. ``inst`` keeps the instance
+    whose identity the key holds alive, and ``values`` is the run's own copy
+    of the profile.
+
+    A resume point is a prefix ``parts[:n]`` that is empty, the state before
+    round 1, or ends in a played round, whose packed set (shared: the round
+    loop only ever replaces it) and active stations are the state. No price
+    is kept: an active station's price is its offer at the round's clock,
+    and the prefix's frozen rows hold what each frozen station is paid.
 
     A checker is a pure function of the instance, the config's clearing
     target, checker and budget, the target station and the packed
@@ -626,11 +614,10 @@ class _TruthfulRun(NamedTuple):
 
     A station's never-exit run is a run of the same key in which that
     station's exit round is past the horizon: it shares the truthful run's
-    snapshots and parts up to the station's truthful exit round, and its
-    tables and tails. ``tails`` holds what an auction played from each
-    state in which no active station has a hook, keyed by the round index
-    and the packed and active stations, since all else it plays from there
-    is fixed by the key.
+    parts up to the station's truthful exit round, and its tables and tails.
+    ``tails`` holds the parts an auction played from each state in which no
+    active station has a hook, keyed by the round index and the packed and
+    active stations, since all else it plays from there is fixed by the key.
     """
 
     key: tuple
@@ -640,14 +627,14 @@ class _TruthfulRun(NamedTuple):
     vols: VolumeTable
     participants: tuple[StationId, ...]
     non_participants: tuple[StationId, ...]
+    packed: Assignment
     clocks: tuple[float, ...]
     exit_rounds: dict[StationId, int]
-    snapshots: list[_Snapshot]
     parts: list[tuple | _QuietStretch]
-    tables: OrderedDict[tuple, dict[StationId, FeasibilityVerdict]]
+    tables: dict[tuple, dict[StationId, FeasibilityVerdict]]
     # the never-exit run of at most one station, by station
     never_exit: dict[StationId, _TruthfulRun]
-    # hook-free state -> (parts played from it, final packed set, rounds)
+    # hook-free state -> the parts played from it
     tails: dict[tuple, tuple]
     outcome: AuctionOutcome | None = None
 
@@ -658,40 +645,38 @@ _TRUTHFUL_RUN: list[_TruthfulRun] = []
 
 def _play(
     run: _TruthfulRun,
-    start: _Snapshot,
     parts: list[tuple | _QuietStretch],
     strategies: Mapping[StationId, BidStrategy],
     departure: tuple[int, list] | None = None,
-    snapshots: list[_Snapshot] | None = None,
 ) -> AuctionOutcome:
-    """Play ``run``'s auction with ``strategies`` on from ``start`` to its
-    outcome, appending to ``parts``, the round log's parts up to ``start``,
-    whose frozen rows give the winners' payments and the timeouts. Checks
-    read and fill the run's verdict tables. ``departure``, when given, is the
-    round in which the auction leaves ``run`` and the hooked stations'
-    answers in it, from ``_departure``: every round between ``start`` and
-    that one was quiet in ``run`` and each hooked station accepted it, so
-    hooks are asked from the round after it, and no round is asked twice.
-    ``snapshots``, when given, gets the state after each played round but
-    the final resolution. An auction that records no snapshots reads and
-    fills the run's tails: from a hook-free state that an earlier one played
-    from, it appends what that one played and stops."""
+    """Play ``run``'s auction with ``strategies`` on to its outcome from the
+    resume point ``parts``, appending to it; its frozen rows give the
+    winners' payments and the timeouts. Checks read and fill the run's
+    verdict tables. ``departure``, when given, is the round in which the
+    auction leaves ``run`` and the hooked stations' answers in it, from
+    ``_departure``: every round between the resume point and that one was
+    quiet in ``run`` and each hooked station accepted it, so hooks are asked
+    from the round after it, and no round is asked twice. An auction with
+    hooks reads and fills the run's tails: from a hook-free state that an
+    earlier one played from, it appends what that one played and stops."""
     config, values = run.config, run.values
-    state = AuctionState(
-        run.inst, config.ct, config.checker, config.budget, start.packed, run.tables
-    )
-    tails = run.tails if snapshots is None else None
+    # the last round played or skipped, and the active stations in station
+    # order (an instance keeps its stations so)
+    if parts:
+        round_index, _, rows, _, packed, active = parts[-1]
+        # whether every active station holds a feasible verdict for the
+        # packed set: its accept did, unless an exit replaced the set
+        settled = all(row[5] != _EXITED for row in rows)
+    else:
+        round_index, packed, active, settled = 0, run.packed, run.participants, False
+    state = AuctionState(run.inst, config.ct, config.checker, config.budget, packed, run.tables)
+    tails = run.tails if strategies else None
     # each hook-free state this auction plays a round from, with its parts' count
     starts: list[tuple[tuple, int]] = []
     left, left_answers = departure or (0, None)
     seed = config.seed
     vols, clocks, exit_rounds = run.vols, run.clocks, run.exit_rounds
     horizon = len(clocks)  # the round after the clock first reaches zero
-    # active stations in station order; a station leaves once it exits or freezes
-    active = list(start.active)
-    round_index = start.round_index  # the last round played or skipped
-    # whether every active station holds a feasible verdict for the packed set
-    settled = start.settled
 
     while active:
         if clocks[round_index] == 0.0:
@@ -702,7 +687,7 @@ def _play(
             round_index += 1
             bids = [(sid, EXIT, 0.0, 0.0, 0.0) for sid in active]
             processed = process_bids(state, bids, seed, round_index)
-            parts.append((round_index, 0.0, processed, True))
+            parts.append((round_index, 0.0, processed, True, state.packed, ()))
             break
 
         # the next round in which a truthful station decides to exit
@@ -740,7 +725,7 @@ def _play(
                     event = r
                     break
         if event > round_index + 1:
-            parts.append(_QuietStretch(round_index + 1, event - 1, tuple(active)))
+            parts.append(_QuietStretch(round_index + 1, event - 1, active))
             round_index = event - 1
             if event == horizon:
                 continue  # the stretch ran into clock zero: the stall test is next
@@ -748,11 +733,11 @@ def _play(
         if tails is not None and not hooked:
             # all that the rest of the auction reads: ``settled`` is set
             # afresh by the round played next
-            key = (round_index, tuple(state.packed.items()), tuple(active))
+            key = (round_index, tuple(state.packed.items()), active)
             tail = tails.get(key)
             if tail is not None:
-                played, state.packed, round_index = tail
-                parts.extend(played)
+                parts.extend(tail)
+                round_index, state.packed = tail[-1][0], tail[-1][4]
                 break
             starts.append((key, len(parts)))
         previous, current = clocks[round_index], clocks[round_index + 1]
@@ -760,17 +745,13 @@ def _play(
         bids = _round_bids(active, vols, previous, current, decided, values)
         packed = state.packed
         processed = process_bids(state, bids, seed, round_index)
-        parts.append((round_index, current, processed, False))
         settled = state.packed is packed
-        active = sorted([row[0] for row in processed if row[5] == _ACTIVE])
-        if snapshots is not None:
-            snapshots.append(
-                _Snapshot(round_index, len(parts), state.packed, tuple(active), settled)
-            )
+        active = tuple(sorted([row[0] for row in processed if row[5] == _ACTIVE]))
+        parts.append((round_index, current, processed, False, state.packed, active))
 
     for key, count in starts:
-        if len(tails) < _TAIL_MEMO_SIZE:
-            tails[key] = (tuple(parts[count:]), state.packed, round_index)
+        if len(tails) < _RUN_MEMO_SIZE:
+            tails[key] = tuple(parts[count:])
     # the log's frozen rows: a station freezes once, and only a played round
     # freezes one
     frozen = [
@@ -783,7 +764,7 @@ def _play(
     winners = {row[0]: row[6] for row in sorted(frozen, key=_station)}
     return AuctionOutcome(
         winners=winners,
-        # a resumed auction may end on the packed set of a snapshot
+        # a resumed auction may end on the packed set of a resume point
         final_assignment=dict(state.packed),
         participants=run.participants,
         non_participants=run.non_participants,
@@ -794,11 +775,11 @@ def _play(
 
 
 def _played(run: _TruthfulRun, strategies: Mapping[StationId, BidStrategy]) -> _TruthfulRun:
-    """``run`` played on with ``strategies`` from its last snapshot, adding
-    to its snapshots and parts, with its outcome, which stays None when the
-    play raises ``SearchSpaceError``."""
+    """``run`` played on with ``strategies`` from the end of its parts,
+    adding to them, with its outcome, which stays None when the play raises
+    ``SearchSpaceError``."""
     try:
-        outcome = _play(run, run.snapshots[-1], run.parts, strategies, None, run.snapshots)
+        outcome = _play(run, run.parts, strategies)
     except SearchSpaceError:
         # an enumeration left undecided, which a deviation that leaves the
         # run before it need not reach
@@ -808,15 +789,17 @@ def _played(run: _TruthfulRun, strategies: Mapping[StationId, BidStrategy]) -> _
 
 def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -> _TruthfulRun:
     """The memoized truthful run of ``inst``, ``values`` and ``config``,
-    played on a miss after the memo lets go of the run it held."""
+    played on a miss after the memo lets go of the run it held. The run reads
+    a copy of ``values``, so a caller that changes the profile afterwards
+    changes neither the run nor its key."""
     key = (id(inst), config, tuple(values.items()))
     if _TRUTHFUL_RUN and _TRUTHFUL_RUN[0].key == key:
         return _TRUTHFUL_RUN[0]
     _TRUTHFUL_RUN.clear()
+    values = dict(values)
     c0 = config.initial_price()
     vols = volumes_for(inst, config.ct, config.scoring)
     participants, non_participants = determine_participants(inst, values, vols, c0)
-    packed = initial_assignment(inst, non_participants, config.ct, config.checker, config.budget)
     run = _TruthfulRun(
         key,
         inst,
@@ -825,11 +808,11 @@ def _truthful_run(inst: Instance, values: ValueProfile, config: AuctionConfig) -
         vols,
         participants,
         non_participants,
+        initial_assignment(inst, non_participants, config.ct, config.checker, config.budget),
         clock_trajectory(c0),
         {sid: _first_exit_round(c0, vols[sid], values[sid]) for sid in participants},
-        [_Snapshot(0, 0, packed, tuple(sorted(participants)), False)],
         [],
-        OrderedDict(),
+        {},
         {},
         {},
     )
@@ -842,20 +825,18 @@ def _accepts(round_index: int, offer: float, value: float) -> BidDecision:
     return ACCEPT
 
 
-def _never_exit_run(run: _TruthfulRun, sid: StationId, i: int) -> _TruthfulRun:
-    """The memoized never-exit run of ``sid``: ``run`` up to its ``i``-th
-    snapshot, the last before ``sid`` exits in it, played on with ``sid``
-    accepting every offer. It replaces the never-exit run of any other
-    station."""
+def _never_exit_run(run: _TruthfulRun, sid: StationId, n: int) -> _TruthfulRun:
+    """The memoized never-exit run of ``sid``: ``run`` from its resume point
+    ``parts[:n]``, the last before ``sid`` exits in it, played on with
+    ``sid`` accepting every offer. It replaces the never-exit run of any
+    other station."""
     never_exit = run.never_exit.get(sid)
     if never_exit is None:
         run.never_exit.clear()
-        snap = run.snapshots[i]
         never_exit = run.never_exit[sid] = _played(
             run._replace(
                 exit_rounds={**run.exit_rounds, sid: len(run.clocks)},
-                snapshots=run.snapshots[: i + 1],
-                parts=run.parts[: snap.parts],
+                parts=run.parts[:n],
                 never_exit={},
             ),
             {sid: _accepts},
@@ -870,53 +851,60 @@ def _departure(
     asked_to: int = 0,
 ) -> tuple[int, int, list] | None:
     """Where an auction with ``strategies`` leaves ``run``, following its
-    snapshots from the ``first``-th: the index of the last snapshot before the
-    first round in which a hooked station answers otherwise than it bids in
-    ``run``, that round, and the hooked stations' answers in it, in station
-    order; None if no answer differs before the hooked stations leave.
-    Rounds up to ``asked_to`` were asked already and bid as in ``run``. Each
-    later round asks each hooked station once, offering its volume times the
-    round's clock, and compares the answer with its bid in ``run``."""
-    clocks, snapshots = run.clocks, run.snapshots
+    parts from the resume point ``parts[:first]``: the length ``n`` of the
+    last resume point ``parts[:n]`` before the first round in which a hooked
+    station answers otherwise than it bids in ``run``, that round, and the
+    hooked stations' answers in it, in station order; None if no answer
+    differs before the hooked stations leave. Rounds up to ``asked_to`` were
+    asked already and bid as in ``run``. Each later round asks each hooked
+    station once, offering its volume times the round's clock, and compares
+    the answer with its bid in ``run``."""
+    clocks, parts = run.clocks, run.parts
     vols, values, exit_rounds = run.vols, run.values, run.exit_rounds
+    last = len(clocks) - 1  # the last round before the horizon, the last asked
+    n = first
+    round_index, active = (parts[n - 1][0], parts[n - 1][5]) if n else (0, run.participants)
     # each hooked station's id, hook, volume, value and exit round in the run;
-    # a station is dropped once it leaves a snapshot's active set
+    # a station is dropped once it leaves a played round's active set
     hooked = [
         (sid, strategies[sid], vols[sid], values[sid], exit_rounds[sid])
-        for sid in snapshots[first].active
+        for sid in active
         if sid in strategies
     ]
-    for i in range(first, len(snapshots)):
-        snap = snapshots[i]
-        active = snap.active
-        for h in hooked:
-            if h[0] not in active:
-                hooked = [h for h in hooked if h[0] in active]
-                break
-        if not hooked:
-            return None
-        # the rounds up to the next one played, or up to the last before the
-        # horizon, the last round in which a station is asked
-        last = snapshots[i + 1].round_index if i + 1 < len(snapshots) else len(clocks) - 1
-        rounds = range(max(snap.round_index, asked_to) + 1, last + 1)
+    if not hooked:
+        return None
+    for k in range(first, len(parts)):
+        part = parts[k]
+        if type(part) is _QuietStretch:
+            continue
+        # the rounds from the resume point up to this played one
+        rounds = range(max(round_index, asked_to) + 1, min(part[0], last) + 1)
         if len(hooked) == 1:
             # a lone hook, as every criterion 5 deviation has: no answer list
             _, ask, vol, value, exit_round = hooked[0]
             for r in rounds:
                 answer = ask(r, vol * clocks[r], value)
                 if answer is not (EXIT if r >= exit_round else ACCEPT):
-                    return i, r, [answer]
-            continue
-        for r in rounds:
-            current = clocks[r]
-            answers = []
-            bid_as_in_run = True
-            for _, ask, vol, value, exit_round in hooked:
-                answer = ask(r, vol * current, value)
-                answers.append(answer)
-                bid_as_in_run = bid_as_in_run and answer is (EXIT if r >= exit_round else ACCEPT)
-            if not bid_as_in_run:
-                return i, r, answers
+                    return n, r, [answer]
+        else:
+            for r in rounds:
+                current = clocks[r]
+                answers = []
+                bid_as_in_run = True
+                for _, ask, vol, value, exit_round in hooked:
+                    answer = ask(r, vol * current, value)
+                    answers.append(answer)
+                    if answer is not (EXIT if r >= exit_round else ACCEPT):
+                        bid_as_in_run = False
+                if not bid_as_in_run:
+                    return n, r, answers
+        n, round_index, active = k + 1, part[0], part[5]
+        for h in hooked:
+            if h[0] not in active:
+                hooked = [h for h in hooked if h[0] in active]
+                if not hooked:
+                    return None
+                break
     return None
 
 
@@ -942,20 +930,20 @@ def run_auction(
     if run.outcome is None:
         # the truthful run raised: played again from the start, an auction
         # without hooks raises again
-        return _play(run, run.snapshots[0], [], strategies)
+        return _play(run, [], strategies)
     left = _departure(run, strategies)
     if left is not None:
-        i, r, answers = left
+        n, r, answers = left
         if len(answers) == 1 and answers[0] is ACCEPT:
-            sid = next(sid for sid in run.snapshots[i].active if sid in strategies)
-            never_exit = _never_exit_run(run, sid, i)
+            active = run.parts[n - 1][5] if n else run.participants
+            sid = next(sid for sid in active if sid in strategies)
+            never_exit = _never_exit_run(run, sid, n)
             # one that raised is not followed: the auction plays on as before
             if never_exit.outcome is not None:
                 run = never_exit
-                left = _departure(run, strategies, i, r)
+                left = _departure(run, strategies, n, r)
     if left is None:
         out = run.outcome
         return replace(out, winners=dict(out.winners), final_assignment=dict(out.final_assignment))
-    i, r, answers = left
-    snap = run.snapshots[i]
-    return _play(run, snap, run.parts[: snap.parts], strategies, (r, answers))
+    n, r, answers = left
+    return _play(run, run.parts[:n], strategies, (r, answers))

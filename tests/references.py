@@ -100,7 +100,8 @@ def reference_auction(inst, values, config, strategies):
             for sid in active:
                 offer = offer_price(vols[sid], current)
                 if sid in strategies:
-                    decision = strategies[sid](round_index, offer, values[sid])
+                    # an answer is read as a decision: "exit" is EXIT
+                    decision = BidDecision(strategies[sid](round_index, offer, values[sid]))
                 else:
                     decision = truthful_bid(values[sid], offer)
                 bids.append(Bid(sid, decision, accepted[sid] - offer, offer))
