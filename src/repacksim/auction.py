@@ -111,21 +111,20 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .feasibility import (
-    DECIDING_STEP_LIMIT,
     DEFAULT_STEP_LIMIT,
     Budget,
     Feasible,
     FeasibilityProblem,
     FeasibilityVerdict,
     Infeasible,
-    PackingModel,
     SearchSpaceError,
     Timeout,
     check_exhaustive,
     check_greedy,
     check_sat,
+    _first_packing,
     _fit_channel,
-    solve,
+    _flood,
 )
 from .model import (
     Assignment,
@@ -364,27 +363,6 @@ def _run_checker(
     return check_exhaustive(problem)
 
 
-def _whole_set_pack(
-    inst: Instance,
-    sids: Iterable[StationId],
-    ct: ClearingTarget,
-    budget: Budget,
-) -> Assignment:
-    """Single joint solve used when station-by-station packing fails."""
-    sids = sorted(sids)
-    steps = max(DECIDING_STEP_LIMIT, 20 * budget.step_limit)
-    verdict = solve(PackingModel(inst, ct, sids), Budget(step_limit=steps)).verdict
-    if isinstance(verdict, Feasible):
-        return verdict.certificate
-    if isinstance(verdict, Infeasible):
-        raise UnpackableError(
-            f"stations {sids} cannot be jointly packed in the reduced band"
-        )
-    raise SearchSpaceError(
-        f"joint packing of {len(sids)} stations undecided within the fallback budget"
-    )
-
-
 def initial_assignment(
     inst: Instance,
     non_participants: Iterable[StationId],
@@ -392,20 +370,31 @@ def initial_assignment(
     checker: CheckerKind,
     budget: Budget,
 ) -> Assignment:
-    """Pack the non-participating stations, which the auction must keep on
-    air. Stations are added one at a time in ascending id order with the
-    configured checker; any failure falls back to one whole-set solve.
-    Rejects the instance when the set is jointly unpackable."""
+    """The lexicographically first packing of the non-participants, which
+    the auction must keep on air: the first packing of each of their
+    interference components, which constrain one another in nothing, merged
+    in station order. ``checker`` and ``budget`` do not change it. Raises
+    :class:`UnpackableError` naming the first component, by its lowest
+    station, that has none, and ``SearchSpaceError`` naming one left
+    undecided."""
+    del checker, budget
+    view = inst.clash_view(ct)
+    unreached = set(non_participants)
     packed: Assignment = {}
-    ordered = sorted(non_participants)
-    for sid in ordered:
-        problem = FeasibilityProblem(sid, packed, inst, ct)
-        verdict = _run_checker(checker, problem, budget)
-        if isinstance(verdict, Feasible):
-            packed = verdict.certificate
-        else:
-            return _whole_set_pack(inst, ordered, ct, budget)
-    return packed
+    for sid in sorted(unreached):
+        if sid not in unreached:
+            continue
+        component = sorted(_flood(inst, view, sid, unreached))
+        try:
+            verdict = _first_packing(inst, ct, component)
+        except SearchSpaceError as error:
+            raise SearchSpaceError(f"stations {component}: {error}") from None
+        if isinstance(verdict, Infeasible):
+            raise UnpackableError(
+                f"stations {component} cannot be jointly packed in the reduced band"
+            )
+        packed.update(verdict.certificate)
+    return dict(sorted(packed.items()))
 
 
 def truthful_bid(value: float, new_offer: float) -> BidDecision:

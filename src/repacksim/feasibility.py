@@ -29,11 +29,11 @@ target and kept as long as the instance. The component flood and the packing
 model read each station's neighbour ids and channel mask from the clash view
 kept beside it (:meth:`repacksim.model.Instance.clash_view`), so a search's
 set-up reads no partner list and sums no bits. A :class:`PackingModel` is a
-cut of that table, and every search runs over one, the initial packing's
-fallback included. A search's limit is a count of steps. Running out of it
-is a :class:`Timeout` verdict for a check that may time out; a search that
-must decide, enumeration or the initial packing's fallback, raises
-:class:`SearchSpaceError` instead.
+cut of that table, and every search runs over one. A search's limit is a
+count of steps. Running out of it is a :class:`Timeout` verdict for a check
+that may time out; enumeration (:func:`_first_packing`), which the
+exhaustive check and the initial packing of each interference component run,
+must decide, so it raises :class:`SearchSpaceError` instead.
 """
 
 from __future__ import annotations
@@ -57,15 +57,15 @@ class InvalidProblemError(ValueError):
 
 
 class SearchSpaceError(RuntimeError):
-    """A search that must decide ran out of steps undecided: the exhaustive
-    check, or the initial packing's whole-set search."""
+    """An enumeration, which must decide, ran out of steps undecided: the
+    exhaustive check's, or the initial packing's over one component."""
 
 
 #: The step limit of a feasibility check unless a config sets another.
 DEFAULT_STEP_LIMIT = 50_000
 
-#: The step limit of a search that must decide: the exhaustive check's, and
-#: the least that the initial packing's whole-set search gets.
+#: The step limit of an enumeration, which must decide: the exhaustive
+#: check's, and the initial packing's for each component.
 DECIDING_STEP_LIMIT = 1_000_000
 
 
@@ -209,25 +209,29 @@ class PackingModel:
 
 def encode(problem: FeasibilityProblem) -> PackingModel:
     """The packing model of the target's interference component among the
-    packed stations, in station order, with each packed station's current
-    channel as its first option.
+    packed stations (:func:`_flood`), in station order, with each packed
+    station's current channel as its first option."""
+    inst, ct, packed = problem.inst, problem.ct, problem.packed
+    component = _flood(inst, inst.clash_view(ct), problem.target, set(packed))
+    return PackingModel(inst, ct, sorted(component), hint=packed)
 
-    The component is flooded from the target over the clash view's
+
+def _flood(inst: Instance, view: tuple, start: StationId, unreached: set) -> list[StationId]:
+    """``start`` and its interference component among ``unreached``, whose
+    stations it takes out of ``unreached``: flooded over the clash view's
     neighbour ids (:meth:`~repacksim.model.Instance.clash_view`), meeting
-    each neighbour once: a packed station joins when one of its reduced-band
-    channels clashes with one of a member's. No channel of a packed station
-    outside it clashes with any channel of a station inside it."""
-    inst, packed = problem.inst, problem.packed
-    view = inst.clash_view(problem.ct)
-    unreached = set(packed)
-    component = [problem.target]
+    each neighbour once. A station joins when one of its reduced-band
+    channels clashes with one of a member's, so no channel of a station left
+    outside clashes with any channel of a station inside."""
+    unreached.discard(start)
+    component = [start]
     # the loop reads the stations appended while it runs
     for sid in component:
         reached = unreached.intersection(view[inst.position(sid)][1])
         if reached:
             unreached -= reached
             component += reached
-    return PackingModel(inst, problem.ct, sorted(component), hint=packed)
+    return component
 
 
 @dataclass(frozen=True)
@@ -358,17 +362,24 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
 
 
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:
-    """The lexicographically first valid certificate, the stations in id
-    order and each station's channels ascending; otherwise Infeasible.
+    """The lexicographically first valid certificate of the target and the
+    packed stations (:func:`_first_packing`); otherwise Infeasible. It never
+    times out, but raises :class:`SearchSpaceError`."""
+    return _first_packing(problem.inst, problem.ct, problem.station_set())
 
-    This is the search of :func:`solve` deciding the stations in id order
-    over the model with no hint: lexicographic enumeration with forward
-    checking, which skips only prefixes that no valid assignment extends, so
-    its first certificate is the one plain enumeration finds. It never times
-    out: a search still undecided after :data:`DECIDING_STEP_LIMIT` steps
-    raises :class:`SearchSpaceError`.
-    """
-    model = PackingModel(problem.inst, problem.ct, problem.station_set())
+
+def _first_packing(
+    inst: Instance, ct: ClearingTarget, stations: list[StationId]
+) -> Feasible | Infeasible:
+    """The lexicographically first packing of ``stations``, given in id
+    order, each station's channels ascending, or Infeasible; it raises
+    :class:`SearchSpaceError` when still undecided after
+    :data:`DECIDING_STEP_LIMIT` steps. This is the search of :func:`solve`
+    deciding the stations in id order over their model with no hint:
+    lexicographic enumeration with forward checking, which skips only
+    prefixes that no valid assignment extends, so its first certificate is
+    the one plain enumeration finds."""
+    model = PackingModel(inst, ct, stations)
     if not all(model.rows):
         # a station with no channel in the band, which the search in station
         # order would reach only after every choice of the stations before it

@@ -41,16 +41,15 @@ VolumeTable = dict[StationId, float]
 def fcc_volumes(inst: Instance, ct: ClearingTarget) -> VolumeTable:
     """Volume(s) = A * sqrt(interference(s)) * sqrt(population(s)), with A
     chosen so the maximum volume is exactly one million (to one ulp), where
-    interference(s) counts the constraints on s within the reduced band."""
-    counts: dict[StationId, int] = {s.id: 0 for s in inst.stations}
-    for (sid, ch), partners in inst.conflicts_in_band(ct).items():
+    interference(s) counts the constraints on s within the reduced band,
+    read from s's row of the instance's channel table."""
+    raw = {}
+    for st, row in zip(inst.stations, inst.channel_table(ct)):
         # a constraint between two channels of one station counts once
-        counts[sid] += sum(1 for osid, och in partners if osid != sid or och > ch)
-
-    raw = {
-        st.id: math.sqrt(counts[st.id]) * math.sqrt(st.population)
-        for st in inst.stations
-    }
+        count = 0
+        for ch, _, partners, _ in row:
+            count += sum(osid != st.id or och > ch for osid, och in partners)
+        raw[st.id] = math.sqrt(count) * math.sqrt(st.population)
     max_raw = max(raw.values(), default=0.0)
     if max_raw <= 0.0:
         raise DegenerateInstanceError(

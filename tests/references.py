@@ -6,12 +6,14 @@ from the instance's constraints, the station domains and the clearing target,
 solved by HiGHS (Huangfu & Hall, Math. Prog. Computation 10, 2018) through
 ``scipy.optimize.milp``. :func:`reference_component` is the SAT check's
 interference component flooded over every partner entry of the conflict
-index. None shares code with the part of the program it checks: the
+index, and :func:`first_packing` the initial packing by plain enumeration of
+the whole set. None shares code with the part of the program it checks: the
 auction's memos and round skipping, the packing search, or the per-station
 clash view that the component flood reads. The reference auction stores each
 active station's last accepted price, which the auction derives from the clock.
 """
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +36,7 @@ from repacksim.feasibility import (
     check_greedy,
     check_sat,
 )
+from repacksim.model import validate_assignment
 from repacksim.pricing import initial_clock, next_clock, offer_price, volumes_for
 
 
@@ -158,6 +161,19 @@ def reference_component(problem):
                     unreached.remove(osid)
                     component.append(osid)
     return sorted(component)
+
+
+def first_packing(inst, ct, stations):
+    """The lexicographically first packing of ``stations``, in id order, or
+    None: every joint choice of their reduced-band channels in turn, the
+    first that :func:`validate_assignment` accepts."""
+    stations = sorted(stations)
+    domains = [sorted(ct.reduced(inst.station(sid).domain)) for sid in stations]
+    for channels in itertools.product(*domains):
+        packing = dict(zip(stations, channels))
+        if validate_assignment(packing, inst, ct):
+            return packing
+    return None
 
 
 def milp_packing(inst, values, participants, non_participants, ct):

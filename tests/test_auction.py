@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from repacksim import auction
+from repacksim import auction, feasibility
 from repacksim.auction import (
     AuctionConfig,
     AuctionOutcome,
@@ -43,6 +43,7 @@ from repacksim.model import (
     validate_assignment,
 )
 from repacksim.pricing import (
+    DEFAULT_C0_FCC,
     DegenerateInstanceError,
     ScoringRule,
     clock_trajectory,
@@ -52,7 +53,7 @@ from repacksim.pricing import (
 )
 
 from conftest import mk_instance
-from references import Bid, reference_auction, reference_order
+from references import Bid, first_packing, reference_auction, reference_order
 
 BUDGET = Budget(step_limit=50_000)
 
@@ -98,7 +99,8 @@ def test_initial_assignment_cases():
     ct = ClearingTarget(16)
     assert initial_assignment(inst, (), ct, CheckerKind.SAT, BUDGET) == {}
     assert initial_assignment(inst, (1,), ct, CheckerKind.SAT, BUDGET) == {1: 14}
-    # greedy packs 1 on 14 first, blocking 2; the whole-set fallback repacks
+    # 1 on 14 would block 2, so the first packing of the pair moves 1 to 15,
+    # whatever the checker
     packed = initial_assignment(inst, (1, 2), ct, CheckerKind.GREEDY, BUDGET)
     assert packed == {1: 15, 2: 14}
     assert validate_assignment(packed, inst, ct)
@@ -112,20 +114,121 @@ def test_initial_assignment_rejects_unpackable(triangle_one_channel):
 
 def test_initial_assignment_reports_a_fallback_left_undecided(monkeypatch):
     # pigeonhole: 5 stations, 4 channels, every pair in conflict on every
-    # channel. Greedy blocks the fifth station, and the whole-set search needs
-    # 4 + 12 + 24 + 24 = 64 steps to prove the set unpackable.
+    # channel, so one component. Enumeration in id order needs
+    # 4 + 12 + 24 + 24 = 64 steps to prove it unpackable.
     chans = {14, 15, 16, 17}
     inst = mk_instance(
         [(s, chans) for s in range(5)],
         [(a, c, b, c) for a in range(5) for b in range(a + 1, 5) for c in chans],
     )
     ct, budget = ClearingTarget(18), Budget(step_limit=1)
-    monkeypatch.setattr(auction, "DECIDING_STEP_LIMIT", 20)
-    with pytest.raises(SearchSpaceError, match="undecided within the fallback budget"):
+    monkeypatch.setattr(feasibility, "DECIDING_STEP_LIMIT", 20)
+    with pytest.raises(SearchSpaceError) as error:
         initial_assignment(inst, range(5), ct, CheckerKind.GREEDY, budget)
-    monkeypatch.setattr(auction, "DECIDING_STEP_LIMIT", 64)
+    assert str(error.value) == (
+        "stations [0, 1, 2, 3, 4]: enumeration undecided within 20 steps"
+    )
+    monkeypatch.setattr(feasibility, "DECIDING_STEP_LIMIT", 64)
     with pytest.raises(UnpackableError):
         initial_assignment(inst, range(5), ct, CheckerKind.GREEDY, budget)
+
+
+def _components(inst, ct, stations):
+    """The interference components of ``stations``, each sorted, from the
+    constraints whose two channels are both in the band."""
+    neighbours = {sid: set() for sid in stations}
+    for con in inst.constraints:
+        (a, ca), (b, cb) = con.first, con.second
+        if a != b and a in neighbours and b in neighbours and max(ca, cb) < ct.bar_c:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    components, seen = [], set()
+    for sid in sorted(stations):
+        if sid not in seen:
+            component, todo = {sid}, [sid]
+            while todo:
+                new = neighbours[todo.pop()] - component
+                component |= new
+                todo += new
+            seen |= component
+            components.append(sorted(component))
+    return components
+
+
+@st.composite
+def _packing_case(draw):
+    """A few stations with ids 1, 4, 7, ..., domains in channels 14-17 of
+    which clearing target 17 keeps 14-16, drawn constraints, and at most 8
+    of them as non-participants."""
+    n = draw(st.integers(1, 10))
+    ids = [3 * i + 1 for i in range(n)]
+    domains = {sid: draw(st.sets(st.integers(14, 17), min_size=1)) for sid in ids}
+    pairs = [
+        (a, ca, b, cb)
+        for a in ids
+        for b in ids
+        if a <= b
+        for ca in sorted(domains[a])
+        for cb in sorted(domains[b])
+        if (a, ca) < (b, cb)
+    ]
+    constraints = draw(st.lists(st.sampled_from(pairs), max_size=4 * n)) if pairs else []
+    inst = mk_instance([(sid, domains[sid]) for sid in ids], constraints)
+    nons = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=8, unique=True))
+    return inst, nons
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packing_case())
+def test_initial_assignment_is_the_first_packing_the_reference_enumerates(case):
+    inst, nons = case
+    ct = ClearingTarget(17)
+    expected = first_packing(inst, ct, nons)
+    for checker in CheckerKind:
+        if expected is not None:
+            packed = initial_assignment(inst, nons, ct, checker, BUDGET)
+            assert list(packed.items()) == list(expected.items())
+            continue
+        with pytest.raises(UnpackableError) as error:
+            initial_assignment(inst, nons, ct, checker, BUDGET)
+        # the first component, by its lowest station, that has no packing
+        components = _components(inst, ct, nons)
+        first = next(c for c in components if first_packing(inst, ct, c) is None)
+        assert str(error.value) == f"stations {first} cannot be jointly packed in the reduced band"
+
+
+def test_initial_assignment_past_desk_scale_names_one_component():
+    # the acceptance grid's geometry with its radii scaled by sqrt(32/n),
+    # at 1,600 stations: a search over all 165 non-participants together is
+    # left undecided after 1,000,000 steps, one per component decides
+    n, draw = 1600, 1001
+    scale = math.sqrt(32 / n)
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=n,
+            channel_lo=14,
+            channel_hi=17,
+            co_channel_radius=0.26 * scale,
+            adjacent_channel_radius=0.065 * scale,
+            seed=draw,
+        )
+    )
+    values = sample_values(
+        inst,
+        ValueSamplerParams(
+            log_mean=8.0, log_sd=1.0, population_exponent=0.7, seed=7000 + 13 * draw
+        ),
+    )
+    ct = ClearingTarget(17)
+    _, nons = determine_participants(
+        inst, values, volumes_for(inst, ct, ScoringRule.FCC), DEFAULT_C0_FCC
+    )
+    assert len(nons) == 165
+    with pytest.raises(UnpackableError) as error:
+        initial_assignment(inst, nons, ct, CheckerKind.SAT, BUDGET)
+    assert str(error.value) == (
+        "stations [611, 660, 1043, 1110] cannot be jointly packed in the reduced band"
+    )
 
 
 # ------------------------------------------------------- bids

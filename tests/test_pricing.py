@@ -102,6 +102,35 @@ def test_max_volume_is_one_million_on_generated_instances(seed):
     assert all(v >= 0 for v in table.values())
 
 
+def _volumes_from_the_conflict_index(inst, ct):
+    """The volumes counted as the program counted them before it read the
+    channel table: over the conflict index's entries."""
+    counts = {s.id: 0 for s in inst.stations}
+    for (sid, ch), partners in inst.conflicts_in_band(ct).items():
+        counts[sid] += sum(1 for osid, och in partners if osid != sid or och > ch)
+    raw = {s.id: math.sqrt(counts[s.id]) * math.sqrt(s.population) for s in inst.stations}
+    scaling = MAX_SCORED_VOLUME / max(raw.values())
+    return {sid: scaling * r for sid, r in raw.items()}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_volumes_read_from_the_channel_table_equal_the_conflict_index_count(seed):
+    from repacksim.instances import GeneratorParams, generate_instance
+
+    inst = generate_instance(GeneratorParams(n_stations=12, co_channel_radius=0.5, seed=seed))
+    for ct in (ClearingTarget(17), ClearingTarget(20)):
+        try:
+            expected = _volumes_from_the_conflict_index(inst, ct)
+        except ZeroDivisionError:
+            with pytest.raises(DegenerateInstanceError):
+                fcc_volumes(inst, ct)
+            continue
+        table = fcc_volumes(inst, ct)
+        # bitwise equal, in the same station order
+        assert list(table.items()) == list(expected.items())
+
+
 def test_unscored_volumes_all_one():
     inst = mk_instance([(1, {14}), (2, {14})])
     table = unscored_volumes(inst)
