@@ -444,7 +444,23 @@ class AuctionState:
         is a packing, though an enumeration undecided after
         ``DECIDING_STEP_LIMIT`` steps (no workload comes near) would have
         raised. Any other check replaces the marker with the checker's
-        verdict, so exit certificates hold."""
+        verdict, so exit certificates hold.
+
+        Under exhaustive, the problem holds only the target's interference
+        component among the packed stations (``_flood`` over the clash
+        view), and the certificate is merged into the packed set. That is
+        the verdict and certificate of the whole enumeration. Components
+        constrain one another in nothing, so the lexicographically first
+        packing of a station set is the union of those of its components.
+        Every packed set of an exhaustive auction is the first packing of
+        each of its components: the initial packing is, and an exit's
+        certificate is the first packing of the packed set and the exiting
+        station, whose other components are components of the packed set it
+        replaces. So the whole enumeration moves only the target's
+        component. It decides wherever the whole one does: the other
+        stations remove none of the component's channels, so the whole
+        search in id order makes each of the component search's steps, in
+        order, some of them more than once."""
         if self._keyed is not self.packed:
             self._keyed, tables = self.packed, self.tables
             # the greedy certificate keeps the packed order, so an equal dict
@@ -460,8 +476,17 @@ class AuctionState:
             if accepting and _fit_channel(self.inst, self.ct, sid, self.packed) is not None:
                 verdict = _FITS
             else:
-                problem = FeasibilityProblem(sid, self.packed, self.inst, self.ct)
+                packed = self.packed
+                exhaustive = self.checker is CheckerKind.EXHAUSTIVE
+                if exhaustive:
+                    view = self.inst.clash_view(self.ct)
+                    component = _flood(self.inst, view, sid, set(packed))
+                    packed = {s: packed[s] for s in component[1:]}
+                problem = FeasibilityProblem(sid, packed, self.inst, self.ct)
                 verdict = _run_checker(self.checker, problem, self.budget)
+                if exhaustive and verdict.__class__ is Feasible:
+                    merged = {**self.packed, **verdict.certificate}
+                    verdict = Feasible(dict(sorted(merged.items())))
             self._verdicts[sid] = verdict
         return verdict
 

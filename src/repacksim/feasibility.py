@@ -364,8 +364,12 @@ def check_sat(problem: FeasibilityProblem, budget: Budget) -> FeasibilityVerdict
 def check_exhaustive(problem: FeasibilityProblem) -> FeasibilityVerdict:
     """The lexicographically first valid certificate of the target and the
     packed stations (:func:`_first_packing`); otherwise Infeasible. It never
-    times out, but raises :class:`SearchSpaceError`."""
-    return _first_packing(problem.inst, problem.ct, problem.station_set())
+    times out, but raises :class:`SearchSpaceError`. The certificate is the
+    caller's own."""
+    verdict = _first_packing(problem.inst, problem.ct, problem.station_set())
+    if isinstance(verdict, Feasible):
+        return Feasible(dict(verdict.certificate))
+    return verdict
 
 
 def _first_packing(
@@ -378,16 +382,30 @@ def _first_packing(
     deciding the stations in id order over their model with no hint:
     lexicographic enumeration with forward checking, which skips only
     prefixes that no valid assignment extends, so its first certificate is
-    the one plain enumeration finds."""
-    model = PackingModel(inst, ct, stations)
-    if not all(model.rows):
-        # a station with no channel in the band, which the search in station
-        # order would reach only after every choice of the stations before it
-        return Infeasible()
-    # not through solve, so that a wrapper counting SAT searches sees no other
-    verdict = _search(model, DECIDING_STEP_LIMIT, 0).verdict
-    if isinstance(verdict, Timeout):
+    the one plain enumeration finds.
+
+    A decided enumeration is kept, with its steps, in the instance's
+    :meth:`~repacksim.model.Instance.derived` memo under ``stations``, and
+    read from there by every later call that its steps fit within the
+    limit; one that they do not fit raises, as the search would. The
+    verdict is shared, so a caller must not change its certificate."""
+    memo = inst.derived(ct).setdefault("first_packing", {})
+    key = tuple(stations)
+    found = memo.get(key)
+    if found is None:
+        model = PackingModel(inst, ct, stations)
+        # A station with no channel in the band, which the search in station
+        # order would reach only after every choice of the stations before
+        # it, makes the set Infeasible at once. The search runs not through
+        # solve, so that a wrapper counting SAT searches sees no other.
+        if all(model.rows):
+            found = _search(model, DECIDING_STEP_LIMIT, 0)
+        else:
+            found = SolveResult(Infeasible(), 0)
+        if not isinstance(found.verdict, Timeout):
+            memo[key] = found
+    if found.steps > DECIDING_STEP_LIMIT:
         raise SearchSpaceError(
             f"enumeration undecided within {DECIDING_STEP_LIMIT} steps"
         )
-    return verdict
+    return found.verdict

@@ -211,9 +211,20 @@ class Instance:
         cached = self._table_memo.get(ct.bar_c)  # type: ignore[attr-defined]
         return (cached or self._build_band(ct))[1]
 
+    def derived(self, ct: ClearingTarget) -> dict:
+        """A dict kept beside the channel table of ``ct``, in the same memo,
+        for what other modules derive from the instance and target alone:
+        the max-sum models of the interference components
+        (:mod:`repacksim.vcg`), the scored volumes
+        (:func:`repacksim.pricing.volumes_for`) and first packings
+        (:mod:`repacksim.feasibility`). It lives and dies with the instance,
+        so no two instances share an entry."""
+        cached = self._table_memo.get(ct.bar_c)  # type: ignore[attr-defined]
+        return (cached or self._build_band(ct))[2]
+
     def _build_band(self, ct: ClearingTarget) -> tuple:
         """The channel table and clash view of ``ct``, built together and
-        memoized under its ``bar_c``."""
+        memoized under its ``bar_c`` with an empty :meth:`derived` dict."""
         conflicts = self.conflicts_in_band(ct)
         bit_of = {ch: 1 << k for k, ch in enumerate(self.channel_universe)}
         channels = [sorted(ct.reduced(st.domain)) for st in self.stations]
@@ -239,7 +250,7 @@ class Instance:
             neighbours.discard(st.id)
             table.append(tuple(row))
             view.append((mask, tuple(sorted(neighbours))))
-        band = (tuple(table), tuple(view))
+        band = (tuple(table), tuple(view), {})
         self._table_memo[ct.bar_c] = band  # type: ignore[attr-defined]
         return band
 

@@ -65,9 +65,16 @@ def unscored_volumes(inst: Instance) -> VolumeTable:
 
 
 def volumes_for(inst: Instance, ct: ClearingTarget, rule: ScoringRule) -> VolumeTable:
+    """The volumes of ``rule``, in a dict of the caller's own. Scored
+    volumes are computed once per instance and target and kept in its
+    :meth:`~repacksim.model.Instance.derived` memo."""
     # a plain string becomes its member, as the rules compare by identity
     if ScoringRule(rule) is ScoringRule.FCC:
-        return fcc_volumes(inst, ct)
+        memo = inst.derived(ct)
+        vols = memo.get("fcc_volumes")
+        if vols is None:
+            vols = memo["fcc_volumes"] = fcc_volumes(inst, ct)
+        return dict(vols)
     return unscored_volumes(inst)
 
 

@@ -63,7 +63,20 @@ restricted value by a cold solve of the forced problem.
 Node budget: a call spends the entries of every table it builds, in every
 part of every branch, from one :class:`NodeCounter`, and pricing spends
 nothing more. A call that would spend more than its budget raises
-:class:`ResourceLimitError`. The tables go with the call.
+:class:`ResourceLimitError`.
+
+*What is kept.* What no value or participant changes is compiled once and
+the values are propagated through it per call, the split of Lauritzen &
+Spiegelhalter (1988). The instance keeps, per clearing target, in its
+:meth:`~repacksim.model.Instance.derived` memo, the top-level parts and the
+:class:`_Model` of each part whose tables with every station a participant
+hold at most :data:`MAX_SUM_ENTRIES` entries: its allowed channels, its
+clique tree and each node's mask of forbidden entries. The tables go with
+the call. Each call cuts each mask to its own sizes, a non-participant
+having no state off the air, and counts, spends and fills the tables from
+there, so its outcome and ``nodes`` depend on its arguments alone.
+Conditioned branches and parts over the limit are built per call by the
+same builder.
 """
 
 from __future__ import annotations
@@ -151,48 +164,68 @@ def _partition_check(
     return parts, nons
 
 
-def _max_sum(
-    table: _Table,
-    ids: tuple[StationId, ...],
-    part: list[int],
-    allowed: list[int],
-    forced: frozenset[StationId],
-    values: ValueProfile,
-    counter: NodeCounter,
-) -> tuple[Assignment | None, dict[StationId, Assignment | None]] | None:
-    """Exact max-value packing of the stations at positions ``part`` of
-    ``table``, connected through the conflicts of their ``allowed``
-    channels, by max-sum on a clique tree; None when its tables would hold
-    more than :data:`MAX_SUM_ENTRIES` entries. ``allowed[g]`` is the bit
-    mask of the channels that the packing may give station ``ids[g]``.
+@dataclass
+class _Model:
+    """What a max-sum solve of one part needs that no value or participant
+    changes (see the module docstring): the part's station ids, each one's
+    allowed channels, the option pairs that each pair of stations may not
+    take, and the clique tree, root first, each node after its parent. A
+    node's scope lists its stations in elimination order: first its frontal
+    stations, eliminated in it, then its separator, which its parent's scope
+    holds too. ``masks``, once set, holds each node's forbidden entries."""
 
-    Returns the packing, None when the forced stations cannot all be placed,
-    and, for each participant the packing leaves off the air, the best
-    packing of the part with that station on air (None when it cannot be),
-    decoded from its max-marginals. The tables' entries are spent from
-    ``counter`` at once; :class:`ResourceLimitError` is raised when fewer
-    are left.
-    """
+    sids: list[StationId]
+    channels: list[list[int]]
+    forbidden: dict[tuple[int, int], tuple[list[int], list[int]]]
+    node_of: list[int]
+    frontal: list[list[int]]
+    scope: list[list[int]]
+    parent: list[int]
+    masks: list[np.ndarray] | None = None
+
+    def entries(self, sizes: list[int]) -> int:
+        """The entries of the node tables when station ``u`` has
+        ``sizes[u]`` states, its last off the air when it has one more than
+        its channels."""
+        return sum(math.prod(sizes[u] for u in sc) for sc in self.scope)
+
+    def forbidden_masks(self, sizes: list[int]) -> list[np.ndarray]:
+        """For each node, the entries of its table over ``sizes`` that a
+        forbidden pair rules out, each pair at the node that eliminates its
+        first station."""
+        masks = []
+        for sc, fr in zip(self.scope, self.frontal):
+            mask = np.zeros([sizes[u] for u in sc], dtype=bool)
+            for a, v in enumerate(fr):
+                for b in range(a + 1, len(sc)):
+                    u = sc[b]
+                    pair = self.forbidden.get((v, u) if v < u else (u, v))
+                    if pair is not None:
+                        at: list = [slice(None)] * len(sc)
+                        at[a], at[b] = pair if v < u else pair[::-1]
+                        mask[tuple(at)] = True
+            masks.append(mask)
+        return masks
+
+
+def _model(
+    table: _Table, ids: tuple[StationId, ...], part: list[int], allowed: list[int]
+) -> _Model:
+    """The max-sum model of the stations at positions ``part`` of
+    ``table``, each with the channels of bit mask ``allowed[g]``, connected
+    through their conflicts; its masks are left unset."""
     sids = [ids[g] for g in part]
     m = len(part)
-    # each station's allowed channels; a participant's last state is off the air
+    # each station's allowed channels
     kept = [[row for row in table[g] if allowed[g] & row[1]] for g in part]
     channels = [[ch for ch, _, _, _ in rows] for rows in kept]
-    off = [sid not in forced for sid in sids]
-    sizes = [len(chs) + o for chs, o in zip(channels, off)]
+    forbidden: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     if m == 1:
-        counter.spend(sizes[0])
-        sid = sids[0]
-        if channels[0]:
-            return {sid: channels[0][0]}, {}
-        if not off[0]:
-            return None, {}
-        return {}, {sid: None}
+        return _Model(sids, channels, forbidden, [0], [[0]], [[0]], [-1])
 
     # the option pairs that each pair of stations may not take
     local = {g: i for i, g in enumerate(part)}
     rank = [{bit: k for k, (_, bit, _, _) in enumerate(rows)} for rows in kept]
-    forbidden: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     near = [0] * m
     for i, rows in enumerate(kept):
         for k, (_, _, _, clashes) in enumerate(rows):
@@ -207,10 +240,7 @@ def _max_sum(
                     pair[0].append(k)
                     pair[1].append(rank[j][bit])
 
-    # The clique tree (see the module docstring), root first, each node
-    # after its parent. A node's scope lists its stations in elimination
-    # order: first its frontal stations, eliminated in it, then its
-    # separator, which its parent's scope holds too.
+    # the clique tree (see the module docstring)
     elim, bucket = _min_fill(near)
     node_of = [0] * m
     frontal: list[list[int]] = []
@@ -230,10 +260,65 @@ def _max_sum(
         node_of[v] = len(frontal)
         frontal.append([v])
         scope.append(bucket[v])
-    entries = sum(math.prod(sizes[u] for u in sc) for sc in scope)
+    return _Model(sids, channels, forbidden, node_of, frontal, scope, parent)
+
+
+def _max_sum(
+    table: _Table,
+    ids: tuple[StationId, ...],
+    part: list[int],
+    allowed: list[int],
+    forced: frozenset[StationId],
+    values: ValueProfile,
+    counter: NodeCounter,
+    models: dict[tuple[int, ...], _Model] | None = None,
+) -> tuple[Assignment | None, dict[StationId, Assignment | None]] | None:
+    """Exact max-value packing of the stations at positions ``part`` of
+    ``table``, connected through the conflicts of their ``allowed``
+    channels, by max-sum on a clique tree; None when its tables would hold
+    more than :data:`MAX_SUM_ENTRIES` entries. ``allowed[g]`` is the bit
+    mask of the channels that the packing may give station ``ids[g]``.
+
+    The part's :class:`_Model` is read from ``models``, the memo of the
+    top-level parts, by the part's positions, or built and added there,
+    with masks over every station's off state, when its tables with every
+    station a participant fit (see the module docstring). A part that is
+    not kept gets masks over its own sizes.
+
+    Returns the packing, None when the forced stations cannot all be placed,
+    and, for each participant the packing leaves off the air, the best
+    packing of the part with that station on air (None when it cannot be),
+    decoded from its max-marginals. The tables' entries are spent from
+    ``counter`` at once; :class:`ResourceLimitError` is raised when fewer
+    are left.
+    """
+    model = None if models is None else models.get(tuple(part))
+    if model is None:
+        model = _model(table, ids, part, allowed)
+        full = [len(chs) + 1 for chs in model.channels]
+        if models is not None and model.entries(full) <= MAX_SUM_ENTRIES:
+            model.masks = model.forbidden_masks(full)
+            models[tuple(part)] = model
+    sids, channels = model.sids, model.channels
+    m = len(sids)
+    # a participant's last state is off the air
+    off = [sid not in forced for sid in sids]
+    sizes = [len(chs) + o for chs, o in zip(channels, off)]
+    if m == 1:
+        counter.spend(sizes[0])
+        sid = sids[0]
+        if channels[0]:
+            return {sid: channels[0][0]}, {}
+        if not off[0]:
+            return None, {}
+        return {}, {sid: None}
+
+    entries = model.entries(sizes)
     if entries > MAX_SUM_ENTRIES:
         return None
     counter.spend(entries)
+    masks = model.masks if model.masks is not None else model.forbidden_masks(sizes)
+    node_of, frontal, scope, parent = model.node_of, model.frontal, model.scope, model.parent
     nodes = range(len(scope))
     sep = [sc[len(fr) :] for sc, fr in zip(scope, frontal)]
     front = [tuple(range(len(fr))) for fr in frontal]
@@ -249,17 +334,10 @@ def _max_sum(
     tables: list = [None] * len(scope)
     for n in reversed(nodes):
         sc = scope[n]
-        t = np.zeros([sizes[u] for u in sc])
+        t = np.where(masks[n][tuple(slice(sizes[u]) for u in sc)], -np.inf, 0.0)
         for a, v in enumerate(frontal[n]):
             if off[v]:
                 t[(slice(None),) * a + (slice(len(channels[v])),)] += values[sids[v]]
-            for b in range(a + 1, len(sc)):
-                u = sc[b]
-                pair = forbidden.get((v, u) if v < u else (u, v))
-                if pair is not None:
-                    at: list = [slice(None)] * len(sc)
-                    at[a], at[b] = pair if v < u else pair[::-1]
-                    t[tuple(at)] = -np.inf
         for c in children[n]:
             t += tables[c].max(axis=front[c]).reshape(lined[c])
         tables[n] = t
@@ -434,10 +512,11 @@ def _solve(
     forced: frozenset[StationId],
     values: ValueProfile,
     counter: NodeCounter,
+    models: dict[tuple[int, ...], _Model] | None = None,
 ) -> tuple[Assignment | None, dict[StationId, Assignment | None]]:
     """:func:`_max_sum` of ``part``, conditioning on a station when its
     tables do not fit (see the module docstring); the same returns."""
-    solved = _max_sum(table, ids, part, allowed, forced, values, counter)
+    solved = _max_sum(table, ids, part, allowed, forced, values, counter, models)
     if solved is not None:
         return solved
     within = sum(1 << g for g in part)
@@ -458,7 +537,8 @@ def _solve(
             left[h] &= ~b
         packing: Assignment = {} if ch is None else {sid: ch}
         try:
-            swapped = _join(table, ids, rest, left, forced, values, counter, packing)
+            parts = _parts(table, rest, left)
+            swapped = _join(table, ids, parts, left, forced, values, counter, packing)
         except UnpackableError:
             continue
         value = station_sum(values, [o for o in packing if o not in forced])
@@ -479,15 +559,17 @@ def _solve(
 def _join(
     table: _Table,
     ids: tuple[StationId, ...],
-    within: int,
+    parts: list[list[int]],
     allowed: list[int],
     forced: frozenset[StationId],
     values: ValueProfile,
     counter: NodeCounter,
     packing: Assignment,
+    models: dict[tuple[int, ...], _Model] | None = None,
 ) -> dict[StationId, Assignment | None]:
-    """Solve each part of the stations ``within`` by :func:`_solve`, in the
-    order of :func:`_parts`, and add its packing to ``packing`` in place.
+    """Solve each of ``parts``, the :func:`_parts` of some stations, by
+    :func:`_solve` with ``models``, in order, and add its packing to
+    ``packing`` in place.
 
     Returns, for each participant the parts leave off the air, ``packing``
     with that station's part swapped for the part's packing with it on air,
@@ -495,8 +577,8 @@ def _join(
     the first part whose forced stations cannot all be placed.
     """
     solved = []
-    for part in _parts(table, within, allowed):
-        found, restricted = _solve(table, ids, part, allowed, forced, values, counter)
+    for part in parts:
+        found, restricted = _solve(table, ids, part, allowed, forced, values, counter, models)
         if found is None:
             raise UnpackableError(
                 f"non-participating stations in component {[ids[g] for g in part]}"
@@ -566,17 +648,25 @@ def vcg_outcome(
     The packing joins the components of the interference graph, and each
     restricted value is read from the join's packing with the winner on air
     (see the module docstring). The solve
-    spends at most ``node_budget`` table entries. Its tables are built and
-    dropped by this call, so the outcome, its node count included, depends
-    on the arguments alone.
+    spends at most ``node_budget`` table entries. The instance keeps the
+    max-sum models of its interference components, which no value or
+    participant changes; the tables are built from them and dropped by this
+    call, so the outcome, its node count included, depends on the arguments
+    alone.
     """
     parts, nons = _partition_check(inst, participants, non_participants)
     counter = NodeCounter(node_budget)
     table, ids = inst.channel_table(ct), inst.station_ids()
-    everyone = (1 << len(table)) - 1
-    assignment: Assignment = {}
     # -1 has every bit set: each station may take any of its channels
-    swapped = _join(table, ids, everyone, [-1] * len(table), nons, values, counter, assignment)
+    allowed = [-1] * len(table)
+    memo = inst.derived(ct)
+    top = memo.get("max_sum")
+    if top is None:
+        # the interference components and the models of those that fit
+        top = memo["max_sum"] = (_parts(table, (1 << len(table)) - 1, allowed), {})
+    components, models = top
+    assignment: Assignment = {}
+    swapped = _join(table, ids, components, allowed, nons, values, counter, assignment, models)
     value = station_sum(values, parts.intersection(assignment))
     winners = tuple(sorted(parts - set(assignment)))
     # A winner that cannot be forced on air is priced at the full optimum.

@@ -26,8 +26,10 @@ from repacksim.auction import (
 )
 from repacksim.feasibility import (
     Budget,
+    Feasible,
     FeasibilityProblem,
     SearchSpaceError,
+    check_exhaustive,
     check_sat,
 )
 from repacksim.instances import (
@@ -1585,6 +1587,59 @@ def test_exhaustive_enumeration_runs_only_for_exits_and_stations_that_do_not_fit
     assert (True, True) not in runs
     # both kinds of run that remain happen
     assert (False, True) in runs and (True, False) in runs
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scoring", list(ScoringRule))
+def test_every_exhaustive_check_is_the_whole_enumeration(monkeypatch, seed, scoring):
+    # An exhaustive auction enumerates only the target's interference
+    # component among the packed stations and merges the certificate into
+    # the packed set. Every verdict it reads, from its checker or its
+    # tables, equals the whole enumeration's, as ordered items, on an
+    # instance of its own so that no memo is shared.
+    inst = generate_instance(
+        GeneratorParams(
+            n_stations=(10, 15, 20)[seed % 3],
+            channel_lo=14,
+            channel_hi=18,
+            co_channel_radius=0.35,
+            adjacent_channel_radius=0.1,
+            seed=seed + 1,
+        )
+    )
+    twin = Instance(inst.stations, inst.constraints, inst.channel_universe)
+    values = sample_values(inst, ValueSamplerParams(seed=seed))
+    check, enumerate_ = AuctionState.check, auction.check_exhaustive
+    sizes = []  # the packed stations of each enumeration's problem
+    cut = []  # for each enumeration, whether it left packed stations out
+    compared = []
+
+    def comparing(state, sid, accepting=False):
+        asked = len(sizes)
+        verdict = check(state, sid, accepting)
+        if len(sizes) > asked:
+            cut.append(sizes[-1] < len(state.packed))
+        if verdict is not auction._FITS:
+            whole = check_exhaustive(FeasibilityProblem(sid, state.packed, twin, state.ct))
+            assert type(verdict) is type(whole)
+            if isinstance(whole, Feasible):
+                assert list(verdict.certificate.items()) == list(whole.certificate.items())
+            compared.append(sid)
+        return verdict
+
+    def enumerating(problem):
+        sizes.append(len(problem.packed))
+        return enumerate_(problem)
+
+    monkeypatch.setattr(AuctionState, "check", comparing)
+    monkeypatch.setattr(auction, "check_exhaustive", enumerating)
+    _forget_memoized_work()
+    config = AuctionConfig(ClearingTarget(17), scoring, checker=CheckerKind.EXHAUSTIVE, seed=seed)
+    try:
+        run_auction(inst, values, config)
+    except UnpackableError:
+        pytest.skip("the non-participants cannot be packed")
+    assert compared and any(cut)
 
 
 def _grid_sized_case():

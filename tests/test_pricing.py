@@ -131,6 +131,35 @@ def test_volumes_read_from_the_channel_table_equal_the_conflict_index_count(seed
         assert list(table.items()) == list(expected.items())
 
 
+def test_scored_volumes_are_kept_once_and_each_caller_gets_its_own():
+    from repacksim import auction
+    from repacksim.auction import AuctionConfig, run_auction
+    from repacksim.instances import (
+        GeneratorParams,
+        ValueSamplerParams,
+        generate_instance,
+        sample_values,
+    )
+
+    inst = generate_instance(GeneratorParams(n_stations=12, co_channel_radius=0.4, seed=7))
+    values = sample_values(inst, ValueSamplerParams(log_mean=2.0, seed=7))
+    ct = ClearingTarget(17)
+    config = AuctionConfig(ct=ct, scoring=ScoringRule.FCC, c0=max(values.values()), seed=7)
+    before = run_auction(inst, values, config)
+    assert before.winners
+    first = volumes_for(inst, ct, ScoringRule.FCC)
+    # bitwise equal, in the same station order
+    assert list(first.items()) == list(fcc_volumes(inst, ct).items())
+    for sid in first:
+        first[sid] = 0.0
+    second = volumes_for(inst, ct, "fcc")
+    assert second is not first
+    assert list(second.items()) == list(fcc_volumes(inst, ct).items())
+    # not from the memoized truthful run, which read its volumes before
+    auction._TRUTHFUL_RUN.clear()
+    assert run_auction(inst, values, config) == before
+
+
 def test_unscored_volumes_all_one():
     inst = mk_instance([(1, {14}), (2, {14})])
     table = unscored_volumes(inst)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from repacksim import feasibility, vcg
 from repacksim.auction import determine_participants
 from repacksim.instances import GeneratorParams, ValueSamplerParams, generate_instance, sample_values
-from repacksim.model import ClearingTarget, UnpackableError, interference_graph, validate_assignment
+from repacksim.model import (
+    ClearingTarget,
+    Instance,
+    UnpackableError,
+    interference_graph,
+    validate_assignment,
+)
 from repacksim.pricing import ScoringRule, default_initial_clock_price, volumes_for
 from repacksim.vcg import (
     ResourceLimitError,
@@ -539,3 +547,86 @@ def test_restricted_value_degenerate_rule():
     assert out.winners == (1,)
     assert out.prices == {1: 9.0}  # the full optimal value
 
+
+
+# --------------------------------------------------------------- kept models
+
+
+def _outcomes(inst, ct, calls):
+    """Each call's outcome on ``inst``: its repr, which holds ``nodes``, and
+    its packing's items in order, or the error it raises."""
+    found = []
+    for values, participants, non_participants in calls:
+        try:
+            out = vcg_outcome(inst, values, participants, non_participants, ct)
+        except UnpackableError as error:
+            found.append(repr(error))
+            continue
+        found.append((repr(out), list(out.optimal_assignment.items())))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_outcomes_do_not_depend_on_the_calls_an_instance_served_before(seed):
+    # Each instance keeps the max-sum models of its components; the
+    # outcomes of calls on one instance, in either order, are those of the
+    # same calls each on an instance of its own.
+    inst, values, parts, nons, ct = _grid_sized_case(seed)
+    other = sample_values(
+        inst, ValueSamplerParams(log_mean=8.0, log_sd=1.0, population_exponent=0.7, seed=seed)
+    )
+    sids = inst.station_ids()
+    unscored = determine_participants(
+        inst,
+        other,
+        volumes_for(inst, ct, ScoringRule.UNSCORED),
+        default_initial_clock_price(ScoringRule.UNSCORED),
+    )
+    calls = [
+        (values, parts, nons),
+        (values, sids, ()),
+        (other, *unscored),
+        (other, parts, nons),
+        (other, sids[1::3], [s for s in sids if s not in sids[1::3]]),
+        (values, parts[1:], (*nons, parts[0])),
+    ]
+
+    def twin():
+        return Instance(inst.stations, inst.constraints, inst.channel_universe)
+
+    fresh = [_outcomes(twin(), ct, [call])[0] for call in calls]
+    assert any(isinstance(out, tuple) for out in fresh)
+    for order in (calls, calls[::-1]):
+        shared = twin()
+        assert _outcomes(shared, ct, order) == (fresh if order is calls else fresh[::-1])
+    assert shared.derived(ct)["max_sum"][1]
+
+
+def test_a_part_over_the_entry_limit_is_not_kept():
+    inst, values, parts, nons, ct = _grid_sized_case(0)
+    largest = max(_graph_components(inst, ct), key=len)
+    with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 1_000):
+        conditioned = vcg_outcome(inst, values, parts, nons, ct)
+        components, models = inst.derived(ct)["max_sum"]
+        full = [[len(chs) + 1 for chs in model.channels] for model in models.values()]
+        assert full and all(
+            model.entries(sizes) <= 1_000 for model, sizes in zip(models.values(), full)
+        )
+        assert not any(model.sids == largest for model in models.values())
+        assert vcg_outcome(inst, values, parts, nons, ct) == conditioned
+    # under the shipped limit every component is kept, and a kept model
+    # over a lowered limit is still conditioned
+    vcg_outcome(inst, values, parts, nons, ct)
+    assert len(models) == len(components)
+    with mock.patch.object(vcg, "MAX_SUM_ENTRIES", 1_000):
+        assert vcg_outcome(inst, values, parts, nons, ct) == conditioned
+
+
+def test_the_kept_models_go_with_their_instance():
+    inst, values, parts, nons, ct = _grid_sized_case(0)
+    vcg_outcome(inst, values, parts, nons, ct)
+    assert inst.derived(ct)["max_sum"][1]
+    gone = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert gone() is None
