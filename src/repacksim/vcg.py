@@ -172,7 +172,8 @@ class _Model:
     take, and the clique tree, root first, each node after its parent. A
     node's scope lists its stations in elimination order: first its frontal
     stations, eliminated in it, then its separator, which its parent's scope
-    holds too. ``masks``, once set, holds each node's forbidden entries."""
+    holds too. ``masks``, once set, holds each node's forbidden entries,
+    and ``forbidden`` is then emptied."""
 
     sids: list[StationId]
     channels: list[list[int]]
@@ -297,7 +298,8 @@ def _max_sum(
         model = _model(table, ids, part, allowed)
         full = [len(chs) + 1 for chs in model.channels]
         if models is not None and model.entries(full) <= MAX_SUM_ENTRIES:
-            model.masks = model.forbidden_masks(full)
+            # a kept model keeps its masks, not the pairs they are built from
+            model.masks, model.forbidden = model.forbidden_masks(full), {}
             models[tuple(part)] = model
     sids, channels = model.sids, model.channels
     m = len(sids)
